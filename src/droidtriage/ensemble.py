@@ -1,9 +1,11 @@
 """Ensemble learners: bagged random forests and boosted simple logistic.
 
 The forest trains T random trees, each on its own bootstrap resample, and
-aggregates hard majority votes. Every tree derives its own seed from the
-master seed with a fixed 64-bit mixing function, so the model is a pure
-function of (dataset, params) no matter how many workers train in parallel.
+aggregates hard majority votes. A resample is kept as a count per row, not a
+copy of the data, and the trees grow together, one depth level at a time.
+Every tree derives its own seed from the master seed with a fixed 64-bit
+mixing function, so the model is a pure function of (dataset, params) no
+matter how many workers train in parallel.
 
 Simple logistic is stagewise additive logistic regression: each boosting
 iteration computes Newton-step working responses z with weights w = p(1-p),
@@ -22,24 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, Label, bootstrap_sample_size, stratified_fold_indices
-from .trees import TreeModel, predict_tree, train_random_tree, tree_scores
-
-_MASK64 = (1 << 64) - 1
+from .trees import TreeModel, derive_seed, grow_random_trees, predict_tree, tree_scores
 
 # Fixed constants of the boosting procedure.
 Z_MAX = 3.0
 WEIGHT_FLOOR = 1e-10
 _P_CLIP = 1e-15
-
-
-def derive_seed(master: int, index: int) -> int:
-    """Stable 64-bit mix of (master, index); the per-tree seed schedule."""
-    z = (int(master) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 @dataclass(frozen=True)
@@ -76,23 +66,25 @@ class ForestModel:
         return self.trees[0].n_features
 
 
-def _train_member(dataset: Dataset, params: ForestParams, i: int) -> TreeModel:
-    tree_seed = derive_seed(params.seed, i)
-    sample = dataset
-    if params.bootstrap:
-        size = bootstrap_sample_size(len(dataset), params.bootstrap_fraction)
-        rng = np.random.default_rng(derive_seed(tree_seed, 1))
-        sample = dataset.subset(rng.integers(0, len(dataset), size=size))
-    return train_random_tree(sample, params.k, tree_seed)
+def _bootstrap_weights(n: int, params: ForestParams, tree_seed: int) -> np.ndarray:
+    """How often each of `n` rows enters the tree's bootstrap resample."""
+    size = bootstrap_sample_size(n, params.bootstrap_fraction)
+    rng = np.random.default_rng(derive_seed(tree_seed, 1))
+    return np.bincount(rng.integers(0, n, size=size), minlength=n)
 
 
 def train_forest(dataset: Dataset, params: ForestParams, workers: int = 1) -> ForestModel:
     """Train a bagged forest of random trees.
 
-    Tree i uses seed ``derive_seed(params.seed, i)`` for its split sampling
-    and a sub-derived stream for its bootstrap draw, so results are identical
-    for any `workers` count. With one tree and bootstrap off, the forest is
-    exactly ``train_random_tree(dataset, k, derive_seed(seed, 0))``.
+    Tree i has seed ``derive_seed(params.seed, i)``: it is the root key of
+    the tree's per-node candidate keys (see `trees.train_random_tree`), and
+    ``derive_seed(tree_seed, 1)`` seeds its bootstrap draw. The draw becomes
+    a count per row, so tree i equals ``train_random_tree`` on the resampled
+    copy without the copy being made. All trees of a batch grow in one loop
+    over depth levels; `workers` threads each grow a contiguous batch, and
+    results are identical for any `workers` count. With one tree and
+    bootstrap off, the forest is exactly ``train_random_tree(dataset, k,
+    derive_seed(seed, 0))``.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -100,13 +92,20 @@ def train_forest(dataset: Dataset, params: ForestParams, workers: int = 1) -> Fo
         raise ValueError(
             f"k={params.k} exceeds feature count {dataset.feature_count}"
         )
-    if workers <= 1:
-        members = [_train_member(dataset, params, i) for i in range(params.trees)]
+    seeds = [derive_seed(params.seed, i) for i in range(params.trees)]
+    if params.bootstrap:
+        weights = [_bootstrap_weights(len(dataset), params, s) for s in seeds]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            members = list(
-                pool.map(lambda i: _train_member(dataset, params, i), range(params.trees))
-            )
+        weights = [np.ones(len(dataset), dtype=np.int64)] * params.trees
+
+    def grow(batch: slice) -> list[TreeModel]:
+        return grow_random_trees(dataset, params.k, seeds[batch], weights[batch])
+
+    n_batches = max(1, min(workers, params.trees))
+    bounds = np.linspace(0, params.trees, n_batches + 1).astype(int).tolist()
+    batches = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    with ThreadPoolExecutor(max_workers=n_batches) as pool:
+        members = [tree for batch in pool.map(grow, batches) for tree in batch]
     return ForestModel(tuple(members), params)
 
 

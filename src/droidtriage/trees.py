@@ -8,13 +8,30 @@ this bounds tree depth by the number of features.
 
 The plain decision tree examines every unused feature at each node and can
 optionally be simplified by reduced-error pruning against an internal
-stratified holdout. The random tree examines only ``k`` features sampled
-without replacement at each node and is never pruned.
+stratified holdout. The random tree examines only ``k`` candidate features
+per node and is never pruned.
+
+Trees grow level by level on flat arrays rather than one node per recursive
+call. At each depth the rows of every open node, of every tree being grown,
+are kept sorted by node and class; each node's candidate columns are
+gathered as bytes and its per-feature class counts come from one segmented
+sum (``np.add.reduceat``), the histogram method of gradient-boosting
+libraries. A row may carry an integer weight, so a bootstrap resample is a
+count per row rather than a copy of the data. Every node at depth d has
+exactly F - d unused features, so the candidates form one rectangular matrix
+per level. Random candidates come from a per-node key rather than one
+depth-first stream: the root's key is the tree seed, a child's key is
+``derive_seed(parent_key, side)`` (side 0 low, 1 high), and a node examines
+the ``k`` unused features with the smallest ``derive_seed(node_key, f)``. A
+node's candidates therefore depend only on its path, not on the order in
+which nodes or trees are grown.
+
+Scoring descends all rows at once through the same flat arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -27,6 +44,33 @@ CRITERIA = (ENTROPY, GINI)
 
 # Internal stratified holdout used by reduced-error pruning: one fold in five.
 _PRUNE_FOLDS = 5
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def derive_seed(master: int, index: int) -> int:
+    """Stable 64-bit mix of (master, index): per-tree seeds and node keys."""
+    z = (int(master) + (int(index) + 1) * _GOLDEN) & _MASK64
+    z ^= z >> 30
+    z = (z * _MIX1) & _MASK64
+    z ^= z >> 27
+    z = (z * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _derive_seeds(master, index) -> np.ndarray:
+    """`derive_seed` over broadcast uint64 arrays (at least one-dimensional)."""
+    z = np.asarray(master, dtype=np.uint64) + (
+        np.asarray(index, dtype=np.uint64) + np.uint64(1)
+    ) * np.uint64(_GOLDEN)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass(frozen=True)
@@ -120,12 +164,48 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
+def _flatten(root: TreeNode) -> tuple[np.ndarray, ...]:
+    """Scoring arrays (feature, low, high, score) of a tree, in preorder.
+
+    A leaf has feature -1, its own index as both children, and its malware
+    fraction as score; a split's score is unused.
+    """
+    feature: list[int] = []
+    low: list[int] = []
+    high: list[int] = []
+    score: list[float] = []
+    stack = [(root, -1, low)]
+    while stack:
+        node, parent, side = stack.pop()
+        i = len(feature)
+        if parent >= 0:
+            side[parent] = i
+        low.append(i)
+        high.append(i)
+        if isinstance(node, Split):
+            feature.append(node.feature)
+            score.append(0.0)
+            stack.append((node.high, i, high))
+            stack.append((node.low, i, low))
+        else:
+            feature.append(-1)
+            score.append(node.malware_fraction)
+    return (
+        np.array(feature, dtype=np.intp),
+        np.array(low, dtype=np.intp),
+        np.array(high, dtype=np.intp),
+        np.array(score, dtype=np.float64),
+    )
+
+
 @dataclass(frozen=True)
 class TreeModel:
     """A trained tree plus the parameters that produced it.
 
     ``k`` is the number of random candidate features per split; 0 means all
-    unused features were examined (the plain decision tree).
+    unused features were examined (the plain decision tree). ``root`` is the
+    tree; ``flat`` holds the arrays scoring descends through, derived from
+    ``root`` when not given.
     """
 
     root: TreeNode
@@ -134,59 +214,174 @@ class TreeModel:
     k: int
     seed: int
     n_features: int
+    flat: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat is None:
+            object.__setattr__(self, "flat", _flatten(self.root))
 
 
-def _grow(X, y, idx, unused, rng, k, impurity):
-    """Recursive greedy growth over instance indices `idx`.
+def _tree_from_arrays(feature, low, high, n_benign, n_malware) -> TreeNode:
+    """Nodes from breadth-first arrays, where children follow their parent."""
+    feature, low, high = feature.tolist(), low.tolist(), high.tolist()
+    n_benign, n_malware = n_benign.tolist(), n_malware.tolist()
+    nodes: list = [None] * len(feature)
+    for i in range(len(feature) - 1, -1, -1):
+        f = feature[i]
+        if f < 0:
+            nodes[i] = Leaf(n_benign[i], n_malware[i])
+        else:
+            nodes[i] = Split(f, nodes[low[i]], nodes[high[i]])
+    return nodes[0]
 
-    `unused` is a boolean mask over features, mutated in place and restored
-    on the way back up (cheaper than copying per node). When `k` is positive
-    and fewer features than that remain, all remaining features are examined.
-    Children are grown low side first so the random stream is consumed in a
-    fixed order.
+
+def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
+    """Grow one tree per weight vector, all in one loop over depth levels.
+
+    ``weights[i]`` counts how often each row of `X` enters tree i. `keys`
+    holds the root key of each tree when `k` is positive; a node then
+    examines its `k` unused features with the smallest
+    ``derive_seed(node_key, f)``, or all of them when no more than `k`
+    remain. With `k` zero every node examines all unused features.
+
+    Returns, per tree, breadth-first arrays (feature, low, high, n_benign,
+    n_malware); a leaf has feature -1 and its own index as both children.
     """
-    n = idx.size
-    n_mal = int(y[idx].sum())
-    leaf = Leaf(n - n_mal, n_mal)
-    if n < 2 or n_mal == 0 or n_mal == n:
-        return leaf
-    candidates = np.flatnonzero(unused)
-    if candidates.size == 0:
-        return leaf
-    if 0 < k < candidates.size:
-        candidates = np.sort(rng.choice(candidates, size=k, replace=False))
+    n_features = X.shape[1]
+    n_trees = len(weights)
 
-    sub = X[np.ix_(idx, candidates)]
-    y_sub = y[idx]
-    pos = sub.sum(axis=0)
-    pos_mal = y_sub @ sub
-    parent = impurity(float(n_mal), float(n))
-    child_high = impurity(pos_mal, pos)
-    child_low = impurity(n_mal - pos_mal, n - pos)
-    weighted = (pos * child_high + (n - pos) * child_low) / n
-    # A feature constant within the node has zero decrease by definition;
-    # mask it out so float jitter cannot promote it into an empty-child split.
-    separates = (pos > 0.0) & (pos < n)
-    gains = np.where(separates, parent - weighted, -np.inf)
+    # Entries are (row, class, weight, node) for every weighted row of every
+    # tree, sorted by node of the current level and within a node by class.
+    rows = [np.flatnonzero(w) for w in weights]
+    rows = [r[np.argsort(y[r], kind="stable")] for r in rows]
+    ent_node = np.repeat(np.arange(n_trees), [r.size for r in rows])
+    ent_w = np.concatenate([w[r] for w, r in zip(weights, rows)])
+    ent_row = np.concatenate(rows)
+    ent_y = y[ent_row]
+    if np.all(ent_w == 1):
+        ent_w = None  # counts are plain row counts
 
-    best = int(np.argmax(gains))  # first maximum, i.e. lowest feature index
-    if gains[best] <= 0.0:
-        return leaf
-    feature = int(candidates[best])
-    mask = X[idx, feature] == 1.0
-    unused[feature] = False
-    low = _grow(X, y, idx[~mask], unused, rng, k, impurity)
-    high = _grow(X, y, idx[mask], unused, rng, k, impurity)
-    unused[feature] = True
-    return Split(feature, low, high)
+    # Per node of the current level: its tree, key and ascending unused features.
+    node_tree = np.arange(n_trees)
+    node_key = None if not k else np.array([int(s) & _MASK64 for s in keys], np.uint64)
+    unused = np.broadcast_to(np.arange(n_features), (n_trees, n_features))
+    first_id = 0
+
+    levels = []  # per level: (tree, feature, low, high, n_benign, n_malware)
+    while node_tree.size:
+        m, u = node_tree.size, unused.shape[1]
+        ids = first_id + np.arange(m)
+        first_id += m
+        cell = 2 * ent_node + ent_y
+        entries = np.bincount(cell, minlength=2 * m).reshape(m, 2)
+        counts = entries if ent_w is None else np.bincount(
+            cell, weights=ent_w, minlength=2 * m
+        ).astype(np.int64).reshape(m, 2)
+        n_ben, n_mal = counts[:, 0], counts[:, 1]
+        n = n_ben + n_mal
+        feature = np.full(m, -1, dtype=np.intp)
+        low, high = ids.copy(), ids.copy()
+        levels.append((node_tree, feature, low, high, n_ben, n_mal))
+
+        open_ = (n >= 2) & (n_mal > 0) & (n_mal < n)
+        if u == 0 or not open_.any():
+            break
+        sel = np.flatnonzero(open_)
+        cand = unused[sel]
+        if 0 < k < u:
+            node_keys = _derive_seeds(node_key[sel, None], cand)
+            kth = np.partition(node_keys, k - 1, axis=1)[:, k - 1 : k]
+            cand = cand[node_keys <= kth].reshape(len(sel), k)
+
+        # Entries of open nodes only, renumbered 0..len(sel)-1. An open node
+        # has both classes, so its benign and malware runs are both nonempty.
+        keep = open_[ent_node]
+        rank = np.cumsum(open_) - 1
+        e_row, e_y = ent_row[keep], ent_y[keep]
+        e_node = rank[ent_node[keep]]
+        e_w = None if ent_w is None else ent_w[keep]
+        starts = np.concatenate(([0], np.cumsum(entries[sel].ravel())[:-1]))
+        if cand.shape[1] < u:
+            flat_idx = cand[e_node]
+            flat_idx += (e_row * n_features)[:, None]
+            gathered = np.take(X, flat_idx)
+        else:
+            gathered = X[e_row]
+        if e_w is not None:
+            gathered = gathered * e_w[:, None].astype(np.min_scalar_type(int(e_w.max())))
+        hist = np.add.reduceat(gathered, starts, axis=0, dtype=np.int32)
+        hist = hist.reshape(len(sel), 2, -1)
+        if cand.shape[1] == u and u < n_features:
+            hist = np.take_along_axis(hist, cand[:, None, :], axis=2)
+
+        pos_mal = hist[:, 1].astype(np.float64)
+        pos = hist[:, 0] + pos_mal
+        n_s = n[sel, None].astype(np.float64)
+        n_mal_s = n_mal[sel, None].astype(np.float64)
+        parent = impurity(n_mal_s, n_s)
+        child_high = impurity(pos_mal, pos)
+        child_low = impurity(n_mal_s - pos_mal, n_s - pos)
+        weighted = (pos * child_high + (n_s - pos) * child_low) / n_s
+        # A feature constant within the node has zero decrease by definition;
+        # mask it out so float jitter cannot promote it into an empty-child split.
+        separates = (pos > 0.0) & (pos < n_s)
+        gains = np.where(separates, parent - weighted, -np.inf)
+        best = np.argmax(gains, axis=1)  # first maximum, i.e. lowest feature index
+        splits = gains[np.arange(len(sel)), best] > 0.0
+        if not splits.any():
+            break
+
+        chosen = cand[splits, best[splits]]
+        parents = sel[splits]
+        children = first_id + 2 * np.arange(parents.size)
+        feature[parents] = chosen
+        low[parents] = children
+        high[parents] = children + 1
+
+        # Next level: each split's low child, then its high child.
+        child_of = np.full(len(sel), -1, dtype=np.intp)
+        child_of[splits] = 2 * np.arange(parents.size)
+        e_child = child_of[e_node]
+        move = e_child >= 0
+        e_row, e_y, e_child = e_row[move], e_y[move], e_child[move]
+        split_feature = np.zeros(len(sel), dtype=np.intp)
+        split_feature[splits] = chosen
+        e_child += np.take(X, e_row * n_features + split_feature[e_node[move]])
+        order = np.argsort(e_child, kind="stable")
+        ent_row, ent_y, ent_node = e_row[order], e_y[order], e_child[order]
+        if e_w is not None:
+            ent_w = e_w[move][order]
+
+        remaining = unused[parents]
+        remaining = remaining[remaining != chosen[:, None]].reshape(parents.size, u - 1)
+        unused = np.repeat(remaining, 2, axis=0)
+        node_tree = np.repeat(node_tree[parents], 2)
+        if node_key is not None:
+            node_key = _derive_seeds(node_key[parents, None], np.arange(2)).ravel()
+
+    tree, *arrays = (np.concatenate(column) for column in zip(*levels))
+    local = np.empty(tree.size, dtype=np.intp)
+    grown = []
+    for t in range(n_trees):
+        own = np.flatnonzero(tree == t)
+        local[own] = np.arange(own.size)
+        feature, low, high, n_ben, n_mal = (a[own] for a in arrays)
+        grown.append((feature, local[low], local[high], n_ben, n_mal))
+    return grown
 
 
-def _grow_tree(dataset: Dataset, criterion: str, rng, k: int) -> TreeNode:
-    X = dataset.X.astype(np.float64)
-    y = dataset.y.astype(np.float64)
-    idx = np.arange(len(dataset), dtype=np.intp)
-    unused = np.ones(dataset.feature_count, dtype=bool)
-    return _grow(X, y, idx, unused, rng, k, _IMPURITY[criterion])
+def _grown_models(dataset, weights, criterion, k, seeds) -> list[TreeModel]:
+    grown = _grow(dataset.X, dataset.y, weights, k, seeds, _IMPURITY[criterion])
+    models = []
+    for seed, (feature, low, high, n_ben, n_mal) in zip(seeds, grown):
+        root = _tree_from_arrays(feature, low, high, n_ben, n_mal)
+        total = n_ben + n_mal
+        score = np.divide(n_mal, total, out=np.zeros(total.size), where=total > 0)
+        flat = (feature, low, high, score)
+        models.append(
+            TreeModel(root, criterion, False, k, seed, dataset.feature_count, flat)
+        )
+    return models
 
 
 def train_decision_tree(
@@ -207,27 +402,38 @@ def train_decision_tree(
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
+    weights = np.ones(len(dataset), dtype=np.int64)
     if not prune:
-        root = _grow_tree(dataset, criterion, None, 0)
-        return TreeModel(root, criterion, False, 0, seed, dataset.feature_count)
+        return _grown_models(dataset, [weights], criterion, 0, [seed])[0]
 
-    folds = stratified_fold_indices(dataset.y, _PRUNE_FOLDS, seed)
-    holdout_idx = folds[0]
-    grow_idx = np.setdiff1d(np.arange(len(dataset)), holdout_idx)
-    root = _grow_tree(dataset.subset(grow_idx), criterion, None, 0)
-    X = dataset.X.astype(np.float64)
-    y = dataset.y
-    root, _ = _reduced_error_prune(root, X, y, holdout_idx)
+    holdout_idx = stratified_fold_indices(dataset.y, _PRUNE_FOLDS, seed)[0]
+    weights[holdout_idx] = 0
+    grown = _grown_models(dataset, [weights], criterion, 0, [seed])[0]
+    root, _ = _reduced_error_prune(grown.root, dataset.X, dataset.y, holdout_idx)
     return TreeModel(root, criterion, True, 0, seed, dataset.feature_count)
 
 
 def train_random_tree(dataset: Dataset, k: int, seed: int) -> TreeModel:
-    """Entropy tree examining only `k` sampled candidate features per split.
+    """Entropy tree examining only `k` candidate features per split.
 
-    Candidates are drawn without replacement from the features unused on the
-    path, from a stream seeded by `seed`; the tree is never pruned. With
-    ``k`` equal to the feature count the sampled argmax is the global argmax,
-    so the structure coincides with the unpruned decision tree.
+    Each node examines the `k` features unused on its path with the smallest
+    ``derive_seed(node_key, feature)``, where the root's key is `seed` and a
+    child's key is ``derive_seed(parent_key, 0)`` on the low side and
+    ``derive_seed(parent_key, 1)`` on the high side; when no more than `k`
+    features remain, it examines all of them. The tree is never pruned. With
+    ``k`` equal to the feature count every node examines every unused
+    feature, so the structure coincides with the unpruned decision tree.
+    """
+    return grow_random_trees(dataset, k, [seed])[0]
+
+
+def grow_random_trees(dataset: Dataset, k: int, seeds, weights=None) -> list[TreeModel]:
+    """Random trees as `train_random_tree` grows them, one per seed, in one pass.
+
+    ``weights[i]``, when given, counts how often each row of `dataset` enters
+    tree i: a bootstrap resample without copying the data. Tree i equals
+    ``train_random_tree(dataset.subset(rows), k, seeds[i])`` where `rows`
+    repeats every row its weight's number of times.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -235,9 +441,11 @@ def train_random_tree(dataset: Dataset, k: int, seed: int) -> TreeModel:
         raise ValueError(
             f"k must lie in [1, {dataset.feature_count}], got {k}"
         )
-    rng = np.random.default_rng(seed)
-    root = _grow_tree(dataset, ENTROPY, rng, k)
-    return TreeModel(root, ENTROPY, False, k, seed, dataset.feature_count)
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("seed must be non-negative")
+    if weights is None:
+        weights = [np.ones(len(dataset), dtype=np.int64)] * len(seeds)
+    return _grown_models(dataset, weights, ENTROPY, k, list(seeds))
 
 
 def _subtree_counts(node: TreeNode) -> tuple[int, int]:
@@ -258,7 +466,7 @@ def _reduced_error_prune(node: TreeNode, X, y, idx):
     """Return (possibly collapsed node, its error count on holdout `idx`)."""
     if isinstance(node, Leaf):
         return node, _leaf_errors(node.n_benign, node.n_malware, y, idx)
-    mask = X[idx, node.feature] == 1.0
+    mask = X[idx, node.feature] == 1
     low, e_low = _reduced_error_prune(node.low, X, y, idx[~mask])
     high, e_high = _reduced_error_prune(node.high, X, y, idx[mask])
     subtree_errors = e_low + e_high
@@ -267,13 +475,6 @@ def _reduced_error_prune(node: TreeNode, X, y, idx):
     if leaf_errors <= subtree_errors:
         return Leaf(n_benign, n_malware), leaf_errors
     return Split(node.feature, low, high), subtree_errors
-
-
-def _descend(root: TreeNode, bits) -> Leaf:
-    node = root
-    while isinstance(node, Split):
-        node = node.high if bits[node.feature] else node.low
-    return node
 
 
 def predict_tree(model: TreeModel, vector: Sequence[int]) -> tuple[Label, float]:
@@ -287,18 +488,31 @@ def predict_tree(model: TreeModel, vector: Sequence[int]) -> tuple[Label, float]
         raise ValueError(
             f"vector length {bits.shape} does not match model features {model.n_features}"
         )
-    score = _descend(model.root, bits).malware_fraction
+    score = float(tree_scores(model, bits[None, :])[0])
     return (Label.MALWARE if score > 0.5 else Label.BENIGN), score
 
 
 def tree_scores(model: TreeModel, X) -> np.ndarray:
-    """Leaf malware fraction for every row of `X`."""
+    """Leaf malware fraction for every row of `X`.
+
+    All rows descend together, one tree level per step; a row leaves the
+    active set when it reaches a leaf.
+    """
     X = np.asarray(X)
     if X.shape[1] != model.n_features:
         raise ValueError(
             f"matrix width {X.shape[1]} does not match model features {model.n_features}"
         )
-    return np.array([_descend(model.root, row).malware_fraction for row in X])
+    feature, low, high, score = model.flat
+    leaf = np.zeros(X.shape[0], dtype=np.intp)
+    rows = np.arange(X.shape[0] if feature[0] >= 0 else 0)
+    at = np.zeros(rows.size, dtype=np.intp)
+    while rows.size:
+        at = np.where(X[rows, feature[at]] != 0, high[at], low[at])
+        done = feature[at] < 0
+        leaf[rows[done]] = at[done]
+        rows, at = rows[~done], at[~done]
+    return score[leaf]
 
 
 def node_count(node: TreeNode) -> int:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from droidtriage.dataset import Label
+from droidtriage.dataset import Label, bootstrap_sample_size
 from droidtriage.ensemble import (
     ForestModel,
     ForestParams,
@@ -35,6 +35,18 @@ class TestDeriveSeed:
         for i in range(100):
             assert 0 <= derive_seed(2**63, i) < 2**64
 
+    def test_vectorized_mix_matches_scalar(self, rng):
+        from droidtriage.trees import _derive_seeds
+
+        masters = [0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1]
+        masters += [int(m) for m in rng.integers(0, 2**63, size=20, dtype=np.uint64)]
+        masters += [2**63 + int(m) for m in rng.integers(0, 2**63, size=20, dtype=np.uint64)]
+        indices = [0, 1, 2, 178, 2**32, 2**63, 2**64 - 2]
+        got = _derive_seeds(np.array(masters, np.uint64)[:, None], np.array(indices, np.uint64))
+        for i, master in enumerate(masters):
+            for j, index in enumerate(indices):
+                assert int(got[i, j]) == derive_seed(master, index)
+
 
 class TestForest:
     def test_t1_no_bootstrap_equals_random_tree(self, rng):
@@ -51,6 +63,25 @@ class TestForest:
         models = [train_forest(ds, params, workers=w) for w in (1, 2, 8)]
         for other in models[1:]:
             assert all(a.root == b.root for a, b in zip(models[0].trees, other.trees))
+
+    def test_bootstrap_weights_equal_resampled_copies(self, rng):
+        ds = random_dataset(rng, 300, 12)
+        forest = train_forest(ds, ForestParams(trees=4, k=8, seed=9))
+        size = bootstrap_sample_size(len(ds), 1.0)
+        for i, member in enumerate(forest.trees):
+            tree_seed = derive_seed(9, i)
+            draw = np.random.default_rng(derive_seed(tree_seed, 1)).integers(0, len(ds), size=size)
+            copy = train_random_tree(ds.subset(draw), 8, tree_seed)
+            assert member.root == copy.root
+            assert member.seed == tree_seed
+
+    def test_trees_do_not_depend_on_their_batch(self, rng):
+        ds = random_dataset(rng, 250, 10)
+        three = train_forest(ds, ForestParams(trees=3, k=3, seed=4))
+        six = train_forest(ds, ForestParams(trees=6, k=3, seed=4))
+        six_threaded = train_forest(ds, ForestParams(trees=6, k=3, seed=4), workers=4)
+        assert [t.root for t in six.trees[:3]] == [t.root for t in three.trees]
+        assert [t.root for t in six_threaded.trees] == [t.root for t in six.trees]
 
     def test_bootstrap_fraction_changes_sample(self, rng):
         ds = random_dataset(rng, 100, 5)

@@ -5,11 +5,13 @@ import pytest
 
 from droidtriage.dataset import Label
 from droidtriage.trees import (
+    _IMPURITY,
     ClassDistribution,
     Leaf,
     Split,
     TreeModel,
     default_split_count,
+    derive_seed,
     entropy,
     gini,
     node_count,
@@ -280,13 +282,12 @@ class TestPruning:
 
     def test_pruning_helps_on_its_holdout(self):
         from droidtriage.dataset import stratified_fold_indices
-        from droidtriage.trees import _grow_tree
 
         ds = self._overfit_dataset()
         seed = 1
         holdout = stratified_fold_indices(ds.y, 5, seed)[0]
         grow_idx = np.setdiff1d(np.arange(len(ds)), holdout)
-        raw = _grow_tree(ds.subset(grow_idx), "entropy", None, 0)
+        raw = train_decision_tree(ds.subset(grow_idx), "entropy").root
         raw_model = TreeModel(raw, "entropy", False, 0, seed, ds.feature_count)
         pruned = train_decision_tree(ds, prune=True, seed=seed)
         X_hold, y_hold = ds.X[holdout], ds.y[holdout]
@@ -324,3 +325,157 @@ class TestSplitGains:
             ds = random_dataset(rng, 120, 7)
             model = train_decision_tree(ds)
             self._walk_gains(model.root, ds.X, ds.y.astype(int), np.arange(len(ds)))
+
+
+def _reference_grow(X, y, idx, unused, key, k, impurity):
+    """The recursive grower the level-wise one replaced, kept as an oracle.
+
+    One Python frame per node over float64 copies of the data. Candidates
+    follow the per-node key rule: with `k` positive and fewer than the
+    remaining features, the `k` unused features with the smallest
+    ``derive_seed(key, f)``; a child's key is ``derive_seed(key, side)``.
+    """
+    n = idx.size
+    n_mal = int(y[idx].sum())
+    leaf = Leaf(n - n_mal, n_mal)
+    if n < 2 or n_mal == 0 or n_mal == n:
+        return leaf
+    candidates = np.flatnonzero(unused)
+    if candidates.size == 0:
+        return leaf
+    if 0 < k < candidates.size:
+        by_key = sorted(candidates, key=lambda f: derive_seed(key, int(f)))
+        candidates = np.sort(np.array(by_key[:k]))
+
+    sub = X[np.ix_(idx, candidates)]
+    y_sub = y[idx]
+    pos = sub.sum(axis=0)
+    pos_mal = y_sub @ sub
+    parent = impurity(float(n_mal), float(n))
+    child_high = impurity(pos_mal, pos)
+    child_low = impurity(n_mal - pos_mal, n - pos)
+    weighted = (pos * child_high + (n - pos) * child_low) / n
+    separates = (pos > 0.0) & (pos < n)
+    gains = np.where(separates, parent - weighted, -np.inf)
+
+    best = int(np.argmax(gains))
+    if gains[best] <= 0.0:
+        return leaf
+    feature = int(candidates[best])
+    mask = X[idx, feature] == 1.0
+    unused[feature] = False
+    low_key = high_key = None
+    if k:
+        low_key, high_key = derive_seed(key, 0), derive_seed(key, 1)
+    low = _reference_grow(X, y, idx[~mask], unused, low_key, k, impurity)
+    high = _reference_grow(X, y, idx[mask], unused, high_key, k, impurity)
+    unused[feature] = True
+    return Split(feature, low, high)
+
+
+def _reference_tree(ds, criterion="entropy", k=0, key=None, rows=None):
+    X = ds.X.astype(np.float64)
+    y = ds.y.astype(np.float64)
+    idx = np.arange(len(ds), dtype=np.intp) if rows is None else rows
+    unused = np.ones(ds.feature_count, dtype=bool)
+    return _reference_grow(X, y, idx, unused, key, k, _IMPURITY[criterion])
+
+
+def _reference_pruned(ds, criterion, seed):
+    from droidtriage.dataset import stratified_fold_indices
+    from droidtriage.trees import _reduced_error_prune
+
+    holdout = stratified_fold_indices(ds.y, 5, seed)[0]
+    grow_idx = np.setdiff1d(np.arange(len(ds)), holdout)
+    raw = _reference_tree(ds, criterion, rows=grow_idx)
+    return _reduced_error_prune(raw, ds.X.astype(np.float64), ds.y, holdout)[0]
+
+
+@pytest.fixture(scope="module")
+def reference_corpus():
+    from droidtriage.calibration import reference_spec
+    from droidtriage.dataset import synthesize
+
+    return synthesize(reference_spec(), 3)
+
+
+class TestLevelwiseGrowthOracle:
+    """The level-wise grower equals the recursive reference node for node."""
+
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    def test_decision_tree_random_datasets(self, rng, criterion):
+        for _ in range(25):
+            ds = random_dataset(rng, int(rng.integers(2, 300)), int(rng.integers(1, 12)))
+            assert train_decision_tree(ds, criterion).root == _reference_tree(ds, criterion)
+
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    def test_pruned_decision_tree_random_datasets(self, rng, criterion):
+        for seed in range(10):
+            ds = random_dataset(rng, int(rng.integers(20, 300)), int(rng.integers(1, 10)))
+            model = train_decision_tree(ds, criterion, prune=True, seed=seed)
+            assert model.root == _reference_pruned(ds, criterion, seed)
+
+    def test_random_tree_follows_node_keys(self, rng):
+        for seed in range(10):
+            ds = random_dataset(rng, int(rng.integers(2, 300)), int(rng.integers(2, 12)))
+            k = int(rng.integers(1, ds.feature_count + 1))
+            model = train_random_tree(ds, k, seed)
+            assert model.root == _reference_tree(ds, k=k, key=seed)
+
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    def test_reference_corpus(self, reference_corpus, criterion):
+        ds = reference_corpus
+        assert train_decision_tree(ds, criterion).root == _reference_tree(ds, criterion)
+        pruned = train_decision_tree(ds, criterion, prune=True, seed=4)
+        assert pruned.root == _reference_pruned(ds, criterion, 4)
+
+    def test_reference_corpus_random_tree(self, reference_corpus):
+        key = 2**63 + 5
+        model = train_random_tree(reference_corpus, 8, key)
+        assert model.root == _reference_tree(reference_corpus, k=8, key=key)
+
+
+def _walk(root, bits) -> float:
+    node = root
+    while isinstance(node, Split):
+        node = node.high if bits[node.feature] else node.low
+    return node.malware_fraction
+
+
+class TestVectorizedDescent:
+    """`tree_scores` equals a per-row walk of `root`."""
+
+    def _check(self, model, X):
+        X = np.asarray(X)
+        expected = np.array([_walk(model.root, row) for row in X])
+        assert np.array_equal(tree_scores(model, X), expected)
+        for row, score in zip(X[:20], expected):
+            assert predict_tree(model, row)[1] == score
+
+    def test_hand_built_xor_tree(self):
+        self._check(_xor_tree(), XOR_X)
+
+    def test_pruned_decision_tree(self, rng):
+        ds = random_dataset(rng, 400, 8)
+        self._check(train_decision_tree(ds, prune=True, seed=2), ds.X)
+
+    def test_random_tree(self, rng):
+        ds = random_dataset(rng, 400, 10)
+        other = random_dataset(rng, 200, 10)
+        model = train_random_tree(ds, 3, seed=7)
+        self._check(model, ds.X)
+        self._check(model, other.X)
+
+    def test_reloaded_model(self, rng, tmp_path):
+        from droidtriage.modelio import load_model, save_model
+
+        ds = random_dataset(rng, 300, 9)
+        model = train_random_tree(ds, 4, seed=3)
+        path = tmp_path / "tree.rt"
+        save_model(model, path, ds.catalog)
+        loaded = load_model(path, ds.catalog)
+        assert loaded.root == model.root
+        self._check(loaded, ds.X)
+
+    def test_empty_matrix(self):
+        assert tree_scores(_xor_tree(), np.zeros((0, 2))).shape == (0,)
