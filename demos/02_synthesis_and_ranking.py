@@ -1,13 +1,12 @@
 """Calibrated synthetic corpora and mutual-information ranking.
 
-The shipped synthesis spec mirrors the published per-class rates of the 20
+The reference synthesis spec mirrors the published per-class rates of the 20
 strongest features over a 3938 benign / 2925 malware corpus; everything else
 sits at a 5% background rate. Ranking the synthesized corpus recovers those
 features at the top, in close to their reference order.
 """
 
 from droidtriage import (
-    class_counts,
     rank_features,
     reference_spec,
     synthesize,
@@ -17,7 +16,7 @@ from droidtriage.calibration import REFERENCE_TOP20_COUNTS
 
 spec = reference_spec()
 dataset = synthesize(spec, seed=42)
-n_ben, n_mal = class_counts(dataset)
+n_ben, n_mal = dataset.class_counts()
 print(f"synthesized corpus: {len(dataset)} instances ({n_ben} benign, {n_mal} malware)")
 
 # How close are the observed per-class frequencies to the calibration targets?

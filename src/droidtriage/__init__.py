@@ -9,8 +9,8 @@ with confusion metrics and ROC/AUC. A `droidtriage` command line wraps all
 of it; see the README for a tour.
 """
 
-from .algo import KINDS, AlgoDescriptor, model_scores, train_model
-from .bayes import NbModel, predict_nb, train_nb
+from .algo import KINDS, AlgoDescriptor, model_scores, predict, train_model
+from .bayes import NbModel, train_nb
 from .calibration import (
     REFERENCE_N_BENIGN,
     REFERENCE_N_MALWARE,
@@ -32,7 +32,6 @@ from .dataset import (
     DatasetError,
     Label,
     SyntheticSpec,
-    class_counts,
     load_spec,
     read_csv,
     synthesize,
@@ -45,8 +44,6 @@ from .ensemble import (
     LogitModel,
     derive_seed,
     logitboost_response,
-    predict_forest,
-    predict_simple_logistic,
     train_forest,
     train_simple_logistic,
 )
@@ -60,7 +57,6 @@ from .evaluation import (
     cross_validate,
     metrics,
     roc_auc,
-    stratified_folds,
     write_report,
 )
 from .extract import scan_app
@@ -77,9 +73,6 @@ from .trees import (
     Leaf,
     Split,
     TreeModel,
-    entropy,
-    gini,
-    predict_tree,
     train_decision_tree,
     train_random_tree,
 )

@@ -3,7 +3,8 @@
 A descriptor bundles a classifier kind with its hyperparameters and a seed,
 so the evaluation harness and the command line can train and score any model
 through one interface. Kinds: nb (naive Bayes), dt (decision tree), rt
-(random tree), rf (random forest), sl (simple logistic).
+(random tree), rf (random forest), sl (simple logistic). Every trained model
+carries its ``kind`` tag and scores a matrix with ``model.scores(X)``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bayes, ensemble, trees
-from .dataset import Dataset
+from .dataset import Dataset, Label
 
 KINDS = ("nb", "dt", "rt", "rf", "sl")
 
@@ -88,25 +89,16 @@ def train_model(algo: AlgoDescriptor, dataset: Dataset, workers: int = 1) -> Mod
 
 def model_scores(model: Model, X) -> np.ndarray:
     """Malware score in [0, 1] for every row of `X`, any model kind."""
-    if isinstance(model, bayes.NbModel):
-        return bayes.nb_scores(model, X)
-    if isinstance(model, trees.TreeModel):
-        return trees.tree_scores(model, X)
-    if isinstance(model, ensemble.ForestModel):
-        return ensemble.forest_scores(model, X)
-    if isinstance(model, ensemble.LogitModel):
-        return ensemble.logit_scores(model, X)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.scores(X)
 
 
-def model_kind(model: Model) -> str:
-    """The descriptor kind tag for a trained model instance."""
-    if isinstance(model, bayes.NbModel):
-        return "nb"
-    if isinstance(model, trees.TreeModel):
-        return "rt" if model.k else "dt"
-    if isinstance(model, ensemble.ForestModel):
-        return "rf"
-    if isinstance(model, ensemble.LogitModel):
-        return "sl"
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+def predict(model: Model, vector) -> tuple[Label, float]:
+    """Label and score of one vector: MALWARE only above 0.5, so a tie is BENIGN,
+    the conservative choice for a detector judged on its false positive rate."""
+    bits = np.asarray(vector)
+    if bits.shape != (model.n_features,):
+        raise ValueError(
+            f"vector length {bits.shape} does not match model features {model.n_features}"
+        )
+    score = float(model.scores(bits[None, :])[0])
+    return (Label.MALWARE if score > 0.5 else Label.BENIGN), score

@@ -11,12 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Label
+from .dataset import Dataset
 
 
 @dataclass(frozen=True, eq=False)
 class NbModel:
     """Smoothed class-conditional bit probabilities plus the malware prior."""
+
+    kind = "nb"
 
     prior_malware: float
     theta_benign: np.ndarray
@@ -38,6 +40,9 @@ class NbModel:
     @property
     def n_features(self) -> int:
         return self.theta_benign.shape[0]
+
+    def scores(self, X) -> np.ndarray:
+        return nb_scores(self, X)
 
 
 def train_nb(dataset: Dataset, alpha: float = 1.0) -> NbModel:
@@ -81,18 +86,3 @@ def nb_scores(model: NbModel, X) -> np.ndarray:
     mal = np.exp(log_mal - peak)
     ben = np.exp(log_ben - peak)
     return mal / (mal + ben)
-
-
-def predict_nb(model: NbModel, vector) -> tuple[Label, float]:
-    """Classify one vector; MALWARE when the posterior exceeds 0.5.
-
-    An exact tie predicts BENIGN, the conservative choice for a detector
-    judged on its false positive rate.
-    """
-    bits = np.asarray(vector)
-    if bits.shape != (model.n_features,):
-        raise ValueError(
-            f"vector length {bits.shape} does not match model features {model.n_features}"
-        )
-    score = float(nb_scores(model, bits[None, :])[0])
-    return (Label.MALWARE if score > 0.5 else Label.BENIGN), score

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .algo import KINDS, AlgoDescriptor, model_scores, train_model
+from .calibration import reference_spec
 from .catalog import (
     CatalogError,
     FeatureCatalog,
@@ -47,6 +47,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
 
 
 def _base_catalog(args) -> FeatureCatalog:
@@ -112,7 +120,7 @@ def _add_common(p: _Parser, *, multi_sets: bool = False) -> None:
         p.add_argument(
             "--feature-set", dest="feature_set", choices=["pf", "af", "capf"], default=None
         )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _build_parser() -> _Parser:
@@ -120,9 +128,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
-    p.add_argument("--spec", default=None, help="synthesis spec file (default: shipped calibrated spec)")
+    p.add_argument("--spec", default=None, help="synthesis spec file (default: the reference calibration)")
     p.add_argument("--catalog", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -178,9 +186,10 @@ def _build_parser() -> _Parser:
 def _cmd_synth(args) -> int:
     catalog = default_catalog() if args.catalog is None else load_catalog(args.catalog)
     if args.spec is None:
-        ref = resources.files("droidtriage").joinpath("data/reference.spec")
-        with resources.as_file(ref) as p:
-            spec = load_spec(p, catalog)
+        try:
+            spec = reference_spec(catalog)
+        except KeyError as exc:
+            raise DatasetError(f"reference calibration: {exc.args[0]}") from None
     else:
         spec = load_spec(args.spec, catalog)
     write_csv(synthesize(spec, args.seed), args.out)

@@ -111,11 +111,6 @@ class Dataset:
         )
 
 
-def class_counts(dataset: Dataset) -> tuple[int, int]:
-    """(n_benign, n_malware) for `dataset`."""
-    return dataset.class_counts()
-
-
 def read_csv(path, catalog: FeatureCatalog) -> Dataset:
     """Read a labeled dataset CSV whose header matches `catalog` exactly.
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Label, bootstrap_sample_size, stratified_fold_indices
-from .trees import TreeModel, derive_seed, grow_random_trees, predict_tree, tree_scores
+from .dataset import Dataset, bootstrap_sample_size, stratified_fold_indices
+from .trees import TreeModel, derive_seed, grow_random_trees, tree_scores
 
 # Fixed constants of the boosting procedure.
 Z_MAX = 3.0
@@ -58,12 +58,17 @@ class ForestParams:
 
 @dataclass(frozen=True)
 class ForestModel:
+    kind = "rf"
+
     trees: tuple[TreeModel, ...]
     params: ForestParams
 
     @property
     def n_features(self) -> int:
         return self.trees[0].n_features
+
+    def scores(self, X) -> np.ndarray:
+        return forest_scores(self, X)
 
 
 def _bootstrap_weights(n: int, params: ForestParams, tree_seed: int) -> np.ndarray:
@@ -109,20 +114,8 @@ def train_forest(dataset: Dataset, params: ForestParams, workers: int = 1) -> Fo
     return ForestModel(tuple(members), params)
 
 
-def predict_forest(model: ForestModel, vector) -> tuple[Label, float]:
-    """Majority vote over the trees.
-
-    Each tree votes the majority label of its leaf; the score is the fraction
-    of malware votes. MALWARE requires a strict majority, so an even split
-    predicts BENIGN.
-    """
-    votes = sum(predict_tree(t, vector)[0] == Label.MALWARE for t in model.trees)
-    score = votes / len(model.trees)
-    return (Label.MALWARE if score > 0.5 else Label.BENIGN), score
-
-
 def forest_scores(model: ForestModel, X) -> np.ndarray:
-    """Malware vote fraction for every row of `X`."""
+    """Malware vote fraction for every row of `X`; a tree with a tied leaf votes benign."""
     votes = np.zeros(np.asarray(X).shape[0], dtype=np.float64)
     for tree in model.trees:
         votes += tree_scores(tree, X) > 0.5
@@ -162,12 +155,17 @@ class LogitRegressor:
 
 @dataclass(frozen=True)
 class LogitModel:
+    kind = "sl"
+
     intercept: float
     regressors: tuple[LogitRegressor, ...]
     iterations_used: int
     max_iterations: int
     cv_folds: int
     n_features: int
+
+    def scores(self, X) -> np.ndarray:
+        return logit_scores(self, X)
 
 
 def _working_response(y, p):
@@ -280,34 +278,17 @@ def train_simple_logistic(
     )
 
 
-def logit_additive_score(model: LogitModel, X) -> np.ndarray:
-    """The additive score F(x) before the sigmoid, for every row of `X`."""
-    X = np.asarray(X, dtype=np.float64)
-    F = np.full(X.shape[0], model.intercept)
-    for reg in model.regressors:
-        F += 0.5 * _apply_regressor(reg, X)
-    return F
-
-
 def logit_scores(model: LogitModel, X) -> np.ndarray:
     """P(malware | x) = 1 / (1 + exp(-2 F(x))) for every row of `X`."""
-    X = np.asarray(X)
+    X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != model.n_features:
         raise ValueError(
             f"matrix width {X.shape[1]} does not match model features {model.n_features}"
         )
-    return _sigmoid2(logit_additive_score(model, X))
-
-
-def predict_simple_logistic(model: LogitModel, vector) -> tuple[Label, float]:
-    """Score one vector; MALWARE when the probability exceeds 0.5."""
-    bits = np.asarray(vector)
-    if bits.shape != (model.n_features,):
-        raise ValueError(
-            f"vector length {bits.shape} does not match model features {model.n_features}"
-        )
-    score = float(logit_scores(model, bits[None, :])[0])
-    return (Label.MALWARE if score > 0.5 else Label.BENIGN), score
+    F = np.full(X.shape[0], model.intercept)
+    for reg in model.regressors:
+        F += 0.5 * _apply_regressor(reg, X)
+    return _sigmoid2(F)
 
 
 def training_log_likelihood(model: LogitModel, dataset: Dataset) -> float:

@@ -163,15 +163,6 @@ def write_roc(curve: RocCurve, path) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
 
-def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[np.ndarray]:
-    """k disjoint test-index sets covering the dataset, class-balanced.
-
-    Per-class counts across folds differ by at most one; deterministic given
-    `seed`. Requires 2 <= k <= the smaller class size.
-    """
-    return stratified_fold_indices(dataset.y, k, seed)
-
-
 class FoldError(RuntimeError):
     """A training failure inside cross-validation, tagged with its fold."""
 
@@ -201,7 +192,7 @@ def cross_validate(dataset: Dataset, algo: AlgoDescriptor, k: int = 10, seed: in
     whole result is deterministic. Training errors are re-raised as
     :class:`FoldError` naming the fold.
     """
-    folds = stratified_folds(dataset, k, seed)
+    folds = stratified_fold_indices(dataset.y, k, seed)
     everything = np.arange(len(dataset))
     fold_matrices = []
     pooled_scores = []

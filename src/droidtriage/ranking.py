@@ -69,15 +69,6 @@ def mutual_information(counts: FeatureClassCounts) -> float:
     return max(score, 0.0)
 
 
-def feature_class_counts(dataset: Dataset, feature: int) -> FeatureClassCounts:
-    """Contingency counts for catalog position `feature` in `dataset`."""
-    bits = dataset.X[:, feature]
-    n_ben, n_mal = dataset.class_counts()
-    n_pos_mal = int(bits[dataset.y == 1].sum())
-    n_pos_ben = int(bits.sum()) - n_pos_mal
-    return FeatureClassCounts(n_pos_ben, n_pos_mal, n_ben, n_mal)
-
-
 def rank_features(dataset: Dataset) -> list[RankedFeature]:
     """Score every catalog feature and sort descending.
 

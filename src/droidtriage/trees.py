@@ -32,11 +32,11 @@ Scoring descends all rows at once through the same flat arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .dataset import Dataset, Label, stratified_fold_indices
+from .dataset import Dataset, stratified_fold_indices
 
 ENTROPY = "entropy"
 GINI = "gini"
@@ -73,52 +73,8 @@ def _derive_seeds(master, index) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Class counts at a node and the fractions they induce."""
-
-    n_benign: int
-    n_malware: int
-
-    @property
-    def total(self) -> int:
-        return self.n_benign + self.n_malware
-
-    @property
-    def fractions(self) -> tuple[float, float]:
-        if self.total == 0:
-            return (0.0, 0.0)
-        return (self.n_benign / self.total, self.n_malware / self.total)
-
-
-def _as_fractions(dist) -> np.ndarray:
-    if isinstance(dist, ClassDistribution):
-        dist = dist.fractions
-    f = np.asarray(dist, dtype=np.float64)
-    if f.size and (np.any(f < 0.0) or abs(f.sum() - 1.0) > 1e-9):
-        raise ValueError("class fractions must be non-negative and sum to 1")
-    return f
-
-
-def entropy(dist) -> float:
-    """Information entropy -sum f_i log2 f_i in bits, with 0 log 0 = 0.
-
-    Accepts a :class:`ClassDistribution` or a sequence of class fractions.
-    Ranges over [0, log2 m] for m classes.
-    """
-    f = _as_fractions(dist)
-    nz = f[f > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def gini(dist) -> float:
-    """Gini impurity 1 - sum f_i^2; ranges over [0, 1 - 1/m]."""
-    f = _as_fractions(dist)
-    return float(1.0 - (f * f).sum())
-
-
 def _entropy_from_counts(mal, tot):
-    """Vectorized two-class entropy from (malware count, total count)."""
+    """Two-class entropy in bits, 0 log 0 = 0, from (malware count, total count)."""
     mal = np.asarray(mal, dtype=np.float64)
     tot = np.asarray(tot, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,6 +86,7 @@ def _entropy_from_counts(mal, tot):
 
 
 def _gini_from_counts(mal, tot):
+    """Two-class Gini impurity 1 - sum f_i^2 from (malware count, total count)."""
     mal = np.asarray(mal, dtype=np.float64)
     tot = np.asarray(tot, dtype=np.float64)
     p = np.where(tot > 0.0, mal / np.where(tot > 0.0, tot, 1.0), 0.0)
@@ -219,6 +176,13 @@ class TreeModel:
     def __post_init__(self):
         if self.flat is None:
             object.__setattr__(self, "flat", _flatten(self.root))
+
+    @property
+    def kind(self) -> str:
+        return "rt" if self.k else "dt"
+
+    def scores(self, X) -> np.ndarray:
+        return tree_scores(self, X)
 
 
 def _tree_from_arrays(feature, low, high, n_benign, n_malware) -> TreeNode:
@@ -475,21 +439,6 @@ def _reduced_error_prune(node: TreeNode, X, y, idx):
     if leaf_errors <= subtree_errors:
         return Leaf(n_benign, n_malware), leaf_errors
     return Split(node.feature, low, high), subtree_errors
-
-
-def predict_tree(model: TreeModel, vector: Sequence[int]) -> tuple[Label, float]:
-    """Walk the tree by feature bits; the score is the leaf malware fraction.
-
-    The label is MALWARE when the fraction exceeds 0.5; an exact tie predicts
-    BENIGN.
-    """
-    bits = np.asarray(vector)
-    if bits.shape != (model.n_features,):
-        raise ValueError(
-            f"vector length {bits.shape} does not match model features {model.n_features}"
-        )
-    score = float(tree_scores(model, bits[None, :])[0])
-    return (Label.MALWARE if score > 0.5 else Label.BENIGN), score
 
 
 def tree_scores(model: TreeModel, X) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from droidtriage.bayes import NbModel, nb_scores, predict_nb, train_nb
+from droidtriage.algo import predict
+from droidtriage.bayes import NbModel, nb_scores, train_nb
 from droidtriage.dataset import Label
 
 from conftest import make_dataset, random_dataset
@@ -42,26 +43,26 @@ class TestTrain:
 class TestPredict:
     def test_single_feature_bit_one(self):
         model = _toy_model(theta_mal=0.8, theta_ben=0.2)
-        label, score = predict_nb(model, [1])
+        label, score = predict(model, [1])
         assert score == pytest.approx(0.8, abs=1e-12)
         assert label is Label.MALWARE
 
     def test_single_feature_bit_zero(self):
         model = _toy_model(theta_mal=0.8, theta_ben=0.2)
-        label, score = predict_nb(model, [0])
+        label, score = predict(model, [0])
         assert score == pytest.approx(0.2, abs=1e-12)
         assert label is Label.BENIGN
 
     def test_symmetric_model_ties_to_benign(self):
         model = _toy_model(theta_mal=0.3, theta_ben=0.3)
-        label, score = predict_nb(model, [1])
+        label, score = predict(model, [1])
         assert score == pytest.approx(0.5)
         assert label is Label.BENIGN
 
     def test_length_mismatch(self):
         model = _toy_model(theta_mal=[0.8, 0.2], theta_ben=[0.2, 0.8])
         with pytest.raises(ValueError, match="length"):
-            predict_nb(model, [1])
+            predict(model, [1])
 
     def test_posterior_complement(self, rng):
         ds = random_dataset(rng, 80, 12)

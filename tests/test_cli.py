@@ -48,6 +48,15 @@ def test_synth_bad_spec_path_exits_2(tmp_path, capsys):
     assert "error" in captured.err
 
 
+def test_synth_catalog_without_reference_feature_exits_2(tmp_path, capsys):
+    cat = tmp_path / "cat.csv"
+    cat.write_text("name,category,pattern\nfoo,API,tok_foo\n")
+    rc = main(["synth", "--catalog", str(cat), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and "not in catalog" in err[0]
+
+
 def test_rank_top_and_stdout(small_corpus, capsys):
     assert main(["rank", "--data", str(small_corpus), "--top", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -69,6 +78,31 @@ def test_rank_top_zero_is_usage_error(small_corpus, capsys):
 
 def test_unknown_flag_exits_1(capsys):
     assert main(["rank", "--nonsense"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train", "--algo", "rt"],
+        ["train", "--algo", "sl"],
+        ["train", "--algo", "dt", "--prune"],
+        ["train", "--algo", "nb"],
+        ["crossval", "--algo", "nb"],
+        ["rank"],
+        ["synth"],
+    ],
+    ids=" ".join,
+)
+def test_negative_seed_is_usage_error(tmp_path, small_corpus, capsys, command):
+    out = tmp_path / "out"
+    flag = {"train": "--model", "crossval": "--out", "rank": "--out", "synth": "--out"}
+    data = [] if command[0] == "synth" else ["--data", str(small_corpus)]
+    rc = main(command + data + ["--seed", "-1", flag[command[0]], str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("droidtriage: error:") and "seed" in err[0]
+    assert captured.out == "" and not out.exists()
 
 
 def test_train_predict_round(tmp_path, small_corpus):

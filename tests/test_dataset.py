@@ -14,7 +14,6 @@ from droidtriage.dataset import (
     Dataset,
     DatasetError,
     SyntheticSpec,
-    class_counts,
     load_spec,
     read_csv,
     read_vectors,
@@ -42,11 +41,11 @@ class TestDatasetInvariants:
 
     def test_class_counts(self):
         ds = make_dataset([[0, 1], [1, 1], [0, 0]], [0, 1, 0])
-        assert class_counts(ds) == (2, 1)
+        assert ds.class_counts() == (2, 1)
 
     def test_class_counts_degenerate(self):
-        assert class_counts(make_dataset(np.zeros((0, 2)), [])) == (0, 0)
-        assert class_counts(make_dataset([[1, 0]], [1])) == (0, 1)
+        assert make_dataset(np.zeros((0, 2)), []).class_counts() == (0, 0)
+        assert make_dataset([[1, 0]], [1]).class_counts() == (0, 1)
 
     def test_select_features_projects_columns(self):
         ds = make_dataset([[0, 1, 1], [1, 0, 1]], [0, 1])
@@ -137,7 +136,7 @@ class TestSynthesize:
 
     def test_reference_shape(self):
         ds = synthesize(reference_spec(), 0)
-        assert class_counts(ds) == (REFERENCE_N_BENIGN, REFERENCE_N_MALWARE)
+        assert ds.class_counts() == (REFERENCE_N_BENIGN, REFERENCE_N_MALWARE)
 
     def test_binomial_concentration_at_fixed_seed(self):
         ds = synthesize(reference_spec(), 42)
@@ -218,17 +217,12 @@ class TestSpecFile:
         with pytest.raises(DatasetError, match="ghost"):
             load_spec(tmp_path / "s.spec", toy_catalog(1))
 
-    def test_shipped_spec_matches_calibration(self):
-        from importlib import resources
+    def test_synth_default_is_reference_spec(self, tmp_path):
+        from droidtriage.cli import main
 
-        cat = default_catalog()
-        ref = resources.files("droidtriage").joinpath("data/reference.spec")
-        with resources.as_file(ref) as p:
-            shipped = load_spec(p, cat)
-        built = reference_spec()
-        assert np.array_equal(shipped.p_benign, built.p_benign)
-        assert np.array_equal(shipped.p_malware, built.p_malware)
-        assert (shipped.n_benign, shipped.n_malware) == (built.n_benign, built.n_malware)
+        out = tmp_path / "corpus.csv"
+        assert main(["synth", "--seed", "42", "--out", str(out)]) == 0
+        assert read_csv(out, default_catalog()).equals(synthesize(reference_spec(), 42))
 
 
 class TestStratifiedFoldIndices:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from droidtriage.algo import predict
 from droidtriage.dataset import Label, bootstrap_sample_size
 from droidtriage.ensemble import (
     ForestModel,
@@ -13,8 +14,6 @@ from droidtriage.ensemble import (
     log_likelihood,
     logit_scores,
     logitboost_response,
-    predict_forest,
-    predict_simple_logistic,
     train_forest,
     train_simple_logistic,
     training_log_likelihood,
@@ -107,24 +106,24 @@ class TestForest:
             return TreeModel(Leaf(1 - mal, mal), "entropy", False, 1, 0, 2)
 
         two = ForestModel((constant_tree(1), constant_tree(0)), ForestParams(2, 1))
-        label, score = predict_forest(two, [0, 1])
+        label, score = predict(two, [0, 1])
         assert score == 0.5 and label is Label.BENIGN
 
         three = ForestModel(
             (constant_tree(1), constant_tree(1), constant_tree(0)), ForestParams(3, 1)
         )
-        label, score = predict_forest(three, [0, 1])
+        label, score = predict(three, [0, 1])
         assert score == pytest.approx(2 / 3) and label is Label.MALWARE
 
         unanimous = ForestModel((constant_tree(1),) * 3, ForestParams(3, 1))
-        assert predict_forest(unanimous, [0, 1]) == (Label.MALWARE, 1.0)
+        assert predict(unanimous, [0, 1]) == (Label.MALWARE, 1.0)
 
     def test_label_matches_score_rule(self, rng):
         ds = random_dataset(rng, 150, 6)
         model = train_forest(ds, ForestParams(trees=5, k=2, seed=3))
         scores = forest_scores(model, ds.X)
         for i in range(0, len(ds), 17):
-            label, score = predict_forest(model, ds.X[i])
+            label, score = predict(model, ds.X[i])
             assert score == scores[i]
             assert (label is Label.MALWARE) == (score > 0.5)
 
@@ -185,12 +184,12 @@ class TestSimpleLogistic:
 
     def test_empty_model_scores_half(self):
         empty = LogitModel(0.0, (), 0, 10, 5, 3)
-        label, score = predict_simple_logistic(empty, [1, 0, 1])
+        label, score = predict(empty, [1, 0, 1])
         assert score == 0.5 and label is Label.BENIGN
 
     def test_saturation(self):
         model = LogitModel(10.0, (), 0, 1, 2, 2)
-        _, score = predict_simple_logistic(model, [0, 0])
+        _, score = predict(model, [0, 0])
         assert score > 0.999
 
     def test_score_complement_under_negation(self, rng):

@@ -14,10 +14,10 @@ from droidtriage.evaluation import (
     cross_validate,
     metrics,
     roc_auc,
-    stratified_folds,
     write_report,
 )
 from droidtriage.catalog import FeatureSet
+from droidtriage.dataset import stratified_fold_indices
 
 from conftest import make_dataset, random_dataset, toy_catalog
 
@@ -155,7 +155,7 @@ class TestStratifiedFolds:
             np.concatenate([np.zeros(3938, dtype=np.uint8), np.ones(2925, dtype=np.uint8)]),
             toy_catalog(1),
         )
-        folds = stratified_folds(ds, 10, seed=1)
+        folds = stratified_fold_indices(ds.y, 10, seed=1)
         assert len(folds) == 10
         for fold in folds:
             labels = ds.y[fold]
@@ -165,18 +165,18 @@ class TestStratifiedFolds:
 
     def test_tiny_two_per_class(self):
         ds = make_dataset([[0], [0], [1], [1]], [0, 1, 0, 1])
-        folds = stratified_folds(ds, 2, seed=0)
+        folds = stratified_fold_indices(ds.y, 2, seed=0)
         for fold in folds:
             assert sorted(ds.y[fold]) == [0, 1]
 
     def test_k_one_rejected(self, rng):
         ds = random_dataset(rng, 30, 2)
         with pytest.raises(ValueError):
-            stratified_folds(ds, 1, seed=0)
+            stratified_fold_indices(ds.y, 1, seed=0)
 
     def test_disjoint_cover(self, rng):
         ds = random_dataset(rng, 83, 3)
-        folds = stratified_folds(ds, 4, seed=9)
+        folds = stratified_fold_indices(ds.y, 4, seed=9)
         assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(83))
 
 

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from droidtriage.algo import AlgoDescriptor, model_scores, train_model
-from droidtriage.catalog import FeatureCatalog, FeatureDef
+from droidtriage.catalog import FeatureCatalog, FeatureDef, write_catalog
+from droidtriage.cli import main
+from droidtriage.dataset import write_csv
 from droidtriage.modelio import ModelFormatError, load_model, save_model
 
-from conftest import random_dataset, toy_catalog
+from conftest import make_dataset, random_dataset, toy_catalog
 
 ALL_KINDS = [
     AlgoDescriptor("nb", alpha=0.5),
@@ -85,3 +89,94 @@ def test_header_line_format(tmp_path, rng):
         save_model(train_model(algo, ds), path, cat)
         first = path.read_text().splitlines()[0]
         assert first == f"droidtriage-model v1 {kind}"
+
+
+# sha256 of the file each ALL_KINDS entry saves after training on
+# _pinned_corpus(): they pin the v1 text format and every training stream.
+PINNED_SHA256 = [
+    "132ef5abe8c17b2939ce7fee81db14f06c51918d4416d80c26ded51160aa5ca7",
+    "7dfbf487e8cdc560558ce751caa2ef8933879944ee3f2ad24867f03f04343177",
+    "638c11cc472ab963d6726750c5034e4c85a255b8214ba7e6ad84525a909d8858",
+    "af1f592f9f4421463cd6de4ecf1297ea35d81e62741cdf484fefa952f09d374f",
+    "8cd23b966534a125549222d2314f03d3065c961d875e7c896a94f702dc222eed",
+    "1021074ede3b1b12c17db48152636dbc3115698a47dd03064c7ec992467d5037",
+    "6800bb41a57ab61364173b967dd0c36ad75cf21c5218c4dfad3950cb537915db",
+]
+
+
+def _pinned_corpus():
+    rng = np.random.default_rng(2024)
+    X = (rng.random((120, 12)) < 0.4).astype(np.uint8)
+    y = (X[:, 0] | (X[:, 1] & X[:, 2])) ^ (rng.random(120) < 0.1)
+    return make_dataset(X, y, toy_catalog(12))
+
+
+@pytest.mark.parametrize(
+    "algo, digest", zip(ALL_KINDS, PINNED_SHA256), ids=[f"{a.kind}-{a.seed}" for a in ALL_KINDS]
+)
+def test_saved_bytes_pinned(tmp_path, algo, digest):
+    ds = _pinned_corpus()
+    path, again = tmp_path / "m.model", tmp_path / "again.model"
+    save_model(train_model(algo, ds), path, ds.catalog)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    save_model(load_model(path, ds.catalog), again, ds.catalog)
+    assert again.read_bytes() == path.read_bytes()
+
+
+_TREE_HEAD = ["criterion entropy", "pruned 0", "k 0", "seed 0"]
+_SL_HEAD = ["intercept 0.0", "iterations_used 1", "max_iterations 5", "cv_folds 2"]
+
+# Hostile model files for a 4-feature catalog: (kind, body, expected error).
+CRAFTED = {
+    "truncated-deep-chain": ("dt", _TREE_HEAD + ["n_features 4"] + ["S 0"] * 5000, "end of file"),
+    "split-feature": ("dt", _TREE_HEAD + ["n_features 4", "S 999", "L 1 0", "L 0 1"], "999"),
+    "regressor-feature": ("sl", _SL_HEAD + ["n_features 4", "R 500 -1.0 1.0"], "500"),
+    "tree-width": ("dt", _TREE_HEAD + ["n_features 3", "L 1 0"], "has 3 features"),
+    "sl-width": ("sl", _SL_HEAD + ["n_features 5", "R 0 -1.0 1.0"], "has 5 features"),
+    "negative-leaf": ("dt", _TREE_HEAD + ["n_features 4", "L -5 2"], "negative"),
+    "theta-length": (
+        "nb", ["alpha 1.0", "prior 0.5", "theta_benign 0.5 0.5", "theta_malware 0.5 0.5"], "has 2 features"
+    ),
+}
+
+
+def _crafted(tmp_path, cat, kind, body):
+    path = tmp_path / f"crafted.{kind}"
+    header = [f"droidtriage-model v1 {kind}", f"catalog {cat.fingerprint()}"]
+    path.write_text("\n".join(header + body) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("name", CRAFTED)
+def test_crafted_file_rejected(tmp_path, name):
+    kind, body, message = CRAFTED[name]
+    cat = toy_catalog(4)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(_crafted(tmp_path, cat, kind, body), cat)
+
+
+def test_deep_chain_loads_without_recursion(tmp_path):
+    cat = toy_catalog(4)
+    body = _TREE_HEAD + ["n_features 4"] + ["S 0"] * 5000 + ["L 0 1"] + ["L 3 0"] * 5000
+    path = _crafted(tmp_path, cat, "dt", body)
+    model = load_model(path, cat)
+    assert model_scores(model, np.array([[0, 0, 0, 0], [1, 0, 0, 0]])).tolist() == [1.0, 0.0]
+    again = tmp_path / "again.dt"
+    save_model(model, again, cat)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", CRAFTED)
+def test_predict_crafted_file_exits_2(tmp_path, capsys, name):
+    kind, body, _ = CRAFTED[name]
+    cat = toy_catalog(4)
+    cat_path, data = tmp_path / "cat.csv", tmp_path / "data.csv"
+    write_catalog(cat, cat_path)
+    write_csv(make_dataset([[0, 1, 0, 1], [1, 0, 1, 0]], [0, 1], cat), data)
+    rc = main([
+        "predict", "--catalog", str(cat_path), "--data", str(data),
+        "--model", str(_crafted(tmp_path, cat, kind, body)), "--out", str(tmp_path / "p.csv"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("droidtriage: error:")

@@ -217,17 +217,17 @@ class TestRankFeatures:
         assert (ranking[0].name, ranking[1].name) == ("f00", "f01")
 
     def test_two_path_equivalence(self, rng):
-        from droidtriage.ranking import feature_class_counts
-
         X = (rng.random((60, 6)) < 0.5).astype(np.uint8)
         y = (rng.random(60) < 0.5).astype(np.uint8)
         y[:2] = [0, 1]
         ds = make_dataset(X, y)
         by_rank = {r.name: r.score for r in rank_features(ds)}
+        n_ben, n_mal = ds.class_counts()
         for f, name in enumerate(ds.catalog.names):
-            assert by_rank[name] == pytest.approx(
-                mutual_information(feature_class_counts(ds, f)), abs=1e-15
-            )
+            n_pos_mal = int(X[y == 1, f].sum())
+            n_pos_ben = int(X[:, f].sum()) - n_pos_mal
+            counts = FeatureClassCounts(n_pos_ben, n_pos_mal, n_ben, n_mal)
+            assert by_rank[name] == pytest.approx(mutual_information(counts), abs=1e-15)
 
     def test_label_permutation_drives_scores_to_zero(self):
         gen = np.random.default_rng(77)

@@ -3,19 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
+from droidtriage.algo import predict
 from droidtriage.dataset import Label
 from droidtriage.trees import (
     _IMPURITY,
-    ClassDistribution,
+    ENTROPY,
+    GINI,
     Leaf,
     Split,
     TreeModel,
     default_split_count,
     derive_seed,
-    entropy,
-    gini,
     node_count,
-    predict_tree,
     train_decision_tree,
     train_random_tree,
     tree_depth,
@@ -25,42 +24,39 @@ from droidtriage.trees import (
 from conftest import make_dataset, random_dataset
 
 
+def entropy(n_malware, total) -> float:
+    return float(_IMPURITY[ENTROPY](n_malware, total))
+
+
+def gini(n_malware, total) -> float:
+    return float(_IMPURITY[GINI](n_malware, total))
+
+
 class TestImpurity:
     def test_entropy_values(self):
-        assert entropy((0.5, 0.5)) == 1.0
-        assert entropy((1.0, 0.0)) == 0.0
-        assert entropy((0.25, 0.75)) == pytest.approx(0.811278, abs=1e-6)
+        assert entropy(2, 4) == 1.0
+        assert entropy(0, 4) == 0.0
+        assert entropy(3, 4) == pytest.approx(0.811278, abs=1e-6)
 
     def test_gini_values(self):
-        assert gini((0.5, 0.5)) == 0.5
-        assert gini((1.0, 0.0)) == 0.0
-        assert gini((0.25, 0.75)) == pytest.approx(0.375)
+        assert gini(2, 4) == 0.5
+        assert gini(0, 4) == 0.0
+        assert gini(3, 4) == pytest.approx(0.375)
 
     def test_pure_is_zero_uniform_is_max(self):
-        for m in (2, 3, 5):
-            uniform = [1.0 / m] * m
-            pure = [1.0] + [0.0] * (m - 1)
-            assert entropy(pure) == 0.0 and gini(pure) == 0.0
-            assert entropy(uniform) == pytest.approx(np.log2(m))
-            assert gini(uniform) == pytest.approx(1.0 - 1.0 / m)
+        for total in (2, 10, 1000):
+            for pure in (0, total):
+                assert entropy(pure, total) == 0.0 and gini(pure, total) == 0.0
+            assert entropy(total // 2, total) == pytest.approx(1.0)
+            assert gini(total // 2, total) == pytest.approx(0.5)
+        assert entropy(0, 0) == 0.0 and gini(0, 0) == 0.0
 
     def test_permutation_invariance(self, rng):
         for _ in range(50):
-            f = rng.random(4)
-            f = f / f.sum()
-            g = rng.permutation(f)
-            assert entropy(f) == pytest.approx(entropy(g), abs=1e-12)
-            assert gini(f) == pytest.approx(gini(g), abs=1e-12)
-
-    def test_class_distribution_input(self):
-        dist = ClassDistribution(n_benign=3, n_malware=1)
-        assert dist.fractions == (0.75, 0.25)
-        assert entropy(dist) == pytest.approx(0.811278, abs=1e-6)
-        assert gini(dist) == pytest.approx(0.375)
-
-    def test_invalid_fractions_rejected(self):
-        with pytest.raises(ValueError):
-            entropy((0.9, 0.3))
+            total = int(rng.integers(1, 1000))
+            mal = int(rng.integers(0, total + 1))
+            assert entropy(mal, total) == pytest.approx(entropy(total - mal, total), abs=1e-12)
+            assert gini(mal, total) == pytest.approx(gini(total - mal, total), abs=1e-12)
 
 
 XOR_X = [[0, 0], [0, 1], [1, 0], [1, 1]]
@@ -173,9 +169,9 @@ class TestXorOracle:
 
     def test_hand_built_xor_tree_predictions(self):
         model = _xor_tree()
-        label, score = predict_tree(model, [1, 0])
+        label, score = predict(model, [1, 0])
         assert label is Label.MALWARE and score == 1.0
-        label, score = predict_tree(model, [1, 1])
+        label, score = predict(model, [1, 1])
         assert label is Label.BENIGN and score == 0.0
         assert _training_accuracy(model, XOR_X, XOR_Y) == 1.0
 
@@ -184,18 +180,18 @@ class TestPredict:
     def test_pure_leaf_scores(self):
         ds = make_dataset([[0], [1]], [1, 1])
         model = train_decision_tree(ds)
-        label, score = predict_tree(model, [0])
+        label, score = predict(model, [0])
         assert label is Label.MALWARE and score == 1.0
 
     def test_tie_leaf_predicts_benign(self):
         model = TreeModel(Leaf(5, 5), "entropy", False, 0, 0, 3)
-        label, score = predict_tree(model, [0, 1, 0])
+        label, score = predict(model, [0, 1, 0])
         assert label is Label.BENIGN and score == 0.5
 
     def test_length_mismatch(self):
         model = _xor_tree()
         with pytest.raises(ValueError, match="length"):
-            predict_tree(model, [1, 0, 1])
+            predict(model, [1, 0, 1])
 
 
 class TestRandomTree:
@@ -450,7 +446,7 @@ class TestVectorizedDescent:
         expected = np.array([_walk(model.root, row) for row in X])
         assert np.array_equal(tree_scores(model, X), expected)
         for row, score in zip(X[:20], expected):
-            assert predict_tree(model, row)[1] == score
+            assert predict(model, row)[1] == score
 
     def test_hand_built_xor_tree(self):
         self._check(_xor_tree(), XOR_X)
