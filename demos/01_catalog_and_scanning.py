@@ -23,25 +23,26 @@ for feat in catalog:
         print(f"  {feat.category:10s} {feat.name!r} -> pattern {feat.pattern!r}")
 
 # A minimal unpacked app: a manifest plus a couple of "code" files.
-workdir = Path(tempfile.mkdtemp(prefix="droidtriage-demo-"))
-app = workdir / "suspicious_app"
-app.mkdir()
-(app / "AndroidManifest.xml").write_text(
-    '<manifest>\n'
-    '  <uses-permission android:name="android.permission.SEND_SMS"/>\n'
-    '  <uses-permission android:name="android.permission.READ_PHONE_STATE"/>\n'
-    '  <uses-permission android:name="android.permission.INTERNET"/>\n'
-    '</manifest>\n'
-)
-(app / "classes.smali").write_text(
-    "invoke-virtual {v0}, Landroid/telephony/TelephonyManager;->getSubscriberId()\n"
-    "invoke-static {}, Landroid/os/Exec;->createSubprocess()\n"
-)
-(app / "assets" / "payload").parent.mkdir(parents=True)
-(app / "assets" / "payload").write_bytes(b"\x7fELF...pm install /data/local/tmp/extra.apk\x00")
+with tempfile.TemporaryDirectory(prefix="droidtriage-demo-") as tmp:
+    workdir = Path(tmp)
+    app = workdir / "suspicious_app"
+    app.mkdir()
+    (app / "AndroidManifest.xml").write_text(
+        '<manifest>\n'
+        '  <uses-permission android:name="android.permission.SEND_SMS"/>\n'
+        '  <uses-permission android:name="android.permission.READ_PHONE_STATE"/>\n'
+        '  <uses-permission android:name="android.permission.INTERNET"/>\n'
+        '</manifest>\n'
+    )
+    (app / "classes.smali").write_text(
+        "invoke-virtual {v0}, Landroid/telephony/TelephonyManager;->getSubscriberId()\n"
+        "invoke-static {}, Landroid/os/Exec;->createSubprocess()\n"
+    )
+    (app / "assets" / "payload").parent.mkdir(parents=True)
+    (app / "assets" / "payload").write_bytes(b"\x7fELF...pm install /data/local/tmp/extra.apk\x00")
 
-bits = scan_app(app, catalog)
-print(f"\nscanned {app.name}: {int(bits.sum())} of {len(catalog)} bits set")
-for i in bits.nonzero()[0]:
-    feat = catalog[i]
-    print(f"  bit {i:3d} {feat.category:10s} {feat.name}")
+    bits = scan_app(app, catalog)
+    print(f"\nscanned {app.name}: {int(bits.sum())} of {len(catalog)} bits set")
+    for i in bits.nonzero()[0]:
+        feat = catalog[i]
+        print(f"  bit {i:3d} {feat.category:10s} {feat.name}")

@@ -38,14 +38,15 @@ print(f"{'threshold':>10s} {'FPR':>7s} {'TPR':>7s}")
 for fpr, tpr, threshold in curve.points[1::5]:
     print(f"{threshold:10.2f} {fpr:7.3f} {tpr:7.3f}")
 
-outdir = Path(tempfile.mkdtemp(prefix="droidtriage-demo-"))
-write_roc(curve, outdir / "roc.csv")
-(outdir / "roc.svg").write_text(roc_svg(curve))
-print(f"\nwrote {outdir / 'roc.csv'} and {outdir / 'roc.svg'}")
+with tempfile.TemporaryDirectory(prefix="droidtriage-demo-") as tmp:
+    outdir = Path(tmp)
+    write_roc(curve, outdir / "roc.csv")
+    (outdir / "roc.svg").write_text(roc_svg(curve))
+    print(f"\nwrote {outdir / 'roc.csv'} and {outdir / 'roc.svg'}")
 
-model_path = outdir / "forest.rf"
-save_model(model, model_path, train_set.catalog)
-reloaded = load_model(model_path, train_set.catalog)
-identical = np.array_equal(model_scores(reloaded, test_set.X), scores)
-size_kb = model_path.stat().st_size / 1024
-print(f"model file: {size_kb:.0f} KiB; reloaded predictions identical: {identical}")
+    model_path = outdir / "forest.rf"
+    save_model(model, model_path, train_set.catalog)
+    reloaded = load_model(model_path, train_set.catalog)
+    identical = np.array_equal(model_scores(reloaded, test_set.X), scores)
+    size_kb = model_path.stat().st_size / 1024
+    print(f"model file: {size_kb:.0f} KiB; reloaded predictions identical: {identical}")

@@ -148,6 +148,16 @@ def select_feature_set(catalog: FeatureCatalog, feature_set: FeatureSet) -> Feat
     raise ValueError(f"unknown feature set {feature_set!r}")
 
 
+def read_lines(path, error: type[Exception]) -> list[str]:
+    """The lines of text file `path`, read with universal newlines and
+    without the final empty one; bytes that are not UTF-8 raise `error`."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise error(f"{path}: not valid UTF-8") from None
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def load_catalog(path) -> FeatureCatalog:
     """Load a catalog from a CSV file.
 
@@ -155,10 +165,7 @@ def load_catalog(path) -> FeatureCatalog:
     header, and one feature per row. Fields must not contain commas, so no
     quoting is involved. Errors report the offending line number.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path, CatalogError)
     if not lines:
         raise CatalogError(f"{path}: no features defined")
     if lines[0] != _HEADER:

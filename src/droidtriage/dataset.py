@@ -20,8 +20,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .catalog import FeatureCatalog
+from .catalog import FeatureCatalog, read_lines
 
 
 class Label(IntEnum):
@@ -31,8 +32,13 @@ class Label(IntEnum):
     MALWARE = 1
 
 
-LABEL_TEXT = {Label.BENIGN: "benign", Label.MALWARE: "malware"}
-_TEXT_LABEL = {"benign": 0, "malware": 1}
+# What follows a row's cells: [unlabeled] a newline; [labeled] the label tag
+# and a newline, with a NUL pad after the shorter benign one.
+_ROW_ENDS = (
+    np.frombuffer(b"\n", np.uint8)[None],
+    np.frombuffer(b",benign\n\0,malware\n", np.uint8).reshape(2, -1),
+)
+_CHUNK_BYTES = 1 << 18
 
 
 class DatasetError(ValueError):
@@ -114,9 +120,11 @@ class Dataset:
 def read_csv(path, catalog: FeatureCatalog) -> Dataset:
     """Read a labeled dataset CSV whose header matches `catalog` exactly.
 
-    The format is UTF-8, LF endings, header ``name1,...,nameF,class``, cells
-    ``0``/``1``, and a lowercase ``benign``/``malware`` label column. Errors
-    name the offending data row and column.
+    The format is a UTF-8 header ``name1,...,nameF,class``, then ASCII rows
+    of ``0``/``1`` cells and a lowercase ``benign``/``malware`` label, with
+    LF, CRLF or lone-CR line ends. Errors name the offending data row and
+    column; a file that is not UTF-8 is a :class:`DatasetError` too, so the
+    command line exits 2.
     """
     X, y = read_vectors(path, catalog)
     if y is None:
@@ -128,21 +136,31 @@ def read_vectors(path, catalog: FeatureCatalog) -> tuple[np.ndarray, np.ndarray 
     """Read a dataset CSV, tolerating a missing ``class`` column.
 
     Returns the bit matrix and the label array, or ``None`` for the labels
-    when the file carries no ``class`` column (e.g. scanner output).
+    when the file carries no ``class`` column (e.g. scanner output). Only the
+    header is decoded, as UTF-8; rows are checked as ASCII bytes, and only
+    the first bad row is decoded, to name the fault.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    data = Path(path).read_bytes()
+    if b"\r" in data:  # universal newlines, as text mode reads them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data:
         raise DatasetError(f"{path}: empty file")
-    header = lines[0].split(",")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+
+    def line(k: int) -> str:
+        try:
+            return data[starts[k] : ends[k]].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DatasetError(f"{path}: {f'row {k}' if k else 'header'}: not valid UTF-8") from None
+
+    header = line(0).split(",")
     names = list(catalog.names)
-    if header == names:
-        labeled = False
-    elif header == names + ["class"]:
-        labeled = True
-    else:
+    labeled = header == names + ["class"]
+    if not labeled and header != names:
         have = len(header)
         want = len(names) + 1
         if header and header[-1] != "class" and have in (want, want - 1):
@@ -152,28 +170,66 @@ def read_vectors(path, catalog: FeatureCatalog) -> tuple[np.ndarray, np.ndarray 
             f"({have} columns, expected {want} including 'class')"
         )
     F = len(names)
-    n = len(lines) - 1
-    X = np.zeros((n, F), dtype=np.uint8)
-    y = np.zeros(n, dtype=np.uint8) if labeled else None
-    ok_cells = {"0", "1"}
-    for row, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != F + (1 if labeled else 0):
-            raise DatasetError(
-                f"{path}: row {row}: expected {F + (1 if labeled else 0)} cells, got {len(cells)}"
-            )
-        if labeled:
-            tag = cells.pop()
-            if tag not in _TEXT_LABEL:
-                raise DatasetError(f"{path}: row {row}: unknown label {tag!r}")
-            y[row - 1] = _TEXT_LABEL[tag]
-        if not ok_cells.issuperset(cells):
-            col = next(i for i, c in enumerate(cells) if c not in ok_cells)
-            raise DatasetError(
-                f"{path}: row {row}, column {names[col]!r}: cell must be 0 or 1, got {cells[col]!r}"
-            )
-        X[row - 1] = [c == "1" for c in cells]
-    return X, y
+    n = len(ends) - 1
+    # A good row is F cells joined by commas (W bytes), then the newline, or
+    # the ",benign" tag and newline, or the ",malware" tag, one byte longer
+    # (with no comma when F is 0); it is exactly what the writer makes of
+    # the bits read from it.
+    W = max(2 * F - 1, 0)
+    tails = _ROW_ENDS[labeled][:, int(F == 0) : len(",malware")]
+    L = W + tails.shape[1]
+    lengths = ends[1:] - starts[1:]
+    y = (lengths == L).astype(np.uint8)
+    good = (lengths == L - 1) | (lengths == L) & labeled
+    bad_row = n if good.all() else int(np.argmin(good))
+    X = np.empty((n, F), dtype=np.uint8)
+    if bad_row:
+        windows = sliding_window_view(buf, L)
+        step = max(1, _CHUNK_BYTES // L)
+        for lo in range(0, bad_row, step):
+            hi = min(lo + step, bad_row)
+            rows = windows[starts[lo + 1 : hi + 1]]
+            bits = rows[:, 0:W:2] & 1
+            bad = (rows != _render(bits, tails, y[lo:hi])).any(axis=1)
+            if bad.any():
+                bad_row = lo + int(np.argmax(bad))
+                break
+            X[lo:hi] = bits
+    if bad_row < n:
+        row = bad_row + 1
+        cells = line(row).split(",")
+        if len(cells) != F + labeled:
+            raise DatasetError(f"{path}: row {row}: expected {F + labeled} cells, got {len(cells)}")
+        if labeled and cells[-1] not in ("benign", "malware"):
+            raise DatasetError(f"{path}: row {row}: unknown label {cells[-1]!r}")
+        col = next(i for i, c in enumerate(cells[:F]) if c not in ("0", "1"))
+        raise DatasetError(
+            f"{path}: row {row}, column {names[col]!r}: cell must be 0 or 1, got {cells[col]!r}"
+        )
+    return X, y if labeled else None
+
+
+def _render(bits: np.ndarray, ends: np.ndarray, labels) -> np.ndarray:
+    """One byte row per row of `bits`: ``48 + bit`` cells joined by commas,
+    then ``ends[label]``."""
+    W = max(2 * bits.shape[1] - 1, 0)
+    block = np.full((len(bits), W + ends.shape[1]), ord(","), dtype=np.uint8)
+    block[:, 0:W:2] = bits
+    block[:, 0:W:2] += ord("0")
+    block[:, W:] = ends[labels]
+    return block
+
+
+def _write_rows(path, names: Sequence[str], X: np.ndarray, y: np.ndarray | None) -> None:
+    """Write a header and one row per row of `X`, labeled when `y` is given,
+    rendering the rows in bounded chunks."""
+    ends = _ROW_ENDS[y is not None]
+    step = max(1, _CHUNK_BYTES // (2 * X.shape[1] + ends.shape[1]))
+    with open(path, "wb") as f:
+        f.write((",".join(names) + ("" if y is None else ",class") + "\n").encode("utf-8"))
+        for lo in range(0, len(X), step):
+            block = _render(X[lo : lo + step], ends, 0 if y is None else y[lo : lo + step])
+            f.write(block[block != 0])  # drops the pad after each benign tag
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -181,11 +237,7 @@ def write_csv(dataset: Dataset, path) -> None:
 
     Round-trips bit for bit: ``read_csv(write_csv(d)) == d``.
     """
-    rows = [",".join(dataset.catalog.names) + ",class"]
-    for bits, label in zip(dataset.X, dataset.y):
-        tag = "malware" if label else "benign"
-        rows.append(",".join("1" if b else "0" for b in bits) + "," + tag)
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    _write_rows(path, dataset.catalog.names, dataset.X, dataset.y)
 
 
 def write_vector_csv(catalog: FeatureCatalog, bits, path, label: Label | None = None) -> None:
@@ -195,12 +247,8 @@ def write_vector_csv(catalog: FeatureCatalog, bits, path, label: Label | None = 
         raise DatasetError(
             f"vector length {bits.shape} does not match catalog size {len(catalog)}"
         )
-    header = ",".join(catalog.names)
-    row = ",".join("1" if b else "0" for b in bits)
-    if label is not None:
-        header += ",class"
-        row += "," + LABEL_TEXT[Label(label)]
-    Path(path).write_text(header + "\n" + row + "\n", encoding="utf-8", newline="\n")
+    y = None if label is None else np.array([Label(label)], dtype=np.uint8)
+    _write_rows(path, catalog.names, (bits != 0)[None, :], y)
 
 
 BACKGROUND_RATE = 0.05
@@ -286,11 +334,10 @@ def load_spec(path, catalog: FeatureCatalog, background: float = BACKGROUND_RATE
     ``#xor=nameA,nameB,q``. Features not listed default to `background` in
     both classes.
     """
-    text = Path(path).read_text(encoding="utf-8")
     n_benign = n_malware = None
     xor = None
     rates: dict[str, tuple[float, float]] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(path, DatasetError), start=1):
         line = line.strip()
         if not line:
             continue

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .algo import Model
 from .bayes import NbModel
-from .catalog import FeatureCatalog
+from .catalog import FeatureCatalog, read_lines
 from .ensemble import ForestModel, ForestParams, LogitModel, LogitRegressor
 from .trees import Leaf, Split, TreeModel, TreeNode
 
@@ -31,9 +31,7 @@ class _Lines:
     """The lines of a model file, consumed in order; errors name the file."""
 
     def __init__(self, path):
-        self._lines = Path(path).read_text(encoding="utf-8").split("\n")
-        if self._lines[-1] == "":
-            self._lines.pop()
+        self._lines = read_lines(path, ModelFormatError)
         self._pos = 0
         self._path = path
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, DatasetError
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,9 @@ def rank_features(dataset: Dataset) -> list[RankedFeature]:
     """
     n_ben, n_mal = dataset.class_counts()
     if n_ben == 0 or n_mal == 0:
-        raise ValueError("ranking requires at least one instance of each class")
-    y = dataset.y.astype(np.int64)
+        raise DatasetError("ranking requires at least one instance of each class")
     pos = dataset.X.sum(axis=0, dtype=np.int64)
-    pos_mal = y @ dataset.X.astype(np.int64)
+    pos_mal = dataset.X.sum(axis=0, dtype=np.int64, where=dataset.y.astype(bool)[:, None])
     ranked = [
         RankedFeature(
             name,

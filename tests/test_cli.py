@@ -226,3 +226,29 @@ def test_extract_without_label_omits_class_column(tmp_path):
     assert main(["extract", str(app), "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert not header.endswith(",class")
+
+
+@pytest.mark.parametrize("flag", ["--model", "--catalog", "--spec", "--data"])
+def test_non_utf8_input_exits_2(tmp_path, small_corpus, capsys, flag):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "--model": ["predict", "--model", str(bad), "--data", str(small_corpus), "--out", out],
+        "--catalog": ["rank", "--catalog", str(bad), "--data", str(small_corpus)],
+        "--spec": ["synth", "--spec", str(bad), "--out", out],
+        "--data": ["rank", "--data", str(bad)],
+    }[flag]
+    rc = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(err) == 1 and str(bad) in err[0] and "not valid UTF-8" in err[0]
+
+
+def test_rank_single_class_exits_2(tmp_path, capsys):
+    cat = default_catalog()
+    one_class = tmp_path / "one.csv"
+    one_class.write_text(",".join(cat.names) + ",class\n" + "0," * len(cat) + "malware\n")
+    assert main(["rank", "--data", str(one_class)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "each class" in err[0]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from droidtriage.catalog import default_catalog
 from droidtriage.dataset import (
     Dataset,
     DatasetError,
+    Label,
     SyntheticSpec,
     load_spec,
     read_csv,
@@ -21,6 +24,7 @@ from droidtriage.dataset import (
     synthesize,
     write_csv,
     write_spec,
+    write_vector_csv,
 )
 
 from conftest import make_dataset, toy_catalog
@@ -110,6 +114,199 @@ class TestCsvRoundTrip:
         (tmp_path / "h.csv").write_text("f01,f00,class\n0,1,benign\n")
         with pytest.raises(DatasetError, match="header"):
             read_csv(tmp_path / "h.csv", cat)
+
+
+def _line_reader(path, catalog):
+    """The line-at-a-time reader the byte-level `read_vectors` replaced, kept
+    as its oracle: same arrays, same errors, except that it fails with
+    UnicodeDecodeError on a file that is not UTF-8."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DatasetError(f"{path}: empty file")
+    header = lines[0].split(",")
+    names = list(catalog.names)
+    if header == names:
+        labeled = False
+    elif header == names + ["class"]:
+        labeled = True
+    else:
+        have = len(header)
+        want = len(names) + 1
+        if header and header[-1] != "class" and have in (want, want - 1):
+            raise DatasetError(f"{path}: label column absent or misplaced")
+        raise DatasetError(
+            f"{path}: header does not match catalog "
+            f"({have} columns, expected {want} including 'class')"
+        )
+    F = len(names)
+    n = len(lines) - 1
+    X = np.zeros((n, F), dtype=np.uint8)
+    y = np.zeros(n, dtype=np.uint8) if labeled else None
+    text_label = {"benign": 0, "malware": 1}
+    ok_cells = {"0", "1"}
+    for row, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != F + (1 if labeled else 0):
+            raise DatasetError(
+                f"{path}: row {row}: expected {F + (1 if labeled else 0)} cells, got {len(cells)}"
+            )
+        if labeled:
+            tag = cells.pop()
+            if tag not in text_label:
+                raise DatasetError(f"{path}: row {row}: unknown label {tag!r}")
+            y[row - 1] = text_label[tag]
+        if not ok_cells.issuperset(cells):
+            col = next(i for i, c in enumerate(cells) if c not in ok_cells)
+            raise DatasetError(
+                f"{path}: row {row}, column {names[col]!r}: cell must be 0 or 1, got {cells[col]!r}"
+            )
+        X[row - 1] = [c == "1" for c in cells]
+    return X, y
+
+
+def _outcome(reader, path, catalog):
+    """(X, y) as lists, or the DatasetError text."""
+    try:
+        X, y = reader(path, catalog)
+    except DatasetError as exc:
+        return str(exc)
+    return X.shape, X.tolist(), None if y is None else y.tolist()
+
+
+def _assert_parity(path, catalog):
+    """`read_vectors` matches the line reader on a UTF-8 file; otherwise it
+    raises DatasetError, where the line reader raised UnicodeDecodeError."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        with pytest.raises(DatasetError, match="not valid UTF-8"):
+            read_vectors(path, catalog)
+        return
+    assert _outcome(read_vectors, path, catalog) == _outcome(_line_reader, path, catalog)
+
+
+_VALID = b"f00,f01,f02,class\n0,1,1,benign\n1,0,0,malware\n1,1,1,benign\n0,0,0,malware\n"
+_UNLABELED = b"f00,f01,f02\n0,1,1\n1,0,0\n"
+
+
+class TestReaderParity:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _VALID,
+            _VALID.replace(b"\n", b"\r\n"),
+            _VALID.replace(b"\n", b"\r"),
+            b"f00,f01,f02,class\r\n0,1,1,benign\r1,0,0,malware\n",
+            _VALID[:-1],
+            _VALID + b"\n",
+            _VALID.replace(b"benign\n1,1,1", b"benign\n\n1,1,1"),
+            b"f00,f01,f02,class\n",
+            b"f00,f01,f02,class",
+            b"",
+            b"\n",
+            b"\r\n",
+            _UNLABELED,
+            _UNLABELED[:-1],
+            _VALID.replace(b"0,0,0,", b"0,2,0,"),
+            _VALID.replace(b"0,0,0,", "0,\u00e9,0,".encode()),
+            _VALID.replace(b"0,0,0,", b"00,0,"),
+            _VALID.replace(b"0,0,0,", b"0,,0,0,"),
+            _VALID.replace(b"0,0,0,", b"0,0,0"),
+            _VALID.replace(b"1,1,1,benign", b"1,1,1,Benign"),
+            _VALID.replace(b"1,1,1,benign", b"1,1,1,benign "),
+            _VALID.replace(b"1,1,1,benign", b"1,1,1,0,benign"),
+            _VALID.replace(b"1,1,1,benign", b"1,1,benign"),
+            _VALID.replace(b"benign", b"malware"),
+            _VALID.replace(b"malware", b"malwar"),
+            _VALID.replace(b"malware", b"malwaree"),
+            _UNLABELED.replace(b"1,0,0", b"1,0,0,benign"),
+            _UNLABELED.replace(b"1,0,0", b"1,0,"),
+            b"f01,f00,f02,class\n0,1,1,benign\n",
+            b"f00,f01,f02,label\n0,1,1,benign\n",
+            b"\xef\xbb\xbff00,f01,f02,class\n0,1,1,benign\n",
+            b"f00,f01,f02,class\n0,1,1,benign\n0,1,\xff,malware\n",
+            b"f00,f01,f\xff2,class\n0,1,1,benign\n",
+        ],
+    )
+    def test_edge_cases_match_line_reader(self, tmp_path, data):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        _assert_parity(path, toy_catalog(3))
+
+    def test_no_feature_catalog(self, tmp_path):
+        path = tmp_path / "d.csv"
+        for data in (b"class\nbenign\nmalware\n", b"class\n,benign\n", b"\nbenign\n"):
+            path.write_bytes(data)
+            _assert_parity(path, toy_catalog(0))
+
+    def test_non_utf8_names_the_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"f00,class\n0,benign\n1,malware\xff\n")
+        with pytest.raises(DatasetError, match=r"row 2: not valid UTF-8"):
+            read_vectors(path, toy_catalog(1))
+        path.write_bytes(b"f\xff0,class\n0,benign\n")
+        with pytest.raises(DatasetError, match=r"header: not valid UTF-8"):
+            read_vectors(path, toy_catalog(1))
+
+    @pytest.mark.parametrize("base", [_VALID, _UNLABELED])
+    def test_every_one_byte_change_matches_line_reader(self, tmp_path, base):
+        """Each position is replaced by bytes chosen to hit every check, then
+        deleted; seeded random bytes cover the rest of the range."""
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "d.csv"
+        probes = b"\x00\n\r,012ben\xc3\xa9\x80\xff"
+        for pos in range(len(base)):
+            edits = [base[:pos] + bytes([b]) + base[pos + 1 :] for b in probes]
+            edits += [base[:pos] + bytes([b]) + base[pos + 1 :] for b in rng.integers(0, 256, 4)]
+            edits.append(base[:pos] + base[pos + 1 :])
+            for data in edits:
+                path.write_bytes(data)
+                _assert_parity(path, toy_catalog(3))
+
+    def test_large_file_spans_chunks(self, tmp_path):
+        """Rows across several read chunks, with the first fault deep in the file."""
+        ds = synthesize(reference_spec(), 5)
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        assert read_csv(path, ds.catalog).equals(ds)
+        lines = path.read_bytes().split(b"\n")
+        lines[6000] = lines[6000][:-7] + b"benign "
+        path.write_bytes(b"\n".join(lines))
+        _assert_parity(path, ds.catalog)
+
+
+class TestBytePins:
+    def test_synth_seed_42_bytes(self, tmp_path):
+        from droidtriage.cli import main
+
+        out = tmp_path / "corpus.csv"
+        assert main(["synth", "--seed", "42", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "aaa1cf2078523104fa82d860ea0ce023e50493f02f0ad171123d452e5acd277a"
+        )
+
+    def test_vector_csv_bytes(self, tmp_path):
+        cat = toy_catalog(3)
+        path = tmp_path / "v.csv"
+        write_vector_csv(cat, [1, 0, 2], path)
+        assert path.read_bytes() == b"f00,f01,f02\n1,0,1\n"
+        write_vector_csv(cat, [0, 1, 0], path, label=Label.MALWARE)
+        assert path.read_bytes() == b"f00,f01,f02,class\n0,1,0,malware\n"
+        write_vector_csv(cat, [0, 0, 0], path, label=Label.BENIGN)
+        assert path.read_bytes() == b"f00,f01,f02,class\n0,0,0,benign\n"
+
+    def test_read_then_write_gives_the_same_bytes(self, tmp_path):
+        src, out = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(synthesize(reference_spec(), 7), src)
+        write_csv(read_csv(src, default_catalog()), out)
+        assert out.read_bytes() == src.read_bytes()
+        src.write_bytes(_UNLABELED[:18])
+        X, y = read_vectors(src, toy_catalog(3))
+        write_vector_csv(toy_catalog(3), X[0], out)
+        assert y is None and out.read_bytes() == src.read_bytes()
 
 
 class TestSynthesize:

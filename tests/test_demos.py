@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion against the source tree."""
+"""Every script under demos/ runs to completion against the source tree and
+leaves no directory behind in the temp dir."""
 
 import os
 import subprocess
@@ -17,3 +18,4 @@ def test_demo_runs(tmp_path, script):
         [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("droidtriage-demo-*"))
