@@ -69,12 +69,6 @@ from .ranking import (
     top_k,
     write_ranking,
 )
-from .trees import (
-    Leaf,
-    Split,
-    TreeModel,
-    train_decision_tree,
-    train_random_tree,
-)
+from .trees import TreeModel, train_decision_tree, train_random_tree
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ carries its ``kind`` tag and scores a matrix with ``model.scores(X)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class AlgoDescriptor:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
-        if self.kind == "nb" and self.alpha <= 0.0:
-            raise ValueError("smoothing alpha must be positive")
+        if self.kind == "nb" and not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("smoothing alpha must be finite and positive")
         if self.kind == "dt" and self.criterion not in trees.CRITERIA:
             raise ValueError(f"criterion must be one of {trees.CRITERIA}")
         if self.kind in ("rt", "rf") and self.k is not None and self.k < 1:

@@ -7,6 +7,7 @@ evaluated in log space so 179-feature products cannot underflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,10 @@ def train_nb(dataset: Dataset, alpha: float = 1.0) -> NbModel:
     """Fit conditionals theta = (count(bit=1, class) + alpha) / (n_class + 2 alpha).
 
     The prior is the malware fraction of the training set. Requires both
-    classes present and positive smoothing.
+    classes present and finite, positive smoothing.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"smoothing alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"smoothing alpha must be finite and positive, got {alpha}")
     n_ben, n_mal = dataset.class_counts()
     if n_ben == 0 or n_mal == 0:
         raise ValueError("training requires both classes present")

@@ -223,12 +223,14 @@ def _render(bits: np.ndarray, ends: np.ndarray, labels) -> np.ndarray:
 def _write_rows(path, names: Sequence[str], X: np.ndarray, y: np.ndarray | None) -> None:
     """Write a header and one row per row of `X`, labeled when `y` is given,
     rendering the rows in bounded chunks."""
-    ends = _ROW_ENDS[y is not None]
+    labeled = y is not None
+    # A row without cells is its bare label, with no comma before it.
+    ends = _ROW_ENDS[labeled][:, int(labeled and not X.shape[1]) :]
     step = max(1, _CHUNK_BYTES // (2 * X.shape[1] + ends.shape[1]))
     with open(path, "wb") as f:
-        f.write((",".join(names) + ("" if y is None else ",class") + "\n").encode("utf-8"))
+        f.write((",".join([*names, "class"] if labeled else names) + "\n").encode("utf-8"))
         for lo in range(0, len(X), step):
-            block = _render(X[lo : lo + step], ends, 0 if y is None else y[lo : lo + step])
+            block = _render(X[lo : lo + step], ends, y[lo : lo + step] if labeled else 0)
             f.write(block[block != 0])  # drops the pad after each benign tag
 
 

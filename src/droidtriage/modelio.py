@@ -7,17 +7,27 @@ Floats are written with ``repr``, which round-trips exactly, and tree leaves
 store integer counts, so a reloaded model predicts bit-identically. The body
 after those two lines depends on the kind; `_BODIES` maps each kind to the
 functions that write and parse it.
+
+A tree's nodes are written in preorder from node 0, ``S feature`` for a
+split (then its low and its high subtree) and ``L n_benign n_malware`` for a
+leaf; the parser numbers them in preorder and gives each split the sum of
+its children's counts. Both use an explicit stack, so a deep chain loads.
+The loader rejects a non-finite float, a feature index outside the catalog,
+a negative count, a width other than the catalog's and a truncated tree.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+
+import numpy as np
 
 from .algo import Model
 from .bayes import NbModel
 from .catalog import FeatureCatalog, read_lines
 from .ensemble import ForestModel, ForestParams, LogitModel, LogitRegressor
-from .trees import Leaf, Split, TreeModel, TreeNode
+from .trees import TreeModel
 
 _MAGIC = "droidtriage-model"
 _VERSION = "v1"
@@ -59,6 +69,12 @@ class _Lines:
         if int(count) != n_features:
             raise self.error(f"model has {count} features, catalog has {n_features}")
 
+    def number(self, text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise self.error(f"non-finite number {text!r}")
+        return value
+
     def feature(self, text: str, n_features: int) -> int:
         f = int(text)
         if not 0 <= f < n_features:
@@ -80,9 +96,9 @@ def _nb_body(model: NbModel) -> list[str]:
 
 def _parse_nb_body(lines: _Lines, n_features: int) -> NbModel:
     alpha, prior, *thetas = lines.fields("alpha", "prior", "theta_benign", "theta_malware")
-    theta_b, theta_m = ([float(v) for v in theta.split(" ")] for theta in thetas)
+    theta_b, theta_m = ([lines.number(v) for v in theta.split(" ")] for theta in thetas)
     lines.check_width(len(theta_b), n_features)
-    return NbModel(float(prior), theta_b, theta_m, float(alpha))
+    return NbModel(lines.number(prior), theta_b, theta_m, lines.number(alpha))
 
 
 def _tree_body(model: TreeModel) -> list[str]:
@@ -93,37 +109,67 @@ def _tree_body(model: TreeModel) -> list[str]:
         f"seed {model.seed}",
         f"n_features {model.n_features}",
     ]
-    stack = [model.root]  # preorder: a split, its low subtree, its high subtree
+    feature, low, high, n_benign, n_malware = (
+        a.tolist() for a in (model.feature, model.low, model.high, model.n_benign, model.n_malware)
+    )
+    stack = [0]  # preorder: a split, its low subtree, its high subtree
     while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(f"L {node.n_benign} {node.n_malware}")
+        i = stack.pop()
+        if feature[i] < 0:
+            out.append(f"L {n_benign[i]} {n_malware[i]}")
         else:
-            out.append(f"S {node.feature}")
-            stack += (node.high, node.low)
+            out.append(f"S {feature[i]}")
+            stack += (high[i], low[i])
     return out
 
 
-def _parse_nodes(lines: _Lines, n_features: int) -> TreeNode:
-    """One preorder tree, parsed with an explicit stack of open splits."""
-    open_splits: list[list] = []  # [feature, low child or None]
+def _parse_nodes(lines: _Lines, n_features: int) -> tuple[np.ndarray, ...]:
+    """One preorder tree as `TreeModel` arrays, numbered in preorder.
+
+    A split's low child is the node after it. The node after a leaf is the
+    high child of the innermost split still waiting for one; with none
+    waiting, the tree is complete.
+    """
+    feature: list[int] = []
+    high: list[int] = []
+    n_benign: list[int] = []
+    n_malware: list[int] = []
+    waiting: list[int] = []  # splits whose high child is still to come
     while True:
         line = lines.next()
         parts = line.split(" ")
+        i = len(feature)
         if parts[0] == "S" and len(parts) == 2:
-            open_splits.append([lines.feature(parts[1], n_features), None])
+            feature.append(lines.feature(parts[1], n_features))
+            high.append(0)
+            n_benign.append(0)
+            n_malware.append(0)
+            waiting.append(i)
             continue
         if parts[0] != "L" or len(parts) != 3:
             raise lines.error(f"bad tree node line {line!r}")
-        node: TreeNode = Leaf(int(parts[1]), int(parts[2]))
-        if node.n_benign < 0 or node.n_malware < 0:
+        b, m = int(parts[1]), int(parts[2])
+        if b < 0 or m < 0:
             raise lines.error(f"negative leaf count in {line!r}")
-        while open_splits and open_splits[-1][1] is not None:
-            feature, low = open_splits.pop()
-            node = Split(feature, low, node)
-        if not open_splits:
-            return node
-        open_splits[-1][1] = node
+        feature.append(-1)
+        high.append(i)
+        n_benign.append(b)
+        n_malware.append(m)
+        if not waiting:
+            break
+        high[waiting.pop()] = i + 1
+    for i in range(len(feature) - 1, -1, -1):  # a split counts its children's rows
+        if feature[i] >= 0:
+            n_benign[i] = n_benign[i + 1] + n_benign[high[i]]
+            n_malware[i] = n_malware[i + 1] + n_malware[high[i]]
+    feature = np.array(feature, dtype=np.intp)
+    return (
+        feature,
+        np.arange(feature.size) + (feature >= 0),  # low: the next node, or the leaf itself
+        np.array(high, dtype=np.intp),
+        np.array(n_benign, dtype=np.int64),
+        np.array(n_malware, dtype=np.int64),
+    )
 
 
 def _parse_tree_body(lines: _Lines, n_features: int) -> TreeModel:
@@ -131,8 +177,8 @@ def _parse_tree_body(lines: _Lines, n_features: int) -> TreeModel:
         "criterion", "pruned", "k", "seed", "n_features"
     )
     lines.check_width(width, n_features)
-    root = _parse_nodes(lines, n_features)
-    return TreeModel(root, criterion, bool(int(pruned)), int(k), int(seed), n_features)
+    arrays = _parse_nodes(lines, n_features)
+    return TreeModel(*arrays, criterion, bool(int(pruned)), int(k), int(seed), n_features)
 
 
 def _forest_body(model: ForestModel) -> list[str]:
@@ -154,7 +200,9 @@ def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
     trees, k, fraction, bootstrap, seed = lines.fields(
         "trees", "k", "bootstrap_fraction", "bootstrap", "seed"
     )
-    params = ForestParams(int(trees), int(k), float(fraction), bool(int(bootstrap)), int(seed))
+    params = ForestParams(
+        int(trees), int(k), lines.number(fraction), bool(int(bootstrap)), int(seed)
+    )
     members = []
     for _ in range(params.trees):
         if lines.next() != "tree":
@@ -186,9 +234,9 @@ def _parse_logit_body(lines: _Lines, n_features: int) -> LogitModel:
         if len(parts) != 4 or parts[0] != "R":
             raise lines.error("bad regressor line")
         feature = lines.feature(parts[1], n_features)
-        regs.append(LogitRegressor(feature, float(parts[2]), float(parts[3])))
+        regs.append(LogitRegressor(feature, lines.number(parts[2]), lines.number(parts[3])))
     return LogitModel(
-        float(intercept), tuple(regs), int(iterations), int(max_iterations), int(cv_folds), n_features
+        lines.number(intercept), tuple(regs), int(iterations), int(max_iterations), int(cv_folds), n_features
     )
 
 
@@ -234,7 +282,7 @@ def load_model(path, catalog: FeatureCatalog) -> Model:
         model = parse_body(lines, len(catalog))
     except ModelFormatError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise lines.error(f"malformed model file: {exc}") from None
     if not lines.done():
         raise lines.error("trailing content after model body")

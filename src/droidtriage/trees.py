@@ -1,6 +1,6 @@
 """Decision-tree learners over binary features.
 
-Split quality is the decrease in node impurity: parent impurity minus the
+A split's quality is the decrease in node impurity: parent impurity minus the
 instance-weighted impurity of the two children, using information entropy or
 the Gini index. Because features are binary, a feature spent on a path
 carries no residual information, so it is never reconsidered below the split;
@@ -11,9 +11,14 @@ optionally be simplified by reduced-error pruning against an internal
 stratified holdout. The random tree examines only ``k`` candidate features
 per node and is never pruned.
 
-Trees grow level by level on flat arrays rather than one node per recursive
-call. At each depth the rows of every open node, of every tree being grown,
-are kept sorted by node and class; each node's candidate columns are
+A tree is five flat arrays indexed by node id (see `TreeModel`), and the
+grower, pruning, scoring and the model file all work on them. Children
+follow their parents, so a reverse pass over ids reaches every split after
+its subtrees.
+
+Trees grow level by level rather than one node per recursive call. At each
+depth the rows of every open node, of every tree being grown, are kept
+sorted by node and class; each node's candidate columns are
 gathered as bytes and its per-feature class counts come from one segmented
 sum (``np.add.reduceat``), the histogram method of gradient-boosting
 libraries. A row may carry an integer weight, so a bootstrap resample is a
@@ -26,13 +31,17 @@ the ``k`` unused features with the smallest ``derive_seed(node_key, f)``. A
 node's candidates therefore depend only on its path, not on the order in
 which nodes or trees are grown.
 
-Scoring descends all rows at once through the same flat arrays.
+Scoring descends all rows at once, one level per step. Pruning routes the
+holdout rows to their leaves the same way, counts them per leaf and class
+with one ``np.bincount``, and in one reverse pass over ids sums each split's
+counts from its children and collapses the split where a leaf does no
+worse. It then drops the nodes no longer reachable, so a tree's node count
+is always ``len(model.feature)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,11 +86,11 @@ def _entropy_from_counts(mal, tot):
     """Two-class entropy in bits, 0 log 0 = 0, from (malware count, total count)."""
     mal = np.asarray(mal, dtype=np.float64)
     tot = np.asarray(tot, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(tot > 0.0, mal / np.where(tot > 0.0, tot, 1.0), 0.0)
-        h = -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-        q = 1.0 - p
-        h -= np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
+    # The inner guards keep every division and logarithm defined.
+    p = np.where(tot > 0.0, mal / np.where(tot > 0.0, tot, 1.0), 0.0)
+    h = -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    q = 1.0 - p
+    h -= np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
     return np.where(tot > 0.0, h, 0.0)
 
 
@@ -96,86 +105,31 @@ def _gini_from_counts(mal, tot):
 _IMPURITY = {ENTROPY: _entropy_from_counts, GINI: _gini_from_counts}
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Terminal node holding the training class counts that reached it."""
-
-    n_benign: int
-    n_malware: int
-
-    @property
-    def malware_fraction(self) -> float:
-        total = self.n_benign + self.n_malware
-        return self.n_malware / total if total else 0.0
-
-
-@dataclass(frozen=True)
-class Split:
-    """Internal node: test one feature bit, descend to `low` (0) or `high` (1)."""
-
-    feature: int
-    low: "TreeNode"
-    high: "TreeNode"
-
-
-TreeNode = Union[Leaf, Split]
-
-
-def _flatten(root: TreeNode) -> tuple[np.ndarray, ...]:
-    """Scoring arrays (feature, low, high, score) of a tree, in preorder.
-
-    A leaf has feature -1, its own index as both children, and its malware
-    fraction as score; a split's score is unused.
-    """
-    feature: list[int] = []
-    low: list[int] = []
-    high: list[int] = []
-    score: list[float] = []
-    stack = [(root, -1, low)]
-    while stack:
-        node, parent, side = stack.pop()
-        i = len(feature)
-        if parent >= 0:
-            side[parent] = i
-        low.append(i)
-        high.append(i)
-        if isinstance(node, Split):
-            feature.append(node.feature)
-            score.append(0.0)
-            stack.append((node.high, i, high))
-            stack.append((node.low, i, low))
-        else:
-            feature.append(-1)
-            score.append(node.malware_fraction)
-    return (
-        np.array(feature, dtype=np.intp),
-        np.array(low, dtype=np.intp),
-        np.array(high, dtype=np.intp),
-        np.array(score, dtype=np.float64),
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeModel:
     """A trained tree plus the parameters that produced it.
 
-    ``k`` is the number of random candidate features per split; 0 means all
-    unused features were examined (the plain decision tree). ``root`` is the
-    tree; ``flat`` holds the arrays scoring descends through, derived from
-    ``root`` when not given.
+    The tree is five arrays indexed by node id. Node 0 is the root and every
+    child's id is larger than its parent's. ``feature[i]`` is the bit node i
+    tests, or -1 for a leaf, which is its own ``low`` and ``high`` child;
+    ``low[i]`` takes rows whose bit is 0, ``high[i]`` rows whose bit is 1.
+    ``n_benign[i]`` and ``n_malware[i]`` count the training rows that reached
+    node i, so a split's counts are the sums of its children's. Every node is
+    reachable from the root. ``k`` is the number of random candidate features
+    per split; 0 means all unused features were examined (the plain decision
+    tree).
     """
 
-    root: TreeNode
+    feature: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    n_benign: np.ndarray
+    n_malware: np.ndarray
     criterion: str
     pruned: bool
     k: int
     seed: int
     n_features: int
-    flat: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.flat is None:
-            object.__setattr__(self, "flat", _flatten(self.root))
 
     @property
     def kind(self) -> str:
@@ -183,20 +137,6 @@ class TreeModel:
 
     def scores(self, X) -> np.ndarray:
         return tree_scores(self, X)
-
-
-def _tree_from_arrays(feature, low, high, n_benign, n_malware) -> TreeNode:
-    """Nodes from breadth-first arrays, where children follow their parent."""
-    feature, low, high = feature.tolist(), low.tolist(), high.tolist()
-    n_benign, n_malware = n_benign.tolist(), n_malware.tolist()
-    nodes: list = [None] * len(feature)
-    for i in range(len(feature) - 1, -1, -1):
-        f = feature[i]
-        if f < 0:
-            nodes[i] = Leaf(n_benign[i], n_malware[i])
-        else:
-            nodes[i] = Split(f, nodes[low[i]], nodes[high[i]])
-    return nodes[0]
 
 
 def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
@@ -336,16 +276,10 @@ def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
 
 def _grown_models(dataset, weights, criterion, k, seeds) -> list[TreeModel]:
     grown = _grow(dataset.X, dataset.y, weights, k, seeds, _IMPURITY[criterion])
-    models = []
-    for seed, (feature, low, high, n_ben, n_mal) in zip(seeds, grown):
-        root = _tree_from_arrays(feature, low, high, n_ben, n_mal)
-        total = n_ben + n_mal
-        score = np.divide(n_mal, total, out=np.zeros(total.size), where=total > 0)
-        flat = (feature, low, high, score)
-        models.append(
-            TreeModel(root, criterion, False, k, seed, dataset.feature_count, flat)
-        )
-    return models
+    return [
+        TreeModel(*arrays, criterion, False, k, seed, dataset.feature_count)
+        for seed, arrays in zip(seeds, grown)
+    ]
 
 
 def train_decision_tree(
@@ -373,8 +307,7 @@ def train_decision_tree(
     holdout_idx = stratified_fold_indices(dataset.y, _PRUNE_FOLDS, seed)[0]
     weights[holdout_idx] = 0
     grown = _grown_models(dataset, [weights], criterion, 0, [seed])[0]
-    root, _ = _reduced_error_prune(grown.root, dataset.X, dataset.y, holdout_idx)
-    return TreeModel(root, criterion, True, 0, seed, dataset.feature_count)
+    return _reduced_error_prune(grown, dataset.X, dataset.y, holdout_idx)
 
 
 def train_random_tree(dataset: Dataset, k: int, seed: int) -> TreeModel:
@@ -412,47 +345,10 @@ def grow_random_trees(dataset: Dataset, k: int, seeds, weights=None) -> list[Tre
     return _grown_models(dataset, weights, ENTROPY, k, list(seeds))
 
 
-def _subtree_counts(node: TreeNode) -> tuple[int, int]:
-    if isinstance(node, Leaf):
-        return node.n_benign, node.n_malware
-    b0, m0 = _subtree_counts(node.low)
-    b1, m1 = _subtree_counts(node.high)
-    return b0 + b1, m0 + m1
-
-
-def _leaf_errors(n_benign: int, n_malware: int, y, idx) -> int:
-    majority_malware = n_malware > n_benign  # tie predicts benign
-    wrong = (y[idx] == 0) if majority_malware else (y[idx] == 1)
-    return int(np.sum(wrong))
-
-
-def _reduced_error_prune(node: TreeNode, X, y, idx):
-    """Return (possibly collapsed node, its error count on holdout `idx`)."""
-    if isinstance(node, Leaf):
-        return node, _leaf_errors(node.n_benign, node.n_malware, y, idx)
-    mask = X[idx, node.feature] == 1
-    low, e_low = _reduced_error_prune(node.low, X, y, idx[~mask])
-    high, e_high = _reduced_error_prune(node.high, X, y, idx[mask])
-    subtree_errors = e_low + e_high
-    n_benign, n_malware = _subtree_counts(node)
-    leaf_errors = _leaf_errors(n_benign, n_malware, y, idx)
-    if leaf_errors <= subtree_errors:
-        return Leaf(n_benign, n_malware), leaf_errors
-    return Split(node.feature, low, high), subtree_errors
-
-
-def tree_scores(model: TreeModel, X) -> np.ndarray:
-    """Leaf malware fraction for every row of `X`.
-
-    All rows descend together, one tree level per step; a row leaves the
-    active set when it reaches a leaf.
-    """
-    X = np.asarray(X)
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"matrix width {X.shape[1]} does not match model features {model.n_features}"
-        )
-    feature, low, high, score = model.flat
+def _leaf_of(model: TreeModel, X) -> np.ndarray:
+    """The leaf each row of `X` reaches. All rows descend together, one tree
+    level per step; a row leaves the active set when it reaches a leaf."""
+    feature, low, high = model.feature, model.low, model.high
     leaf = np.zeros(X.shape[0], dtype=np.intp)
     rows = np.arange(X.shape[0] if feature[0] >= 0 else 0)
     at = np.zeros(rows.size, dtype=np.intp)
@@ -461,19 +357,63 @@ def tree_scores(model: TreeModel, X) -> np.ndarray:
         done = feature[at] < 0
         leaf[rows[done]] = at[done]
         rows, at = rows[~done], at[~done]
-    return score[leaf]
+    return leaf
 
 
-def node_count(node: TreeNode) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + node_count(node.low) + node_count(node.high)
+def _reduced_error_prune(model: TreeModel, X, y, holdout) -> TreeModel:
+    """Collapse, bottom-up, every split whose node as a leaf makes no more
+    errors on the `holdout` rows than its pruned subtree does, then drop the
+    nodes no longer reachable from the root."""
+    n = model.feature.size
+    cell = 2 * _leaf_of(model, X[holdout]) + y[holdout]
+    ben, mal = np.bincount(cell, minlength=2 * n).reshape(n, 2).T.tolist()  # holdout rows per leaf
+    says_malware = (model.n_malware > model.n_benign).tolist()  # a tie predicts benign
+    feature, low, high = (a.tolist() for a in (model.feature, model.low, model.high))
+
+    # Children follow their parents, so a reverse pass over ids reaches every
+    # split after its subtrees are pruned and their holdout rows counted.
+    errors = [0] * n
+    for i in range(n - 1, -1, -1):
+        lo, hi = low[i], high[i]
+        if feature[i] < 0:
+            errors[i] = ben[i] if says_malware[i] else mal[i]
+            continue
+        ben[i], mal[i] = ben[lo] + ben[hi], mal[lo] + mal[hi]
+        as_leaf = ben[i] if says_malware[i] else mal[i]
+        subtree = errors[lo] + errors[hi]
+        if as_leaf <= subtree:
+            feature[i], low[i], high[i] = -1, i, i
+        errors[i] = min(as_leaf, subtree)
+    feature, low, high = (np.array(a, dtype=np.intp) for a in (feature, low, high))
+
+    level = np.zeros(1, dtype=np.intp)
+    keep = np.zeros(n, dtype=bool)
+    while level.size:
+        keep[level] = True
+        splits = level[feature[level] >= 0]
+        level = np.concatenate((low[splits], high[splits]))
+    new_id = np.cumsum(keep) - 1
+    return replace(
+        model,
+        feature=feature[keep],
+        low=new_id[low[keep]],
+        high=new_id[high[keep]],
+        n_benign=model.n_benign[keep],
+        n_malware=model.n_malware[keep],
+        pruned=True,
+    )
 
 
-def tree_depth(node: TreeNode) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(tree_depth(node.low), tree_depth(node.high))
+def tree_scores(model: TreeModel, X) -> np.ndarray:
+    """Malware fraction of the training rows at the leaf each row of `X`
+    reaches (0 at a leaf no training row reached)."""
+    X = np.asarray(X)
+    if X.shape[1] != model.n_features:
+        raise ValueError(
+            f"matrix width {X.shape[1]} does not match model features {model.n_features}"
+        )
+    score = model.n_malware / np.maximum(model.n_benign + model.n_malware, 1)
+    return score[_leaf_of(model, X)]
 
 
 def default_split_count(n_features: int) -> int:

@@ -27,6 +27,18 @@ def random_dataset(rng, n: int, n_features: int, catalog=None) -> Dataset:
     return make_dataset(X, y, catalog)
 
 
+def _nested(model):
+    """A tree's preorder view as nested tuples: ``("L", n_benign, n_malware)``
+    for a leaf, ``("S", feature, low, high)`` for a split."""
+
+    def node(i):
+        if model.feature[i] < 0:
+            return ("L", int(model.n_benign[i]), int(model.n_malware[i]))
+        return ("S", int(model.feature[i]), node(model.low[i]), node(model.high[i]))
+
+    return node(0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

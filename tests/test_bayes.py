@@ -34,10 +34,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="both classes"):
             train_nb(make_dataset([[1], [0]], [1, 1]))
 
-    def test_alpha_must_be_positive(self):
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_alpha_must_be_finite_and_positive(self, alpha):
         ds = make_dataset([[1], [0]], [1, 0])
         with pytest.raises(ValueError, match="alpha"):
-            train_nb(ds, alpha=0.0)
+            train_nb(ds, alpha=alpha)
 
 
 class TestPredict:

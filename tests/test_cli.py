@@ -105,6 +105,16 @@ def test_negative_seed_is_usage_error(tmp_path, small_corpus, capsys, command):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["-1", "0", "nan", "inf", "-inf"])
+def test_bad_alpha_is_usage_error(tmp_path, small_corpus, capsys, alpha):
+    out = tmp_path / "m.nb"
+    rc = main(["train", "--algo", "nb", "--data", str(small_corpus), "--alpha", alpha, "--model", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("droidtriage: error:") and "alpha" in err[0]
+    assert not out.exists()
+
+
 def test_train_predict_round(tmp_path, small_corpus):
     model = tmp_path / "m.rf"
     assert main([

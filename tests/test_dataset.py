@@ -74,6 +74,28 @@ class TestCsvRoundTrip:
         write_csv(make_dataset(np.zeros((0, 3)), [], cat), path)
         assert path.read_text() == "f00,f01,f02,class\n"
 
+    def test_zero_feature_round_trip(self, tmp_path):
+        from droidtriage.catalog import FeatureCatalog, FeatureDef, write_catalog
+        from droidtriage.cli import main
+
+        cat, path = toy_catalog(0), tmp_path / "d.csv"
+        ds = make_dataset(np.zeros((3, 0)), [0, 1, 0], cat)
+        write_csv(ds, path)
+        assert path.read_bytes() == b"class\nbenign\nmalware\nbenign\n"
+        assert read_csv(path, cat).equals(ds)
+        # extract with a feature set that selects none of the catalog's features
+        app, cat_path = tmp_path / "app", tmp_path / "api.csv"
+        app.mkdir()
+        (app / "AndroidManifest.xml").write_text("")
+        write_catalog(FeatureCatalog([FeatureDef("exec", "API", "Runtime.exec")]), cat_path)
+        assert main([
+            "extract", str(app), "--catalog", str(cat_path), "--feature-set", "pf",
+            "--label", "benign", "--out", str(path),
+        ]) == 0
+        assert path.read_bytes() == b"class\nbenign\n"
+        X, y = read_vectors(path, cat)
+        assert X.shape == (1, 0) and y.tolist() == [0]
+
     def test_row_count_matches_file_lines(self, tmp_path, rng):
         cat = toy_catalog(4)
         n = 137

@@ -18,9 +18,9 @@ from droidtriage.ensemble import (
     train_simple_logistic,
     training_log_likelihood,
 )
-from droidtriage.trees import Leaf, TreeModel, train_random_tree, tree_scores
+from droidtriage.trees import TreeModel, train_random_tree, tree_scores
 
-from conftest import make_dataset, random_dataset
+from conftest import _nested, make_dataset, random_dataset
 
 
 class TestDeriveSeed:
@@ -52,7 +52,7 @@ class TestForest:
         ds = random_dataset(rng, 250, 9)
         forest = train_forest(ds, ForestParams(trees=1, k=3, bootstrap=False, seed=11))
         lone = train_random_tree(ds, 3, derive_seed(11, 0))
-        assert forest.trees[0].root == lone.root
+        assert _nested(forest.trees[0]) == _nested(lone)
         votes = forest_scores(forest, ds.X)
         assert np.array_equal(votes, (tree_scores(lone, ds.X) > 0.5).astype(float))
 
@@ -61,7 +61,7 @@ class TestForest:
         params = ForestParams(trees=6, k=3, seed=5)
         models = [train_forest(ds, params, workers=w) for w in (1, 2, 8)]
         for other in models[1:]:
-            assert all(a.root == b.root for a, b in zip(models[0].trees, other.trees))
+            assert all(_nested(a) == _nested(b) for a, b in zip(models[0].trees, other.trees))
 
     def test_bootstrap_weights_equal_resampled_copies(self, rng):
         ds = random_dataset(rng, 300, 12)
@@ -71,7 +71,7 @@ class TestForest:
             tree_seed = derive_seed(9, i)
             draw = np.random.default_rng(derive_seed(tree_seed, 1)).integers(0, len(ds), size=size)
             copy = train_random_tree(ds.subset(draw), 8, tree_seed)
-            assert member.root == copy.root
+            assert _nested(member) == _nested(copy)
             assert member.seed == tree_seed
 
     def test_trees_do_not_depend_on_their_batch(self, rng):
@@ -79,14 +79,14 @@ class TestForest:
         three = train_forest(ds, ForestParams(trees=3, k=3, seed=4))
         six = train_forest(ds, ForestParams(trees=6, k=3, seed=4))
         six_threaded = train_forest(ds, ForestParams(trees=6, k=3, seed=4), workers=4)
-        assert [t.root for t in six.trees[:3]] == [t.root for t in three.trees]
-        assert [t.root for t in six_threaded.trees] == [t.root for t in six.trees]
+        assert [_nested(t) for t in six.trees[:3]] == [_nested(t) for t in three.trees]
+        assert [_nested(t) for t in six_threaded.trees] == [_nested(t) for t in six.trees]
 
     def test_bootstrap_fraction_changes_sample(self, rng):
         ds = random_dataset(rng, 100, 5)
         full = train_forest(ds, ForestParams(trees=3, k=2, seed=1))
         half = train_forest(ds, ForestParams(trees=3, k=2, bootstrap_fraction=0.5, seed=1))
-        assert any(a.root != b.root for a, b in zip(full.trees, half.trees))
+        assert any(_nested(a) != _nested(b) for a, b in zip(full.trees, half.trees))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -103,7 +103,9 @@ class TestForest:
 
     def test_vote_scores_and_tie(self):
         def constant_tree(mal: int) -> TreeModel:
-            return TreeModel(Leaf(1 - mal, mal), "entropy", False, 1, 0, 2)
+            feature, child = np.array([-1]), np.array([0])
+            counts = np.array([1 - mal]), np.array([mal])
+            return TreeModel(feature, child, child, *counts, "entropy", False, 1, 0, 2)
 
         two = ForestModel((constant_tree(1), constant_tree(0)), ForestParams(2, 1))
         label, score = predict(two, [0, 1])

@@ -126,6 +126,12 @@ def test_saved_bytes_pinned(tmp_path, algo, digest):
 _TREE_HEAD = ["criterion entropy", "pruned 0", "k 0", "seed 0"]
 _SL_HEAD = ["intercept 0.0", "iterations_used 1", "max_iterations 5", "cv_folds 2"]
 
+def _nb_body(alpha="1.0", prior="0.5", theta_benign="0.5 0.5 0.5 0.5", theta_malware="0.5 0.5 0.5 0.5"):
+    return [
+        f"alpha {alpha}", f"prior {prior}", f"theta_benign {theta_benign}", f"theta_malware {theta_malware}"
+    ]
+
+
 # Hostile model files for a 4-feature catalog: (kind, body, expected error).
 CRAFTED = {
     "truncated-deep-chain": ("dt", _TREE_HEAD + ["n_features 4"] + ["S 0"] * 5000, "end of file"),
@@ -137,6 +143,14 @@ CRAFTED = {
     "theta-length": (
         "nb", ["alpha 1.0", "prior 0.5", "theta_benign 0.5 0.5", "theta_malware 0.5 0.5"], "has 2 features"
     ),
+    "leaf-count-overflow": ("dt", _TREE_HEAD + ["n_features 4", "L 99999999999999999999 0"], "malformed"),
+    "nb-alpha-nan": ("nb", _nb_body(alpha="nan"), "non-finite number 'nan'"),
+    "nb-prior-inf": ("nb", _nb_body(prior="inf"), "non-finite number 'inf'"),
+    "nb-theta-benign-nan": ("nb", _nb_body(theta_benign="0.5 nan 0.5 0.5"), "non-finite"),
+    "nb-theta-malware-inf": ("nb", _nb_body(theta_malware="0.5 0.5 0.5 -inf"), "non-finite"),
+    "sl-intercept-nan": ("sl", ["intercept nan"] + _SL_HEAD[1:] + ["n_features 4", "R 0 -1.0 1.0"], "non-finite"),
+    "sl-regressor-inf": ("sl", _SL_HEAD + ["n_features 4", "R 0 -1.0 inf"], "non-finite"),
+    "sl-regressor-nan": ("sl", _SL_HEAD + ["n_features 4", "R 0 NaN 1.0"], "non-finite"),
 }
 
 

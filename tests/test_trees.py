@@ -9,19 +9,15 @@ from droidtriage.trees import (
     _IMPURITY,
     ENTROPY,
     GINI,
-    Leaf,
-    Split,
     TreeModel,
     default_split_count,
     derive_seed,
-    node_count,
     train_decision_tree,
     train_random_tree,
-    tree_depth,
     tree_scores,
 )
 
-from conftest import make_dataset, random_dataset
+from conftest import _nested, make_dataset, random_dataset
 
 
 def entropy(n_malware, total) -> float:
@@ -63,14 +59,29 @@ XOR_X = [[0, 0], [0, 1], [1, 0], [1, 1]]
 XOR_Y = [0, 1, 1, 0]
 
 
+def _tree(feature, low, high, n_benign, n_malware, n_features) -> TreeModel:
+    """A decision tree built from literal node arrays."""
+    ids = [np.array(a, dtype=np.intp) for a in (feature, low, high)]
+    counts = [np.array(a, dtype=np.int64) for a in (n_benign, n_malware)]
+    return TreeModel(*ids, *counts, "entropy", False, 0, 0, n_features)
+
+
 def _xor_tree() -> TreeModel:
     """The hand-built depth-2 tree that classifies XOR perfectly."""
-    root = Split(
-        0,
-        Split(1, Leaf(1, 0), Leaf(0, 1)),
-        Split(1, Leaf(0, 1), Leaf(1, 0)),
+    return _tree(
+        feature=[0, 1, 1, -1, -1, -1, -1],
+        low=[1, 3, 5, 3, 4, 5, 6],
+        high=[2, 4, 6, 3, 4, 5, 6],
+        n_benign=[2, 1, 1, 1, 0, 0, 1],
+        n_malware=[2, 1, 1, 0, 1, 1, 0],
+        n_features=2,
     )
-    return TreeModel(root, "entropy", False, 0, 0, 2)
+
+
+def _depth(node) -> int:
+    if node[0] == "L":
+        return 0
+    return 1 + max(_depth(node[2]), _depth(node[3]))
 
 
 def _training_accuracy(model: TreeModel, X, y) -> float:
@@ -81,22 +92,23 @@ class TestDecisionTree:
     def test_single_class_is_pure_leaf(self):
         ds = make_dataset([[0, 1], [1, 0], [1, 1]], [1, 1, 1])
         model = train_decision_tree(ds)
-        assert isinstance(model.root, Leaf)
-        assert tree_depth(model.root) == 0
+        assert _nested(model)[0] == "L"
+        assert _depth(_nested(model)) == 0
 
     def test_perfect_separator_gives_single_split(self):
         ds = make_dataset([[0, 1], [0, 0], [1, 1], [1, 0]], [0, 0, 1, 1])
         model = train_decision_tree(ds)
-        assert isinstance(model.root, Split)
-        assert model.root.feature == 0
-        assert isinstance(model.root.low, Leaf) and isinstance(model.root.high, Leaf)
+        kind, feature, low, high = _nested(model)
+        assert kind == "S"
+        assert feature == 0
+        assert low[0] == "L" and high[0] == "L"
         assert _training_accuracy(model, ds.X, ds.y) == 1.0
 
     def test_exact_xor_stops_at_root(self):
         # Both features have exactly zero gain at the root, so the greedy
         # learner stops; learning XOR needs a lookahead no greedy split has.
         model = train_decision_tree(make_dataset(XOR_X, XOR_Y))
-        assert isinstance(model.root, Leaf)
+        assert _nested(model)[0] == "L"
         assert _training_accuracy(model, XOR_X, XOR_Y) == 0.5
 
     def test_criterion_validation(self):
@@ -114,26 +126,31 @@ class TestDecisionTree:
         model = train_decision_tree(ds)
 
         def check(node, used):
-            if isinstance(node, Leaf):
+            if node[0] == "L":
                 return
-            assert node.feature not in used
-            check(node.low, used | {node.feature})
-            check(node.high, used | {node.feature})
+            _, feature, low, high = node
+            assert feature not in used
+            check(low, used | {feature})
+            check(high, used | {feature})
 
-        check(model.root, set())
-        assert tree_depth(model.root) <= 6
+        check(_nested(model), set())
+        assert _depth(_nested(model)) <= 6
 
     def test_child_counts_sum_to_parent(self, rng):
         ds = random_dataset(rng, 150, 5)
         model = train_decision_tree(ds)
 
         def counts(node):
-            if isinstance(node, Leaf):
-                return node.n_benign + node.n_malware
-            low, high = counts(node.low), counts(node.high)
+            if node[0] == "L":
+                return node[1] + node[2]
+            low, high = counts(node[2]), counts(node[3])
             return low + high
 
-        assert counts(model.root) == len(ds)
+        assert counts(_nested(model)) == len(ds)
+        assert model.n_benign[0] + model.n_malware[0] == len(ds)
+        splits = model.feature >= 0
+        for n in (model.n_benign, model.n_malware):
+            assert np.array_equal(n[splits], n[model.low[splits]] + n[model.high[splits]])
 
     def test_gini_criterion_trains(self, rng):
         ds = random_dataset(rng, 100, 4)
@@ -184,7 +201,7 @@ class TestPredict:
         assert label is Label.MALWARE and score == 1.0
 
     def test_tie_leaf_predicts_benign(self):
-        model = TreeModel(Leaf(5, 5), "entropy", False, 0, 0, 3)
+        model = _tree([-1], [0], [0], [5], [5], n_features=3)
         label, score = predict(model, [0, 1, 0])
         assert label is Label.BENIGN and score == 0.5
 
@@ -199,20 +216,20 @@ class TestRandomTree:
         ds = random_dataset(rng, 300, 10)
         a = train_random_tree(ds, 3, seed=5)
         b = train_random_tree(ds, 3, seed=5)
-        assert a.root == b.root
+        assert _nested(a) == _nested(b)
 
     def test_different_seeds_differ(self, rng):
         ds = random_dataset(rng, 300, 10)
         a = train_random_tree(ds, 2, seed=0)
         b = train_random_tree(ds, 2, seed=1)
-        assert a.root != b.root  # 2-of-10 sampling makes collisions implausible
+        assert _nested(a) != _nested(b)  # 2-of-10 sampling makes collisions implausible
 
     def test_k_equal_feature_count_matches_decision_tree(self, rng):
         for trial in range(5):
             ds = random_dataset(rng, 120, 6)
             rt = train_random_tree(ds, 6, seed=trial)
             dt = train_decision_tree(ds)
-            assert rt.root == dt.root
+            assert _nested(rt) == _nested(dt)
 
     def test_k_bounds(self, rng):
         ds = random_dataset(rng, 20, 4)
@@ -274,7 +291,7 @@ class TestPruning:
         unpruned = train_decision_tree(ds, prune=False)
         pruned = train_decision_tree(ds, prune=True, seed=1)
         assert pruned.pruned
-        assert node_count(pruned.root) <= node_count(unpruned.root)
+        assert pruned.feature.size <= unpruned.feature.size
 
     def test_pruning_helps_on_its_holdout(self):
         from droidtriage.dataset import stratified_fold_indices
@@ -283,8 +300,7 @@ class TestPruning:
         seed = 1
         holdout = stratified_fold_indices(ds.y, 5, seed)[0]
         grow_idx = np.setdiff1d(np.arange(len(ds)), holdout)
-        raw = train_decision_tree(ds.subset(grow_idx), "entropy").root
-        raw_model = TreeModel(raw, "entropy", False, 0, seed, ds.feature_count)
+        raw_model = train_decision_tree(ds.subset(grow_idx), "entropy")
         pruned = train_decision_tree(ds, prune=True, seed=seed)
         X_hold, y_hold = ds.X[holdout], ds.y[holdout]
         assert _training_accuracy(pruned, X_hold, y_hold) >= _training_accuracy(
@@ -295,16 +311,17 @@ class TestPruning:
         ds = self._overfit_dataset()
         a = train_decision_tree(ds, prune=True, seed=3)
         b = train_decision_tree(ds, prune=True, seed=3)
-        assert a.root == b.root
+        assert _nested(a) == _nested(b)
 
 
 class TestSplitGains:
     def _walk_gains(self, node, X, y, idx):
         from droidtriage.trees import _entropy_from_counts
 
-        if isinstance(node, Leaf):
+        if node[0] == "L":
             return
-        bits = X[idx, node.feature]
+        _, feature, low_node, high_node = node
+        bits = X[idx, feature]
         idx0, idx1 = idx[bits == 0], idx[bits == 1]
         n, n0, n1 = len(idx), len(idx0), len(idx1)
         parent = float(_entropy_from_counts(y[idx].sum(), n))
@@ -313,14 +330,14 @@ class TestSplitGains:
         gain = parent - (n0 * low + n1 * high) / n
         assert gain > 0.0
         assert n0 + n1 == n and n0 > 0 and n1 > 0
-        self._walk_gains(node.low, X, y, idx0)
-        self._walk_gains(node.high, X, y, idx1)
+        self._walk_gains(low_node, X, y, idx0)
+        self._walk_gains(high_node, X, y, idx1)
 
     def test_every_chosen_split_has_positive_gain(self, rng):
         for _ in range(10):
             ds = random_dataset(rng, 120, 7)
             model = train_decision_tree(ds)
-            self._walk_gains(model.root, ds.X, ds.y.astype(int), np.arange(len(ds)))
+            self._walk_gains(_nested(model), ds.X, ds.y.astype(int), np.arange(len(ds)))
 
 
 def _reference_grow(X, y, idx, unused, key, k, impurity):
@@ -333,7 +350,7 @@ def _reference_grow(X, y, idx, unused, key, k, impurity):
     """
     n = idx.size
     n_mal = int(y[idx].sum())
-    leaf = Leaf(n - n_mal, n_mal)
+    leaf = ("L", n - n_mal, n_mal)
     if n < 2 or n_mal == 0 or n_mal == n:
         return leaf
     candidates = np.flatnonzero(unused)
@@ -366,7 +383,7 @@ def _reference_grow(X, y, idx, unused, key, k, impurity):
     low = _reference_grow(X, y, idx[~mask], unused, low_key, k, impurity)
     high = _reference_grow(X, y, idx[mask], unused, high_key, k, impurity)
     unused[feature] = True
-    return Split(feature, low, high)
+    return ("S", feature, low, high)
 
 
 def _reference_tree(ds, criterion="entropy", k=0, key=None, rows=None):
@@ -377,9 +394,41 @@ def _reference_tree(ds, criterion="entropy", k=0, key=None, rows=None):
     return _reference_grow(X, y, idx, unused, key, k, _IMPURITY[criterion])
 
 
+def _subtree_counts(node) -> tuple[int, int]:
+    if node[0] == "L":
+        return node[1], node[2]
+    b0, m0 = _subtree_counts(node[2])
+    b1, m1 = _subtree_counts(node[3])
+    return b0 + b1, m0 + m1
+
+
+def _leaf_errors(n_benign: int, n_malware: int, y, idx) -> int:
+    majority_malware = n_malware > n_benign  # tie predicts benign
+    wrong = (y[idx] == 0) if majority_malware else (y[idx] == 1)
+    return int(np.sum(wrong))
+
+
+def _reduced_error_prune(node, X, y, idx):
+    """The recursive pruner the array one replaced, kept as an oracle.
+
+    Returns (possibly collapsed node, its error count on holdout `idx`).
+    """
+    if node[0] == "L":
+        return node, _leaf_errors(node[1], node[2], y, idx)
+    _, feature, low, high = node
+    mask = X[idx, feature] == 1
+    low, e_low = _reduced_error_prune(low, X, y, idx[~mask])
+    high, e_high = _reduced_error_prune(high, X, y, idx[mask])
+    subtree_errors = e_low + e_high
+    n_benign, n_malware = _subtree_counts(node)
+    leaf_errors = _leaf_errors(n_benign, n_malware, y, idx)
+    if leaf_errors <= subtree_errors:
+        return ("L", n_benign, n_malware), leaf_errors
+    return ("S", feature, low, high), subtree_errors
+
+
 def _reference_pruned(ds, criterion, seed):
     from droidtriage.dataset import stratified_fold_indices
-    from droidtriage.trees import _reduced_error_prune
 
     holdout = stratified_fold_indices(ds.y, 5, seed)[0]
     grow_idx = np.setdiff1d(np.arange(len(ds)), holdout)
@@ -402,48 +451,49 @@ class TestLevelwiseGrowthOracle:
     def test_decision_tree_random_datasets(self, rng, criterion):
         for _ in range(25):
             ds = random_dataset(rng, int(rng.integers(2, 300)), int(rng.integers(1, 12)))
-            assert train_decision_tree(ds, criterion).root == _reference_tree(ds, criterion)
+            assert _nested(train_decision_tree(ds, criterion)) == _reference_tree(ds, criterion)
 
     @pytest.mark.parametrize("criterion", ["entropy", "gini"])
     def test_pruned_decision_tree_random_datasets(self, rng, criterion):
         for seed in range(10):
             ds = random_dataset(rng, int(rng.integers(20, 300)), int(rng.integers(1, 10)))
             model = train_decision_tree(ds, criterion, prune=True, seed=seed)
-            assert model.root == _reference_pruned(ds, criterion, seed)
+            assert _nested(model) == _reference_pruned(ds, criterion, seed)
 
     def test_random_tree_follows_node_keys(self, rng):
         for seed in range(10):
             ds = random_dataset(rng, int(rng.integers(2, 300)), int(rng.integers(2, 12)))
             k = int(rng.integers(1, ds.feature_count + 1))
             model = train_random_tree(ds, k, seed)
-            assert model.root == _reference_tree(ds, k=k, key=seed)
+            assert _nested(model) == _reference_tree(ds, k=k, key=seed)
 
     @pytest.mark.parametrize("criterion", ["entropy", "gini"])
     def test_reference_corpus(self, reference_corpus, criterion):
         ds = reference_corpus
-        assert train_decision_tree(ds, criterion).root == _reference_tree(ds, criterion)
+        assert _nested(train_decision_tree(ds, criterion)) == _reference_tree(ds, criterion)
         pruned = train_decision_tree(ds, criterion, prune=True, seed=4)
-        assert pruned.root == _reference_pruned(ds, criterion, 4)
+        assert _nested(pruned) == _reference_pruned(ds, criterion, 4)
 
     def test_reference_corpus_random_tree(self, reference_corpus):
         key = 2**63 + 5
         model = train_random_tree(reference_corpus, 8, key)
-        assert model.root == _reference_tree(reference_corpus, k=8, key=key)
+        assert _nested(model) == _reference_tree(reference_corpus, k=8, key=key)
 
 
 def _walk(root, bits) -> float:
     node = root
-    while isinstance(node, Split):
-        node = node.high if bits[node.feature] else node.low
-    return node.malware_fraction
+    while node[0] == "S":
+        node = node[3] if bits[node[1]] else node[2]
+    _, n_benign, n_malware = node
+    return n_malware / (n_benign + n_malware) if n_benign + n_malware else 0.0
 
 
 class TestVectorizedDescent:
-    """`tree_scores` equals a per-row walk of `root`."""
+    """`tree_scores` equals a per-row walk of the nested view."""
 
     def _check(self, model, X):
         X = np.asarray(X)
-        expected = np.array([_walk(model.root, row) for row in X])
+        expected = np.array([_walk(_nested(model), row) for row in X])
         assert np.array_equal(tree_scores(model, X), expected)
         for row, score in zip(X[:20], expected):
             assert predict(model, row)[1] == score
@@ -470,8 +520,43 @@ class TestVectorizedDescent:
         path = tmp_path / "tree.rt"
         save_model(model, path, ds.catalog)
         loaded = load_model(path, ds.catalog)
-        assert loaded.root == model.root
+        assert _nested(loaded) == _nested(model)
         self._check(loaded, ds.X)
 
     def test_empty_matrix(self):
         assert tree_scores(_xor_tree(), np.zeros((0, 2))).shape == (0,)
+
+
+def _node_count(node) -> int:
+    return 1 if node[0] == "L" else 1 + _node_count(node[2]) + _node_count(node[3])
+
+
+class TestTreeArrays:
+    """Every node is reachable, ids grow from parent to child, and a model
+    file keeps the tree."""
+
+    @pytest.mark.parametrize("kind", ["dt", "pruned-dt", "rt", "rf-member"])
+    def test_reachable_and_round_trip(self, rng, tmp_path, kind):
+        from droidtriage.ensemble import ForestParams, train_forest
+        from droidtriage.modelio import load_model, save_model
+
+        ds = random_dataset(rng, 400, 9)
+        model = {
+            "dt": lambda: train_decision_tree(ds),
+            "pruned-dt": lambda: train_decision_tree(ds, prune=True, seed=2),
+            "rt": lambda: train_random_tree(ds, 3, seed=4),
+            "rf-member": lambda: train_forest(ds, ForestParams(trees=3, k=3, seed=6)).trees[1],
+        }[kind]()
+        path = tmp_path / "tree.model"
+        save_model(model, path, ds.catalog)
+        loaded = load_model(path, ds.catalog)
+        assert _nested(loaded) == _nested(model)
+        for tree in (model, loaded):
+            ids = np.arange(tree.feature.size)
+            splits = tree.feature >= 0
+            assert _node_count(_nested(tree)) == tree.feature.size
+            assert np.all(tree.low[splits] > ids[splits]) and np.all(tree.high[splits] > ids[splits])
+            assert np.array_equal(tree.low[~splits], ids[~splits])
+            assert np.array_equal(tree.high[~splits], ids[~splits])
+            for n in (tree.n_benign, tree.n_malware):
+                assert np.array_equal(n[splits], n[tree.low[splits]] + n[tree.high[splits]])
