@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .algo import KINDS, AlgoDescriptor, model_scores, train_model
 from .calibration import reference_spec
@@ -237,7 +240,10 @@ def _resolve_algo(args, kind: str) -> AlgoDescriptor:
 def _cmd_train(args) -> int:
     catalog, dataset = _load_projected(args)
     algo = _resolve_algo(args, args.algo)
-    model = train_model(algo, dataset)
+    try:
+        model = train_model(algo, dataset)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     save_model(model, args.model, catalog)
     print(args.model)
     return 0
@@ -251,12 +257,10 @@ def _cmd_predict(args) -> int:
         X = X[:, [catalog.index_of(n) for n in sub.names]]
         catalog = sub
     model = load_model(args.model, catalog)
-    scores = model_scores(model, X)
-    rows = ["row,label,score"]
-    for i, s in enumerate(scores, start=1):
-        label = "malware" if s > 0.5 else "benign"
-        rows.append(f"{i},{label},{float(s)!r}")
-    Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    values, which = np.unique(model_scores(model, X), return_inverse=True)
+    cells = [f",{'malware' if s > 0.5 else 'benign'},{float(s)!r}\n" for s in values]
+    rows = map(str.__add__, map(str, range(1, len(which) + 1)), [cells[j] for j in which.tolist()])
+    Path(args.out).write_text("row,label,score\n" + "".join(rows), encoding="utf-8", newline="\n")
     print(args.out)
     return 0
 
@@ -344,15 +348,17 @@ def roc_svg(curve: RocCurve, size: int = 480, margin: int = 56) -> str:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"droidtriage: error: {exc}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as exc:
-        print(f"droidtriage: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"droidtriage: warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+            return args.func(args)
+        except _UsageError as exc:
+            print(f"droidtriage: error: {exc}", file=sys.stderr)
+            return 1
+        except _DATA_ERRORS as exc:
+            print(f"droidtriage: error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -160,7 +160,7 @@ def read_vectors(path, catalog: FeatureCatalog) -> tuple[np.ndarray, np.ndarray 
     header = line(0).split(",")
     names = list(catalog.names)
     labeled = header == names + ["class"]
-    if not labeled and header != names:
+    if not labeled and header != (names or [""]):  # no columns: an empty header
         have = len(header)
         want = len(names) + 1
         if header and header[-1] != "class" and have in (want, want - 1):
@@ -176,7 +176,7 @@ def read_vectors(path, catalog: FeatureCatalog) -> tuple[np.ndarray, np.ndarray 
     # (with no comma when F is 0); it is exactly what the writer makes of
     # the bits read from it.
     W = max(2 * F - 1, 0)
-    tails = _ROW_ENDS[labeled][:, int(F == 0) : len(",malware")]
+    tails = _ROW_ENDS[labeled][:, int(labeled and F == 0) : len(",malware")]
     L = W + tails.shape[1]
     lengths = ends[1:] - starts[1:]
     y = (lengths == L).astype(np.uint8)

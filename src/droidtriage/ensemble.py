@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, bootstrap_sample_size, stratified_fold_indices
-from .trees import TreeModel, derive_seed, grow_random_trees, tree_scores
+from .trees import TreeModel, _descend, _pack_rows, derive_seed, grow_random_trees
 
 # Fixed constants of the boosting procedure.
 Z_MAX = 3.0
@@ -115,11 +115,11 @@ def train_forest(dataset: Dataset, params: ForestParams, workers: int = 1) -> Fo
 
 
 def forest_scores(model: ForestModel, X) -> np.ndarray:
-    """Malware vote fraction for every row of `X`; a tree with a tied leaf votes benign."""
-    votes = np.zeros(np.asarray(X).shape[0], dtype=np.float64)
-    for tree in model.trees:
-        votes += tree_scores(tree, X) > 0.5
-    return votes / len(model.trees)
+    """Malware vote fraction for every row of `X`; a tree with a tied leaf votes benign.
+    `X` is packed once, and each tree's descent marks the rows it votes malware."""
+    packed = _pack_rows(X, model.n_features)
+    votes = [_descend(t, packed, t.n_malware > t.n_benign, len(X)) for t in model.trees]
+    return np.concatenate(votes).sum(axis=0) / len(model.trees)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,10 @@ the ``k`` unused features with the smallest ``derive_seed(node_key, f)``. A
 node's candidates therefore depend only on its path, not on the order in
 which nodes or trees are grown.
 
-Scoring descends all rows at once, one level per step. Pruning routes the
+Scoring descends sets of rows, 64 to a word (bitvector traversal, as in
+QuickScorer): a split's high child gets ``rows & column``, its low child
+``rows ^ high``, and a leaf ORs its rows into one plane per set bit of a
+per-node value (its id, or a forest member's vote). Pruning routes the
 holdout rows to their leaves the same way, counts them per leaf and class
 with one ``np.bincount``, and in one reverse pass over ids sums each split's
 counts from its children and collapses the split where a leaf does no
@@ -58,6 +61,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BYTE_BITS = (1 << np.arange(8)).astype(np.uint8)  # row r of 8 is bit r of a byte
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -345,19 +349,44 @@ def grow_random_trees(dataset: Dataset, k: int, seeds, weights=None) -> list[Tre
     return _grown_models(dataset, weights, ENTROPY, k, list(seeds))
 
 
+def _pack_rows(X, n_features: int) -> np.ndarray:
+    """Row sets of `X`, ``ceil(n / 64)`` uint64 words each: set f holds the
+    rows whose bit f is nonzero, and the last set holds every row. Bit j of
+    word w stands for row 64 w + j; the padding bits past row n are 0."""
+    X = np.asarray(X)
+    if X.shape[1] != n_features:
+        raise ValueError(f"matrix width {X.shape[1]} does not match model features {n_features}")
+    n = X.shape[0]
+    bits = np.zeros((-(-n // 64) * 64, n_features + 1), dtype=np.uint8)
+    np.not_equal(X, 0, out=bits[:n, :n_features].view(bool))
+    bits[:n, n_features] = 1
+    packed = np.einsum("rbf,b->fr", bits.reshape(-1, 8, n_features + 1), _BYTE_BITS, dtype=np.uint8)
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
+def _descend(model: TreeModel, packed: np.ndarray, value: np.ndarray, n: int) -> np.ndarray:
+    """Bits of the per-node integer `value` of the leaf each of the `n` rows
+    of `packed` reaches, one row of 0/1 bytes per bit: each level's leaves OR
+    their rows into the plane of each set bit of their value."""
+    bit = np.arange(int(value.max()).bit_length())
+    planes = np.zeros((bit.size, packed.shape[1]), dtype=np.uint64)
+    level, sets = np.zeros(1, dtype=np.intp), packed[-1:]
+    while level.size:
+        split = model.feature[level] >= 0
+        leaf_sets, has = sets[~split], (value[level[~split]] >> bit[:, None]) & 1
+        for b in bit:
+            planes[b] |= np.bitwise_or.reduce(leaf_sets[has[b] == 1], axis=0)
+        level, sets = level[split], sets[split]
+        high_sets = sets & packed[model.feature[level]]
+        sets = np.concatenate((sets ^ high_sets, high_sets))
+        level = np.concatenate((model.low[level], model.high[level]))
+    return np.unpackbits(planes.view(np.uint8), axis=1, count=n, bitorder="little")
+
+
 def _leaf_of(model: TreeModel, X) -> np.ndarray:
-    """The leaf each row of `X` reaches. All rows descend together, one tree
-    level per step; a row leaves the active set when it reaches a leaf."""
-    feature, low, high = model.feature, model.low, model.high
-    leaf = np.zeros(X.shape[0], dtype=np.intp)
-    rows = np.arange(X.shape[0] if feature[0] >= 0 else 0)
-    at = np.zeros(rows.size, dtype=np.intp)
-    while rows.size:
-        at = np.where(X[rows, feature[at]] != 0, high[at], low[at])
-        done = feature[at] < 0
-        leaf[rows[done]] = at[done]
-        rows, at = rows[~done], at[~done]
-    return leaf
+    """The leaf each row of `X` reaches."""
+    bits = _descend(model, _pack_rows(X, model.n_features), np.arange(model.feature.size), len(X))
+    return np.dot(1 << np.arange(len(bits)), bits)
 
 
 def _reduced_error_prune(model: TreeModel, X, y, holdout) -> TreeModel:
@@ -407,11 +436,6 @@ def _reduced_error_prune(model: TreeModel, X, y, holdout) -> TreeModel:
 def tree_scores(model: TreeModel, X) -> np.ndarray:
     """Malware fraction of the training rows at the leaf each row of `X`
     reaches (0 at a leaf no training row reached)."""
-    X = np.asarray(X)
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"matrix width {X.shape[1]} does not match model features {model.n_features}"
-        )
     score = model.n_malware / np.maximum(model.n_benign + model.n_malware, 1)
     return score[_leaf_of(model, X)]
 

@@ -39,6 +39,15 @@ def _nested(model):
     return node(0)
 
 
+def _walk(root, bits) -> float:
+    """One row's score by a walk down the nested view: the descent's oracle."""
+    node = root
+    while node[0] == "S":
+        node = node[3] if bits[node[1]] else node[2]
+    _, n_benign, n_malware = node
+    return n_malware / (n_benign + n_malware) if n_benign + n_malware else 0.0
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

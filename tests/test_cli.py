@@ -262,3 +262,68 @@ def test_rank_single_class_exits_2(tmp_path, capsys):
     assert main(["rank", "--data", str(one_class)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "each class" in err[0]
+
+
+@pytest.fixture(scope="module")
+def benign_only(small_corpus, tmp_path_factory):
+    """The benign rows of the small corpus."""
+    from droidtriage.dataset import write_csv
+
+    ds = read_csv(small_corpus, default_catalog())
+    path = tmp_path_factory.mktemp("benign") / "benign.csv"
+    write_csv(ds.subset(ds.y == 0), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "algo, extra, data",
+    [
+        ("rf", ["--k", "100000"], "corpus"),
+        ("rt", ["--k", "100000"], "corpus"),
+        ("sl", [], "benign"),
+        ("nb", [], "benign"),
+    ],
+)
+def test_train_rejected_data_is_usage_error(tmp_path, small_corpus, benign_only, capsys, algo, extra, data):
+    model = tmp_path / "m.model"
+    path = small_corpus if data == "corpus" else benign_only
+    rc = main(["train", "--algo", algo, *extra, "--data", str(path), "--model", str(model)])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("droidtriage: error:")
+    assert captured.out == "" and not model.exists()
+
+
+def test_missing_manifest_warns_on_one_line(tmp_path, capsys):
+    app = tmp_path / "app"
+    app.mkdir()
+    (app / "payload.smali").write_text("invoke createSubprocess")
+    out = tmp_path / "vec.csv"
+    assert main(["extract", str(app), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    manifest = app / "AndroidManifest.xml"
+    assert captured.err == f"droidtriage: warning: {manifest} missing; permission bits left at 0\n"
+    assert captured.out == f"{out}\n"
+
+
+@pytest.mark.parametrize("algo", ["nb", "rf"])
+def test_predict_rows_render_each_score(tmp_path, small_corpus, algo):
+    """Each row is its number, the label (malware only above 0.5) and the
+    score's repr, in input order; a file with no rows gives the header only."""
+    from droidtriage.algo import model_scores
+    from droidtriage.modelio import load_model
+
+    cat = default_catalog()
+    model, out = tmp_path / "m.model", tmp_path / "p.csv"
+    assert main(["train", "--algo", algo, "--data", str(small_corpus), "--model", str(model)]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(small_corpus), "--out", str(out)]) == 0
+    scores = model_scores(load_model(model, cat), read_csv(small_corpus, cat).X)
+    rows = [f"{i},{'malware' if s > 0.5 else 'benign'},{float(s)!r}\n" for i, s in enumerate(scores, 1)]
+    assert out.read_text() == "row,label,score\n" + "".join(rows)
+    if algo == "rf":  # votes repeat: one rendering serves many rows
+        assert len(set(scores.tolist())) < len(scores)
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(cat.names) + "\n")
+    assert main(["predict", "--model", str(model), "--data", str(empty), "--out", str(out)]) == 0
+    assert out.read_bytes() == b"row,label,score\n"

@@ -96,6 +96,28 @@ class TestCsvRoundTrip:
         X, y = read_vectors(path, cat)
         assert X.shape == (1, 0) and y.tolist() == [0]
 
+    def test_unlabeled_zero_feature_round_trip(self, tmp_path):
+        from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet, select_feature_set, write_catalog
+        from droidtriage.cli import main
+
+        path = tmp_path / "v.csv"
+        write_vector_csv(toy_catalog(0), np.zeros(0, dtype=np.uint8), path)
+        assert path.read_bytes() == b"\n\n"
+        X, y = read_vectors(path, toy_catalog(0))
+        assert X.shape == (1, 0) and y is None
+        # extract without --label, with a feature set that selects nothing
+        app, cat_path = tmp_path / "app", tmp_path / "api.csv"
+        app.mkdir()
+        (app / "AndroidManifest.xml").write_text("")
+        catalog = FeatureCatalog([FeatureDef("exec", "API", "Runtime.exec")])
+        write_catalog(catalog, cat_path)
+        assert main([
+            "extract", str(app), "--catalog", str(cat_path), "--feature-set", "pf", "--out", str(path),
+        ]) == 0
+        assert path.read_bytes() == b"\n\n"
+        X, y = read_vectors(path, select_feature_set(catalog, FeatureSet("pf")))
+        assert X.shape == (1, 0) and y is None
+
     def test_row_count_matches_file_lines(self, tmp_path, rng):
         cat = toy_catalog(4)
         n = 137
@@ -141,7 +163,8 @@ class TestCsvRoundTrip:
 def _line_reader(path, catalog):
     """The line-at-a-time reader the byte-level `read_vectors` replaced, kept
     as its oracle: same arrays, same errors, except that it fails with
-    UnicodeDecodeError on a file that is not UTF-8."""
+    UnicodeDecodeError on a file that is not UTF-8. With no features and no
+    labels, an empty line has no cells, as the writer makes it."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -150,7 +173,7 @@ def _line_reader(path, catalog):
         raise DatasetError(f"{path}: empty file")
     header = lines[0].split(",")
     names = list(catalog.names)
-    if header == names:
+    if header == (names or [""]):
         labeled = False
     elif header == names + ["class"]:
         labeled = True
@@ -170,7 +193,7 @@ def _line_reader(path, catalog):
     text_label = {"benign": 0, "malware": 1}
     ok_cells = {"0", "1"}
     for row, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
+        cells = line.split(",") if line or F or labeled else []
         if len(cells) != F + (1 if labeled else 0):
             raise DatasetError(
                 f"{path}: row {row}: expected {F + (1 if labeled else 0)} cells, got {len(cells)}"
@@ -260,7 +283,10 @@ class TestReaderParity:
 
     def test_no_feature_catalog(self, tmp_path):
         path = tmp_path / "d.csv"
-        for data in (b"class\nbenign\nmalware\n", b"class\n,benign\n", b"\nbenign\n"):
+        for data in (
+            b"class\nbenign\nmalware\n", b"class\n,benign\n", b"\nbenign\n",
+            b"\n", b"\n\n", b"\n\n\n", b"\r\n\r\n", b"\n,\n", b"\n0\n",
+        ):
             path.write_bytes(data)
             _assert_parity(path, toy_catalog(0))
 

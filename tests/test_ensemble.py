@@ -20,7 +20,7 @@ from droidtriage.ensemble import (
 )
 from droidtriage.trees import TreeModel, train_random_tree, tree_scores
 
-from conftest import _nested, make_dataset, random_dataset
+from conftest import _nested, _walk, make_dataset, random_dataset
 
 
 class TestDeriveSeed:
@@ -138,6 +138,49 @@ class TestForest:
         )
         forest_acc = float(np.mean((forest_scores(model, ds.X) > 0.5) == truth))
         assert forest_acc >= tree_accs[len(tree_accs) // 2]
+
+
+def _walked_votes(model: ForestModel, X) -> np.ndarray:
+    """Vote fraction from a walk of every tree's nested view for every row."""
+    votes = [sum(_walk(_nested(t), row) > 0.5 for t in model.trees) for row in X]
+    return np.array(votes, dtype=np.float64) / len(model.trees)
+
+
+class TestForestDescent:
+    """`forest_scores` packs the rows once and equals the per-row walk."""
+
+    @pytest.fixture(scope="class")
+    def forest(self):
+        ds = random_dataset(np.random.default_rng(8), 300, 8)
+        return train_forest(ds, ForestParams(trees=7, k=3, seed=5))
+
+    @pytest.mark.parametrize("n", (0, 1, 63, 64, 65, 129))
+    def test_row_counts_across_word_boundaries(self, forest, rng, n):
+        X = rng.integers(0, 2, size=(n, 8), dtype=np.uint8)
+        assert np.array_equal(forest_scores(forest, X), _walked_votes(forest, X))
+
+    def test_nonzero_means_set(self, forest, rng):
+        X = rng.integers(0, 3, size=(129, 8))
+        expected = _walked_votes(forest, X)
+        assert np.array_equal(forest_scores(forest, X), expected)
+        assert np.array_equal(forest_scores(forest, X.astype(bool)), expected)
+
+    def test_width_mismatch_raises(self, forest):
+        with pytest.raises(ValueError, match="width 9 does not match model features 8"):
+            forest_scores(forest, np.zeros((5, 9), dtype=np.uint8))
+
+    def test_leaf_roots_and_benign_votes(self):
+        def leaf(n_benign, n_malware):
+            ids = [np.zeros(1, dtype=np.intp)] * 2
+            counts = [np.array([n], dtype=np.int64) for n in (n_benign, n_malware)]
+            return TreeModel(np.array([-1]), *ids, *counts, "entropy", False, 1, 0, 3)
+
+        X = np.ones((65, 3), dtype=np.uint8)
+        params = ForestParams(trees=3, k=1)
+        benign = ForestModel((leaf(2, 2), leaf(3, 1), leaf(0, 0)), params)
+        assert np.array_equal(forest_scores(benign, X), np.zeros(65))
+        mixed = ForestModel((leaf(2, 2), leaf(1, 3), leaf(0, 1)), params)
+        assert np.array_equal(forest_scores(mixed, X), np.full(65, 2 / 3))
 
 
 class TestLogitboostResponse:

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droidtriage.algo import predict
 from droidtriage.dataset import Label
@@ -17,7 +19,7 @@ from droidtriage.trees import (
     tree_scores,
 )
 
-from conftest import _nested, make_dataset, random_dataset
+from conftest import _nested, _walk, make_dataset, random_dataset
 
 
 def entropy(n_malware, total) -> float:
@@ -54,6 +56,9 @@ class TestImpurity:
             assert entropy(mal, total) == pytest.approx(entropy(total - mal, total), abs=1e-12)
             assert gini(mal, total) == pytest.approx(gini(total - mal, total), abs=1e-12)
 
+
+# Row counts around the 64-row words the descent works on.
+ROW_COUNTS = (0, 1, 63, 64, 65, 129)
 
 XOR_X = [[0, 0], [0, 1], [1, 0], [1, 1]]
 XOR_Y = [0, 1, 1, 0]
@@ -480,14 +485,6 @@ class TestLevelwiseGrowthOracle:
         assert _nested(model) == _reference_tree(reference_corpus, k=8, key=key)
 
 
-def _walk(root, bits) -> float:
-    node = root
-    while node[0] == "S":
-        node = node[3] if bits[node[1]] else node[2]
-    _, n_benign, n_malware = node
-    return n_malware / (n_benign + n_malware) if n_benign + n_malware else 0.0
-
-
 class TestVectorizedDescent:
     """`tree_scores` equals a per-row walk of the nested view."""
 
@@ -525,6 +522,91 @@ class TestVectorizedDescent:
 
     def test_empty_matrix(self):
         assert tree_scores(_xor_tree(), np.zeros((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_row_counts_across_word_boundaries(self, rng, n):
+        ds = random_dataset(rng, 300, 8)
+        X = (rng.random((n, 8)) < 0.5).astype(np.uint8)
+        self._check(train_decision_tree(ds), X)
+        self._check(train_random_tree(ds, 2, seed=n), X)
+
+    def test_root_is_a_leaf(self):
+        model = _tree([-1], [0], [0], [2], [3], n_features=2)
+        for n in ROW_COUNTS:
+            self._check(model, np.ones((n, 2), dtype=np.uint8))
+
+    def test_nonzero_means_set(self, rng):
+        model = train_decision_tree(random_dataset(rng, 300, 6))
+        X = rng.integers(0, 3, size=(129, 6))
+        self._check(model, X)
+        self._check(model, X.astype(bool))
+        assert np.array_equal(tree_scores(model, X), tree_scores(model, (X != 0).astype(np.uint8)))
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(ValueError, match="width 3 does not match model features 2"):
+            tree_scores(_xor_tree(), np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("h", ROW_COUNTS)
+    def test_pruning_holdout_across_word_boundaries(self, rng, h):
+        from droidtriage.trees import _reduced_error_prune as prune
+
+        ds = random_dataset(rng, 400, 8)
+        grown = train_decision_tree(ds)
+        holdout = rng.choice(len(ds), size=h, replace=False)
+        pruned = prune(grown, ds.X, ds.y, holdout)
+        X = ds.X.astype(np.float64)
+        assert _nested(pruned) == _reduced_error_prune(_nested(grown), X, ds.y, holdout)[0]
+
+
+def _from_nested(root, n_features) -> TreeModel:
+    """The arrays of a nested view, numbered in preorder."""
+    feature, low, high, n_benign, n_malware = ([] for _ in range(5))
+
+    def add(node) -> int:
+        i = len(feature)
+        for a in (feature, low, high, n_benign, n_malware):
+            a.append(i)
+        if node[0] == "L":
+            feature[i], n_benign[i], n_malware[i] = -1, node[1], node[2]
+        else:
+            feature[i], low[i], high[i] = node[1], add(node[2]), add(node[3])
+            n_benign[i] = n_benign[low[i]] + n_benign[high[i]]
+            n_malware[i] = n_malware[low[i]] + n_malware[high[i]]
+        return i
+
+    add(root)
+    return _tree(feature, low, high, n_benign, n_malware, n_features)
+
+
+@st.composite
+def _trees_and_matrix(draw):
+    """Random trees (features may repeat on a path, as a model file allows)
+    and a random matrix of 0, 1 and 2 cells in one of three dtypes."""
+    n_features = draw(st.integers(1, 6))
+    leaf = st.tuples(st.just("L"), st.integers(0, 4), st.integers(0, 4))
+    nested = st.recursive(
+        leaf,
+        lambda kids: st.tuples(st.just("S"), st.integers(0, n_features - 1), kids, kids),
+        max_leaves=60,
+    )
+    trees = [_from_nested(root, n_features) for root in draw(st.lists(nested, min_size=1, max_size=4))]
+    n = draw(st.integers(0, 200))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.uint8, np.int64, bool]))
+    return trees, gen.integers(0, 3, size=(n, n_features)).astype(dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees_and_matrix())
+def test_descent_matches_walk(case):
+    from droidtriage.ensemble import ForestModel, ForestParams, forest_scores
+
+    trees, X = case
+    walked = np.array([[_walk(_nested(t), row) for row in X] for t in trees]).reshape(len(trees), -1)
+    for tree, expected in zip(trees, walked):
+        assert np.array_equal(tree_scores(tree, X), expected)
+    forest = ForestModel(tuple(trees), ForestParams(trees=len(trees), k=1))
+    assert np.array_equal(forest_scores(forest, X), (walked > 0.5).sum(axis=0) / len(trees))
 
 
 def _node_count(node) -> int:
