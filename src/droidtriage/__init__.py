@@ -40,7 +40,6 @@ from .dataset import (
 )
 from .ensemble import (
     ForestModel,
-    ForestParams,
     LogitModel,
     derive_seed,
     logitboost_response,

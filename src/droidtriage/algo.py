@@ -43,49 +43,40 @@ class AlgoDescriptor:
     cv_folds: int = 5            # sl
 
     def __post_init__(self):
+        """Every field is checked whatever the kind, so any descriptor is
+        safe to hand to any trainer; the trainers check only the data."""
         if self.kind not in KINDS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
-        if self.kind == "nb" and not (math.isfinite(self.alpha) and self.alpha > 0.0):
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("smoothing alpha must be finite and positive")
-        if self.kind == "dt" and self.criterion not in trees.CRITERIA:
+        if self.criterion not in trees.CRITERIA:
             raise ValueError(f"criterion must be one of {trees.CRITERIA}")
-        if self.kind in ("rt", "rf") and self.k is not None and self.k < 1:
+        if self.k is not None and self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.kind == "rf":
-            if self.trees < 1:
-                raise ValueError("forest needs at least one tree")
-            if not 0.0 < self.bootstrap_fraction <= 1.0:
-                raise ValueError("bootstrap fraction must lie in (0, 1]")
-        if self.kind == "sl":
-            if self.max_iter < 1:
-                raise ValueError("max_iter must be at least 1")
-            if self.cv_folds < 2:
-                raise ValueError("cv_folds must be at least 2")
+        if self.trees < 1:
+            raise ValueError("forest needs at least one tree")
+        if not 0.0 < self.bootstrap_fraction <= 1.0:
+            raise ValueError("bootstrap fraction must lie in (0, 1]")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+        if self.cv_folds < 2:
+            raise ValueError("cv_folds must be at least 2")
 
     def split_count(self, n_features: int) -> int:
         return self.k if self.k is not None else trees.default_split_count(n_features)
 
 
-def train_model(algo: AlgoDescriptor, dataset: Dataset, workers: int = 1) -> Model:
+def train_model(algo: AlgoDescriptor, dataset: Dataset) -> Model:
     """Train the classifier `algo` describes on `dataset`."""
-    if algo.kind == "nb":
-        return bayes.train_nb(dataset, algo.alpha)
-    if algo.kind == "dt":
-        return trees.train_decision_tree(dataset, algo.criterion, algo.prune, algo.seed)
-    if algo.kind == "rt":
-        return trees.train_random_tree(dataset, algo.split_count(dataset.feature_count), algo.seed)
-    if algo.kind == "rf":
-        params = ensemble.ForestParams(
-            trees=algo.trees,
-            k=algo.split_count(dataset.feature_count),
-            bootstrap_fraction=algo.bootstrap_fraction,
-            bootstrap=algo.bootstrap,
-            seed=algo.seed,
-        )
-        return ensemble.train_forest(dataset, params, workers=workers)
-    if algo.kind == "sl":
-        return ensemble.train_simple_logistic(dataset, algo.max_iter, algo.cv_folds, algo.seed)
-    raise ValueError(f"unknown algorithm kind {algo.kind!r}")
+    # Looked up on every call, so a trainer replaced on its module is the one called.
+    trainers = {
+        "nb": bayes.train_nb,
+        "dt": trees.train_decision_tree,
+        "rt": trees.train_random_tree,
+        "rf": ensemble.train_forest,
+        "sl": ensemble.train_simple_logistic,
+    }
+    return trainers[algo.kind](dataset, algo)
 
 
 def model_scores(model: Model, X) -> np.ndarray:

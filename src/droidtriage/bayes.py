@@ -7,12 +7,15 @@ evaluated in log space so 179-feature products cannot underflow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import Dataset
+
+if TYPE_CHECKING:
+    from .algo import AlgoDescriptor
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,21 +49,17 @@ class NbModel:
         return nb_scores(self, X)
 
 
-def train_nb(dataset: Dataset, alpha: float = 1.0) -> NbModel:
+def train_nb(dataset: Dataset, algo: AlgoDescriptor) -> NbModel:
     """Fit conditionals theta = (count(bit=1, class) + alpha) / (n_class + 2 alpha).
 
     The prior is the malware fraction of the training set. Requires both
-    classes present and finite, positive smoothing.
+    classes present.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"smoothing alpha must be finite and positive, got {alpha}")
-    n_ben, n_mal = dataset.class_counts()
+    counts, (pos_ben, pos_mal) = dataset.class_feature_counts()
+    n_ben, n_mal = counts.tolist()
     if n_ben == 0 or n_mal == 0:
         raise ValueError("training requires both classes present")
-    X = dataset.X.astype(np.float64)
-    mal_mask = dataset.y == 1
-    pos_mal = X[mal_mask].sum(axis=0)
-    pos_ben = X[~mal_mask].sum(axis=0)
+    alpha = algo.alpha
     return NbModel(
         prior_malware=n_mal / (n_ben + n_mal),
         theta_benign=(pos_ben + alpha) / (n_ben + 2.0 * alpha),

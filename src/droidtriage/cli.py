@@ -25,7 +25,6 @@ from .catalog import (
     select_feature_set,
 )
 from .dataset import (
-    Dataset,
     DatasetError,
     Label,
     load_spec,
@@ -64,19 +63,15 @@ def _base_catalog(args) -> FeatureCatalog:
     return default_catalog() if args.catalog is None else load_catalog(args.catalog)
 
 
-def _load_projected(args) -> tuple[FeatureCatalog, Dataset]:
-    """Read `--data` against the full catalog, then apply `--feature-set`.
+def _read_data(args, labeled: bool = True):
+    """The columns `--feature-set` selects (all without it) and `--data` read
+    with them: a dataset, or the bits and labels when `labeled` is False.
 
-    The file header must match the catalog exactly; projection happens on the
-    loaded dataset, and the returned catalog describes the projected columns.
+    The file's header may name those columns or the full catalog's.
     """
     catalog = _base_catalog(args)
-    dataset = read_csv(args.data, catalog)
-    fs = getattr(args, "feature_set", None)
-    if fs:
-        sub = select_feature_set(catalog, FeatureSet(fs))
-        return sub, dataset.select_features(sub.names)
-    return catalog, dataset
+    columns = select_feature_set(catalog, FeatureSet(args.feature_set)) if args.feature_set else catalog
+    return columns, (read_csv if labeled else read_vectors)(args.data, catalog, columns)
 
 
 def _algo_from_args(args, kind: str) -> AlgoDescriptor:
@@ -212,7 +207,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    _, dataset = _load_projected(args)
+    _, dataset = _read_data(args)
     ranking = rank_features(dataset)
     if args.top is not None:
         if not 1 <= args.top <= len(ranking):
@@ -238,7 +233,7 @@ def _resolve_algo(args, kind: str) -> AlgoDescriptor:
 
 
 def _cmd_train(args) -> int:
-    catalog, dataset = _load_projected(args)
+    catalog, dataset = _read_data(args)
     algo = _resolve_algo(args, args.algo)
     try:
         model = train_model(algo, dataset)
@@ -250,12 +245,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    catalog = _base_catalog(args)
-    X, _ = read_vectors(args.data, catalog)
-    if args.feature_set:
-        sub = select_feature_set(catalog, FeatureSet(args.feature_set))
-        X = X[:, [catalog.index_of(n) for n in sub.names]]
-        catalog = sub
+    catalog, (X, _) = _read_data(args, labeled=False)
     model = load_model(args.model, catalog)
     values, which = np.unique(model_scores(model, X), return_inverse=True)
     cells = [f",{'malware' if s > 0.5 else 'benign'},{float(s)!r}\n" for s in values]
@@ -266,7 +256,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
-    _, dataset = _load_projected(args)
+    _, dataset = _read_data(args)
     algo = _resolve_algo(args, args.algo)
     try:
         cv = cross_validate(dataset, algo, args.folds, args.seed)
@@ -301,7 +291,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    catalog, dataset = _load_projected(args)
+    catalog, dataset = _read_data(args)
     model = load_model(args.model, catalog)
     curve = roc_auc(model_scores(model, dataset.X), dataset.y)
     write_roc(curve, args.out)

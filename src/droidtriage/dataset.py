@@ -98,6 +98,13 @@ class Dataset:
         n_mal = int(self.y.sum())
         return len(self) - n_mal, n_mal
 
+    def class_feature_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Instances per class, shape (2,), and 1-bits per class and feature,
+        shape (2, F), both int64; row 0 is benign, row 1 malware."""
+        ones = self.X.sum(axis=0, dtype=np.int64)
+        ones_mal = self.X.sum(axis=0, dtype=np.int64, where=self.y.astype(bool)[:, None])
+        return np.bincount(self.y, minlength=2).astype(np.int64), np.stack((ones - ones_mal, ones_mal))
+
     def subset(self, indices) -> "Dataset":
         """New dataset containing the rows `indices`, in that order."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -117,28 +124,32 @@ class Dataset:
         )
 
 
-def read_csv(path, catalog: FeatureCatalog) -> Dataset:
+def read_csv(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None) -> Dataset:
     """Read a labeled dataset CSV whose header matches `catalog` exactly.
 
     The format is a UTF-8 header ``name1,...,nameF,class``, then ASCII rows
     of ``0``/``1`` cells and a lowercase ``benign``/``malware`` label, with
     LF, CRLF or lone-CR line ends. Errors name the offending data row and
     column; a file that is not UTF-8 is a :class:`DatasetError` too, so the
-    command line exits 2.
+    command line exits 2. `columns` is as in :func:`read_vectors`.
     """
-    X, y = read_vectors(path, catalog)
+    X, y = read_vectors(path, catalog, columns)
     if y is None:
         raise DatasetError(f"{path}: label column absent")
-    return Dataset(catalog, X, y)
+    return Dataset(catalog if columns is None else columns, X, y)
 
 
-def read_vectors(path, catalog: FeatureCatalog) -> tuple[np.ndarray, np.ndarray | None]:
+def read_vectors(
+    path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Read a dataset CSV, tolerating a missing ``class`` column.
 
     Returns the bit matrix and the label array, or ``None`` for the labels
     when the file carries no ``class`` column (e.g. scanner output). Only the
     header is decoded, as UTF-8; rows are checked as ASCII bytes, and only
-    the first bad row is decoded, to name the fault.
+    the first bad row is decoded, to name the fault. With `columns`, a
+    sub-catalog of `catalog`, the header may name `columns`' features or
+    `catalog`'s, and the matrix holds `columns`' features either way.
     """
     data = Path(path).read_bytes()
     if b"\r" in data:  # universal newlines, as text mode reads them
@@ -158,6 +169,8 @@ def read_vectors(path, catalog: FeatureCatalog) -> tuple[np.ndarray, np.ndarray 
             raise DatasetError(f"{path}: {f'row {k}' if k else 'header'}: not valid UTF-8") from None
 
     header = line(0).split(",")
+    if columns is not None and header in (list(columns.names) or [""], [*columns.names, "class"]):
+        catalog, columns = columns, None
     names = list(catalog.names)
     labeled = header == names + ["class"]
     if not labeled and header != (names or [""]):  # no columns: an empty header
@@ -206,6 +219,8 @@ def read_vectors(path, catalog: FeatureCatalog) -> tuple[np.ndarray, np.ndarray 
         raise DatasetError(
             f"{path}: row {row}, column {names[col]!r}: cell must be 0 or 1, got {cells[col]!r}"
         )
+    if columns is not None:
+        X = X[:, [catalog.index_of(name) for name in columns.names]]
     return X, y if labeled else None
 
 

@@ -4,7 +4,7 @@ The forest trains T random trees, each on its own bootstrap resample, and
 aggregates hard majority votes. A resample is kept as a count per row, not a
 copy of the data, and the trees grow together, one depth level at a time.
 Every tree derives its own seed from the master seed with a fixed 64-bit
-mixing function, so the model is a pure function of (dataset, params) no
+mixing function, so the model is a pure function of (dataset, descriptor) no
 matter how many workers train in parallel.
 
 Simple logistic is stagewise additive logistic regression: each boosting
@@ -19,12 +19,16 @@ cross-validated log-likelihood and the model is then refit on all data.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import Dataset, bootstrap_sample_size, stratified_fold_indices
 from .trees import TreeModel, _descend, _pack_rows, derive_seed, grow_random_trees
+
+if TYPE_CHECKING:
+    from .algo import AlgoDescriptor
 
 # Fixed constants of the boosting procedure.
 Z_MAX = 3.0
@@ -33,35 +37,11 @@ _P_CLIP = 1e-15
 
 
 @dataclass(frozen=True)
-class ForestParams:
-    """Forest training knobs.
-
-    ``bootstrap_fraction`` scales the resample size (ceil of fraction * N,
-    drawn with replacement). Setting ``bootstrap`` to False disables
-    resampling entirely and every tree sees the full training set.
-    """
-
-    trees: int
-    k: int
-    bootstrap_fraction: float = 1.0
-    bootstrap: bool = True
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.trees < 1:
-            raise ValueError("forest needs at least one tree")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if not 0.0 < self.bootstrap_fraction <= 1.0:
-            raise ValueError("bootstrap fraction must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
 class ForestModel:
     kind = "rf"
 
     trees: tuple[TreeModel, ...]
-    params: ForestParams
+    params: AlgoDescriptor  # the rf descriptor it was trained with, k resolved
 
     @property
     def n_features(self) -> int:
@@ -71,32 +51,29 @@ class ForestModel:
         return forest_scores(self, X)
 
 
-def _bootstrap_weights(n: int, params: ForestParams, tree_seed: int) -> np.ndarray:
+def _bootstrap_weights(n: int, params: AlgoDescriptor, tree_seed: int) -> np.ndarray:
     """How often each of `n` rows enters the tree's bootstrap resample."""
     size = bootstrap_sample_size(n, params.bootstrap_fraction)
     rng = np.random.default_rng(derive_seed(tree_seed, 1))
     return np.bincount(rng.integers(0, n, size=size), minlength=n)
 
 
-def train_forest(dataset: Dataset, params: ForestParams, workers: int = 1) -> ForestModel:
-    """Train a bagged forest of random trees.
+def train_forest(dataset: Dataset, algo: AlgoDescriptor, workers: int = 1) -> ForestModel:
+    """Train a bagged forest of ``algo.trees`` random trees, each examining
+    ``k = algo.split_count(F)`` candidates per split.
 
-    Tree i has seed ``derive_seed(params.seed, i)``: it is the root key of
+    Tree i has seed ``derive_seed(algo.seed, i)``: it is the root key of
     the tree's per-node candidate keys (see `trees.train_random_tree`), and
-    ``derive_seed(tree_seed, 1)`` seeds its bootstrap draw. The draw becomes
-    a count per row, so tree i equals ``train_random_tree`` on the resampled
-    copy without the copy being made. All trees of a batch grow in one loop
-    over depth levels; `workers` threads each grow a contiguous batch, and
-    results are identical for any `workers` count. With one tree and
-    bootstrap off, the forest is exactly ``train_random_tree(dataset, k,
-    derive_seed(seed, 0))``.
+    ``derive_seed(tree_seed, 1)`` seeds its bootstrap draw of
+    ``algo.bootstrap_fraction`` of the rows; with ``algo.bootstrap`` off,
+    every tree sees the full set. The draw becomes a count per row, so tree
+    i equals ``train_random_tree`` on the resampled copy without the copy
+    being made. All trees of a batch grow in one loop over depth levels;
+    `workers` threads each grow a contiguous batch, and results are
+    identical for any `workers` count. With one tree and bootstrap off, the
+    forest is exactly `train_random_tree` with seed ``derive_seed(seed, 0)``.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if params.k > dataset.feature_count:
-        raise ValueError(
-            f"k={params.k} exceeds feature count {dataset.feature_count}"
-        )
+    params = replace(algo, k=algo.split_count(dataset.feature_count))
     seeds = [derive_seed(params.seed, i) for i in range(params.trees)]
     if params.bootstrap:
         weights = [_bootstrap_weights(len(dataset), params, s) for s in seeds]
@@ -124,24 +101,23 @@ def forest_scores(model: ForestModel, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WorkingResponse:
-    """One instance's Newton-step regression target and weight."""
+    """Newton-step regression targets and weights, one per instance (or a
+    scalar pair for one instance)."""
 
-    z: float
-    w: float
+    z: float | np.ndarray
+    w: float | np.ndarray
 
 
-def logitboost_response(y: int, p: float, z_max: float = Z_MAX) -> WorkingResponse:
-    """Working response for an instance with label `y` under probability `p`.
+def logitboost_response(y, p, z_max: float = Z_MAX) -> WorkingResponse:
+    """Working responses for labels `y` under probabilities `p` (scalars or arrays).
 
     z = (y - p) / (p (1 - p)) clamped to [-z_max, z_max]; w = p (1 - p)
     floored at a small positive constant so weighted fits stay defined.
     """
-    if not 0.0 < p < 1.0:
+    if not np.all(np.greater(p, 0.0) & np.less(p, 1.0)):
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
     w = p * (1.0 - p)
-    z = (y - p) / w
-    z = max(-z_max, min(z_max, z))
-    return WorkingResponse(z, max(w, WEIGHT_FLOOR))
+    return WorkingResponse(np.clip((y - p) / w, -z_max, z_max), np.maximum(w, WEIGHT_FLOOR))
 
 
 @dataclass(frozen=True)
@@ -166,12 +142,6 @@ class LogitModel:
 
     def scores(self, X) -> np.ndarray:
         return logit_scores(self, X)
-
-
-def _working_response(y, p):
-    w = p * (1.0 - p)
-    z = np.clip((y - p) / w, -Z_MAX, Z_MAX)
-    return z, np.maximum(w, WEIGHT_FLOOR)
 
 
 def _best_regressor(X, z, w) -> LogitRegressor:
@@ -225,8 +195,8 @@ def _boost(X, y, iterations: int, X_eval=None, y_eval=None):
         lls.append(log_likelihood(_sigmoid2(F_eval), y_eval))
     for _ in range(iterations):
         p = np.clip(_sigmoid2(F), _P_CLIP, 1.0 - _P_CLIP)
-        z, w = _working_response(y, p)
-        reg = _best_regressor(X, z, w)
+        response = logitboost_response(y, p)
+        reg = _best_regressor(X, response.z, response.w)
         regressors.append(reg)
         F = F + 0.5 * _apply_regressor(reg, X)
         if track:
@@ -235,28 +205,24 @@ def _boost(X, y, iterations: int, X_eval=None, y_eval=None):
     return regressors, lls
 
 
-def train_simple_logistic(
-    dataset: Dataset, max_iter: int = 30, cv_folds: int = 5, seed: int = 0
-) -> LogitModel:
+def train_simple_logistic(dataset: Dataset, algo: AlgoDescriptor) -> LogitModel:
     """Boosted additive logistic regression with CV-chosen iteration count.
 
-    For each of `cv_folds` stratified folds, boosting runs on the complement
-    for `max_iter` iterations while tracking the held-out log-likelihood; the
-    iteration count with the best mean held-out log-likelihood wins (ties go
-    to the smaller count, and zero iterations, the constant p = 0.5 model, is
-    a permitted winner). The model is then refit on all data for that count.
+    For each of ``algo.cv_folds`` stratified folds (drawn with ``algo.seed``),
+    boosting runs on the complement for ``algo.max_iter`` iterations while
+    tracking the held-out log-likelihood; the iteration count with the best
+    mean held-out log-likelihood wins (ties go to the smaller count, and zero
+    iterations, the constant p = 0.5 model, is a permitted winner). The model
+    is then refit on all data for that count.
     """
     n_ben, n_mal = dataset.class_counts()
     if n_ben == 0 or n_mal == 0:
         raise ValueError("training requires both classes present")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    if cv_folds < 2:
-        raise ValueError("cv_folds must be at least 2")
+    max_iter, cv_folds = algo.max_iter, algo.cv_folds
 
     X = dataset.X.astype(np.float64)
     y = dataset.y.astype(np.float64)
-    folds = stratified_fold_indices(dataset.y, cv_folds, seed)
+    folds = stratified_fold_indices(dataset.y, cv_folds, algo.seed)
     everything = np.arange(len(dataset))
     ll_sum = np.zeros(max_iter + 1)
     for test_idx in folds:

@@ -23,10 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .algo import Model
+from .algo import AlgoDescriptor, Model
 from .bayes import NbModel
 from .catalog import FeatureCatalog, read_lines
-from .ensemble import ForestModel, ForestParams, LogitModel, LogitRegressor
+from .ensemble import ForestModel, LogitModel, LogitRegressor
 from .trees import TreeModel
 
 _MAGIC = "droidtriage-model"
@@ -200,8 +200,9 @@ def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
     trees, k, fraction, bootstrap, seed = lines.fields(
         "trees", "k", "bootstrap_fraction", "bootstrap", "seed"
     )
-    params = ForestParams(
-        int(trees), int(k), lines.number(fraction), bool(int(bootstrap)), int(seed)
+    params = AlgoDescriptor(
+        "rf", seed=int(seed), k=int(k), trees=int(trees),
+        bootstrap_fraction=lines.number(fraction), bootstrap=bool(int(bootstrap)),
     )
     members = []
     for _ in range(params.trees):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .dataset import Dataset, DatasetError
 
 
@@ -75,19 +73,13 @@ def rank_features(dataset: Dataset) -> list[RankedFeature]:
     Ties break by ascending feature name so that rankings are fully
     deterministic. Requires at least one instance of each class.
     """
-    n_ben, n_mal = dataset.class_counts()
+    counts, ones = dataset.class_feature_counts()
+    n_ben, n_mal = counts.tolist()
     if n_ben == 0 or n_mal == 0:
         raise DatasetError("ranking requires at least one instance of each class")
-    pos = dataset.X.sum(axis=0, dtype=np.int64)
-    pos_mal = dataset.X.sum(axis=0, dtype=np.int64, where=dataset.y.astype(bool)[:, None])
     ranked = [
-        RankedFeature(
-            name,
-            mutual_information(
-                FeatureClassCounts(int(pos[f] - pos_mal[f]), int(pos_mal[f]), n_ben, n_mal)
-            ),
-        )
-        for f, name in enumerate(dataset.catalog.names)
+        RankedFeature(name, mutual_information(FeatureClassCounts(pos_ben, pos_mal, n_ben, n_mal)))
+        for name, pos_ben, pos_mal in zip(dataset.catalog.names, *ones.tolist())
     ]
     ranked.sort(key=lambda r: (-r.score, r.name))
     return ranked

@@ -45,10 +45,14 @@ is always ``len(model.feature)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dataset import Dataset, stratified_fold_indices
+
+if TYPE_CHECKING:
+    from .algo import AlgoDescriptor
 
 ENTROPY = "entropy"
 GINI = "gini"
@@ -286,46 +290,44 @@ def _grown_models(dataset, weights, criterion, k, seeds) -> list[TreeModel]:
     ]
 
 
-def train_decision_tree(
-    dataset: Dataset, criterion: str = ENTROPY, prune: bool = False, seed: int = 0
-) -> TreeModel:
-    """Greedy decision tree over all features.
+def train_decision_tree(dataset: Dataset, algo: AlgoDescriptor) -> TreeModel:
+    """Greedy decision tree over all features, by ``algo.criterion``.
 
     Splitting stops when a node is pure, has fewer than two instances, has no
     unused features left, or when the best impurity decrease is not positive.
     Ties between equally good features resolve to the lowest feature index.
 
-    With ``prune`` set, the tree is grown on a stratified 80% of the data and
-    simplified by reduced-error pruning against the held-out 20%: bottom-up,
-    a subtree collapses to a leaf whenever the leaf makes no more mistakes on
-    the holdout than the subtree did.
+    With ``algo.prune`` set, the tree is grown on a stratified 80% of the
+    data (folds drawn with ``algo.seed``) and simplified by reduced-error
+    pruning against the held-out 20%: bottom-up, a subtree collapses to a
+    leaf whenever the leaf makes no more mistakes on the holdout than the
+    subtree did.
     """
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     weights = np.ones(len(dataset), dtype=np.int64)
-    if not prune:
-        return _grown_models(dataset, [weights], criterion, 0, [seed])[0]
+    if not algo.prune:
+        return _grown_models(dataset, [weights], algo.criterion, 0, [algo.seed])[0]
 
-    holdout_idx = stratified_fold_indices(dataset.y, _PRUNE_FOLDS, seed)[0]
+    holdout_idx = stratified_fold_indices(dataset.y, _PRUNE_FOLDS, algo.seed)[0]
     weights[holdout_idx] = 0
-    grown = _grown_models(dataset, [weights], criterion, 0, [seed])[0]
+    grown = _grown_models(dataset, [weights], algo.criterion, 0, [algo.seed])[0]
     return _reduced_error_prune(grown, dataset.X, dataset.y, holdout_idx)
 
 
-def train_random_tree(dataset: Dataset, k: int, seed: int) -> TreeModel:
-    """Entropy tree examining only `k` candidate features per split.
+def train_random_tree(dataset: Dataset, algo: AlgoDescriptor) -> TreeModel:
+    """Entropy tree examining only ``k = algo.split_count(F)`` candidate
+    features per split.
 
     Each node examines the `k` features unused on its path with the smallest
-    ``derive_seed(node_key, feature)``, where the root's key is `seed` and a
-    child's key is ``derive_seed(parent_key, 0)`` on the low side and
+    ``derive_seed(node_key, feature)``, where the root's key is ``algo.seed``
+    and a child's key is ``derive_seed(parent_key, 0)`` on the low side and
     ``derive_seed(parent_key, 1)`` on the high side; when no more than `k`
     features remain, it examines all of them. The tree is never pruned. With
     ``k`` equal to the feature count every node examines every unused
     feature, so the structure coincides with the unpruned decision tree.
     """
-    return grow_random_trees(dataset, k, [seed])[0]
+    return grow_random_trees(dataset, algo.split_count(dataset.feature_count), [algo.seed])[0]
 
 
 def grow_random_trees(dataset: Dataset, k: int, seeds, weights=None) -> list[TreeModel]:
@@ -333,15 +335,13 @@ def grow_random_trees(dataset: Dataset, k: int, seeds, weights=None) -> list[Tre
 
     ``weights[i]``, when given, counts how often each row of `dataset` enters
     tree i: a bootstrap resample without copying the data. Tree i equals
-    ``train_random_tree(dataset.subset(rows), k, seeds[i])`` where `rows`
-    repeats every row its weight's number of times.
+    ``train_random_tree`` on ``dataset.subset(rows)`` with ``k`` and
+    ``seeds[i]``, where `rows` repeats every row its weight's number of times.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     if not 1 <= k <= dataset.feature_count:
-        raise ValueError(
-            f"k must lie in [1, {dataset.feature_count}], got {k}"
-        )
+        raise ValueError(f"k={k} must lie in [1, {dataset.feature_count}]")
     if any(seed < 0 for seed in seeds):
         raise ValueError("seed must be non-negative")
     if weights is None:

@@ -29,7 +29,6 @@ from droidtriage.calibration import (
 from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet, load_catalog, write_catalog
 from droidtriage.dataset import Dataset, SyntheticSpec, read_csv, synthesize, write_csv
 from droidtriage.ensemble import (
-    ForestParams,
     LogitModel,
     derive_seed,
     forest_scores,
@@ -155,13 +154,13 @@ def full_size_corpus():
 def test_criterion_05_forest_oracles(full_size_corpus, tmp_path):
     with criterion(5, "forest seed-derivation and worker-count determinism", 30.0):
         ds = full_size_corpus
-        single = train_forest(ds, ForestParams(trees=1, k=8, bootstrap=False, seed=17))
-        lone = train_random_tree(ds, 8, derive_seed(17, 0))
+        single = train_forest(ds, AlgoDescriptor("rf", trees=1, k=8, bootstrap=False, seed=17))
+        lone = train_random_tree(ds, AlgoDescriptor("rt", k=8, seed=derive_seed(17, 0)))
         assert np.array_equal(
             forest_scores(single, ds.X), (tree_scores(lone, ds.X) > 0.5).astype(float)
         )
 
-        params = ForestParams(trees=10, k=8, seed=17)
+        params = AlgoDescriptor("rf", trees=10, k=8, seed=17)
         blobs = []
         scores = []
         for workers in (1, 2, 8):
@@ -227,7 +226,7 @@ def test_criterion_08_boosting_contract():
         X = [[1, 0]] * 20 + [[1, 1]] * 5 + [[0, 1]] * 20 + [[0, 0]] * 5
         y = [1] * 25 + [0] * 25
         ds = make_dataset(X, y)
-        model = train_simple_logistic(ds, max_iter=20, cv_folds=5, seed=0)
+        model = train_simple_logistic(ds, AlgoDescriptor("sl", max_iter=20, cv_folds=5, seed=0))
         assert model.iterations_used <= 20
         empty = LogitModel(0.0, (), 0, 20, 5, ds.feature_count)
         assert training_log_likelihood(model, ds) > training_log_likelihood(empty, ds)
@@ -280,7 +279,7 @@ def test_criterion_09_small_tree_oracle():
 
         def check(X, y):
             ds = Dataset(catalogs[X.shape[1]], X, y)
-            model = train_decision_tree(ds)
+            model = train_decision_tree(ds, AlgoDescriptor("dt"))
             assert _training_accuracy(model, X, y) >= _best_stump_accuracy(X, y) - 1e-12
 
         checked = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from droidtriage.algo import predict
+from droidtriage.algo import AlgoDescriptor, predict
 from droidtriage.bayes import NbModel, nb_scores, train_nb
 from droidtriage.dataset import Label
 
@@ -17,7 +17,7 @@ class TestTrain:
         # feature present in 8/10 malware and 2/10 benign, alpha=1
         X = [[1]] * 8 + [[0]] * 2 + [[1]] * 2 + [[0]] * 8
         y = [1] * 10 + [0] * 10
-        model = train_nb(make_dataset(X, y), alpha=1.0)
+        model = train_nb(make_dataset(X, y), AlgoDescriptor("nb", alpha=1.0))
         assert model.theta_malware[0] == pytest.approx(9 / 12)
         assert model.theta_benign[0] == pytest.approx(3 / 12)
         assert model.prior_malware == pytest.approx(0.5)
@@ -25,20 +25,19 @@ class TestTrain:
     def test_smoothing_floor_for_absent_feature(self):
         X = [[0, 1]] * 10 + [[0, 0]] * 10
         y = [1] * 10 + [0] * 10
-        model = train_nb(make_dataset(X, y), alpha=1.0)
+        model = train_nb(make_dataset(X, y), AlgoDescriptor("nb", alpha=1.0))
         assert model.theta_malware[0] == pytest.approx(1 / 12)
         assert model.theta_benign[0] == pytest.approx(1 / 12)
         assert 0.0 < model.theta_malware[0]
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
-            train_nb(make_dataset([[1], [0]], [1, 1]))
+            train_nb(make_dataset([[1], [0]], [1, 1]), AlgoDescriptor("nb"))
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
     def test_alpha_must_be_finite_and_positive(self, alpha):
-        ds = make_dataset([[1], [0]], [1, 0])
         with pytest.raises(ValueError, match="alpha"):
-            train_nb(ds, alpha=alpha)
+            AlgoDescriptor("nb", alpha=alpha)
 
 
 class TestPredict:
@@ -67,7 +66,7 @@ class TestPredict:
 
     def test_posterior_complement(self, rng):
         ds = random_dataset(rng, 80, 12)
-        model = train_nb(ds)
+        model = train_nb(ds, AlgoDescriptor("nb"))
         p_mal = nb_scores(model, ds.X)
         flipped = NbModel(
             1.0 - model.prior_malware, model.theta_malware, model.theta_benign, model.alpha
@@ -77,7 +76,7 @@ class TestPredict:
 
     def test_log_space_equals_direct_product(self, rng):
         ds = random_dataset(rng, 40, 8)
-        model = train_nb(ds)
+        model = train_nb(ds, AlgoDescriptor("nb"))
         scores = nb_scores(model, ds.X)
         for i, row in enumerate(ds.X):
             mal = model.prior_malware
@@ -93,8 +92,8 @@ class TestPredict:
         ds = random_dataset(rng, 120, 10)
         names = top_k(rank_features(ds), 4)
         cols = [ds.catalog.index_of(n) for n in names]
-        full = train_nb(ds)
-        projected = train_nb(ds.select_features(names))
+        full = train_nb(ds, AlgoDescriptor("nb"))
+        projected = train_nb(ds.select_features(names), AlgoDescriptor("nb"))
         assert np.array_equal(full.theta_benign[cols], projected.theta_benign)
         assert np.array_equal(full.theta_malware[cols], projected.theta_malware)
         assert full.prior_malware == projected.prior_malware

@@ -1,6 +1,6 @@
 import pytest
 
-from droidtriage.catalog import default_catalog
+from droidtriage.catalog import FeatureSet, default_catalog, select_feature_set
 from droidtriage.cli import main
 from droidtriage.dataset import read_csv
 
@@ -236,6 +236,78 @@ def test_extract_without_label_omits_class_column(tmp_path):
     assert main(["extract", str(app), "--out", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert not header.endswith(",class")
+
+
+def _app(root, name, permission):
+    """An unpacked app requesting `permission` and calling one API."""
+    app = root / name
+    app.mkdir()
+    (app / "AndroidManifest.xml").write_text(
+        f'<uses-permission android:name="android.permission.{permission}"/>'
+    )
+    (app / "payload.smali").write_text("invoke createSubprocess")
+    return app
+
+
+def test_predict_reads_feature_set_extract(tmp_path, small_corpus):
+    """A pf extract scores as the full extract does under --feature-set pf."""
+    app, model = _app(tmp_path, "app", "SEND_SMS"), tmp_path / "m.nb"
+    assert main([
+        "train", "--algo", "nb", "--feature-set", "pf", "--data", str(small_corpus), "--model", str(model)
+    ]) == 0
+    preds = []
+    for fs in ([], ["--feature-set", "pf"]):
+        vec, out = tmp_path / f"vec{len(fs)}.csv", tmp_path / f"pred{len(fs)}.csv"
+        assert main(["extract", str(app), *fs, "--out", str(vec)]) == 0
+        assert main([
+            "predict", "--model", str(model), "--feature-set", "pf", "--data", str(vec), "--out", str(out)
+        ]) == 0
+        preds.append(out.read_text())
+    assert preds[0] == preds[1] and preds[0].startswith("row,label,score\n1,")
+
+
+def test_rank_reads_labeled_feature_set_extracts(tmp_path):
+    """Labeled pf extracts of two apps rank as their full extracts do under --feature-set pf."""
+    apps = {"malware": _app(tmp_path, "bad", "SEND_SMS"), "benign": _app(tmp_path, "good", "INTERNET")}
+    rankings = []
+    for fs in ([], ["--feature-set", "pf"]):
+        lines = []
+        for label, app in apps.items():
+            vec = tmp_path / f"{label}{len(fs)}.csv"
+            assert main(["extract", str(app), "--label", label, *fs, "--out", str(vec)]) == 0
+            lines += vec.read_text().splitlines()[len(lines) > 0 :]
+        data, out = tmp_path / f"two{len(fs)}.csv", tmp_path / f"rank{len(fs)}.csv"
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["rank", "--feature-set", "pf", "--data", str(data), "--out", str(out)]) == 0
+        rankings.append(out.read_text())
+    assert rankings[0] == rankings[1]
+    pf = select_feature_set(default_catalog(), FeatureSet.PF)
+    assert len(rankings[1].splitlines()) == 1 + len(pf)
+
+
+def test_other_feature_set_header_exits_2(tmp_path, capsys):
+    """A header naming neither the chosen set nor the full catalog keeps the full catalog's error."""
+    vec = tmp_path / "af.csv"
+    assert main(["extract", str(_app(tmp_path, "app", "SEND_SMS")), "--feature-set", "af", "--out", str(vec)]) == 0
+    assert main(["rank", "--feature-set", "pf", "--data", str(vec)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "header does not match catalog" in err[0]
+    assert f"expected {len(default_catalog()) + 1} including 'class'" in err[0]
+
+
+@pytest.mark.parametrize(
+    "algo, flag, value",
+    [("nb", "--trees", "0"), ("dt", "--k", "0"), ("sl", "--bootstrap", "1.5"), ("rf", "--max-iter", "0")],
+)
+def test_bad_flag_of_another_kind_is_usage_error(tmp_path, small_corpus, capsys, algo, flag, value):
+    """Every algorithm flag is checked whichever kind is chosen."""
+    model = tmp_path / "m.model"
+    rc = main(["train", "--algo", algo, flag, value, "--data", str(small_corpus), "--model", str(model)])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("droidtriage: error:")
+    assert captured.out == "" and not model.exists()
 
 
 @pytest.mark.parametrize("flag", ["--model", "--catalog", "--spec", "--data"])

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from droidtriage.algo import predict
+from droidtriage.algo import AlgoDescriptor, predict
 from droidtriage.dataset import Label, bootstrap_sample_size
 from droidtriage.ensemble import (
     ForestModel,
-    ForestParams,
     LogitModel,
     LogitRegressor,
     WorkingResponse,
@@ -50,56 +49,56 @@ class TestDeriveSeed:
 class TestForest:
     def test_t1_no_bootstrap_equals_random_tree(self, rng):
         ds = random_dataset(rng, 250, 9)
-        forest = train_forest(ds, ForestParams(trees=1, k=3, bootstrap=False, seed=11))
-        lone = train_random_tree(ds, 3, derive_seed(11, 0))
+        forest = train_forest(ds, AlgoDescriptor("rf", trees=1, k=3, bootstrap=False, seed=11))
+        lone = train_random_tree(ds, AlgoDescriptor("rt", k=3, seed=derive_seed(11, 0)))
         assert _nested(forest.trees[0]) == _nested(lone)
         votes = forest_scores(forest, ds.X)
         assert np.array_equal(votes, (tree_scores(lone, ds.X) > 0.5).astype(float))
 
     def test_deterministic_across_worker_counts(self, rng):
         ds = random_dataset(rng, 200, 8)
-        params = ForestParams(trees=6, k=3, seed=5)
+        params = AlgoDescriptor("rf", trees=6, k=3, seed=5)
         models = [train_forest(ds, params, workers=w) for w in (1, 2, 8)]
         for other in models[1:]:
             assert all(_nested(a) == _nested(b) for a, b in zip(models[0].trees, other.trees))
 
     def test_bootstrap_weights_equal_resampled_copies(self, rng):
         ds = random_dataset(rng, 300, 12)
-        forest = train_forest(ds, ForestParams(trees=4, k=8, seed=9))
+        forest = train_forest(ds, AlgoDescriptor("rf", trees=4, k=8, seed=9))
         size = bootstrap_sample_size(len(ds), 1.0)
         for i, member in enumerate(forest.trees):
             tree_seed = derive_seed(9, i)
             draw = np.random.default_rng(derive_seed(tree_seed, 1)).integers(0, len(ds), size=size)
-            copy = train_random_tree(ds.subset(draw), 8, tree_seed)
+            copy = train_random_tree(ds.subset(draw), AlgoDescriptor("rt", k=8, seed=tree_seed))
             assert _nested(member) == _nested(copy)
             assert member.seed == tree_seed
 
     def test_trees_do_not_depend_on_their_batch(self, rng):
         ds = random_dataset(rng, 250, 10)
-        three = train_forest(ds, ForestParams(trees=3, k=3, seed=4))
-        six = train_forest(ds, ForestParams(trees=6, k=3, seed=4))
-        six_threaded = train_forest(ds, ForestParams(trees=6, k=3, seed=4), workers=4)
+        three = train_forest(ds, AlgoDescriptor("rf", trees=3, k=3, seed=4))
+        six = train_forest(ds, AlgoDescriptor("rf", trees=6, k=3, seed=4))
+        six_threaded = train_forest(ds, AlgoDescriptor("rf", trees=6, k=3, seed=4), workers=4)
         assert [_nested(t) for t in six.trees[:3]] == [_nested(t) for t in three.trees]
         assert [_nested(t) for t in six_threaded.trees] == [_nested(t) for t in six.trees]
 
     def test_bootstrap_fraction_changes_sample(self, rng):
         ds = random_dataset(rng, 100, 5)
-        full = train_forest(ds, ForestParams(trees=3, k=2, seed=1))
-        half = train_forest(ds, ForestParams(trees=3, k=2, bootstrap_fraction=0.5, seed=1))
+        full = train_forest(ds, AlgoDescriptor("rf", trees=3, k=2, seed=1))
+        half = train_forest(ds, AlgoDescriptor("rf", trees=3, k=2, bootstrap_fraction=0.5, seed=1))
         assert any(_nested(a) != _nested(b) for a, b in zip(full.trees, half.trees))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            ForestParams(trees=0, k=1)
+            AlgoDescriptor("rf", trees=0, k=1)
         with pytest.raises(ValueError):
-            ForestParams(trees=1, k=0)
+            AlgoDescriptor("rf", trees=1, k=0)
         with pytest.raises(ValueError):
-            ForestParams(trees=1, k=1, bootstrap_fraction=0.0)
+            AlgoDescriptor("rf", trees=1, k=1, bootstrap_fraction=0.0)
 
     def test_k_exceeding_features_rejected(self, rng):
         ds = random_dataset(rng, 20, 3)
         with pytest.raises(ValueError, match="k="):
-            train_forest(ds, ForestParams(trees=2, k=4))
+            train_forest(ds, AlgoDescriptor("rf", trees=2, k=4))
 
     def test_vote_scores_and_tie(self):
         def constant_tree(mal: int) -> TreeModel:
@@ -107,22 +106,23 @@ class TestForest:
             counts = np.array([1 - mal]), np.array([mal])
             return TreeModel(feature, child, child, *counts, "entropy", False, 1, 0, 2)
 
-        two = ForestModel((constant_tree(1), constant_tree(0)), ForestParams(2, 1))
+        two = ForestModel((constant_tree(1), constant_tree(0)), AlgoDescriptor("rf", trees=2, k=1))
         label, score = predict(two, [0, 1])
         assert score == 0.5 and label is Label.BENIGN
 
         three = ForestModel(
-            (constant_tree(1), constant_tree(1), constant_tree(0)), ForestParams(3, 1)
+            (constant_tree(1), constant_tree(1), constant_tree(0)),
+            AlgoDescriptor("rf", trees=3, k=1),
         )
         label, score = predict(three, [0, 1])
         assert score == pytest.approx(2 / 3) and label is Label.MALWARE
 
-        unanimous = ForestModel((constant_tree(1),) * 3, ForestParams(3, 1))
+        unanimous = ForestModel((constant_tree(1),) * 3, AlgoDescriptor("rf", trees=3, k=1))
         assert predict(unanimous, [0, 1]) == (Label.MALWARE, 1.0)
 
     def test_label_matches_score_rule(self, rng):
         ds = random_dataset(rng, 150, 6)
-        model = train_forest(ds, ForestParams(trees=5, k=2, seed=3))
+        model = train_forest(ds, AlgoDescriptor("rf", trees=5, k=2, seed=3))
         scores = forest_scores(model, ds.X)
         for i in range(0, len(ds), 17):
             label, score = predict(model, ds.X[i])
@@ -131,7 +131,7 @@ class TestForest:
 
     def test_forest_at_least_median_tree_accuracy(self, rng):
         ds = random_dataset(rng, 400, 10)
-        model = train_forest(ds, ForestParams(trees=9, k=3, seed=2))
+        model = train_forest(ds, AlgoDescriptor("rf", trees=9, k=3, seed=2))
         truth = ds.y == 1
         tree_accs = sorted(
             float(np.mean((tree_scores(t, ds.X) > 0.5) == truth)) for t in model.trees
@@ -152,7 +152,7 @@ class TestForestDescent:
     @pytest.fixture(scope="class")
     def forest(self):
         ds = random_dataset(np.random.default_rng(8), 300, 8)
-        return train_forest(ds, ForestParams(trees=7, k=3, seed=5))
+        return train_forest(ds, AlgoDescriptor("rf", trees=7, k=3, seed=5))
 
     @pytest.mark.parametrize("n", (0, 1, 63, 64, 65, 129))
     def test_row_counts_across_word_boundaries(self, forest, rng, n):
@@ -176,7 +176,7 @@ class TestForestDescent:
             return TreeModel(np.array([-1]), *ids, *counts, "entropy", False, 1, 0, 3)
 
         X = np.ones((65, 3), dtype=np.uint8)
-        params = ForestParams(trees=3, k=1)
+        params = AlgoDescriptor("rf", trees=3, k=1)
         benign = ForestModel((leaf(2, 2), leaf(3, 1), leaf(0, 0)), params)
         assert np.array_equal(forest_scores(benign, X), np.zeros(65))
         mixed = ForestModel((leaf(2, 2), leaf(1, 3), leaf(0, 1)), params)
@@ -214,7 +214,7 @@ def _separable_dataset():
 class TestSimpleLogistic:
     def test_separating_feature_learned(self):
         ds = _separable_dataset()
-        model = train_simple_logistic(ds, max_iter=20, cv_folds=5, seed=0)
+        model = train_simple_logistic(ds, AlgoDescriptor("sl", max_iter=20, cv_folds=5, seed=0))
         scores = logit_scores(model, ds.X)
         assert np.mean((scores > 0.5) == (ds.y == 1)) == 1.0
         assert np.all(scores[np.asarray(ds.y) == 1] > 0.9)
@@ -222,7 +222,7 @@ class TestSimpleLogistic:
 
     def test_log_likelihood_improves_over_empty_model(self):
         ds = _separable_dataset()
-        model = train_simple_logistic(ds, max_iter=20, cv_folds=5, seed=0)
+        model = train_simple_logistic(ds, AlgoDescriptor("sl", max_iter=20, cv_folds=5, seed=0))
         ll_final = training_log_likelihood(model, ds)
         empty = LogitModel(0.0, (), 0, 20, 5, ds.feature_count)
         assert ll_final > training_log_likelihood(empty, ds)
@@ -239,7 +239,7 @@ class TestSimpleLogistic:
 
     def test_score_complement_under_negation(self, rng):
         ds = random_dataset(rng, 60, 5)
-        model = train_simple_logistic(ds, max_iter=8, cv_folds=3, seed=1)
+        model = train_simple_logistic(ds, AlgoDescriptor("sl", max_iter=8, cv_folds=3, seed=1))
         negated = LogitModel(
             -model.intercept,
             tuple(
@@ -273,19 +273,18 @@ class TestSimpleLogistic:
 
     def test_determinism(self, rng):
         ds = random_dataset(rng, 80, 6)
-        a = train_simple_logistic(ds, max_iter=10, cv_folds=4, seed=9)
-        b = train_simple_logistic(ds, max_iter=10, cv_folds=4, seed=9)
+        a = train_simple_logistic(ds, AlgoDescriptor("sl", max_iter=10, cv_folds=4, seed=9))
+        b = train_simple_logistic(ds, AlgoDescriptor("sl", max_iter=10, cv_folds=4, seed=9))
         assert a == b
 
-    def test_validation(self, rng):
-        ds = random_dataset(rng, 30, 3)
+    def test_validation(self):
         single = make_dataset([[0], [1]], [1, 1])
         with pytest.raises(ValueError, match="both classes"):
-            train_simple_logistic(single, 5, 2, 0)
+            train_simple_logistic(single, AlgoDescriptor("sl", max_iter=5, cv_folds=2, seed=0))
         with pytest.raises(ValueError, match="max_iter"):
-            train_simple_logistic(ds, 0, 2, 0)
+            AlgoDescriptor("sl", max_iter=0, cv_folds=2, seed=0)
         with pytest.raises(ValueError, match="cv_folds"):
-            train_simple_logistic(ds, 5, 1, 0)
+            AlgoDescriptor("sl", max_iter=5, cv_folds=1, seed=0)
 
     def test_log_likelihood_of_perfect_probabilities(self):
         assert log_likelihood([1.0, 1.0], [1, 1]) == pytest.approx(0.0, abs=1e-12)
@@ -300,7 +299,7 @@ def test_forest_beats_median_tree_on_calibrated_corpus():
 
     spec = dataclasses.replace(reference_spec(), n_benign=700, n_malware=500)
     ds = synthesize(spec, 21)
-    model = train_forest(ds, ForestParams(trees=10, k=8, seed=6))
+    model = train_forest(ds, AlgoDescriptor("rf", trees=10, k=8, seed=6))
     truth = ds.y == 1
     tree_accs = sorted(
         float(np.mean((tree_scores(t, ds.X) > 0.5) == truth)) for t in model.trees

@@ -132,6 +132,11 @@ def _nb_body(alpha="1.0", prior="0.5", theta_benign="0.5 0.5 0.5 0.5", theta_mal
     ]
 
 
+def _rf_body(trees="1", k="1", fraction="1.0"):
+    head = [f"trees {trees}", f"k {k}", f"bootstrap_fraction {fraction}", "bootstrap 1", "seed 0"]
+    return head + ["tree"] + _TREE_HEAD + ["n_features 4", "L 1 0"]
+
+
 # Hostile model files for a 4-feature catalog: (kind, body, expected error).
 CRAFTED = {
     "truncated-deep-chain": ("dt", _TREE_HEAD + ["n_features 4"] + ["S 0"] * 5000, "end of file"),
@@ -151,6 +156,10 @@ CRAFTED = {
     "sl-intercept-nan": ("sl", ["intercept nan"] + _SL_HEAD[1:] + ["n_features 4", "R 0 -1.0 1.0"], "non-finite"),
     "sl-regressor-inf": ("sl", _SL_HEAD + ["n_features 4", "R 0 -1.0 inf"], "non-finite"),
     "sl-regressor-nan": ("sl", _SL_HEAD + ["n_features 4", "R 0 NaN 1.0"], "non-finite"),
+    "rf-trees-0": ("rf", _rf_body(trees="0"), "forest needs at least one tree"),
+    "rf-k-0": ("rf", _rf_body(k="0"), "k must be at least 1"),
+    "rf-fraction-0": ("rf", _rf_body(fraction="0.0"), r"bootstrap fraction must lie in \(0, 1\]"),
+    "rf-fraction-1.5": ("rf", _rf_body(fraction="1.5"), r"bootstrap fraction must lie in \(0, 1\]"),
 }
 
 
@@ -167,6 +176,13 @@ def test_crafted_file_rejected(tmp_path, name):
     cat = toy_catalog(4)
     with pytest.raises(ModelFormatError, match=message):
         load_model(_crafted(tmp_path, cat, kind, body), cat)
+
+
+def test_crafted_rf_control_loads(tmp_path):
+    """The rf cases above differ from this loadable file in one field each."""
+    cat = toy_catalog(4)
+    model = load_model(_crafted(tmp_path, cat, "rf", _rf_body()), cat)
+    assert model.params == AlgoDescriptor("rf", k=1, trees=1)
 
 
 def test_deep_chain_loads_without_recursion(tmp_path):

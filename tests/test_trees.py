@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidtriage.algo import predict
+from droidtriage.algo import AlgoDescriptor, predict
 from droidtriage.dataset import Label
 from droidtriage.trees import (
     _IMPURITY,
@@ -96,13 +96,13 @@ def _training_accuracy(model: TreeModel, X, y) -> float:
 class TestDecisionTree:
     def test_single_class_is_pure_leaf(self):
         ds = make_dataset([[0, 1], [1, 0], [1, 1]], [1, 1, 1])
-        model = train_decision_tree(ds)
+        model = train_decision_tree(ds, AlgoDescriptor("dt"))
         assert _nested(model)[0] == "L"
         assert _depth(_nested(model)) == 0
 
     def test_perfect_separator_gives_single_split(self):
         ds = make_dataset([[0, 1], [0, 0], [1, 1], [1, 0]], [0, 0, 1, 1])
-        model = train_decision_tree(ds)
+        model = train_decision_tree(ds, AlgoDescriptor("dt"))
         kind, feature, low, high = _nested(model)
         assert kind == "S"
         assert feature == 0
@@ -112,23 +112,22 @@ class TestDecisionTree:
     def test_exact_xor_stops_at_root(self):
         # Both features have exactly zero gain at the root, so the greedy
         # learner stops; learning XOR needs a lookahead no greedy split has.
-        model = train_decision_tree(make_dataset(XOR_X, XOR_Y))
+        model = train_decision_tree(make_dataset(XOR_X, XOR_Y), AlgoDescriptor("dt"))
         assert _nested(model)[0] == "L"
         assert _training_accuracy(model, XOR_X, XOR_Y) == 0.5
 
     def test_criterion_validation(self):
-        ds = make_dataset([[1]], [0])
         with pytest.raises(ValueError, match="criterion"):
-            train_decision_tree(ds, criterion="nope")
+            AlgoDescriptor("dt", criterion="nope")
 
     def test_empty_dataset_rejected(self):
         ds = make_dataset(np.zeros((0, 2)), [])
         with pytest.raises(ValueError, match="empty"):
-            train_decision_tree(ds)
+            train_decision_tree(ds, AlgoDescriptor("dt"))
 
     def test_no_feature_reused_on_path(self, rng):
         ds = random_dataset(rng, 200, 6)
-        model = train_decision_tree(ds)
+        model = train_decision_tree(ds, AlgoDescriptor("dt"))
 
         def check(node, used):
             if node[0] == "L":
@@ -143,7 +142,7 @@ class TestDecisionTree:
 
     def test_child_counts_sum_to_parent(self, rng):
         ds = random_dataset(rng, 150, 5)
-        model = train_decision_tree(ds)
+        model = train_decision_tree(ds, AlgoDescriptor("dt"))
 
         def counts(node):
             if node[0] == "L":
@@ -159,7 +158,7 @@ class TestDecisionTree:
 
     def test_gini_criterion_trains(self, rng):
         ds = random_dataset(rng, 100, 4)
-        model = train_decision_tree(ds, criterion="gini")
+        model = train_decision_tree(ds, AlgoDescriptor("dt", criterion="gini"))
         assert model.criterion == "gini"
         assert 0.0 <= _training_accuracy(model, ds.X, ds.y) <= 1.0
 
@@ -201,7 +200,7 @@ class TestXorOracle:
 class TestPredict:
     def test_pure_leaf_scores(self):
         ds = make_dataset([[0], [1]], [1, 1])
-        model = train_decision_tree(ds)
+        model = train_decision_tree(ds, AlgoDescriptor("dt"))
         label, score = predict(model, [0])
         assert label is Label.MALWARE and score == 1.0
 
@@ -219,33 +218,33 @@ class TestPredict:
 class TestRandomTree:
     def test_determinism(self, rng):
         ds = random_dataset(rng, 300, 10)
-        a = train_random_tree(ds, 3, seed=5)
-        b = train_random_tree(ds, 3, seed=5)
+        a = train_random_tree(ds, AlgoDescriptor("rt", k=3, seed=5))
+        b = train_random_tree(ds, AlgoDescriptor("rt", k=3, seed=5))
         assert _nested(a) == _nested(b)
 
     def test_different_seeds_differ(self, rng):
         ds = random_dataset(rng, 300, 10)
-        a = train_random_tree(ds, 2, seed=0)
-        b = train_random_tree(ds, 2, seed=1)
+        a = train_random_tree(ds, AlgoDescriptor("rt", k=2, seed=0))
+        b = train_random_tree(ds, AlgoDescriptor("rt", k=2, seed=1))
         assert _nested(a) != _nested(b)  # 2-of-10 sampling makes collisions implausible
 
     def test_k_equal_feature_count_matches_decision_tree(self, rng):
         for trial in range(5):
             ds = random_dataset(rng, 120, 6)
-            rt = train_random_tree(ds, 6, seed=trial)
-            dt = train_decision_tree(ds)
+            rt = train_random_tree(ds, AlgoDescriptor("rt", k=6, seed=trial))
+            dt = train_decision_tree(ds, AlgoDescriptor("dt"))
             assert _nested(rt) == _nested(dt)
 
     def test_k_bounds(self, rng):
         ds = random_dataset(rng, 20, 4)
         with pytest.raises(ValueError, match="k"):
-            train_random_tree(ds, 0, seed=0)
+            AlgoDescriptor("rt", k=0, seed=0)
         with pytest.raises(ValueError, match="k"):
-            train_random_tree(ds, 5, seed=0)
+            train_random_tree(ds, AlgoDescriptor("rt", k=5, seed=0))
 
     def test_never_pruned_flag(self, rng):
         ds = random_dataset(rng, 50, 4)
-        model = train_random_tree(ds, 2, seed=0)
+        model = train_random_tree(ds, AlgoDescriptor("rt", k=2, seed=0))
         assert not model.pruned and model.k == 2
 
     def test_default_split_count(self):
@@ -275,7 +274,7 @@ class TestStumpProperty:
             X = (rng.random((n, F)) < 0.5).astype(np.uint8)
             y = (rng.random(n) < 0.5).astype(np.uint8)
             ds = make_dataset(X, y)
-            model = train_decision_tree(ds)
+            model = train_decision_tree(ds, AlgoDescriptor("dt"))
             assert _training_accuracy(model, X, y) >= _best_stump_accuracy(X, y) - 1e-12
 
 
@@ -293,8 +292,8 @@ class TestPruning:
 
     def test_pruned_is_no_larger(self):
         ds = self._overfit_dataset()
-        unpruned = train_decision_tree(ds, prune=False)
-        pruned = train_decision_tree(ds, prune=True, seed=1)
+        unpruned = train_decision_tree(ds, AlgoDescriptor("dt", prune=False))
+        pruned = train_decision_tree(ds, AlgoDescriptor("dt", prune=True, seed=1))
         assert pruned.pruned
         assert pruned.feature.size <= unpruned.feature.size
 
@@ -305,8 +304,8 @@ class TestPruning:
         seed = 1
         holdout = stratified_fold_indices(ds.y, 5, seed)[0]
         grow_idx = np.setdiff1d(np.arange(len(ds)), holdout)
-        raw_model = train_decision_tree(ds.subset(grow_idx), "entropy")
-        pruned = train_decision_tree(ds, prune=True, seed=seed)
+        raw_model = train_decision_tree(ds.subset(grow_idx), AlgoDescriptor("dt"))
+        pruned = train_decision_tree(ds, AlgoDescriptor("dt", prune=True, seed=seed))
         X_hold, y_hold = ds.X[holdout], ds.y[holdout]
         assert _training_accuracy(pruned, X_hold, y_hold) >= _training_accuracy(
             raw_model, X_hold, y_hold
@@ -314,8 +313,8 @@ class TestPruning:
 
     def test_pruned_deterministic(self):
         ds = self._overfit_dataset()
-        a = train_decision_tree(ds, prune=True, seed=3)
-        b = train_decision_tree(ds, prune=True, seed=3)
+        a = train_decision_tree(ds, AlgoDescriptor("dt", prune=True, seed=3))
+        b = train_decision_tree(ds, AlgoDescriptor("dt", prune=True, seed=3))
         assert _nested(a) == _nested(b)
 
 
@@ -341,7 +340,7 @@ class TestSplitGains:
     def test_every_chosen_split_has_positive_gain(self, rng):
         for _ in range(10):
             ds = random_dataset(rng, 120, 7)
-            model = train_decision_tree(ds)
+            model = train_decision_tree(ds, AlgoDescriptor("dt"))
             self._walk_gains(_nested(model), ds.X, ds.y.astype(int), np.arange(len(ds)))
 
 
@@ -456,32 +455,35 @@ class TestLevelwiseGrowthOracle:
     def test_decision_tree_random_datasets(self, rng, criterion):
         for _ in range(25):
             ds = random_dataset(rng, int(rng.integers(2, 300)), int(rng.integers(1, 12)))
-            assert _nested(train_decision_tree(ds, criterion)) == _reference_tree(ds, criterion)
+            model = train_decision_tree(ds, AlgoDescriptor("dt", criterion=criterion))
+            assert _nested(model) == _reference_tree(ds, criterion)
 
     @pytest.mark.parametrize("criterion", ["entropy", "gini"])
     def test_pruned_decision_tree_random_datasets(self, rng, criterion):
         for seed in range(10):
             ds = random_dataset(rng, int(rng.integers(20, 300)), int(rng.integers(1, 10)))
-            model = train_decision_tree(ds, criterion, prune=True, seed=seed)
+            algo = AlgoDescriptor("dt", criterion=criterion, prune=True, seed=seed)
+            model = train_decision_tree(ds, algo)
             assert _nested(model) == _reference_pruned(ds, criterion, seed)
 
     def test_random_tree_follows_node_keys(self, rng):
         for seed in range(10):
             ds = random_dataset(rng, int(rng.integers(2, 300)), int(rng.integers(2, 12)))
             k = int(rng.integers(1, ds.feature_count + 1))
-            model = train_random_tree(ds, k, seed)
+            model = train_random_tree(ds, AlgoDescriptor("rt", k=k, seed=seed))
             assert _nested(model) == _reference_tree(ds, k=k, key=seed)
 
     @pytest.mark.parametrize("criterion", ["entropy", "gini"])
     def test_reference_corpus(self, reference_corpus, criterion):
         ds = reference_corpus
-        assert _nested(train_decision_tree(ds, criterion)) == _reference_tree(ds, criterion)
-        pruned = train_decision_tree(ds, criterion, prune=True, seed=4)
+        model = train_decision_tree(ds, AlgoDescriptor("dt", criterion=criterion))
+        assert _nested(model) == _reference_tree(ds, criterion)
+        pruned = train_decision_tree(ds, AlgoDescriptor("dt", criterion=criterion, prune=True, seed=4))
         assert _nested(pruned) == _reference_pruned(ds, criterion, 4)
 
     def test_reference_corpus_random_tree(self, reference_corpus):
         key = 2**63 + 5
-        model = train_random_tree(reference_corpus, 8, key)
+        model = train_random_tree(reference_corpus, AlgoDescriptor("rt", k=8, seed=key))
         assert _nested(model) == _reference_tree(reference_corpus, k=8, key=key)
 
 
@@ -500,12 +502,12 @@ class TestVectorizedDescent:
 
     def test_pruned_decision_tree(self, rng):
         ds = random_dataset(rng, 400, 8)
-        self._check(train_decision_tree(ds, prune=True, seed=2), ds.X)
+        self._check(train_decision_tree(ds, AlgoDescriptor("dt", prune=True, seed=2)), ds.X)
 
     def test_random_tree(self, rng):
         ds = random_dataset(rng, 400, 10)
         other = random_dataset(rng, 200, 10)
-        model = train_random_tree(ds, 3, seed=7)
+        model = train_random_tree(ds, AlgoDescriptor("rt", k=3, seed=7))
         self._check(model, ds.X)
         self._check(model, other.X)
 
@@ -513,7 +515,7 @@ class TestVectorizedDescent:
         from droidtriage.modelio import load_model, save_model
 
         ds = random_dataset(rng, 300, 9)
-        model = train_random_tree(ds, 4, seed=3)
+        model = train_random_tree(ds, AlgoDescriptor("rt", k=4, seed=3))
         path = tmp_path / "tree.rt"
         save_model(model, path, ds.catalog)
         loaded = load_model(path, ds.catalog)
@@ -527,8 +529,8 @@ class TestVectorizedDescent:
     def test_row_counts_across_word_boundaries(self, rng, n):
         ds = random_dataset(rng, 300, 8)
         X = (rng.random((n, 8)) < 0.5).astype(np.uint8)
-        self._check(train_decision_tree(ds), X)
-        self._check(train_random_tree(ds, 2, seed=n), X)
+        self._check(train_decision_tree(ds, AlgoDescriptor("dt")), X)
+        self._check(train_random_tree(ds, AlgoDescriptor("rt", k=2, seed=n)), X)
 
     def test_root_is_a_leaf(self):
         model = _tree([-1], [0], [0], [2], [3], n_features=2)
@@ -536,7 +538,7 @@ class TestVectorizedDescent:
             self._check(model, np.ones((n, 2), dtype=np.uint8))
 
     def test_nonzero_means_set(self, rng):
-        model = train_decision_tree(random_dataset(rng, 300, 6))
+        model = train_decision_tree(random_dataset(rng, 300, 6), AlgoDescriptor("dt"))
         X = rng.integers(0, 3, size=(129, 6))
         self._check(model, X)
         self._check(model, X.astype(bool))
@@ -551,7 +553,7 @@ class TestVectorizedDescent:
         from droidtriage.trees import _reduced_error_prune as prune
 
         ds = random_dataset(rng, 400, 8)
-        grown = train_decision_tree(ds)
+        grown = train_decision_tree(ds, AlgoDescriptor("dt"))
         holdout = rng.choice(len(ds), size=h, replace=False)
         pruned = prune(grown, ds.X, ds.y, holdout)
         X = ds.X.astype(np.float64)
@@ -599,13 +601,13 @@ def _trees_and_matrix(draw):
 @settings(max_examples=150, deadline=None)
 @given(_trees_and_matrix())
 def test_descent_matches_walk(case):
-    from droidtriage.ensemble import ForestModel, ForestParams, forest_scores
+    from droidtriage.ensemble import ForestModel, forest_scores
 
     trees, X = case
     walked = np.array([[_walk(_nested(t), row) for row in X] for t in trees]).reshape(len(trees), -1)
     for tree, expected in zip(trees, walked):
         assert np.array_equal(tree_scores(tree, X), expected)
-    forest = ForestModel(tuple(trees), ForestParams(trees=len(trees), k=1))
+    forest = ForestModel(tuple(trees), AlgoDescriptor("rf", trees=len(trees), k=1))
     assert np.array_equal(forest_scores(forest, X), (walked > 0.5).sum(axis=0) / len(trees))
 
 
@@ -619,15 +621,15 @@ class TestTreeArrays:
 
     @pytest.mark.parametrize("kind", ["dt", "pruned-dt", "rt", "rf-member"])
     def test_reachable_and_round_trip(self, rng, tmp_path, kind):
-        from droidtriage.ensemble import ForestParams, train_forest
+        from droidtriage.ensemble import train_forest
         from droidtriage.modelio import load_model, save_model
 
         ds = random_dataset(rng, 400, 9)
         model = {
-            "dt": lambda: train_decision_tree(ds),
-            "pruned-dt": lambda: train_decision_tree(ds, prune=True, seed=2),
-            "rt": lambda: train_random_tree(ds, 3, seed=4),
-            "rf-member": lambda: train_forest(ds, ForestParams(trees=3, k=3, seed=6)).trees[1],
+            "dt": lambda: train_decision_tree(ds, AlgoDescriptor("dt")),
+            "pruned-dt": lambda: train_decision_tree(ds, AlgoDescriptor("dt", prune=True, seed=2)),
+            "rt": lambda: train_random_tree(ds, AlgoDescriptor("rt", k=3, seed=4)),
+            "rf-member": lambda: train_forest(ds, AlgoDescriptor("rf", trees=3, k=3, seed=6)).trees[1],
         }[kind]()
         path = tmp_path / "tree.model"
         save_model(model, path, ds.catalog)
