@@ -19,6 +19,10 @@ from .dataset import Dataset, Label
 
 KINDS = ("nb", "dt", "rt", "rf", "sl")
 
+# sl keeps one held-out log-likelihood per boosting iteration; a cap keeps a
+# mistyped --max-iter from allocating and boosting without end.
+MAX_ITER = 10_000
+
 Model = bayes.NbModel | trees.TreeModel | ensemble.ForestModel | ensemble.LogitModel
 
 
@@ -59,6 +63,8 @@ class AlgoDescriptor:
             raise ValueError("bootstrap fraction must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.max_iter > MAX_ITER:
+            raise ValueError(f"max_iter must be at most {MAX_ITER}")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
 

@@ -8,13 +8,14 @@ only data and output paths; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .algo import KINDS, AlgoDescriptor, model_scores, train_model
+from .algo import KINDS, MAX_ITER, AlgoDescriptor, model_scores, train_model
 from .calibration import reference_spec
 from .catalog import (
     CatalogError,
@@ -63,14 +64,15 @@ def _base_catalog(args) -> FeatureCatalog:
     return default_catalog() if args.catalog is None else load_catalog(args.catalog)
 
 
-def _read_data(args, labeled: bool = True):
-    """The columns `--feature-set` selects (all without it) and `--data` read
-    with them: a dataset, or the bits and labels when `labeled` is False.
+def _read_data(args, feature_set: str | None, labeled: bool = True):
+    """The columns the set named `feature_set` selects (all when None) and
+    `--data` read with them: a dataset, or the bits and labels when `labeled`
+    is False.
 
     The file's header may name those columns or the full catalog's.
     """
     catalog = _base_catalog(args)
-    columns = select_feature_set(catalog, FeatureSet(args.feature_set)) if args.feature_set else catalog
+    columns = select_feature_set(catalog, FeatureSet(feature_set)) if feature_set else catalog
     return columns, (read_csv if labeled else read_vectors)(args.data, catalog, columns)
 
 
@@ -100,7 +102,9 @@ def _add_algo_flags(p: _Parser, multi: bool = False) -> None:
     p.add_argument("--trees", type=int, default=10, help="rf: ensemble size (default 10)")
     p.add_argument("--bootstrap", type=float, default=1.0, help="rf: resample fraction (default 1.0)")
     p.add_argument("--no-bootstrap", action="store_true", help="rf: train every tree on the full set")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=30, help="sl: boosting iteration cap")
+    p.add_argument(
+        "--max-iter", dest="max_iter", type=int, default=30, help=f"sl: boosting iteration cap (at most {MAX_ITER})"
+    )
     p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5, help="sl: folds for iteration selection")
 
 
@@ -121,7 +125,10 @@ def _add_common(p: _Parser, *, multi_sets: bool = False) -> None:
     p.add_argument("--seed", type=_seed, default=0)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: building it costs
+    about as much as a small command."""
     parser = _Parser(prog="droidtriage", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -207,7 +214,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    _, dataset = _read_data(args)
+    _, dataset = _read_data(args, args.feature_set)
     ranking = rank_features(dataset)
     if args.top is not None:
         if not 1 <= args.top <= len(ranking):
@@ -233,7 +240,7 @@ def _resolve_algo(args, kind: str) -> AlgoDescriptor:
 
 
 def _cmd_train(args) -> int:
-    catalog, dataset = _read_data(args)
+    catalog, dataset = _read_data(args, args.feature_set)
     algo = _resolve_algo(args, args.algo)
     try:
         model = train_model(algo, dataset)
@@ -245,7 +252,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    catalog, (X, _) = _read_data(args, labeled=False)
+    catalog, (X, _) = _read_data(args, args.feature_set, labeled=False)
     model = load_model(args.model, catalog)
     values, which = np.unique(model_scores(model, X), return_inverse=True)
     cells = [f",{'malware' if s > 0.5 else 'benign'},{float(s)!r}\n" for s in values]
@@ -256,7 +263,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_crossval(args) -> int:
-    _, dataset = _read_data(args)
+    _, dataset = _read_data(args, args.feature_set)
     algo = _resolve_algo(args, args.algo)
     try:
         cv = cross_validate(dataset, algo, args.folds, args.seed)
@@ -270,17 +277,16 @@ def _cmd_crossval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    catalog = _base_catalog(args)
-    dataset = read_csv(args.data, catalog)
-    algos = [_resolve_algo(args, kind.strip()) for kind in args.algo.split(",") if kind.strip()]
-    if not algos:
-        raise _UsageError("--algo must name at least one classifier")
     try:
         sets = [FeatureSet(s.strip()) for s in (args.feature_set or "capf").split(",")]
     except ValueError:
         raise _UsageError(
             f"--feature-set must list values from pf, af, capf; got {args.feature_set!r}"
         ) from None
+    _, dataset = _read_data(args, sets[0].value if len(sets) == 1 else None)
+    algos = [_resolve_algo(args, kind.strip()) for kind in args.algo.split(",") if kind.strip()]
+    if not algos:
+        raise _UsageError("--algo must name at least one classifier")
     try:
         rows = compare(dataset, algos, args.folds, args.seed, feature_sets=sets)
     except ValueError as exc:
@@ -291,7 +297,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_roc(args) -> int:
-    catalog, dataset = _read_data(args)
+    catalog, dataset = _read_data(args, args.feature_set)
     model = load_model(args.model, catalog)
     curve = roc_auc(model_scores(model, dataset.X), dataset.y)
     write_roc(curve, args.out)

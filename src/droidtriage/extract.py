@@ -8,6 +8,10 @@ binary blobs as well as text. Permission names must additionally stand alone
 as tokens: an occurrence flanked by identifier characters does not count, so
 SEND_SMS never fires inside SEND_SMS_EXTRA.
 
+Files are read in chunks that overlap by one byte less than the longest
+pattern, and each chunk is searched for every pattern in one pass. FIFOs,
+sockets, devices and symlinks whose target lies outside the root are skipped.
+
 Bit contributions from individual files combine with OR, which makes the
 result independent of traversal order.
 """
@@ -15,6 +19,7 @@ result independent of traversal order.
 from __future__ import annotations
 
 import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -24,7 +29,12 @@ from .catalog import PERMISSION, FeatureCatalog
 
 MANIFEST_NAME = "AndroidManifest.xml"
 
+# Bytes read from a file at a time. Chunks of 1 MiB scanned no faster and
+# raised the peak RSS of a 64-app scan by a fifth.
+_CHUNK = 256 * 1024
+
 _IDENT = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+_FOUR = np.arange(4)
 
 
 def _contains_token(data: bytes, pattern: bytes) -> bool:
@@ -42,6 +52,80 @@ def _contains_token(data: bytes, pattern: bytes) -> bool:
         start = pos + 1
 
 
+class _PatternIndex:
+    """Attribute patterns keyed for a one-pass search of a buffer.
+
+    A pattern of 4 bytes or more can start only where the buffer's two bytes
+    pass `first2` and its four bytes equal one of `prefixes`; each such
+    position is confirmed against the patterns in `by_prefix`. Shorter
+    patterns are searched for one by one.
+    """
+
+    def __init__(self, patterns: dict[int, bytes]):
+        self.short = [(i, p) for i, p in patterns.items() if len(p) < 4]
+        self.first2 = np.zeros(1 << 16, dtype=bool)
+        self.by_prefix: dict[int, list[tuple[int, bytes]]] = {}
+        for i, p in patterns.items():
+            if len(p) >= 4:
+                self.first2[p[0] | p[1] << 8] = True
+                self.by_prefix.setdefault(int.from_bytes(p[:4], "little"), []).append((i, p))
+        self.prefixes = np.array(sorted(self.by_prefix), dtype="<u4")
+        self.overlap = max(map(len, patterns.values())) - 1
+
+    def take_matches(self, buf: bytes, pending: set[int]) -> list[int]:
+        """The indices in `pending` whose pattern occurs in `buf`, removed
+        from `pending`."""
+        found = [i for i, p in self.short if i in pending and p in buf]
+        pending.difference_update(found)
+        starts = len(buf) - 3  # positions with four bytes left
+        if starts <= 0 or not self.by_prefix:
+            return found
+        at = np.concatenate((
+            np.flatnonzero(self.first2.take(np.frombuffer(buf, "<u2", (starts + 1) // 2))) * 2,
+            np.flatnonzero(self.first2.take(np.frombuffer(buf, "<u2", starts // 2, 1))) * 2 + 1,
+        ))
+        keys = np.frombuffer(buf, np.uint8)[at[:, None] + _FOUR].view("<u4")[:, 0]
+        slot = np.minimum(np.searchsorted(self.prefixes, keys), len(self.prefixes) - 1)
+        hit = self.prefixes[slot] == keys
+        for pos, key in zip(at[hit].tolist(), keys[hit].tolist()):
+            for i, p in self.by_prefix[key]:
+                if i in pending and buf.startswith(p, pos):
+                    pending.discard(i)
+                    found.append(i)
+        return found
+
+
+def _open_regular(path: Path, inside: Path):
+    """`path` opened for unbuffered binary reading, or None when it is not a
+    regular file (FIFO, socket, device, directory) or is a symlink whose
+    target lies outside the directory `inside`.
+
+    The type is checked on the open descriptor, so nothing can swap the file
+    between the check and the read; the non-blocking open returns at once
+    on a FIFO that no process writes to.
+    """
+    if path.is_symlink() and not Path(os.path.realpath(path)).is_relative_to(inside):
+        return None
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        return None
+    return os.fdopen(fd, "rb", buffering=0)
+
+
+def _scan_file(f, index: _PatternIndex, pending: set[int], bits: np.ndarray) -> None:
+    """Set the bits of the `pending` patterns found in the open file `f` and
+    remove them from `pending`. Reading stops once none is left."""
+    tail = b""
+    while pending:
+        data = f.read(_CHUNK)
+        if not data:
+            break
+        buf = tail + data
+        bits[index.take_matches(buf, pending)] = 1
+        tail = buf[-index.overlap:] if index.overlap else b""
+
+
 def scan_app(root, catalog: FeatureCatalog) -> np.ndarray:
     """Scan the unpacked app tree at `root` against `catalog`.
 
@@ -52,34 +136,46 @@ def scan_app(root, catalog: FeatureCatalog) -> np.ndarray:
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(f"{root} is not a readable directory")
+    inside = root.resolve()
 
-    perm_idx = [i for i, f in enumerate(catalog) if f.category == PERMISSION]
-    attr_idx = [i for i, f in enumerate(catalog) if f.category != PERMISSION]
     patterns = [f.pattern.encode("utf-8") for f in catalog]
     bits = np.zeros(len(catalog), dtype=np.uint8)
 
     manifest = root / MANIFEST_NAME
-    if manifest.is_file():
-        data = manifest.read_bytes()
-        for i in perm_idx:
-            if _contains_token(data, patterns[i]):
-                bits[i] = 1
+    try:
+        f = _open_regular(manifest, inside)
+    except FileNotFoundError:
+        warnings.warn(f"{manifest} missing; permission bits left at 0", stacklevel=2)
     else:
-        warnings.warn(
-            f"{manifest} missing; permission bits left at 0", stacklevel=2
-        )
+        if f is None:
+            warnings.warn(
+                f"{manifest} is not a regular file inside the app tree; permission bits left at 0",
+                stacklevel=2,
+            )
+        else:
+            with f:
+                data = f.read()
+            for i, feat in enumerate(catalog):
+                if feat.category == PERMISSION and _contains_token(data, patterns[i]):
+                    bits[i] = 1
 
-    pending = set(attr_idx)
+    pending = {i for i, f in enumerate(catalog) if f.category != PERMISSION}
+    if not pending:
+        return bits
+    index = _PatternIndex({i: patterns[i] for i in pending})
     for dirpath, _dirnames, filenames in os.walk(root):
-        for fname in sorted(filenames):
+        for fname in filenames:
             path = Path(dirpath) / fname
-            if path == manifest or not pending:
+            if path == manifest:
                 continue
             try:
-                data = path.read_bytes()
+                f = _open_regular(path, inside)
+                if f is None:
+                    continue
+                with f:
+                    _scan_file(f, index, pending, bits)
             except OSError:
                 continue
-            for i in [i for i in pending if patterns[i] in data]:
-                bits[i] = 1
-                pending.discard(i)
+            if not pending:
+                return bits
     return bits

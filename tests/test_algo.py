@@ -19,6 +19,7 @@ BAD_FIELDS = [
     ("bootstrap_fraction", 0.0, r"bootstrap fraction must lie in \(0, 1\]"),
     ("bootstrap_fraction", 1.5, r"bootstrap fraction must lie in \(0, 1\]"),
     ("max_iter", 0, "max_iter must be at least 1"),
+    ("max_iter", 10_001, "max_iter must be at most 10000"),
     ("cv_folds", 1, "cv_folds must be at least 2"),
 ]
 

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from droidtriage.algo import MAX_ITER
 from droidtriage.catalog import FeatureSet, default_catalog, select_feature_set
 from droidtriage.cli import main
-from droidtriage.dataset import read_csv
+from droidtriage.dataset import read_csv, write_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -399,3 +407,47 @@ def test_predict_rows_render_each_score(tmp_path, small_corpus, algo):
     empty.write_text(",".join(cat.names) + "\n")
     assert main(["predict", "--model", str(model), "--data", str(empty), "--out", str(out)]) == 0
     assert out.read_bytes() == b"row,label,score\n"
+
+
+def test_compare_reads_single_set_file(tmp_path, small_corpus, capsys):
+    """compare --feature-set S reads a file holding S's columns and reports
+    what it reports on the full file; another header exits 2 with the full
+    catalog's error."""
+    full = read_csv(small_corpus, default_catalog())
+    pf_csv = tmp_path / "pf.csv"
+    write_csv(full.select_features(select_feature_set(full.catalog, FeatureSet.PF).names), pf_csv)
+    reports = []
+    for data in (small_corpus, pf_csv):
+        out = tmp_path / f"{data.stem}.report"
+        argv = ["compare", "--algo", "nb,dt", "--feature-set", "pf", "--folds", "3", "--data", str(data)]
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1] and reports[0].count("\n") == 3
+    for sets in ("af", "pf,af", "capf"):
+        rc = main(["compare", "--algo", "nb", "--feature-set", sets, "--data", str(pf_csv), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and "header does not match catalog" in err[0]
+        assert f"expected {len(default_catalog()) + 1} including 'class'" in err[0]
+
+
+def test_max_iter_above_cap_is_usage_error(tmp_path, small_corpus):
+    """--max-iter past the cap exits 1 with one line instead of boosting for ever."""
+    model = tmp_path / "m.model"
+    argv = ["train", "--algo", "sl", "--max-iter", "100000000", "--data", str(small_corpus), "--model", str(model)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "droidtriage", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"droidtriage: error: max_iter must be at most {MAX_ITER}\n"
+    assert proc.stdout == "" and not model.exists()
+
+
+def test_repeated_usage_error_reads_the_same(capsys):
+    """The parser is built once; a usage error prints the same line every call."""
+    errs = []
+    for _ in range(2):
+        assert main(["train", "--algo", "nb"]) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].startswith("droidtriage: error: the following arguments are required")

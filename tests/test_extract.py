@@ -1,8 +1,20 @@
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from droidtriage.catalog import FeatureCatalog, FeatureDef, default_catalog
-from droidtriage.extract import scan_app
+from droidtriage.catalog import PERMISSION, FeatureCatalog, FeatureDef, FeatureSet, default_catalog, select_feature_set
+from droidtriage.dataset import read_vectors
+from droidtriage.extract import _CHUNK, MANIFEST_NAME, scan_app
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+AF = select_feature_set(default_catalog(), FeatureSet.AF)
 
 
 def _write_tree(root, manifest=None, files=()):
@@ -145,3 +157,150 @@ def test_inverse_construction_reproduces_vector(tmp_path, rng):
     ]
     _write_tree(tmp_path / "app", manifest=manifest, files=files)
     assert np.array_equal(scan_app(tmp_path / "app", cat), target)
+
+
+def _reference(root, catalog):
+    """Reference attribute bits: every pattern searched for in every file
+    read whole, the manifest left out."""
+    bits = np.zeros(len(catalog), dtype=np.uint8)
+    for path in root.rglob("*"):
+        if path.is_file() and path != root / MANIFEST_NAME:
+            data = path.read_bytes()
+            for i, f in enumerate(catalog):
+                bits[i] |= f.category != PERMISSION and f.pattern.encode() in data
+    return bits
+
+
+def _api_catalog(patterns):
+    return FeatureCatalog(FeatureDef(f"p{i}", "API", p) for i, p in enumerate(patterns))
+
+
+@pytest.mark.parametrize(
+    "catalog, planted",
+    [
+        (AF, "Ljavax/crypto/spec/SecretKeySpec"),  # the longest pattern
+        (AF, "remount"),  # holds mount
+        (AF, "getDeviceId"),  # shares getDe with getDeclaredField/Method
+        (_api_catalog(["a", "xy", "xyz"]), "xyz"),  # short patterns only
+        (_api_catalog(["xy", "wxyz", "vwxyz12"]), "wxyz"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_pattern_found_at_every_offset_around_chunk_boundary(tmp_path, catalog, planted):
+    """A pattern ending in the first chunk, straddling the boundary, or
+    starting the second chunk is found, as in the file read whole."""
+    filler = np.random.default_rng(7).integers(0, 0x20, 2 * _CHUNK, dtype=np.uint8).tobytes()
+    token = planted.encode()
+    for offset in range(_CHUNK - len(token), _CHUNK + 1):
+        root = tmp_path / str(offset)
+        _write_tree(root, manifest="", files=[("blob.bin", filler[:offset] + token + filler[offset:])])
+        bits = scan_app(root, catalog)
+        assert np.array_equal(bits, _reference(root, catalog)), offset
+        assert bits[[f.pattern for f in catalog].index(planted)] == 1
+
+
+def test_tiny_and_empty_files(tmp_path):
+    cat = _api_catalog(["a", "bc", "abc", "abcd", "c"])
+    _write_tree(tmp_path / "app", manifest="", files=[("e", b""), ("one", b"c"), ("three", b"abc")])
+    assert scan_app(tmp_path / "app", cat).tolist() == [1, 1, 1, 0, 1]
+    _write_tree(tmp_path / "empty", manifest="", files=[("e", b"")])
+    assert not scan_app(tmp_path / "empty", cat).any()
+    _write_tree(tmp_path / "four", manifest="", files=[("f", b"abcd")])  # a match in the last position
+    assert scan_app(tmp_path / "four", cat).tolist() == [1, 1, 1, 1, 1]
+
+
+_SHORT_PATTERNS = st.lists(st.text("abmo", min_size=1, max_size=5), min_size=1, max_size=6)
+_SIZES = st.sampled_from([0, 1, 2, 3, 4, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1]) | st.integers(0, 2 * _CHUNK + 64)
+
+
+@st.composite
+def _app_trees(draw):
+    """A catalog (the shipped attributes, or 1- to 5-byte patterns over a small
+    alphabet) and files of seeded bytes with patterns and near misses planted,
+    often around a chunk boundary."""
+    catalog = draw(st.sampled_from([AF, None]))
+    if catalog is None:
+        catalog = _api_catalog(draw(_SHORT_PATTERNS))
+    tokens = [f.pattern.encode() for f in catalog]
+    tokens += [t[:-1] for t in tokens if len(t) > 1]  # near misses
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(_SIZES)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        alphabet = np.frombuffer(draw(st.sampled_from([bytes(range(256)), b"abmo\x00"])), dtype=np.uint8)
+        data = bytearray(rng.choice(alphabet, size).tobytes())
+        for _ in range(draw(st.integers(0, 4))):
+            token = draw(st.sampled_from(tokens))
+            at = draw(
+                st.integers(_CHUNK - len(token) - 2, _CHUNK + 2)
+                | st.integers(0, max(size - 1, 0))
+                | st.just(max(size - len(token), 0))  # ending the file
+            )
+            data[at : at + len(token)] = token
+        files.append(bytes(data[:size]) if size else b"")
+    return catalog, files
+
+
+@settings(max_examples=80, deadline=None)
+@given(_app_trees())
+def test_scanner_matches_whole_file_reference(case):
+    catalog, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        _write_tree(root, manifest="", files=[(f"d{i}/f{i}.bin", data) for i, data in enumerate(files)])
+        assert np.array_equal(scan_app(root, catalog), _reference(root, catalog))
+
+
+def _extract(root, out):
+    """`droidtriage extract` in a child process that a hang cannot stall."""
+    return subprocess.run(
+        [sys.executable, "-m", "droidtriage", "extract", str(root), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+
+
+def _bits_of(out):
+    return read_vectors(out, default_catalog())[0][0]
+
+
+def _expected(*names):
+    cat = default_catalog()
+    bits = np.zeros(len(cat), dtype=np.uint8)
+    bits[[cat.index_of(n) for n in names]] = 1
+    return bits
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("fifo", ["assets/pipe", MANIFEST_NAME])
+def test_fifo_in_tree_is_skipped(tmp_path, fifo):
+    root = tmp_path / "app"
+    _write_tree(root, manifest='"android.permission.SEND_SMS"', files=[("code.txt", "chmod")])
+    (root / fifo).unlink(missing_ok=True)
+    (root / fifo).parent.mkdir(parents=True, exist_ok=True)
+    os.mkfifo(root / fifo)
+    proc = _extract(root, tmp_path / "vec.csv")
+    assert proc.returncode == 0, proc.stderr
+    if fifo == MANIFEST_NAME:
+        assert proc.stderr.count("\n") == 1 and "not a regular file" in proc.stderr
+        assert np.array_equal(_bits_of(tmp_path / "vec.csv"), _expected("chmod"))
+    else:
+        assert proc.stderr == ""
+        assert np.array_equal(_bits_of(tmp_path / "vec.csv"), _expected("SEND_SMS", "chmod"))
+
+
+def test_symlink_leaving_root_is_skipped(tmp_path):
+    """Links whose target lies outside the root are not read, the manifest
+    included; links that stay inside are."""
+    outside = tmp_path / "outside"
+    _write_tree(outside, files=[("secret.txt", "getDeviceId"), (MANIFEST_NAME, '"android.permission.READ_SMS"')])
+    root = tmp_path / "app"
+    _write_tree(root, files=[("real/tool.sh", "busybox chmod")])
+    (root / MANIFEST_NAME).symlink_to(outside / MANIFEST_NAME)
+    (root / "leak.txt").symlink_to(outside / "secret.txt")
+    (root / "hop.txt").symlink_to(root / "leak.txt")  # inside, but resolves outside
+    (root / "up.txt").symlink_to(Path("..") / "outside" / "secret.txt")
+    (root / "alias.sh").symlink_to(Path("real") / "tool.sh")
+    proc = _extract(root, tmp_path / "vec.csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "not a regular file inside the app tree" in proc.stderr
+    assert np.array_equal(_bits_of(tmp_path / "vec.csv"), _expected("busybox", "chmod"))
