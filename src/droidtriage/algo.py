@@ -72,8 +72,9 @@ class AlgoDescriptor:
         return self.k if self.k is not None else trees.default_split_count(n_features)
 
 
-def train_model(algo: AlgoDescriptor, dataset: Dataset) -> Model:
-    """Train the classifier `algo` describes on `dataset`."""
+def train_model(algo: AlgoDescriptor, dataset: Dataset, rows=None) -> Model:
+    """Train the classifier `algo` describes on the rows of `dataset` that
+    the bool mask `rows` selects (every row when None)."""
     # Looked up on every call, so a trainer replaced on its module is the one called.
     trainers = {
         "nb": bayes.train_nb,
@@ -82,7 +83,7 @@ def train_model(algo: AlgoDescriptor, dataset: Dataset) -> Model:
         "rf": ensemble.train_forest,
         "sl": ensemble.train_simple_logistic,
     }
-    return trainers[algo.kind](dataset, algo)
+    return trainers[algo.kind](dataset, algo, rows)
 
 
 def model_scores(model: Model, X) -> np.ndarray:

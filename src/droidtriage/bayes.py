@@ -49,13 +49,14 @@ class NbModel:
         return nb_scores(self, X)
 
 
-def train_nb(dataset: Dataset, algo: AlgoDescriptor) -> NbModel:
-    """Fit conditionals theta = (count(bit=1, class) + alpha) / (n_class + 2 alpha).
+def train_nb(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> NbModel:
+    """Fit conditionals theta = (count(bit=1, class) + alpha) / (n_class + 2 alpha)
+    on the rows the bool mask `rows` selects (every row when None).
 
-    The prior is the malware fraction of the training set. Requires both
-    classes present.
+    The prior is the malware fraction of those rows. Requires both classes
+    present.
     """
-    counts, (pos_ben, pos_mal) = dataset.class_feature_counts()
+    counts, (pos_ben, pos_mal) = dataset.class_feature_counts(rows)
     n_ben, n_mal = counts.tolist()
     if n_ben == 0 or n_mal == 0:
         raise ValueError("training requires both classes present")

@@ -298,8 +298,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_roc(args) -> int:
     catalog, dataset = _read_data(args, args.feature_set)
-    model = load_model(args.model, catalog)
-    curve = roc_auc(model_scores(model, dataset.X), dataset.y)
+    scores = model_scores(load_model(args.model, catalog), dataset.X)
+    try:
+        curve = roc_auc(scores, dataset.y)
+    except ValueError as exc:
+        raise DatasetError(f"{args.data}: {exc}") from None
     write_roc(curve, args.out)
     print(args.out)
     if args.svg:

@@ -98,30 +98,21 @@ class Dataset:
         n_mal = int(self.y.sum())
         return len(self) - n_mal, n_mal
 
-    def class_feature_counts(self) -> tuple[np.ndarray, np.ndarray]:
+    def class_feature_counts(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Instances per class, shape (2,), and 1-bits per class and feature,
-        shape (2, F), both int64; row 0 is benign, row 1 malware."""
-        ones = self.X.sum(axis=0, dtype=np.int64)
-        ones_mal = self.X.sum(axis=0, dtype=np.int64, where=self.y.astype(bool)[:, None])
-        return np.bincount(self.y, minlength=2).astype(np.int64), np.stack((ones - ones_mal, ones_mal))
-
-    def subset(self, indices) -> "Dataset":
-        """New dataset containing the rows `indices`, in that order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.catalog, self.X[idx], self.y[idx])
+        shape (2, F), both int64, over the rows the bool mask `rows` selects
+        (every row when None); row 0 is benign, row 1 malware."""
+        malware = self.y.astype(bool) if rows is None else rows & (self.y == 1)
+        ones = self.X.sum(axis=0, dtype=np.int64, where=True if rows is None else rows[:, None])
+        ones_mal = self.X.sum(axis=0, dtype=np.int64, where=malware[:, None])
+        y = self.y if rows is None else self.y[rows]
+        return np.bincount(y, minlength=2).astype(np.int64), np.stack((ones - ones_mal, ones_mal))
 
     def select_features(self, names: Iterable[str]) -> "Dataset":
         """Project onto the named features, columns ordered as given."""
         names = list(names)
         cols = [self.catalog.index_of(n) for n in names]
         return Dataset(self.catalog.subset(names), self.X[:, cols], self.y)
-
-    def equals(self, other: "Dataset") -> bool:
-        return (
-            self.catalog.names == other.catalog.names
-            and np.array_equal(self.X, other.X)
-            and np.array_equal(self.y, other.y)
-        )
 
 
 def read_csv(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None) -> Dataset:

@@ -13,7 +13,9 @@ fits the single-feature weighted least-squares regressor that reduces the
 weighted squared error most, and takes a half step. On a binary feature the
 exact least-squares fit is just the weighted mean of z in each bit cell, so
 no numeric solver is involved. The iteration count is chosen by k-fold
-cross-validated log-likelihood and the model is then refit on all data.
+cross-validated log-likelihood. The fold models and the all-data model
+boost together in one loop, each with its own 0/1 row weights, and the
+model keeps the all-data model's regressors up to the chosen count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dataset import Dataset, bootstrap_sample_size, stratified_fold_indices
-from .trees import TreeModel, _descend, _pack_rows, derive_seed, grow_random_trees
+from .trees import TreeModel, _descend, _pack_rows, _row_weights, derive_seed, grow_random_trees
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -51,34 +53,32 @@ class ForestModel:
         return forest_scores(self, X)
 
 
-def _bootstrap_weights(n: int, params: AlgoDescriptor, tree_seed: int) -> np.ndarray:
-    """How often each of `n` rows enters the tree's bootstrap resample."""
-    size = bootstrap_sample_size(n, params.bootstrap_fraction)
-    rng = np.random.default_rng(derive_seed(tree_seed, 1))
-    return np.bincount(rng.integers(0, n, size=size), minlength=n)
-
-
-def train_forest(dataset: Dataset, algo: AlgoDescriptor, workers: int = 1) -> ForestModel:
+def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int = 1) -> ForestModel:
     """Train a bagged forest of ``algo.trees`` random trees, each examining
-    ``k = algo.split_count(F)`` candidates per split.
+    ``k = algo.split_count(F)`` candidates per split, on the rows the bool
+    mask `rows` selects (every row when None).
 
     Tree i has seed ``derive_seed(algo.seed, i)``: it is the root key of
     the tree's per-node candidate keys (see `trees.train_random_tree`), and
     ``derive_seed(tree_seed, 1)`` seeds its bootstrap draw of
-    ``algo.bootstrap_fraction`` of the rows; with ``algo.bootstrap`` off,
-    every tree sees the full set. The draw becomes a count per row, so tree
-    i equals ``train_random_tree`` on the resampled copy without the copy
-    being made. All trees of a batch grow in one loop over depth levels;
+    ``algo.bootstrap_fraction`` of the selected rows; with ``algo.bootstrap``
+    off, every tree sees all of them. The draw becomes a count per row, so
+    tree i equals ``train_random_tree`` on the resampled copy without the
+    copy being made. All trees of a batch grow in one loop over depth levels;
     `workers` threads each grow a contiguous batch, and results are
     identical for any `workers` count. With one tree and bootstrap off, the
     forest is exactly `train_random_tree` with seed ``derive_seed(seed, 0)``.
     """
     params = replace(algo, k=algo.split_count(dataset.feature_count))
     seeds = [derive_seed(params.seed, i) for i in range(params.trees)]
-    if params.bootstrap:
-        weights = [_bootstrap_weights(len(dataset), params, s) for s in seeds]
+    weights = _row_weights(dataset, rows)
+    if params.bootstrap:  # each tree's resample, as a count per row
+        selected = np.flatnonzero(weights)
+        size = bootstrap_sample_size(selected.size, params.bootstrap_fraction)
+        draws = (np.random.default_rng(derive_seed(s, 1)).integers(0, selected.size, size) for s in seeds)
+        weights = [np.bincount(selected[draw], minlength=len(dataset)) for draw in draws]
     else:
-        weights = [np.ones(len(dataset), dtype=np.int64)] * params.trees
+        weights = [weights] * params.trees
 
     def grow(batch: slice) -> list[TreeModel]:
         return grow_random_trees(dataset, params.k, seeds[batch], weights[batch])
@@ -144,11 +144,12 @@ class LogitModel:
         return logit_scores(self, X)
 
 
-def _best_regressor(X, z, w) -> LogitRegressor:
-    """Exact weighted least squares over all single-feature two-cell fits."""
+def _best_regressors(X, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact weighted least squares over all single-feature two-cell fits,
+    one fit per row of `z` and `w`: its feature and its two cell values."""
     wz = w * z
-    sw = w.sum()
-    swz = wz.sum()
+    sw = w.sum(axis=1, keepdims=True)
+    swz = wz.sum(axis=1, keepdims=True)
     sw1 = w @ X
     swz1 = wz @ X
     sw0 = sw - sw1
@@ -156,11 +157,11 @@ def _best_regressor(X, z, w) -> LogitRegressor:
     with np.errstate(divide="ignore", invalid="ignore"):
         explained = np.where(sw1 > 0.0, swz1 * swz1 / np.where(sw1 > 0.0, sw1, 1.0), 0.0)
         explained += np.where(sw0 > 0.0, swz0 * swz0 / np.where(sw0 > 0.0, sw0, 1.0), 0.0)
-    residual = (w * z * z).sum() - explained
-    f = int(np.argmin(residual))  # first minimum, i.e. lowest feature index
-    v1 = swz1[f] / sw1[f] if sw1[f] > 0.0 else 0.0
-    v0 = swz0[f] / sw0[f] if sw0[f] > 0.0 else 0.0
-    return LogitRegressor(f, float(v0), float(v1))
+    residual = (wz * z).sum(axis=1, keepdims=True) - explained
+    f = np.argmin(residual, axis=1)  # first minimum, i.e. lowest feature index
+    s1, sz1, s0, sz0 = (np.take_along_axis(a, f[:, None], 1)[:, 0] for a in (sw1, swz1, sw0, swz0))
+    v0 = np.divide(sz0, s0, out=np.zeros_like(sz0), where=s0 > 0.0)
+    return f, v0, np.divide(sz1, s1, out=np.zeros_like(sz1), where=s1 > 0.0)
 
 
 def _apply_regressor(reg: LogitRegressor, X) -> np.ndarray:
@@ -180,67 +181,44 @@ def log_likelihood(p, y) -> float:
     return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _boost(X, y, iterations: int, X_eval=None, y_eval=None):
-    """Run `iterations` boosting steps on (X, y).
+def train_simple_logistic(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> LogitModel:
+    """Boosted additive logistic regression with CV-chosen iteration count, on
+    the rows the bool mask `rows` selects (every row when None).
 
-    Returns the regressor list and, when an eval set is supplied, the eval
-    log-likelihood after each iteration count 0..iterations.
+    The selected rows are split into ``algo.cv_folds`` stratified folds
+    (drawn with ``algo.seed``). One member per fold boosts on the fold's
+    complement and one more on every selected row, all together for
+    ``algo.max_iter`` iterations: a member's weights are its 0/1 row mask
+    times w, so held-out rows are scored but never fitted. The iteration
+    count with the best summed held-out log-likelihood wins (ties go to the
+    smaller count, and zero iterations, the constant p = 0.5 model, is a
+    permitted winner), and the model is the all-rows member's first
+    regressors up to that count.
     """
-    F = np.zeros(X.shape[0])
-    track = X_eval is not None
-    regressors: list[LogitRegressor] = []
-    lls = []
-    if track:
-        F_eval = np.zeros(X_eval.shape[0])
-        lls.append(log_likelihood(_sigmoid2(F_eval), y_eval))
-    for _ in range(iterations):
-        p = np.clip(_sigmoid2(F), _P_CLIP, 1.0 - _P_CLIP)
-        response = logitboost_response(y, p)
-        reg = _best_regressor(X, response.z, response.w)
-        regressors.append(reg)
-        F = F + 0.5 * _apply_regressor(reg, X)
-        if track:
-            F_eval = F_eval + 0.5 * _apply_regressor(reg, X_eval)
-            lls.append(log_likelihood(_sigmoid2(F_eval), y_eval))
-    return regressors, lls
-
-
-def train_simple_logistic(dataset: Dataset, algo: AlgoDescriptor) -> LogitModel:
-    """Boosted additive logistic regression with CV-chosen iteration count.
-
-    For each of ``algo.cv_folds`` stratified folds (drawn with ``algo.seed``),
-    boosting runs on the complement for ``algo.max_iter`` iterations while
-    tracking the held-out log-likelihood; the iteration count with the best
-    mean held-out log-likelihood wins (ties go to the smaller count, and zero
-    iterations, the constant p = 0.5 model, is a permitted winner). The model
-    is then refit on all data for that count.
-    """
-    n_ben, n_mal = dataset.class_counts()
-    if n_ben == 0 or n_mal == 0:
+    X, y = (dataset.X, dataset.y) if rows is None else (dataset.X[rows], dataset.y[rows])
+    n_mal = int(y.sum())
+    if n_mal == 0 or n_mal == y.size:
         raise ValueError("training requires both classes present")
-    max_iter, cv_folds = algo.max_iter, algo.cv_folds
+    folds = stratified_fold_indices(y, algo.cv_folds, algo.seed)
+    X, y = X.astype(np.float64), y.astype(np.float64)
 
-    X = dataset.X.astype(np.float64)
-    y = dataset.y.astype(np.float64)
-    folds = stratified_fold_indices(dataset.y, cv_folds, algo.seed)
-    everything = np.arange(len(dataset))
-    ll_sum = np.zeros(max_iter + 1)
-    for test_idx in folds:
-        train_idx = np.setdiff1d(everything, test_idx)
-        _, lls = _boost(
-            X[train_idx], y[train_idx], max_iter, X_eval=X[test_idx], y_eval=y[test_idx]
-        )
-        ll_sum += np.asarray(lls)
-    iterations_used = int(np.argmax(ll_sum))  # first maximum: simplest model wins ties
+    fitted = np.ones((len(folds) + 1, y.size))
+    for member, test_idx in enumerate(folds):
+        fitted[member, test_idx] = 0.0
+    F = np.zeros(fitted.shape)
+    held_out_ll, steps = [], []
+    for _ in range(algo.max_iter + 1):
+        held_out_ll.append(sum(log_likelihood(_sigmoid2(F[m, i]), y[i]) for m, i in enumerate(folds)))
+        if len(steps) == algo.max_iter:
+            break
+        response = logitboost_response(y, np.clip(_sigmoid2(F), _P_CLIP, 1.0 - _P_CLIP))
+        f, v0, v1 = _best_regressors(X, response.z, response.w * fitted)
+        F = F + 0.5 * (v0[:, None] + (v1 - v0)[:, None] * X[:, f].T)
+        steps.append(LogitRegressor(int(f[-1]), float(v0[-1]), float(v1[-1])))
+    iterations_used = int(np.argmax(held_out_ll))  # first maximum: simplest model wins ties
 
-    regressors, _ = _boost(X, y, iterations_used)
     return LogitModel(
-        intercept=0.0,
-        regressors=tuple(regressors),
-        iterations_used=iterations_used,
-        max_iterations=max_iter,
-        cv_folds=cv_folds,
-        n_features=dataset.feature_count,
+        0.0, tuple(steps[:iterations_used]), iterations_used, algo.max_iter, algo.cv_folds, dataset.feature_count
     )
 
 
@@ -255,8 +233,3 @@ def logit_scores(model: LogitModel, X) -> np.ndarray:
     for reg in model.regressors:
         F += 0.5 * _apply_regressor(reg, X)
     return _sigmoid2(F)
-
-
-def training_log_likelihood(model: LogitModel, dataset: Dataset) -> float:
-    """Log-likelihood of `dataset` under the model's probabilities."""
-    return log_likelihood(logit_scores(model, dataset.X), dataset.y)

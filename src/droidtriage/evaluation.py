@@ -188,20 +188,21 @@ class CvResult:
 def cross_validate(dataset: Dataset, algo: AlgoDescriptor, k: int = 10, seed: int = 0) -> CvResult:
     """Train on each fold's complement, score the fold, pool the results.
 
-    Fold models train with seeds derived from (`seed`, fold index), so the
-    whole result is deterministic. Training errors are re-raised as
-    :class:`FoldError` naming the fold.
+    A fold model trains on a bool mask of the complement's rows, not on a
+    copy of them. Fold models train with seeds derived from (`seed`, fold
+    index), so the whole result is deterministic. Training errors are
+    re-raised as :class:`FoldError` naming the fold.
     """
     folds = stratified_fold_indices(dataset.y, k, seed)
-    everything = np.arange(len(dataset))
     fold_matrices = []
     pooled_scores = []
     pooled_truth = []
     for fi, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(everything, test_idx)
+        train_rows = np.ones(len(dataset), dtype=bool)
+        train_rows[test_idx] = False
         fold_seed = derive_seed(derive_seed(seed, fi), algo.seed)
         try:
-            model = train_model(replace(algo, seed=fold_seed), dataset.subset(train_idx))
+            model = train_model(replace(algo, seed=fold_seed), dataset, train_rows)
         except ValueError as exc:
             raise FoldError(fi, exc) from exc
         scores = model_scores(model, dataset.X[test_idx])

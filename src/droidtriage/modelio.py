@@ -14,6 +14,8 @@ leaf; the parser numbers them in preorder and gives each split the sum of
 its children's counts. Both use an explicit stack, so a deep chain loads.
 The loader rejects a non-finite float, a feature index outside the catalog,
 a negative count, a width other than the catalog's and a truncated tree.
+Header hyperparameters pass through `AlgoDescriptor`, flags read 0 or 1,
+and ``k`` may not exceed the catalog's width.
 """
 
 from __future__ import annotations
@@ -75,6 +77,19 @@ class _Lines:
             raise self.error(f"non-finite number {text!r}")
         return value
 
+    def flag(self, text: str) -> bool:
+        if text not in ("0", "1"):
+            raise self.error(f"flag must be 0 or 1, got {text!r}")
+        return text == "1"
+
+    def algo(self, kind: str, n_features: int, **fields) -> AlgoDescriptor:
+        """A header's hyperparameters, checked by `AlgoDescriptor` and with
+        no more split candidates than the catalog has features."""
+        algo = AlgoDescriptor(kind, **fields)
+        if algo.k is not None and algo.k > n_features:
+            raise self.error(f"k {algo.k} exceeds the catalog's {n_features} features")
+        return algo
+
     def feature(self, text: str, n_features: int) -> int:
         f = int(text)
         if not 0 <= f < n_features:
@@ -98,7 +113,8 @@ def _parse_nb_body(lines: _Lines, n_features: int) -> NbModel:
     alpha, prior, *thetas = lines.fields("alpha", "prior", "theta_benign", "theta_malware")
     theta_b, theta_m = ([lines.number(v) for v in theta.split(" ")] for theta in thetas)
     lines.check_width(len(theta_b), n_features)
-    return NbModel(lines.number(prior), theta_b, theta_m, lines.number(alpha))
+    algo = lines.algo("nb", n_features, alpha=lines.number(alpha))
+    return NbModel(lines.number(prior), theta_b, theta_m, algo.alpha)
 
 
 def _tree_body(model: TreeModel) -> list[str]:
@@ -177,8 +193,12 @@ def _parse_tree_body(lines: _Lines, n_features: int) -> TreeModel:
         "criterion", "pruned", "k", "seed", "n_features"
     )
     lines.check_width(width, n_features)
+    k = int(k)
+    algo = lines.algo(
+        "rt" if k else "dt", n_features, seed=int(seed), criterion=criterion, prune=lines.flag(pruned), k=k or None
+    )
     arrays = _parse_nodes(lines, n_features)
-    return TreeModel(*arrays, criterion, bool(int(pruned)), int(k), int(seed), n_features)
+    return TreeModel(*arrays, algo.criterion, algo.prune, k, algo.seed, n_features)
 
 
 def _forest_body(model: ForestModel) -> list[str]:
@@ -200,9 +220,9 @@ def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
     trees, k, fraction, bootstrap, seed = lines.fields(
         "trees", "k", "bootstrap_fraction", "bootstrap", "seed"
     )
-    params = AlgoDescriptor(
-        "rf", seed=int(seed), k=int(k), trees=int(trees),
-        bootstrap_fraction=lines.number(fraction), bootstrap=bool(int(bootstrap)),
+    params = lines.algo(
+        "rf", n_features, seed=int(seed), k=int(k), trees=int(trees),
+        bootstrap_fraction=lines.number(fraction), bootstrap=lines.flag(bootstrap),
     )
     members = []
     for _ in range(params.trees):
@@ -229,16 +249,18 @@ def _parse_logit_body(lines: _Lines, n_features: int) -> LogitModel:
         "intercept", "iterations_used", "max_iterations", "cv_folds", "n_features"
     )
     lines.check_width(width, n_features)
+    algo = lines.algo("sl", n_features, max_iter=int(max_iterations), cv_folds=int(cv_folds))
+    iterations = int(iterations)
+    if not 0 <= iterations <= algo.max_iter:
+        raise lines.error(f"iterations_used {iterations} outside [0, {algo.max_iter}]")
     regs = []
-    for _ in range(int(iterations)):
+    for _ in range(iterations):
         parts = lines.next().split(" ")
         if len(parts) != 4 or parts[0] != "R":
             raise lines.error("bad regressor line")
         feature = lines.feature(parts[1], n_features)
         regs.append(LogitRegressor(feature, lines.number(parts[2]), lines.number(parts[3])))
-    return LogitModel(
-        lines.number(intercept), tuple(regs), int(iterations), int(max_iterations), int(cv_folds), n_features
-    )
+    return LogitModel(lines.number(intercept), tuple(regs), iterations, algo.max_iter, algo.cv_folds, n_features)
 
 
 # kind -> (body writer, body parser)

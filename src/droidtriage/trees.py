@@ -18,18 +18,18 @@ its subtrees.
 
 Trees grow level by level rather than one node per recursive call. At each
 depth the rows of every open node, of every tree being grown, are kept
-sorted by node and class; each node's candidate columns are
-gathered as bytes and its per-feature class counts come from one segmented
-sum (``np.add.reduceat``), the histogram method of gradient-boosting
-libraries. A row may carry an integer weight, so a bootstrap resample is a
-count per row rather than a copy of the data. Every node at depth d has
-exactly F - d unused features, so the candidates form one rectangular matrix
-per level. Random candidates come from a per-node key rather than one
-depth-first stream: the root's key is the tree seed, a child's key is
-``derive_seed(parent_key, side)`` (side 0 low, 1 high), and a node examines
-the ``k`` unused features with the smallest ``derive_seed(node_key, f)``. A
-node's candidates therefore depend only on its path, not on the order in
-which nodes or trees are grown.
+sorted by node and class; each node's candidate columns are gathered as
+bytes and its per-feature class counts come from one segmented sum
+(``np.add.reduceat``), the histogram method of gradient-boosting
+libraries. A row carries an integer weight, so a training fold is a 0/1
+mask and a bootstrap resample a count per row, never a copy of the data.
+Every node at depth d has exactly F - d unused features, so the candidates
+form one rectangular matrix per level. Random candidates come from a
+per-node key rather than one depth-first stream: the root's key is the
+tree seed, a child's key is ``derive_seed(parent_key, side)`` (side 0 low,
+1 high), and a node examines the ``k`` unused features with the smallest
+``derive_seed(node_key, f)``. A node's candidates therefore depend only on
+its path, not on the order in which nodes or trees are grown.
 
 Scoring descends sets of rows, 64 to a word (bitvector traversal, as in
 QuickScorer): a split's high child gets ``rows & column``, its low child
@@ -69,17 +69,13 @@ _BYTE_BITS = (1 << np.arange(8)).astype(np.uint8)  # row r of 8 is bit r of a by
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Stable 64-bit mix of (master, index): per-tree seeds and node keys."""
-    z = (int(master) + (int(index) + 1) * _GOLDEN) & _MASK64
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    """Stable 64-bit mix of (master, index), both modulo 2**64: tree seeds and node keys."""
+    return int(_derive_seeds([int(master) & _MASK64], [int(index) & _MASK64])[0])
 
 
 def _derive_seeds(master, index) -> np.ndarray:
-    """`derive_seed` over broadcast uint64 arrays (at least one-dimensional)."""
+    """SplitMix64's finalizer of ``master + (index + 1) * golden`` over broadcast uint64
+    arrays, at least 1-d: numpy wraps array products silently but warns on 0-d ones."""
     z = np.asarray(master, dtype=np.uint64) + (
         np.asarray(index, dtype=np.uint64) + np.uint64(1)
     ) * np.uint64(_GOLDEN)
@@ -290,34 +286,43 @@ def _grown_models(dataset, weights, criterion, k, seeds) -> list[TreeModel]:
     ]
 
 
-def train_decision_tree(dataset: Dataset, algo: AlgoDescriptor) -> TreeModel:
-    """Greedy decision tree over all features, by ``algo.criterion``.
+def _row_weights(dataset: Dataset, rows) -> np.ndarray:
+    """The bool row mask `rows` (every row when None) as 0/1 int64 weights."""
+    weights = np.ones(len(dataset), dtype=np.int64) if rows is None else rows.astype(np.int64)
+    if not weights.any():
+        raise ValueError("cannot train on an empty dataset")
+    return weights
+
+
+def train_decision_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> TreeModel:
+    """Greedy decision tree over all features, by ``algo.criterion``, on the
+    rows the bool mask `rows` selects (every row when None).
 
     Splitting stops when a node is pure, has fewer than two instances, has no
     unused features left, or when the best impurity decrease is not positive.
     Ties between equally good features resolve to the lowest feature index.
 
     With ``algo.prune`` set, the tree is grown on a stratified 80% of the
-    data (folds drawn with ``algo.seed``) and simplified by reduced-error
-    pruning against the held-out 20%: bottom-up, a subtree collapses to a
-    leaf whenever the leaf makes no more mistakes on the holdout than the
-    subtree did.
+    selected rows (folds drawn with ``algo.seed``) and simplified by
+    reduced-error pruning against the held-out 20%: bottom-up, a subtree
+    collapses to a leaf whenever the leaf makes no more mistakes on the
+    holdout than the subtree did.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    weights = np.ones(len(dataset), dtype=np.int64)
+    weights = _row_weights(dataset, rows)
     if not algo.prune:
         return _grown_models(dataset, [weights], algo.criterion, 0, [algo.seed])[0]
 
-    holdout_idx = stratified_fold_indices(dataset.y, _PRUNE_FOLDS, algo.seed)[0]
-    weights[holdout_idx] = 0
+    selected = np.flatnonzero(weights)
+    holdout = selected[stratified_fold_indices(dataset.y[selected], _PRUNE_FOLDS, algo.seed)[0]]
+    weights[holdout] = 0
     grown = _grown_models(dataset, [weights], algo.criterion, 0, [algo.seed])[0]
-    return _reduced_error_prune(grown, dataset.X, dataset.y, holdout_idx)
+    return _reduced_error_prune(grown, dataset.X, dataset.y, holdout)
 
 
-def train_random_tree(dataset: Dataset, algo: AlgoDescriptor) -> TreeModel:
+def train_random_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> TreeModel:
     """Entropy tree examining only ``k = algo.split_count(F)`` candidate
-    features per split.
+    features per split, on the rows the bool mask `rows` selects (every row
+    when None).
 
     Each node examines the `k` features unused on its path with the smallest
     ``derive_seed(node_key, feature)``, where the root's key is ``algo.seed``
@@ -327,25 +332,22 @@ def train_random_tree(dataset: Dataset, algo: AlgoDescriptor) -> TreeModel:
     ``k`` equal to the feature count every node examines every unused
     feature, so the structure coincides with the unpruned decision tree.
     """
-    return grow_random_trees(dataset, algo.split_count(dataset.feature_count), [algo.seed])[0]
+    k = algo.split_count(dataset.feature_count)
+    return grow_random_trees(dataset, k, [algo.seed], [_row_weights(dataset, rows)])[0]
 
 
-def grow_random_trees(dataset: Dataset, k: int, seeds, weights=None) -> list[TreeModel]:
+def grow_random_trees(dataset: Dataset, k: int, seeds, weights) -> list[TreeModel]:
     """Random trees as `train_random_tree` grows them, one per seed, in one pass.
 
-    ``weights[i]``, when given, counts how often each row of `dataset` enters
-    tree i: a bootstrap resample without copying the data. Tree i equals
-    ``train_random_tree`` on ``dataset.subset(rows)`` with ``k`` and
-    ``seeds[i]``, where `rows` repeats every row its weight's number of times.
+    ``weights[i]`` counts how often each row of `dataset` enters tree i, so a
+    fold or a bootstrap resample needs no copy of the data: tree i equals
+    ``train_random_tree`` with ``k`` and ``seeds[i]`` on a dataset that
+    repeats every row its weight's number of times.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
     if not 1 <= k <= dataset.feature_count:
         raise ValueError(f"k={k} must lie in [1, {dataset.feature_count}]")
     if any(seed < 0 for seed in seeds):
         raise ValueError("seed must be non-negative")
-    if weights is None:
-        weights = [np.ones(len(dataset), dtype=np.int64)] * len(seeds)
     return _grown_models(dataset, weights, ENTROPY, k, list(seeds))
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.dataset import Dataset
+from droidtriage.ensemble import log_likelihood, logit_scores
 
 
 def toy_catalog(n: int, prefix: str = "f") -> FeatureCatalog:
@@ -25,6 +26,20 @@ def random_dataset(rng, n: int, n_features: int, catalog=None) -> Dataset:
     y = (rng.random(n) < 0.5).astype(np.uint8)
     y[0], y[1] = 0, 1
     return make_dataset(X, y, catalog)
+
+
+def subset(ds: Dataset, rows) -> Dataset:
+    """A copy of the rows `rows` (indices or a bool mask) of `ds`, in order."""
+    return Dataset(ds.catalog, ds.X[rows], ds.y[rows])
+
+
+def same_dataset(a: Dataset, b: Dataset) -> bool:
+    return a.catalog.names == b.catalog.names and np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+def training_log_likelihood(model, ds: Dataset) -> float:
+    """Log-likelihood of the labels of `ds` under an sl model's probabilities."""
+    return log_likelihood(logit_scores(model, ds.X), ds.y)
 
 
 def _nested(model):

@@ -35,14 +35,13 @@ from droidtriage.ensemble import (
     logitboost_response,
     train_forest,
     train_simple_logistic,
-    training_log_likelihood,
 )
 from droidtriage.evaluation import ConfusionMatrix, compare, cross_validate, metrics, roc_auc
 from droidtriage.modelio import load_model, save_model
 from droidtriage.ranking import FeatureClassCounts, mutual_information, rank_features, top_k
 from droidtriage.trees import train_decision_tree, train_random_tree, tree_scores
 
-from conftest import make_dataset, toy_catalog
+from conftest import make_dataset, same_dataset, toy_catalog, training_log_likelihood
 from test_ranking import ERRATA_ROWS, PUBLISHED_SCORES, _exact_count_dataset
 
 
@@ -342,7 +341,7 @@ def test_criterion_10_round_trips(tmp_path):
         y[:10] = np.arange(10) % 2
         ds = Dataset(cat, X, y)
         write_csv(ds, tmp_path / "d.csv")
-        assert read_csv(tmp_path / "d.csv", cat).equals(ds)
+        assert same_dataset(read_csv(tmp_path / "d.csv", cat), ds)
 
         probe = (gen.random((1000, 40)) < 0.5).astype(np.uint8)
         algos = [

@@ -1,12 +1,14 @@
 """`AlgoDescriptor` is the one place flags are checked, and `train_model`
 dispatches to the trainers through one table read at call time."""
 
+import numpy as np
 import pytest
 
 from droidtriage import bayes
 from droidtriage.algo import KINDS, AlgoDescriptor, train_model
+from droidtriage.modelio import save_model
 
-from conftest import random_dataset
+from conftest import random_dataset, subset
 
 # (field, bad value, expected message)
 BAD_FIELDS = [
@@ -40,11 +42,57 @@ def test_train_model_calls_the_trainer_on_its_module(monkeypatch, rng):
     """A trainer replaced on its module (as a tracer does) is the one called."""
     calls = []
 
-    def fake_train_nb(dataset, algo):
-        calls.append((dataset, algo))
+    def fake_train_nb(dataset, algo, rows):
+        calls.append((dataset, algo, rows))
         return "trained"
 
     monkeypatch.setattr(bayes, "train_nb", fake_train_nb)
     ds, algo = random_dataset(rng, 20, 3), AlgoDescriptor("nb", alpha=0.5)
+    mask = np.arange(20) % 2 == 0
     assert train_model(algo, ds) == "trained"
-    assert calls == [(ds, algo)]
+    assert train_model(algo, ds, mask) == "trained"
+    assert calls == [(ds, algo, None), (ds, algo, mask)]
+
+
+# Every kind, and each option that changes how a trainer picks its rows.
+MASKED_ALGOS = [
+    AlgoDescriptor("nb", alpha=0.5),
+    AlgoDescriptor("dt"),
+    AlgoDescriptor("dt", criterion="gini"),
+    AlgoDescriptor("dt", prune=True, seed=3),
+    AlgoDescriptor("rt", k=3, seed=8),
+    AlgoDescriptor("rf", trees=4, k=3, seed=5),
+    AlgoDescriptor("rf", trees=3, k=2, seed=6, bootstrap_fraction=0.6),
+    AlgoDescriptor("rf", trees=2, k=2, seed=7, bootstrap=False),
+    AlgoDescriptor("sl", max_iter=8, cv_folds=3, seed=2),
+]
+
+
+@pytest.mark.parametrize("algo", MASKED_ALGOS, ids=lambda a: f"{a.kind}-{a.seed}")
+@pytest.mark.parametrize("mask_seed", [0, 1])
+def test_mask_trains_as_the_copy_of_its_rows(tmp_path, rng, algo, mask_seed):
+    """A model trained on a row mask saves the bytes of one trained on a copy
+    of the masked rows."""
+    ds = random_dataset(rng, 160, 10)
+    rows = np.random.default_rng(mask_seed).random(len(ds)) < 0.6
+    rows[:2] = True  # random_dataset puts both classes in rows 0 and 1
+    masked, copied = tmp_path / "masked.model", tmp_path / "copied.model"
+    save_model(train_model(algo, ds, rows), masked, ds.catalog)
+    save_model(train_model(algo, subset(ds, rows)), copied, ds.catalog)
+    assert masked.read_bytes() == copied.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("nb", "training requires both classes present"),
+        ("dt", "cannot train on an empty dataset"),
+        ("rt", "cannot train on an empty dataset"),
+        ("rf", "cannot train on an empty dataset"),
+        ("sl", "training requires both classes present"),
+    ],
+)
+def test_all_false_mask_rejected(rng, kind, message):
+    ds = random_dataset(rng, 30, 4)
+    with pytest.raises(ValueError, match=message):
+        train_model(AlgoDescriptor(kind), ds, np.zeros(len(ds), dtype=bool))

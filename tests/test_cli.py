@@ -10,6 +10,8 @@ from droidtriage.catalog import FeatureSet, default_catalog, select_feature_set
 from droidtriage.cli import main
 from droidtriage.dataset import read_csv, write_csv
 
+from conftest import subset
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -344,6 +346,37 @@ def test_rank_single_class_exits_2(tmp_path, capsys):
     assert len(err) == 1 and "each class" in err[0]
 
 
+def test_roc_single_class_exits_2(tmp_path, small_corpus, capsys):
+    cat = default_catalog()
+    model, one_class = tmp_path / "m.model", tmp_path / "one.csv"
+    assert main(["train", "--algo", "nb", "--data", str(small_corpus), "--model", str(model)]) == 0
+    one_class.write_text(",".join(cat.names) + ",class\n" + "0," * len(cat) + "malware\n")
+    capsys.readouterr()
+    rc = main(["roc", "--model", str(model), "--data", str(one_class), "--out", str(tmp_path / "roc.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"droidtriage: error: {one_class}: ROC requires both classes present\n"
+
+
+@pytest.mark.parametrize(
+    "algo, message",
+    [
+        ("nb", "training requires both classes present"),
+        ("dt", "cannot train on an empty dataset"),
+        ("rt", "cannot train on an empty dataset"),
+        ("rf", "cannot train on an empty dataset"),
+        ("sl", "training requires both classes present"),
+    ],
+)
+def test_train_header_only_csv_is_usage_error(tmp_path, capsys, algo, message):
+    data, model = tmp_path / "empty.csv", tmp_path / "m.model"
+    data.write_text(",".join(default_catalog().names) + ",class\n")
+    rc = main(["train", "--algo", algo, "--data", str(data), "--model", str(model)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and not model.exists()
+    assert captured.err == f"droidtriage: error: {message}\n"
+
+
 @pytest.fixture(scope="module")
 def benign_only(small_corpus, tmp_path_factory):
     """The benign rows of the small corpus."""
@@ -351,7 +384,7 @@ def benign_only(small_corpus, tmp_path_factory):
 
     ds = read_csv(small_corpus, default_catalog())
     path = tmp_path_factory.mktemp("benign") / "benign.csv"
-    write_csv(ds.subset(ds.y == 0), path)
+    write_csv(subset(ds, ds.y == 0), path)
     return path
 
 

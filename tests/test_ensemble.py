@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from droidtriage.algo import AlgoDescriptor, predict
-from droidtriage.dataset import Label, bootstrap_sample_size
+from droidtriage.dataset import Label, bootstrap_sample_size, stratified_fold_indices
 from droidtriage.ensemble import (
     ForestModel,
     LogitModel,
@@ -15,11 +15,10 @@ from droidtriage.ensemble import (
     logitboost_response,
     train_forest,
     train_simple_logistic,
-    training_log_likelihood,
 )
 from droidtriage.trees import TreeModel, train_random_tree, tree_scores
 
-from conftest import _nested, _walk, make_dataset, random_dataset
+from conftest import _nested, _walk, make_dataset, random_dataset, subset, training_log_likelihood
 
 
 class TestDeriveSeed:
@@ -69,7 +68,7 @@ class TestForest:
         for i, member in enumerate(forest.trees):
             tree_seed = derive_seed(9, i)
             draw = np.random.default_rng(derive_seed(tree_seed, 1)).integers(0, len(ds), size=size)
-            copy = train_random_tree(ds.subset(draw), AlgoDescriptor("rt", k=8, seed=tree_seed))
+            copy = train_random_tree(subset(ds, draw), AlgoDescriptor("rt", k=8, seed=tree_seed))
             assert _nested(member) == _nested(copy)
             assert member.seed == tree_seed
 
@@ -289,6 +288,88 @@ class TestSimpleLogistic:
     def test_log_likelihood_of_perfect_probabilities(self):
         assert log_likelihood([1.0, 1.0], [1, 1]) == pytest.approx(0.0, abs=1e-12)
         assert log_likelihood([0.5, 0.5], [0, 1]) == pytest.approx(2 * np.log(0.5))
+
+
+def _sequential_simple_logistic(ds, algo):
+    """Simple logistic boosted fold by fold: each fold's complement is
+    copied and boosted on its own, then all rows are boosted again for the
+    chosen count. A slow, independent reference for `train_simple_logistic`,
+    which boosts the folds and the all-rows model together."""
+    X, y = ds.X.astype(np.float64), ds.y.astype(np.float64)
+
+    def fit(X, z, w):
+        wz = w * z
+        sw1, swz1 = w @ X, wz @ X
+        sw0, swz0 = w.sum() - sw1, wz.sum() - swz1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            explained = np.where(sw1 > 0.0, swz1 * swz1 / np.where(sw1 > 0.0, sw1, 1.0), 0.0)
+            explained += np.where(sw0 > 0.0, swz0 * swz0 / np.where(sw0 > 0.0, sw0, 1.0), 0.0)
+        f = int(np.argmin((w * z * z).sum() - explained))
+        v1 = swz1[f] / sw1[f] if sw1[f] > 0.0 else 0.0
+        v0 = swz0[f] / sw0[f] if sw0[f] > 0.0 else 0.0
+        return LogitRegressor(f, float(v0), float(v1))
+
+    def boost(X, y, iterations, X_eval, y_eval):
+        F, F_eval, regressors = np.zeros(len(y)), np.zeros(len(y_eval)), []
+        lls = [log_likelihood(0.5 * (1.0 + np.tanh(F_eval)), y_eval)]
+        for _ in range(iterations):
+            p = np.clip(0.5 * (1.0 + np.tanh(F)), 1e-15, 1.0 - 1e-15)
+            response = logitboost_response(y, p)
+            reg = fit(X, response.z, response.w)
+            regressors.append(reg)
+            F = F + 0.5 * (reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * X[:, reg.feature])
+            F_eval = F_eval + 0.5 * (reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * X_eval[:, reg.feature])
+            lls.append(log_likelihood(0.5 * (1.0 + np.tanh(F_eval)), y_eval))
+        return regressors, np.array(lls)
+
+    ll_sum = np.zeros(algo.max_iter + 1)
+    for test_idx in stratified_fold_indices(ds.y, algo.cv_folds, algo.seed):
+        train_idx = np.setdiff1d(np.arange(len(ds)), test_idx)
+        ll_sum += boost(X[train_idx], y[train_idx], algo.max_iter, X[test_idx], y[test_idx])[1]
+    iterations_used = int(np.argmax(ll_sum))
+    return boost(X, y, iterations_used, X[:0], y[:0])[0]
+
+
+def _logistic_dataset(seed: int, n: int, n_features: int):
+    """Labels drawn from a logistic model of the bits, so the held-out curve
+    peaks somewhere between no iterations and the cap."""
+    gen = np.random.default_rng(seed)
+    X = (gen.random((n, n_features)) < gen.uniform(0.1, 0.9, n_features)).astype(np.uint8)
+    logit = X @ gen.normal(0.0, 1.5, n_features)
+    logit -= np.median(logit)
+    y = (gen.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.uint8)
+    return make_dataset(X, y)
+
+
+def _calibrated_corpus(seed: int):
+    from droidtriage.calibration import reference_spec
+    from droidtriage.dataset import synthesize
+
+    return synthesize(reference_spec(), seed)
+
+
+@pytest.mark.parametrize(
+    "data, max_iter, cv_folds",
+    [
+        (lambda: _logistic_dataset(1, 300, 12), 30, 5),
+        (lambda: _logistic_dataset(2, 500, 20), 40, 3),
+        (lambda: _logistic_dataset(3, 200, 8), 25, 4),
+        (lambda: _logistic_dataset(4, 400, 30), 60, 5),
+        (lambda: _calibrated_corpus(1), 60, 3),
+    ],
+    ids=["logistic-1", "logistic-2", "logistic-3", "logistic-4", "calibrated-1"],
+)
+def test_simple_logistic_matches_sequential_folds(data, max_iter, cv_folds):
+    ds = data()
+    algo = AlgoDescriptor("sl", max_iter=max_iter, cv_folds=cv_folds, seed=3)
+    model = train_simple_logistic(ds, algo)
+    reference = _sequential_simple_logistic(ds, algo)
+    assert model.iterations_used == len(reference) == len(model.regressors)
+    assert 0 < model.iterations_used  # the comparison covers some regressors
+    assert [r.feature for r in model.regressors] == [r.feature for r in reference]
+    got = np.array([(r.value_if_0, r.value_if_1) for r in model.regressors])
+    want = np.array([(r.value_if_0, r.value_if_1) for r in reference])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_forest_beats_median_tree_on_calibrated_corpus():

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from droidtriage.algo import AlgoDescriptor
+from droidtriage.algo import AlgoDescriptor, model_scores, train_model
 from droidtriage.evaluation import (
     ComparisonRow,
     ConfusionMatrix,
@@ -18,8 +19,9 @@ from droidtriage.evaluation import (
 )
 from droidtriage.catalog import FeatureSet
 from droidtriage.dataset import stratified_fold_indices
+from droidtriage.trees import derive_seed
 
-from conftest import make_dataset, random_dataset, toy_catalog
+from conftest import make_dataset, random_dataset, subset, toy_catalog
 
 
 class TestConfusion:
@@ -204,6 +206,22 @@ class TestCrossValidate:
             total = total + fm
         assert total == cv.pooled_matrix
         assert cv.pooled_matrix.total == len(ds)
+
+    @pytest.mark.parametrize("kind", ["nb", "dt", "rt", "rf", "sl"])
+    def test_folds_train_as_copies_of_their_complements(self, rng, kind):
+        """Fold models train on row masks; scores match models trained on
+        copies of each fold's complement with the fold's seed."""
+        ds = random_dataset(rng, 90, 6)
+        algo = AlgoDescriptor(kind, trees=3, k=2, max_iter=5, cv_folds=3, seed=4)
+        cv = cross_validate(ds, algo, k=3, seed=7)
+        scores, truth = [], []
+        for fi, test_idx in enumerate(stratified_fold_indices(ds.y, 3, 7)):
+            train_idx = np.setdiff1d(np.arange(len(ds)), test_idx)
+            fold_algo = replace(algo, seed=derive_seed(derive_seed(7, fi), algo.seed))
+            model = train_model(fold_algo, subset(ds, train_idx))
+            scores.append(model_scores(model, ds.X[test_idx]))
+            truth.append(ds.y[test_idx])
+        assert cv.roc == roc_auc(np.concatenate(scores), np.concatenate(truth))
 
     def test_fold_error_carries_fold_index(self):
         # The training complement has 4 malware instances, so the inner

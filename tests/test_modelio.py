@@ -132,9 +132,18 @@ def _nb_body(alpha="1.0", prior="0.5", theta_benign="0.5 0.5 0.5 0.5", theta_mal
     ]
 
 
-def _rf_body(trees="1", k="1", fraction="1.0"):
-    head = [f"trees {trees}", f"k {k}", f"bootstrap_fraction {fraction}", "bootstrap 1", "seed 0"]
+def _rf_body(trees="1", k="1", fraction="1.0", bootstrap="1"):
+    head = [f"trees {trees}", f"k {k}", f"bootstrap_fraction {fraction}", f"bootstrap {bootstrap}", "seed 0"]
     return head + ["tree"] + _TREE_HEAD + ["n_features 4", "L 1 0"]
+
+
+def _tree_body(criterion="entropy", pruned="0", k="0"):
+    return [f"criterion {criterion}", f"pruned {pruned}", f"k {k}", "seed 0", "n_features 4", "L 1 0"]
+
+
+def _sl_body(iterations="1", max_iterations="5", cv_folds="2"):
+    head = [f"iterations_used {iterations}", f"max_iterations {max_iterations}", f"cv_folds {cv_folds}"]
+    return ["intercept 0.0"] + head + ["n_features 4"] + ["R 0 -1.0 1.0"] * int(iterations)
 
 
 # Hostile model files for a 4-feature catalog: (kind, body, expected error).
@@ -160,6 +169,17 @@ CRAFTED = {
     "rf-k-0": ("rf", _rf_body(k="0"), "k must be at least 1"),
     "rf-fraction-0": ("rf", _rf_body(fraction="0.0"), r"bootstrap fraction must lie in \(0, 1\]"),
     "rf-fraction-1.5": ("rf", _rf_body(fraction="1.5"), r"bootstrap fraction must lie in \(0, 1\]"),
+    "rf-k-wider-than-catalog": ("rf", _rf_body(k="100000"), "k 100000 exceeds the catalog's 4 features"),
+    "rf-bootstrap-7": ("rf", _rf_body(bootstrap="7"), "flag must be 0 or 1, got '7'"),
+    "tree-criterion": ("dt", _tree_body(criterion="bogus"), "criterion must be one of"),
+    "tree-k-negative": ("dt", _tree_body(k="-3"), "k must be at least 1"),
+    "tree-k-wider-than-catalog": ("rt", _tree_body(k="5"), "k 5 exceeds the catalog's 4 features"),
+    "tree-pruned-5": ("dt", _tree_body(pruned="5"), "flag must be 0 or 1, got '5'"),
+    "sl-max-iterations-negative": ("sl", _sl_body(iterations="0", max_iterations="-4"), "max_iter must be at least 1"),
+    "sl-cv-folds-0": ("sl", _sl_body(cv_folds="0"), "cv_folds must be at least 2"),
+    "sl-iterations-above-max": ("sl", _sl_body(iterations="6"), r"iterations_used 6 outside \[0, 5\]"),
+    "sl-iterations-negative": ("sl", _SL_HEAD[:1] + ["iterations_used -1"] + _SL_HEAD[2:] + ["n_features 4"], "outside"),
+    "nb-alpha-negative": ("nb", _nb_body(alpha="-1.0"), "alpha must be finite and positive"),
 }
 
 
@@ -183,6 +203,16 @@ def test_crafted_rf_control_loads(tmp_path):
     cat = toy_catalog(4)
     model = load_model(_crafted(tmp_path, cat, "rf", _rf_body()), cat)
     assert model.params == AlgoDescriptor("rf", k=1, trees=1)
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [("nb", _nb_body()), ("dt", _tree_body()), ("rt", _tree_body(k="4")), ("sl", _sl_body(iterations="5"))],
+)
+def test_crafted_controls_load(tmp_path, kind, body):
+    """The other cases above differ from these loadable files in one field each."""
+    cat = toy_catalog(4)
+    assert load_model(_crafted(tmp_path, cat, kind, body), cat).kind == kind
 
 
 def test_deep_chain_loads_without_recursion(tmp_path):

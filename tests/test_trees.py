@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from droidtriage.trees import (
     tree_scores,
 )
 
-from conftest import _nested, _walk, make_dataset, random_dataset
+from conftest import _nested, _walk, make_dataset, random_dataset, subset
 
 
 def entropy(n_malware, total) -> float:
@@ -28,6 +29,18 @@ def entropy(n_malware, total) -> float:
 
 def gini(n_malware, total) -> float:
     return float(_IMPURITY[GINI](n_malware, total))
+
+
+def test_derive_seed_pinned():
+    """SplitMix64's finalizer of master + (index + 1) * golden; both inputs
+    are taken modulo 2**64, and no overflow warning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert derive_seed(0, 0) == 0xE220A8397B1DCDAF  # SplitMix64's first output from state 0
+        assert derive_seed(42, 7) == 14769051326987775908
+        assert derive_seed(-1, 3) == derive_seed(2**64 - 1, 3) == 7862637804313477842
+        assert derive_seed(2**64 + 5, 1) == derive_seed(5, 1) == 13877614986023876344
+        assert derive_seed(2**64 - 1, 2**64 - 1) == 13029008266876403067
 
 
 class TestImpurity:
@@ -304,7 +317,7 @@ class TestPruning:
         seed = 1
         holdout = stratified_fold_indices(ds.y, 5, seed)[0]
         grow_idx = np.setdiff1d(np.arange(len(ds)), holdout)
-        raw_model = train_decision_tree(ds.subset(grow_idx), AlgoDescriptor("dt"))
+        raw_model = train_decision_tree(subset(ds, grow_idx), AlgoDescriptor("dt"))
         pruned = train_decision_tree(ds, AlgoDescriptor("dt", prune=True, seed=seed))
         X_hold, y_hold = ds.X[holdout], ds.y[holdout]
         assert _training_accuracy(pruned, X_hold, y_hold) >= _training_accuracy(
