@@ -50,7 +50,9 @@ class AlgoDescriptor:
         """Every field is checked whatever the kind, so any descriptor is
         safe to hand to any trainer; the trainers check only the data."""
         if self.kind not in KINDS:
-            raise ValueError(f"unknown algorithm kind {self.kind!r}")
+            raise ValueError(f"unknown algorithm kind {self.kind!r}; choose from {', '.join(KINDS)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("smoothing alpha must be finite and positive")
         if self.criterion not in trees.CRITERIA:

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, DatasetError
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -59,7 +59,7 @@ def train_nb(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> NbModel:
     counts, (pos_ben, pos_mal) = dataset.class_feature_counts(rows)
     n_ben, n_mal = counts.tolist()
     if n_ben == 0 or n_mal == 0:
-        raise ValueError("training requires both classes present")
+        raise DatasetError("training requires both classes present")
     alpha = algo.alpha
     return NbModel(
         prior_malware=n_mal / (n_ben + n_mal),

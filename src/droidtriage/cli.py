@@ -1,8 +1,10 @@
 """Command-line front end wiring the library into one pipeline.
 
 Subcommands: synth, extract, rank, train, predict, crossval, compare, roc.
-Exit codes: 0 success, 1 usage error, 2 data or model error. stdout carries
-only data and output paths; diagnostics go to stderr.
+Exit codes: 0 success, 1 a flag fault (a value argparse or `AlgoDescriptor`
+rejects), 2 a fault in the data, catalog or model; `main` alone maps a fault
+to its code. stdout carries only data and output paths; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import functools
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +38,19 @@ from .dataset import (
     write_csv,
     write_vector_csv,
 )
-from .evaluation import ComparisonRow, FoldError, RocCurve, compare, cross_validate, roc_auc, write_report, write_roc
+from .evaluation import FoldError, RocCurve, compare, roc_auc, write_report, write_roc
 from .extract import scan_app
 from .modelio import ModelFormatError, load_model, save_model
 from .ranking import rank_features, write_ranking
+from .trees import CRITERIA
 
 _DATA_ERRORS = (CatalogError, DatasetError, ModelFormatError, FoldError, OSError)
+_DEFAULTS = {f.name: f.default for f in fields(AlgoDescriptor)}
+_FEATURE_SETS = [fs.value for fs in FeatureSet]
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A flag fault found by the parser or a command."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +70,13 @@ def _base_catalog(args) -> FeatureCatalog:
     return default_catalog() if args.catalog is None else load_catalog(args.catalog)
 
 
+def _columns(args, feature_set: str | None) -> tuple[FeatureCatalog, FeatureCatalog]:
+    """The `--catalog` catalog and the columns the set named `feature_set`
+    selects from it (all when None)."""
+    catalog = _base_catalog(args)
+    return catalog, select_feature_set(catalog, FeatureSet(feature_set)) if feature_set else catalog
+
+
 def _read_data(args, feature_set: str | None, labeled: bool = True):
     """The columns the set named `feature_set` selects (all when None) and
     `--data` read with them: a dataset, or the bits and labels when `labeled`
@@ -71,58 +84,44 @@ def _read_data(args, feature_set: str | None, labeled: bool = True):
 
     The file's header may name those columns or the full catalog's.
     """
-    catalog = _base_catalog(args)
-    columns = select_feature_set(catalog, FeatureSet(feature_set)) if feature_set else catalog
+    catalog, columns = _columns(args, feature_set)
     return columns, (read_csv if labeled else read_vectors)(args.data, catalog, columns)
 
 
 def _algo_from_args(args, kind: str) -> AlgoDescriptor:
-    return AlgoDescriptor(
-        kind=kind,
-        seed=args.seed,
-        alpha=args.alpha,
-        criterion=args.criterion,
-        prune=args.prune,
-        k=args.k,
-        trees=args.trees,
-        bootstrap_fraction=args.bootstrap,
-        bootstrap=not args.no_bootstrap,
-        max_iter=args.max_iter,
-        cv_folds=args.cv_folds,
-    )
+    """The descriptor of `kind` with the algorithm flags given; every flag
+    left out keeps `AlgoDescriptor`'s default."""
+    given = vars(args)
+    return AlgoDescriptor(kind, **{f.name: given[f.name] for f in fields(AlgoDescriptor) if f.name in given})
 
 
 def _add_algo_flags(p: _Parser, multi: bool = False) -> None:
+    """The algorithm flags, stored under `AlgoDescriptor`'s field names and
+    absent from the namespace when not given."""
     help_kind = "classifier kind" + (", comma-separated list allowed" if multi else "")
     p.add_argument("--algo", required=True, help=f"{help_kind}: one of {', '.join(KINDS)}")
-    p.add_argument("--alpha", type=float, default=1.0, help="nb smoothing (default 1.0)")
-    p.add_argument("--criterion", choices=["entropy", "gini"], default="entropy")
-    p.add_argument("--prune", action="store_true", help="dt: reduced-error pruning")
-    p.add_argument("--k", type=int, default=None, help="rt/rf: candidates per split (default log2 F + 1)")
-    p.add_argument("--trees", type=int, default=10, help="rf: ensemble size (default 10)")
-    p.add_argument("--bootstrap", type=float, default=1.0, help="rf: resample fraction (default 1.0)")
-    p.add_argument("--no-bootstrap", action="store_true", help="rf: train every tree on the full set")
-    p.add_argument(
-        "--max-iter", dest="max_iter", type=int, default=30, help=f"sl: boosting iteration cap (at most {MAX_ITER})"
-    )
-    p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5, help="sl: folds for iteration selection")
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--alpha", type=float, help=f"nb: smoothing (default {_DEFAULTS['alpha']})")
+    flag("--criterion", choices=CRITERIA, help=f"dt: split criterion (default {_DEFAULTS['criterion']})")
+    flag("--prune", action="store_true", help="dt: reduced-error pruning")
+    flag("--k", type=int, help="rt/rf: candidates per split (default log2 F + 1)")
+    flag("--trees", type=int, help=f"rf: ensemble size (default {_DEFAULTS['trees']})")
+    flag("--bootstrap", dest="bootstrap_fraction", type=float,
+         help=f"rf: resample fraction (default {_DEFAULTS['bootstrap_fraction']})")
+    flag("--no-bootstrap", dest="bootstrap", action="store_false", help="rf: train every tree on the full set")
+    flag("--max-iter", type=int,
+         help=f"sl: boosting iteration cap (default {_DEFAULTS['max_iter']}, at most {MAX_ITER})")
+    flag("--cv-folds", type=int, help=f"sl: folds for iteration selection (default {_DEFAULTS['cv_folds']})")
 
 
 def _add_common(p: _Parser, *, multi_sets: bool = False) -> None:
     p.add_argument("--data", required=True, help="dataset CSV path")
     p.add_argument("--catalog", default=None, help="catalog CSV (default: shipped catalog)")
     if multi_sets:
-        p.add_argument(
-            "--feature-set",
-            dest="feature_set",
-            default=None,
-            help="comma-separated subset list drawn from pf, af, capf",
-        )
+        p.add_argument("--feature-set", help=f"comma-separated subset list drawn from {', '.join(_FEATURE_SETS)}")
     else:
-        p.add_argument(
-            "--feature-set", dest="feature_set", choices=["pf", "af", "capf"], default=None
-        )
-    p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--feature-set", choices=_FEATURE_SETS)
+    p.add_argument("--seed", type=_seed, default=_DEFAULTS["seed"])
 
 
 @functools.cache
@@ -135,14 +134,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--spec", default=None, help="synthesis spec file (default: the reference calibration)")
     p.add_argument("--catalog", default=None)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed, default=_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("extract", help="scan an unpacked app directory into a vector CSV")
     p.add_argument("app_dir", help="root of the unpacked application tree")
     p.add_argument("--catalog", default=None)
-    p.add_argument("--feature-set", dest="feature_set", choices=["pf", "af", "capf"], default=None)
+    p.add_argument("--feature-set", choices=_FEATURE_SETS)
     p.add_argument("--label", choices=["benign", "malware"], default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_extract)
@@ -189,7 +188,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_synth(args) -> int:
-    catalog = default_catalog() if args.catalog is None else load_catalog(args.catalog)
+    catalog = _base_catalog(args)
     if args.spec is None:
         try:
             spec = reference_spec(catalog)
@@ -203,12 +202,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    catalog = _base_catalog(args)
-    if args.feature_set:
-        catalog = select_feature_set(catalog, FeatureSet(args.feature_set))
-    bits = scan_app(args.app_dir, catalog)
+    _, columns = _columns(args, args.feature_set)
+    bits = scan_app(args.app_dir, columns)
     label = None if args.label is None else Label[args.label.upper()]
-    write_vector_csv(catalog, bits, args.out, label=label)
+    write_vector_csv(columns, bits, args.out, label=label)
     print(args.out)
     return 0
 
@@ -230,22 +227,9 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _resolve_algo(args, kind: str) -> AlgoDescriptor:
-    if kind not in KINDS:
-        raise _UsageError(f"unknown algorithm {kind!r}; choose from {', '.join(KINDS)}")
-    try:
-        return _algo_from_args(args, kind)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _cmd_train(args) -> int:
     catalog, dataset = _read_data(args, args.feature_set)
-    algo = _resolve_algo(args, args.algo)
-    try:
-        model = train_model(algo, dataset)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    model = train_model(_algo_from_args(args, args.algo), dataset)
     save_model(model, args.model, catalog)
     print(args.model)
     return 0
@@ -264,33 +248,20 @@ def _cmd_predict(args) -> int:
 
 def _cmd_crossval(args) -> int:
     _, dataset = _read_data(args, args.feature_set)
-    algo = _resolve_algo(args, args.algo)
-    try:
-        cv = cross_validate(dataset, algo, args.folds, args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    fs = args.feature_set or "capf"
-    row = ComparisonRow(algo.kind, fs, dataset.feature_count, cv.pooled_metrics, cv.roc.auc)
-    write_report([row], args.out)
+    algo = _algo_from_args(args, args.algo)
+    rows = compare(dataset, [algo], args.folds, args.seed, feature_sets=[FeatureSet(args.feature_set or "capf")])
+    write_report(rows, args.out)
     print(args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
-    try:
-        sets = [FeatureSet(s.strip()) for s in (args.feature_set or "capf").split(",")]
-    except ValueError:
-        raise _UsageError(
-            f"--feature-set must list values from pf, af, capf; got {args.feature_set!r}"
-        ) from None
-    _, dataset = _read_data(args, sets[0].value if len(sets) == 1 else None)
-    algos = [_resolve_algo(args, kind.strip()) for kind in args.algo.split(",") if kind.strip()]
-    if not algos:
-        raise _UsageError("--algo must name at least one classifier")
-    try:
-        rows = compare(dataset, algos, args.folds, args.seed, feature_sets=sets)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    names = [s.strip() for s in (args.feature_set or "capf").split(",")]
+    if not set(names) <= set(_FEATURE_SETS):
+        raise _UsageError(f"--feature-set must list values from {', '.join(_FEATURE_SETS)}; got {args.feature_set!r}")
+    _, dataset = _read_data(args, names[0] if len(names) == 1 else None)
+    algos = [_algo_from_args(args, kind.strip()) for kind in args.algo.split(",") if kind.strip()]
+    rows = compare(dataset, algos, args.folds, args.seed, feature_sets=[FeatureSet(s) for s in names])
     write_report(rows, args.out)
     print(args.out)
     return 0
@@ -352,12 +323,9 @@ def main(argv=None) -> int:
         try:
             args = parser.parse_args(argv)
             return args.func(args)
-        except _UsageError as exc:
+        except (*_DATA_ERRORS, ValueError) as exc:  # a data fault, else a flag fault
             print(f"droidtriage: error: {exc}", file=sys.stderr)
-            return 1
-        except _DATA_ERRORS as exc:
-            print(f"droidtriage: error: {exc}", file=sys.stderr)
-            return 2
+            return 2 if isinstance(exc, _DATA_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -440,16 +440,18 @@ def stratified_fold_indices(y: Sequence[int], k: int, seed: int) -> list[np.ndar
     """Partition indices 0..n-1 into k folds preserving class proportions.
 
     Per-class fold sizes differ by at most one. Deterministic given `seed`.
-    Each returned index array is sorted ascending.
+    Each returned index array is sorted ascending. A `k` below 2 is a
+    ValueError; a class with fewer than `k` rows is a `DatasetError`.
     """
     y = np.asarray(y)
     n_mal = int(np.sum(y == 1))
     n_ben = int(y.size) - n_mal
     smallest = min(n_ben, n_mal)
-    if not 2 <= k <= smallest:
-        raise ValueError(
-            f"fold count must satisfy 2 <= k <= min class size ({smallest}), got {k}"
-        )
+    message = f"fold count must satisfy 2 <= k <= min class size ({smallest}), got {k}"
+    if k < 2:
+        raise ValueError(message)
+    if k > smallest:
+        raise DatasetError(message)
     rng = np.random.default_rng(seed)
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
     for cls in (0, 1):

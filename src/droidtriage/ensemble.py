@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Dataset, bootstrap_sample_size, stratified_fold_indices
+from .dataset import Dataset, DatasetError, bootstrap_sample_size, stratified_fold_indices
 from .trees import TreeModel, _descend, _pack_rows, _row_weights, derive_seed, grow_random_trees
 
 if TYPE_CHECKING:
@@ -198,7 +198,9 @@ def train_simple_logistic(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> 
     X, y = (dataset.X, dataset.y) if rows is None else (dataset.X[rows], dataset.y[rows])
     n_mal = int(y.sum())
     if n_mal == 0 or n_mal == y.size:
-        raise ValueError("training requires both classes present")
+        raise DatasetError("training requires both classes present")
+    if dataset.feature_count == 0:
+        raise DatasetError("need at least one feature")
     folds = stratified_fold_indices(y, algo.cv_folds, algo.seed)
     X, y = X.astype(np.float64), y.astype(np.float64)
 

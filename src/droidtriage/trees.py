@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Dataset, stratified_fold_indices
+from .dataset import Dataset, DatasetError, stratified_fold_indices
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -290,7 +290,7 @@ def _row_weights(dataset: Dataset, rows) -> np.ndarray:
     """The bool row mask `rows` (every row when None) as 0/1 int64 weights."""
     weights = np.ones(len(dataset), dtype=np.int64) if rows is None else rows.astype(np.int64)
     if not weights.any():
-        raise ValueError("cannot train on an empty dataset")
+        raise DatasetError("cannot train on an empty dataset")
     return weights
 
 
@@ -345,9 +345,7 @@ def grow_random_trees(dataset: Dataset, k: int, seeds, weights) -> list[TreeMode
     repeats every row its weight's number of times.
     """
     if not 1 <= k <= dataset.feature_count:
-        raise ValueError(f"k={k} must lie in [1, {dataset.feature_count}]")
-    if any(seed < 0 for seed in seeds):
-        raise ValueError("seed must be non-negative")
+        raise DatasetError(f"k={k} must lie in [1, {dataset.feature_count}]")
     return _grown_models(dataset, weights, ENTROPY, k, list(seeds))
 
 
@@ -445,5 +443,5 @@ def tree_scores(model: TreeModel, X) -> np.ndarray:
 def default_split_count(n_features: int) -> int:
     """Default number of random candidates per split: floor(log2 F) + 1."""
     if n_features < 1:
-        raise ValueError("need at least one feature")
+        raise DatasetError("need at least one feature")
     return n_features.bit_length()  # floor(log2 F) + 1

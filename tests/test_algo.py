@@ -23,6 +23,7 @@ BAD_FIELDS = [
     ("max_iter", 0, "max_iter must be at least 1"),
     ("max_iter", 10_001, "max_iter must be at most 10000"),
     ("cv_folds", 1, "cv_folds must be at least 2"),
+    ("seed", -1, "seed must be non-negative"),
 ]
 
 

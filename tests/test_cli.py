@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from droidtriage.algo import MAX_ITER
+from droidtriage import cli
+from droidtriage.algo import KINDS, MAX_ITER, AlgoDescriptor
 from droidtriage.catalog import FeatureSet, default_catalog, select_feature_set
 from droidtriage.cli import main
 from droidtriage.dataset import read_csv, write_csv
@@ -368,12 +370,12 @@ def test_roc_single_class_exits_2(tmp_path, small_corpus, capsys):
         ("sl", "training requires both classes present"),
     ],
 )
-def test_train_header_only_csv_is_usage_error(tmp_path, capsys, algo, message):
+def test_train_header_only_csv_exits_2(tmp_path, capsys, algo, message):
     data, model = tmp_path / "empty.csv", tmp_path / "m.model"
     data.write_text(",".join(default_catalog().names) + ",class\n")
     rc = main(["train", "--algo", algo, "--data", str(data), "--model", str(model)])
     captured = capsys.readouterr()
-    assert rc == 1 and captured.out == "" and not model.exists()
+    assert rc == 2 and captured.out == "" and not model.exists()
     assert captured.err == f"droidtriage: error: {message}\n"
 
 
@@ -397,13 +399,13 @@ def benign_only(small_corpus, tmp_path_factory):
         ("nb", [], "benign"),
     ],
 )
-def test_train_rejected_data_is_usage_error(tmp_path, small_corpus, benign_only, capsys, algo, extra, data):
+def test_train_rejected_data_exits_2(tmp_path, small_corpus, benign_only, capsys, algo, extra, data):
     model = tmp_path / "m.model"
     path = small_corpus if data == "corpus" else benign_only
     rc = main(["train", "--algo", algo, *extra, "--data", str(path), "--model", str(model)])
     captured = capsys.readouterr()
     err = captured.err.splitlines()
-    assert rc == 1
+    assert rc == 2
     assert len(err) == 1 and err[0].startswith("droidtriage: error:")
     assert captured.out == "" and not model.exists()
 
@@ -484,3 +486,73 @@ def test_repeated_usage_error_reads_the_same(capsys):
         assert main(["train", "--algo", "nb"]) == 1
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] and errs[0].startswith("droidtriage: error: the following arguments are required")
+
+
+class _Built(Exception):
+    """Raised by a stand-in trainer to hand back the descriptors it was given."""
+
+
+@pytest.fixture
+def built(monkeypatch, small_corpus, tmp_path):
+    """Run a command and return the descriptors it would train, without training."""
+
+    def stop_train(algo, dataset, rows=None):
+        raise _Built([algo])
+
+    def stop_compare(dataset, algos, *args, **kwargs):
+        raise _Built(list(algos))
+
+    monkeypatch.setattr(cli, "train_model", stop_train)
+    monkeypatch.setattr(cli, "compare", stop_compare)
+
+    def run(command, kind, *flags):
+        out = "--model" if command == "train" else "--out"
+        with pytest.raises(_Built) as info:
+            main([command, "--algo", kind, *flags, "--data", str(small_corpus), out, str(tmp_path / "out")])
+        return info.value.args[0]
+
+    return run
+
+
+ALGO_COMMANDS = ["train", "crossval", "compare"]
+
+# (flags, the AlgoDescriptor field they set, the value they set it to)
+ALGO_FLAGS = [
+    (["--seed", "7"], "seed", 7),
+    (["--alpha", "0.25"], "alpha", 0.25),
+    (["--criterion", "gini"], "criterion", "gini"),
+    (["--prune"], "prune", True),
+    (["--k", "3"], "k", 3),
+    (["--trees", "4"], "trees", 4),
+    (["--bootstrap", "0.5"], "bootstrap_fraction", 0.5),
+    (["--no-bootstrap"], "bootstrap", False),
+    (["--max-iter", "8"], "max_iter", 8),
+    (["--cv-folds", "3"], "cv_folds", 3),
+]
+
+
+@pytest.mark.parametrize("command", ALGO_COMMANDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_adds_no_defaults(built, command, kind):
+    """With no algorithm flag, every field keeps the dataclass default."""
+    assert built(command, kind) == [AlgoDescriptor(kind)]
+
+
+def test_every_field_has_a_flag():
+    assert sorted(field for _, field, _ in ALGO_FLAGS) == sorted(f.name for f in fields(AlgoDescriptor)[1:])
+
+
+@pytest.mark.parametrize("command", ALGO_COMMANDS)
+@pytest.mark.parametrize("flags, field, value", ALGO_FLAGS, ids=[" ".join(f) for f, _, _ in ALGO_FLAGS])
+def test_algo_flag_sets_its_field(built, command, flags, field, value):
+    assert getattr(AlgoDescriptor("rf"), field) != value
+    assert built(command, "rf", *flags) == [replace(AlgoDescriptor("rf"), **{field: value})]
+
+
+@pytest.mark.parametrize("command", ALGO_COMMANDS)
+def test_unknown_kind_names_the_kinds(small_corpus, tmp_path, capsys, command):
+    out = "--model" if command == "train" else "--out"
+    rc = main([command, "--algo", "svm", "--data", str(small_corpus), out, str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "droidtriage: error: unknown algorithm kind 'svm'; choose from nb, dt, rt, rf, sl\n"

@@ -137,8 +137,8 @@ def _rf_body(trees="1", k="1", fraction="1.0", bootstrap="1"):
     return head + ["tree"] + _TREE_HEAD + ["n_features 4", "L 1 0"]
 
 
-def _tree_body(criterion="entropy", pruned="0", k="0"):
-    return [f"criterion {criterion}", f"pruned {pruned}", f"k {k}", "seed 0", "n_features 4", "L 1 0"]
+def _tree_body(criterion="entropy", pruned="0", k="0", seed="0"):
+    return [f"criterion {criterion}", f"pruned {pruned}", f"k {k}", f"seed {seed}", "n_features 4", "L 1 0"]
 
 
 def _sl_body(iterations="1", max_iterations="5", cv_folds="2"):
@@ -175,6 +175,7 @@ CRAFTED = {
     "tree-k-negative": ("dt", _tree_body(k="-3"), "k must be at least 1"),
     "tree-k-wider-than-catalog": ("rt", _tree_body(k="5"), "k 5 exceeds the catalog's 4 features"),
     "tree-pruned-5": ("dt", _tree_body(pruned="5"), "flag must be 0 or 1, got '5'"),
+    "tree-seed-negative": ("dt", _tree_body(seed="-1"), "seed must be non-negative"),
     "sl-max-iterations-negative": ("sl", _sl_body(iterations="0", max_iterations="-4"), "max_iter must be at least 1"),
     "sl-cv-folds-0": ("sl", _sl_body(cv_folds="0"), "cv_folds must be at least 2"),
     "sl-iterations-above-max": ("sl", _sl_body(iterations="6"), r"iterations_used 6 outside \[0, 5\]"),
