@@ -29,6 +29,7 @@ from .catalog import (
     select_feature_set,
 )
 from .dataset import (
+    _CHUNK_BYTES,
     DatasetError,
     Label,
     load_spec,
@@ -240,8 +241,12 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model, catalog)
     values, which = np.unique(model_scores(model, X), return_inverse=True)
     cells = [f",{'malware' if s > 0.5 else 'benign'},{float(s)!r}\n" for s in values]
-    rows = map(str.__add__, map(str, range(1, len(which) + 1)), [cells[j] for j in which.tolist()])
-    Path(args.out).write_text("row,label,score\n" + "".join(rows), encoding="utf-8", newline="\n")
+    step = _CHUNK_BYTES // 64  # rows per write; a row is under 64 bytes
+    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
+        f.write("row,label,score\n")
+        for lo in range(0, len(which), step):
+            block = [cells[j] for j in which[lo : lo + step].tolist()]
+            f.write("".join(map(str.__add__, map(str, range(lo + 1, lo + 1 + len(block))), block)))
     print(args.out)
     return 0
 

@@ -9,15 +9,22 @@ marginals cannot express.
 Randomness comes from numpy's default PCG64 generator, which has a fixed,
 documented algorithm, so a (spec, seed) pair reproduces the same dataset on
 every platform. Each synthesis call owns a single fresh stream.
+
+Reading, writing and synthesis go a block of `_CHUNK_BYTES` at a time, so
+they hold the bit matrix plus one block: the reader never holds the whole
+file, and the generator draws its doubles a block of rows at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -141,78 +148,116 @@ def read_vectors(
     the first bad row is decoded, to name the fault. With `columns`, a
     sub-catalog of `catalog`, the header may name `columns`' features or
     `catalog`'s, and the matrix holds `columns`' features either way.
+
+    The file is read in blocks of `_CHUNK_BYTES` (see `_whole_lines`), so
+    memory holds the matrix and one block, never the whole file.
     """
-    data = Path(path).read_bytes()
-    if b"\r" in data:  # universal newlines, as text mode reads them
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data:
-        raise DatasetError(f"{path}: empty file")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == 10)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        blocks = _whole_lines(f)
+        block = next(blocks, None)
+        if block is None:
+            raise DatasetError(f"{path}: empty file")
+        cut = block.index(b"\n")
+        header = _decode(path, block[:cut], 0).split(",")
+        if columns is not None and header in (list(columns.names) or [""], [*columns.names, "class"]):
+            catalog, columns = columns, None
+        names = list(catalog.names)
+        labeled = header == names + ["class"]
+        if not labeled and header != (names or [""]):  # no columns: an empty header
+            have = len(header)
+            want = len(names) + 1
+            if header and header[-1] != "class" and have in (want, want - 1):
+                raise DatasetError(f"{path}: label column absent or misplaced")
+            raise DatasetError(
+                f"{path}: header does not match catalog "
+                f"({have} columns, expected {want} including 'class')"
+            )
+        F = len(names)
+        # A good row is F cells joined by commas (W bytes), then the newline, or
+        # the ",benign" tag and newline, or the ",malware" tag, one byte longer
+        # (with no comma when F is 0); it is exactly what the writer makes of
+        # the bits read from it. Each takes at least L bytes of the file (the
+        # last L - 1 if it has no line end), so the file's size bounds n.
+        W = max(2 * F - 1, 0)
+        tails = _ROW_ENDS[labeled][:, int(labeled and F == 0) : len(",malware")]
+        L = W + tails.shape[1]
+        cols = None if columns is None else [catalog.index_of(name) for name in columns.names]
+        # A FIFO reports size 0: the matrix then grows as rows arrive.
+        rows = max(0, info.st_size - cut) // L if stat.S_ISREG(info.st_mode) else 0
+        X = np.empty((rows, F if cols is None else len(cols)), dtype=np.uint8)
+        y = np.empty(rows, dtype=np.uint8)
+        n = 0  # rows read
+        for block in itertools.chain((block[cut + 1 :],), blocks):
+            buf = np.frombuffer(block, dtype=np.uint8)
+            ends = np.flatnonzero(buf == 10)
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            lengths = ends - starts
+            good = (lengths == L - 1) | (lengths == L) & labeled
+            m = ends.size if good.all() else int(np.argmin(good))
+            labels = (lengths[:m] == L).astype(np.uint8)
+            if m:
+                window = sliding_window_view(buf, L)[starts[:m]]
+                bits = window[:, 0:W:2] & 1
+                bad = (window != _render(bits, tails, labels)).any(axis=1)
+                if bad.any():
+                    m = int(np.argmax(bad))
+                if n + m > len(X):  # np.resize copies X's rows into the longer array
+                    grown = max(n + m, 2 * len(X))
+                    X, y = np.resize(X, (grown, X.shape[1])), np.resize(y, grown)
+                X[n : n + m] = bits[:m] if cols is None else bits[:m, cols]
+                y[n : n + m] = labels[:m]
+            if m < ends.size:
+                _raise_bad_row(path, names, labeled, block[starts[m] : ends[m]], n + m + 1)
+            n += m
+    return X[:n], y[:n] if labeled else None
 
-    def line(k: int) -> str:
-        try:
-            return data[starts[k] : ends[k]].decode("utf-8")
-        except UnicodeDecodeError:
-            raise DatasetError(f"{path}: {f'row {k}' if k else 'header'}: not valid UTF-8") from None
 
-    header = line(0).split(",")
-    if columns is not None and header in (list(columns.names) or [""], [*columns.names, "class"]):
-        catalog, columns = columns, None
-    names = list(catalog.names)
-    labeled = header == names + ["class"]
-    if not labeled and header != (names or [""]):  # no columns: an empty header
-        have = len(header)
-        want = len(names) + 1
-        if header and header[-1] != "class" and have in (want, want - 1):
-            raise DatasetError(f"{path}: label column absent or misplaced")
-        raise DatasetError(
-            f"{path}: header does not match catalog "
-            f"({have} columns, expected {want} including 'class')"
-        )
+def _whole_lines(f) -> Iterator[bytes]:
+    """The bytes of the binary file `f`, read `_CHUNK_BYTES` at a time, in
+    blocks of whole lines: CRLF and lone CR become LF, as text mode reads
+    them, and a last line without a line end gets one. A line is carried
+    into the next block while it is incomplete, and so is a block's last
+    CR, which may begin a CRLF pair."""
+    carry = bytearray()
+    cr = False
+    while chunk := f.read(_CHUNK_BYTES):
+        if cr:
+            chunk = b"\r" + chunk
+        cr = chunk.endswith(b"\r")
+        if cr:
+            chunk = chunk[:-1]
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield bytes(carry + chunk[:cut])
+            carry = bytearray(chunk[cut:])
+        else:
+            carry += chunk
+    if cr or carry:
+        yield bytes(carry + b"\n")
+
+
+def _decode(path, line: bytes, row: int) -> str:
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path}: {f'row {row}' if row else 'header'}: not valid UTF-8") from None
+
+
+def _raise_bad_row(path, names: list[str], labeled: bool, line: bytes, row: int) -> None:
+    """Name the first fault of data row `row`, whose bytes are `line`."""
     F = len(names)
-    n = len(ends) - 1
-    # A good row is F cells joined by commas (W bytes), then the newline, or
-    # the ",benign" tag and newline, or the ",malware" tag, one byte longer
-    # (with no comma when F is 0); it is exactly what the writer makes of
-    # the bits read from it.
-    W = max(2 * F - 1, 0)
-    tails = _ROW_ENDS[labeled][:, int(labeled and F == 0) : len(",malware")]
-    L = W + tails.shape[1]
-    lengths = ends[1:] - starts[1:]
-    y = (lengths == L).astype(np.uint8)
-    good = (lengths == L - 1) | (lengths == L) & labeled
-    bad_row = n if good.all() else int(np.argmin(good))
-    X = np.empty((n, F), dtype=np.uint8)
-    if bad_row:
-        windows = sliding_window_view(buf, L)
-        step = max(1, _CHUNK_BYTES // L)
-        for lo in range(0, bad_row, step):
-            hi = min(lo + step, bad_row)
-            rows = windows[starts[lo + 1 : hi + 1]]
-            bits = rows[:, 0:W:2] & 1
-            bad = (rows != _render(bits, tails, y[lo:hi])).any(axis=1)
-            if bad.any():
-                bad_row = lo + int(np.argmax(bad))
-                break
-            X[lo:hi] = bits
-    if bad_row < n:
-        row = bad_row + 1
-        cells = line(row).split(",")
-        if len(cells) != F + labeled:
-            raise DatasetError(f"{path}: row {row}: expected {F + labeled} cells, got {len(cells)}")
-        if labeled and cells[-1] not in ("benign", "malware"):
-            raise DatasetError(f"{path}: row {row}: unknown label {cells[-1]!r}")
-        col = next(i for i, c in enumerate(cells[:F]) if c not in ("0", "1"))
-        raise DatasetError(
-            f"{path}: row {row}, column {names[col]!r}: cell must be 0 or 1, got {cells[col]!r}"
-        )
-    if columns is not None:
-        X = X[:, [catalog.index_of(name) for name in columns.names]]
-    return X, y if labeled else None
+    cells = _decode(path, line, row).split(",")
+    if len(cells) != F + labeled:
+        raise DatasetError(f"{path}: row {row}: expected {F + labeled} cells, got {len(cells)}")
+    if labeled and cells[-1] not in ("benign", "malware"):
+        raise DatasetError(f"{path}: row {row}: unknown label {cells[-1]!r}")
+    col = next(i for i, c in enumerate(cells[:F]) if c not in ("0", "1"))
+    raise DatasetError(
+        f"{path}: row {row}, column {names[col]!r}: cell must be 0 or 1, got {cells[col]!r}"
+    )
 
 
 def _render(bits: np.ndarray, ends: np.ndarray, labels) -> np.ndarray:
@@ -417,22 +462,27 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
     """
     rng = np.random.default_rng(seed)
     F = len(spec.catalog)
-    blocks = []
+    X = np.empty((spec.n_benign + spec.n_malware, F), dtype=np.uint8)
+    # Rows are drawn a block at a time into X: PCG64 fills a (300, F) draw
+    # and then a (700, F) draw with the doubles of one (1000, F) draw.
+    draw = np.empty((max(1, _CHUNK_BYTES // (8 * max(F, 1))), F))
+    lo = 0
     for count, p, label_bit in (
         (spec.n_benign, spec.p_benign, 0),
         (spec.n_malware, spec.p_malware, 1),
     ):
-        bits = (rng.random((count, F)) < p).astype(np.uint8)
+        bits = X[lo : lo + count]
+        for i in range(0, count, len(draw)):
+            u = rng.random(out=draw[: count - i])
+            np.less(u, p, out=bits[i : i + len(u)].view(bool))
         if spec.xor_interaction is not None:
             a, b, q = spec.xor_interaction
-            agree = rng.random(count) < q
-            target = np.where(agree, label_bit, 1 - label_bit).astype(np.uint8)
-            bits[:, b] = bits[:, a] ^ target
-        blocks.append(bits)
-    X = np.vstack(blocks) if blocks else np.zeros((0, F), dtype=np.uint8)
-    y = np.concatenate(
-        [np.zeros(spec.n_benign, dtype=np.uint8), np.ones(spec.n_malware, dtype=np.uint8)]
-    )
+            for i in range(0, count, len(draw)):
+                rows = bits[i : i + len(draw)]
+                agree = rng.random(len(rows)) < q
+                rows[:, b] = rows[:, a] ^ np.where(agree, label_bit, 1 - label_bit).astype(np.uint8)
+        lo += count
+    y = np.repeat(np.array([0, 1], dtype=np.uint8), [spec.n_benign, spec.n_malware])
     return Dataset(spec.catalog, X, y)
 
 
@@ -441,7 +491,8 @@ def stratified_fold_indices(y: Sequence[int], k: int, seed: int) -> list[np.ndar
 
     Per-class fold sizes differ by at most one. Deterministic given `seed`.
     Each returned index array is sorted ascending. A `k` below 2 is a
-    ValueError; a class with fewer than `k` rows is a `DatasetError`.
+    ValueError; a missing class, or one with fewer than `k` rows, is a
+    `DatasetError`.
     """
     y = np.asarray(y)
     n_mal = int(np.sum(y == 1))
@@ -450,6 +501,8 @@ def stratified_fold_indices(y: Sequence[int], k: int, seed: int) -> list[np.ndar
     message = f"fold count must satisfy 2 <= k <= min class size ({smallest}), got {k}"
     if k < 2:
         raise ValueError(message)
+    if not smallest:
+        raise DatasetError("stratified folds require both classes present")
     if k > smallest:
         raise DatasetError(message)
     rng = np.random.default_rng(seed)

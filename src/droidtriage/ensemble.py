@@ -86,8 +86,11 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int
     n_batches = max(1, min(workers, params.trees))
     bounds = np.linspace(0, params.trees, n_batches + 1).astype(int).tolist()
     batches = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(max_workers=n_batches) as pool:
-        members = [tree for batch in pool.map(grow, batches) for tree in batch]
+    if n_batches == 1:  # a thread would keep its malloc arena after training
+        members = grow(batches[0])
+    else:
+        with ThreadPoolExecutor(max_workers=n_batches) as pool:
+            members = [tree for batch in pool.map(grow, batches) for tree in batch]
     return ForestModel(tuple(members), params)
 
 

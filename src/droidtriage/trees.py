@@ -34,12 +34,13 @@ its path, not on the order in which nodes or trees are grown.
 Scoring descends sets of rows, 64 to a word (bitvector traversal, as in
 QuickScorer): a split's high child gets ``rows & column``, its low child
 ``rows ^ high``, and a leaf ORs its rows into one plane per set bit of a
-per-node value (its id, or a forest member's vote). Pruning routes the
-holdout rows to their leaves the same way, counts them per leaf and class
-with one ``np.bincount``, and in one reverse pass over ids sums each split's
-counts from its children and collapses the split where a leaf does no
-worse. It then drops the nodes no longer reachable, so a tree's node count
-is always ``len(model.feature)``.
+per-node value (its id, or a forest member's vote). Rows are packed into
+those sets 4,096 at a time, so packing holds the bit matrix, the packed sets
+and one block. Pruning routes the holdout rows to their leaves the same way,
+counts them per leaf and class with one ``np.bincount``, and in one reverse
+pass over ids sums each split's counts from its children and collapses the
+split where a leaf does no worse. It then drops the nodes no longer
+reachable, so a tree's node count is always ``len(model.feature)``.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BYTE_BITS = (1 << np.arange(8)).astype(np.uint8)  # row r of 8 is bit r of a byte
+_PACK_ROWS = 4096  # rows per block of `_pack_rows`, a multiple of 64
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -352,16 +354,25 @@ def grow_random_trees(dataset: Dataset, k: int, seeds, weights) -> list[TreeMode
 def _pack_rows(X, n_features: int) -> np.ndarray:
     """Row sets of `X`, ``ceil(n / 64)`` uint64 words each: set f holds the
     rows whose bit f is nonzero, and the last set holds every row. Bit j of
-    word w stands for row 64 w + j; the padding bits past row n are 0."""
+    word w stands for row 64 w + j; the padding bits past row n are 0. Rows
+    are packed `_PACK_ROWS` at a time, so memory holds the output and one block."""
     X = np.asarray(X)
     if X.shape[1] != n_features:
         raise ValueError(f"matrix width {X.shape[1]} does not match model features {n_features}")
     n = X.shape[0]
-    bits = np.zeros((-(-n // 64) * 64, n_features + 1), dtype=np.uint8)
-    np.not_equal(X, 0, out=bits[:n, :n_features].view(bool))
-    bits[:n, n_features] = 1
-    packed = np.einsum("rbf,b->fr", bits.reshape(-1, 8, n_features + 1), _BYTE_BITS, dtype=np.uint8)
-    return np.ascontiguousarray(packed).view(np.uint64)
+    packed = np.empty((n_features + 1, -(-n // 64) * 8), dtype=np.uint8)
+    bits = np.empty((_PACK_ROWS, n_features + 1), dtype=np.uint8)
+    bits[:, n_features] = 1
+    for lo in range(0, n, _PACK_ROWS):
+        block = X[lo : lo + _PACK_ROWS]
+        m = len(block)
+        np.not_equal(block, 0, out=bits[:m, :n_features].view(bool))
+        padded = bits[: -(-m // 64) * 64]
+        padded[m:] = 0
+        packed[:, lo // 8 : lo // 8 + len(padded) // 8] = np.einsum(
+            "rbf,b->fr", padded.reshape(-1, 8, n_features + 1), _BYTE_BITS, dtype=np.uint8
+        )
+    return packed.view(np.uint64)
 
 
 def _descend(model: TreeModel, packed: np.ndarray, value: np.ndarray, n: int) -> np.ndarray:

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from droidtriage.catalog import FeatureCatalog, FeatureDef
-from droidtriage.dataset import Dataset
+from droidtriage.dataset import _ROW_ENDS, Dataset, DatasetError, _render
 from droidtriage.ensemble import log_likelihood, logit_scores
 
 
@@ -35,6 +38,74 @@ def subset(ds: Dataset, rows) -> Dataset:
 
 def same_dataset(a: Dataset, b: Dataset) -> bool:
     return a.catalog.names == b.catalog.names and np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+def whole_file_reader(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None):
+    """The whole-file byte-level reader the streaming `read_vectors`
+    replaced, kept as its oracle: the same (X, y) or the same DatasetError.
+    It holds the whole file, its newline mask and the matrix at once."""
+    data = Path(path).read_bytes()
+    if b"\r" in data:  # universal newlines, as text mode reads them
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data:
+        raise DatasetError(f"{path}: empty file")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+
+    def line(k: int) -> str:
+        try:
+            return data[starts[k] : ends[k]].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DatasetError(f"{path}: {f'row {k}' if k else 'header'}: not valid UTF-8") from None
+
+    header = line(0).split(",")
+    if columns is not None and header in (list(columns.names) or [""], [*columns.names, "class"]):
+        catalog, columns = columns, None
+    names = list(catalog.names)
+    labeled = header == names + ["class"]
+    if not labeled and header != (names or [""]):
+        have = len(header)
+        want = len(names) + 1
+        if header and header[-1] != "class" and have in (want, want - 1):
+            raise DatasetError(f"{path}: label column absent or misplaced")
+        raise DatasetError(
+            f"{path}: header does not match catalog "
+            f"({have} columns, expected {want} including 'class')"
+        )
+    F = len(names)
+    n = len(ends) - 1
+    W = max(2 * F - 1, 0)
+    tails = _ROW_ENDS[labeled][:, int(labeled and F == 0) : len(",malware")]
+    L = W + tails.shape[1]
+    lengths = ends[1:] - starts[1:]
+    y = (lengths == L).astype(np.uint8)
+    good = (lengths == L - 1) | (lengths == L) & labeled
+    bad_row = n if good.all() else int(np.argmin(good))
+    X = np.empty((n, F), dtype=np.uint8)
+    if bad_row:
+        rows = sliding_window_view(buf, L)[starts[1 : bad_row + 1]]
+        bits = rows[:, 0:W:2] & 1
+        bad = (rows != _render(bits, tails, y[:bad_row])).any(axis=1)
+        if bad.any():
+            bad_row = int(np.argmax(bad))
+        X[:bad_row] = bits[:bad_row]
+    if bad_row < n:
+        row = bad_row + 1
+        cells = line(row).split(",")
+        if len(cells) != F + labeled:
+            raise DatasetError(f"{path}: row {row}: expected {F + labeled} cells, got {len(cells)}")
+        if labeled and cells[-1] not in ("benign", "malware"):
+            raise DatasetError(f"{path}: row {row}: unknown label {cells[-1]!r}")
+        col = next(i for i, c in enumerate(cells[:F]) if c not in ("0", "1"))
+        raise DatasetError(
+            f"{path}: row {row}, column {names[col]!r}: cell must be 0 or 1, got {cells[col]!r}"
+        )
+    if columns is not None:
+        X = X[:, [catalog.index_of(name) for name in columns.names]]
+    return X, y if labeled else None
 
 
 def training_log_likelihood(model, ds: Dataset) -> float:

@@ -360,6 +360,15 @@ def test_roc_single_class_exits_2(tmp_path, small_corpus, capsys):
     assert captured.err == f"droidtriage: error: {one_class}: ROC requires both classes present\n"
 
 
+@pytest.mark.parametrize("command", ["crossval", "compare"])
+def test_cv_single_class_exits_2(tmp_path, benign_only, capsys, command):
+    out = tmp_path / "report.csv"
+    rc = main([command, "--algo", "nb", "--data", str(benign_only), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == "droidtriage: error: stratified folds require both classes present\n"
+
+
 @pytest.mark.parametrize(
     "algo, message",
     [

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from droidtriage.trees import (
     ENTROPY,
     GINI,
     TreeModel,
+    _pack_rows,
     default_split_count,
     derive_seed,
     train_decision_tree,
@@ -498,6 +500,34 @@ class TestLevelwiseGrowthOracle:
         key = 2**63 + 5
         model = train_random_tree(reference_corpus, AlgoDescriptor("rt", k=8, seed=key))
         assert _nested(model) == _reference_tree(reference_corpus, k=8, key=key)
+
+
+def _packbits_reference(X) -> np.ndarray:
+    """`_pack_rows` in one `np.packbits` over the padded matrix and its all-rows column."""
+    n, F = X.shape
+    bits = np.zeros((-(-n // 64) * 64, F + 1), dtype=np.uint8)
+    bits[:n, :F] = X != 0
+    bits[:n, F] = 1
+    return np.ascontiguousarray(np.packbits(bits, axis=0, bitorder="little").T).view(np.uint64)
+
+
+class TestPackRows:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4095, 4096, 4097, 8193])
+    def test_matches_packbits_across_block_boundaries(self, rng, n):
+        X = rng.integers(0, 3, size=(n, 7)).astype(np.uint8)
+        packed = _pack_rows(X, 7)
+        assert packed.dtype == np.uint64 and packed.shape == (8, -(-n // 64))
+        assert np.array_equal(packed, _packbits_reference(X))
+
+    def test_adds_at_most_the_output_and_two_mib(self, rng):
+        X = (rng.random((20_000, 179)) < 0.3).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            packed = _pack_rows(X, 179)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= packed.nbytes + (2 << 20)
 
 
 class TestVectorizedDescent:
