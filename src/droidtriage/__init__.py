@@ -9,7 +9,7 @@ with confusion metrics and ROC/AUC. A `droidtriage` command line wraps all
 of it; see the README for a tour.
 """
 
-from .algo import KINDS, AlgoDescriptor, model_scores, predict, train_model
+from .algo import KINDS, AlgoDescriptor, is_malware, model_scores, train_model
 from .bayes import NbModel, train_nb
 from .calibration import (
     REFERENCE_N_BENIGN,
@@ -25,7 +25,6 @@ from .catalog import (
     default_catalog,
     load_catalog,
     select_feature_set,
-    write_catalog,
 )
 from .dataset import (
     Dataset,
@@ -36,7 +35,6 @@ from .dataset import (
     read_csv,
     synthesize,
     write_csv,
-    write_spec,
 )
 from .ensemble import (
     ForestModel,

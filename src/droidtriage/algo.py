@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bayes, ensemble, trees
-from .dataset import Dataset, Label
+from .dataset import Dataset
 
 KINDS = ("nb", "dt", "rt", "rf", "sl")
 
@@ -93,13 +93,7 @@ def model_scores(model: Model, X) -> np.ndarray:
     return model.scores(X)
 
 
-def predict(model: Model, vector) -> tuple[Label, float]:
-    """Label and score of one vector: MALWARE only above 0.5, so a tie is BENIGN,
-    the conservative choice for a detector judged on its false positive rate."""
-    bits = np.asarray(vector)
-    if bits.shape != (model.n_features,):
-        raise ValueError(
-            f"vector length {bits.shape} does not match model features {model.n_features}"
-        )
-    score = float(model.scores(bits[None, :])[0])
-    return (Label.MALWARE if score > 0.5 else Label.BENIGN), score
+def is_malware(scores) -> np.ndarray:
+    """The label rule: MALWARE only above 0.5, so a tie is BENIGN, the
+    conservative choice for a detector judged on its false positive rate."""
+    return np.asarray(scores) > 0.5

@@ -17,7 +17,7 @@ in ``tests/test_ranking.py``.
 from __future__ import annotations
 
 from .catalog import FeatureCatalog, default_catalog
-from .dataset import BACKGROUND_RATE, SyntheticSpec
+from .dataset import SyntheticSpec
 
 REFERENCE_N_BENIGN = 3938
 REFERENCE_N_MALWARE = 2925
@@ -55,14 +55,12 @@ def reference_rates() -> dict[str, tuple[float, float]]:
     }
 
 
-def reference_spec(
-    catalog: FeatureCatalog | None = None, background: float = BACKGROUND_RATE
-) -> SyntheticSpec:
+def reference_spec(catalog: FeatureCatalog | None = None) -> SyntheticSpec:
     """Synthesis spec mirroring the reference corpus shape (3938/2925).
 
     The 20 reference features carry their observed per-class rates; all other
-    features sit at `background` in both classes, mimicking the long tail of
-    weakly informative features.
+    features sit at `BACKGROUND_RATE` in both classes, mimicking the long tail
+    of weakly informative features.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -71,5 +69,4 @@ def reference_spec(
         reference_rates(),
         n_benign=REFERENCE_N_BENIGN,
         n_malware=REFERENCE_N_MALWARE,
-        background=background,
     )

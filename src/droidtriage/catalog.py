@@ -189,17 +189,6 @@ def load_catalog(path) -> FeatureCatalog:
     return FeatureCatalog(feats)
 
 
-def write_catalog(catalog: FeatureCatalog, path) -> None:
-    """Write `catalog` in the CSV format accepted by :func:`load_catalog`."""
-    rows = [_HEADER]
-    for f in catalog:
-        for field in (f.name, f.category, f.pattern):
-            if "," in field or "\n" in field:
-                raise CatalogError(f"field {field!r} cannot be written to CSV")
-        rows.append(f"{f.name},{f.category},{f.pattern}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
-
-
 @functools.cache
 def default_catalog() -> FeatureCatalog:
     """The shipped 179-feature catalog (125 PERMISSION, 54 API+COMMAND)."""

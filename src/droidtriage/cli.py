@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algo import KINDS, MAX_ITER, AlgoDescriptor, model_scores, train_model
+from .algo import KINDS, MAX_ITER, AlgoDescriptor, is_malware, model_scores, train_model
 from .calibration import reference_spec
 from .catalog import (
     CatalogError,
@@ -240,7 +240,7 @@ def _cmd_predict(args) -> int:
     catalog, (X, _) = _read_data(args, args.feature_set, labeled=False)
     model = load_model(args.model, catalog)
     values, which = np.unique(model_scores(model, X), return_inverse=True)
-    cells = [f",{'malware' if s > 0.5 else 'benign'},{float(s)!r}\n" for s in values]
+    cells = [f",{'malware' if m else 'benign'},{float(s)!r}\n" for s, m in zip(values, is_malware(values))]
     step = _CHUNK_BYTES // 64  # rows per write; a row is under 64 bytes
     with open(args.out, "w", encoding="utf-8", newline="\n") as f:
         f.write("row,label,score\n")
@@ -287,8 +287,9 @@ def _cmd_roc(args) -> int:
     return 0
 
 
-def roc_svg(curve: RocCurve, size: int = 480, margin: int = 56) -> str:
-    """Standalone SVG rendering of a ROC staircase with its AUC annotated."""
+def roc_svg(curve: RocCurve) -> str:
+    """Standalone 480-pixel SVG rendering of a ROC staircase with its AUC annotated."""
+    size, margin = 480, 56
     span = size - 2 * margin
 
     def sx(fpr: float) -> float:

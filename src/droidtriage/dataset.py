@@ -23,7 +23,6 @@ import os
 import stat
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -361,13 +360,12 @@ class SyntheticSpec:
         rates: dict[str, tuple[float, float]],
         n_benign: int,
         n_malware: int,
-        background: float = BACKGROUND_RATE,
         xor_features: tuple[str, str, float] | None = None,
     ) -> "SyntheticSpec":
-        """Build a spec from named rates; unnamed features get `background`."""
+        """Build a spec from named rates; unnamed features get `BACKGROUND_RATE`."""
         F = len(catalog)
-        p_ben = np.full(F, background, dtype=np.float64)
-        p_mal = np.full(F, background, dtype=np.float64)
+        p_ben = np.full(F, BACKGROUND_RATE, dtype=np.float64)
+        p_mal = np.full(F, BACKGROUND_RATE, dtype=np.float64)
         for name, (pb, pm) in rates.items():
             i = catalog.index_of(name)
             p_ben[i] = pb
@@ -379,13 +377,13 @@ class SyntheticSpec:
         return cls(catalog, p_ben, p_mal, n_benign, n_malware, xor)
 
 
-def load_spec(path, catalog: FeatureCatalog, background: float = BACKGROUND_RATE) -> SyntheticSpec:
+def load_spec(path, catalog: FeatureCatalog) -> SyntheticSpec:
     """Parse a synthesis spec file.
 
     The format is CSV rows ``name,p_benign,p_malware`` preceded by directive
     lines ``#n_benign=N``, ``#n_malware=N`` and optionally
-    ``#xor=nameA,nameB,q``. Features not listed default to `background` in
-    both classes.
+    ``#xor=nameA,nameB,q``. Features not listed default to `BACKGROUND_RATE`
+    in both classes.
     """
     n_benign = n_malware = None
     xor = None
@@ -428,28 +426,9 @@ def load_spec(path, catalog: FeatureCatalog, background: float = BACKGROUND_RATE
     if n_benign is None or n_malware is None:
         raise DatasetError(f"{path}: missing #n_benign= or #n_malware= directive")
     try:
-        return SyntheticSpec.from_rates(
-            catalog, rates, n_benign, n_malware, background=background, xor_features=xor
-        )
+        return SyntheticSpec.from_rates(catalog, rates, n_benign, n_malware, xor_features=xor)
     except (ValueError, KeyError) as exc:
         raise DatasetError(f"{path}: {exc}") from None
-
-
-def write_spec(spec: SyntheticSpec, path) -> None:
-    """Write `spec` in the file format accepted by :func:`load_spec`.
-
-    Every feature is listed explicitly, so the round-trip does not depend on
-    the reader's background-rate default.
-    """
-    lines = [f"#n_benign={spec.n_benign}", f"#n_malware={spec.n_malware}"]
-    if spec.xor_interaction is not None:
-        a, b, q = spec.xor_interaction
-        names = spec.catalog.names
-        lines.append(f"#xor={names[a]},{names[b]},{float(q)!r}")
-    lines.append("name,p_benign,p_malware")
-    for f, name in enumerate(spec.catalog.names):
-        lines.append(f"{name},{float(spec.p_benign[f])!r},{float(spec.p_malware[f])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:

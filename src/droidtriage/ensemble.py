@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -102,8 +102,7 @@ def forest_scores(model: ForestModel, X) -> np.ndarray:
     return np.concatenate(votes).sum(axis=0) / len(model.trees)
 
 
-@dataclass(frozen=True)
-class WorkingResponse:
+class WorkingResponse(NamedTuple):
     """Newton-step regression targets and weights, one per instance (or a
     scalar pair for one instance)."""
 
@@ -111,16 +110,16 @@ class WorkingResponse:
     w: float | np.ndarray
 
 
-def logitboost_response(y, p, z_max: float = Z_MAX) -> WorkingResponse:
+def logitboost_response(y, p) -> WorkingResponse:
     """Working responses for labels `y` under probabilities `p` (scalars or arrays).
 
-    z = (y - p) / (p (1 - p)) clamped to [-z_max, z_max]; w = p (1 - p)
+    z = (y - p) / (p (1 - p)) clamped to [-Z_MAX, Z_MAX]; w = p (1 - p)
     floored at a small positive constant so weighted fits stay defined.
     """
     if not np.all(np.greater(p, 0.0) & np.less(p, 1.0)):
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
     w = p * (1.0 - p)
-    return WorkingResponse(np.clip((y - p) / w, -z_max, z_max), np.maximum(w, WEIGHT_FLOOR))
+    return WorkingResponse(np.clip((y - p) / w, -Z_MAX, Z_MAX), np.maximum(w, WEIGHT_FLOOR))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algo import AlgoDescriptor, model_scores, train_model
+from .algo import AlgoDescriptor, is_malware, model_scores, train_model
 from .catalog import FeatureSet, select_feature_set
 from .dataset import Dataset, stratified_fold_indices
 from .ensemble import derive_seed
@@ -207,7 +207,7 @@ def cross_validate(dataset: Dataset, algo: AlgoDescriptor, k: int = 10, seed: in
             raise FoldError(fi, exc) from exc
         scores = model_scores(model, dataset.X[test_idx])
         truth = dataset.y[test_idx]
-        fold_matrices.append(confusion(truth, scores > 0.5))
+        fold_matrices.append(confusion(truth, is_malware(scores)))
         pooled_scores.append(scores)
         pooled_truth.append(truth)
     pooled = fold_matrices[0]

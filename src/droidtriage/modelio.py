@@ -15,11 +15,14 @@ its children's counts. Both use an explicit stack, so a deep chain loads.
 The loader rejects a non-finite float, a feature index outside the catalog,
 a negative count, a width other than the catalog's and a truncated tree.
 Header hyperparameters pass through `AlgoDescriptor`, flags read 0 or 1,
-and ``k`` may not exceed the catalog's width.
+and ``k`` may not exceed the catalog's width. The header's kind is the only
+source of a model's kind: a dt tree must have ``k 0``, an rt tree ``k`` of at
+least 1, and every forest member the forest's ``k``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -188,15 +191,18 @@ def _parse_nodes(lines: _Lines, n_features: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _parse_tree_body(lines: _Lines, n_features: int) -> TreeModel:
+def _parse_tree_body(lines: _Lines, n_features: int, kind: str) -> TreeModel:
+    """A `kind` tree: dt requires k 0, rt k >= 1."""
     criterion, pruned, k, seed, width = lines.fields(
         "criterion", "pruned", "k", "seed", "n_features"
     )
     lines.check_width(width, n_features)
     k = int(k)
     algo = lines.algo(
-        "rt" if k else "dt", n_features, seed=int(seed), criterion=criterion, prune=lines.flag(pruned), k=k or None
+        kind, n_features, seed=int(seed), criterion=criterion, prune=lines.flag(pruned), k=k or None
     )
+    if (kind == "rt") != (k > 0):
+        raise lines.error(f"{kind} tree has k {k}; dt requires k 0, rt k >= 1")
     arrays = _parse_nodes(lines, n_features)
     return TreeModel(*arrays, algo.criterion, algo.prune, k, algo.seed, n_features)
 
@@ -228,7 +234,9 @@ def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
     for _ in range(params.trees):
         if lines.next() != "tree":
             raise lines.error("expected 'tree' marker")
-        members.append(_parse_tree_body(lines, n_features))
+        members.append(_parse_tree_body(lines, n_features, "rt"))
+        if members[-1].k != params.k:
+            raise lines.error(f"forest member has k {members[-1].k}, forest has k {params.k}")
     return ForestModel(tuple(members), params)
 
 
@@ -266,8 +274,8 @@ def _parse_logit_body(lines: _Lines, n_features: int) -> LogitModel:
 # kind -> (body writer, body parser)
 _BODIES = {
     "nb": (_nb_body, _parse_nb_body),
-    "dt": (_tree_body, _parse_tree_body),
-    "rt": (_tree_body, _parse_tree_body),
+    "dt": (_tree_body, functools.partial(_parse_tree_body, kind="dt")),
+    "rt": (_tree_body, functools.partial(_parse_tree_body, kind="rt")),
     "rf": (_forest_body, _parse_forest_body),
     "sl": (_logit_body, _parse_logit_body),
 }

@@ -90,22 +90,19 @@ def _derive_seeds(master, index) -> np.ndarray:
 
 def _entropy_from_counts(mal, tot):
     """Two-class entropy in bits, 0 log 0 = 0, from (malware count, total count)."""
-    mal = np.asarray(mal, dtype=np.float64)
-    tot = np.asarray(tot, dtype=np.float64)
-    # The inner guards keep every division and logarithm defined.
-    p = np.where(tot > 0.0, mal / np.where(tot > 0.0, tot, 1.0), 0.0)
-    h = -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    q = 1.0 - p
-    h -= np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-    return np.where(tot > 0.0, h, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 and 0 log 0 are masked below
+        p = np.asarray(mal, dtype=np.float64) / np.asarray(tot, dtype=np.float64)
+        q = 1.0 - p
+        h = -(p * np.log2(p)) - q * np.log2(q)
+    return np.where((p > 0.0) & (q > 0.0), h, 0.0)
 
 
 def _gini_from_counts(mal, tot):
     """Two-class Gini impurity 1 - sum f_i^2 from (malware count, total count)."""
-    mal = np.asarray(mal, dtype=np.float64)
     tot = np.asarray(tot, dtype=np.float64)
-    p = np.where(tot > 0.0, mal / np.where(tot > 0.0, tot, 1.0), 0.0)
-    return 2.0 * p * (1.0 - p)
+    with np.errstate(invalid="ignore"):  # 0/0 is masked below
+        p = np.asarray(mal, dtype=np.float64) / tot
+    return np.where(tot > 0.0, 2.0 * p * (1.0 - p), 0.0)
 
 
 _IMPURITY = {ENTROPY: _entropy_from_counts, GINI: _gini_from_counts}

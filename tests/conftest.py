@@ -5,7 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from droidtriage.catalog import FeatureCatalog, FeatureDef
-from droidtriage.dataset import _ROW_ENDS, Dataset, DatasetError, _render
+from droidtriage.dataset import _ROW_ENDS, Dataset, DatasetError, SyntheticSpec, _render
 from droidtriage.ensemble import log_likelihood, logit_scores
 
 
@@ -14,6 +14,24 @@ def toy_catalog(n: int, prefix: str = "f") -> FeatureCatalog:
     return FeatureCatalog(
         FeatureDef(f"{prefix}{i:02d}", "API", f"tok_{prefix}{i:02d}") for i in range(n)
     )
+
+
+def write_catalog(catalog: FeatureCatalog, path) -> None:
+    """Write `catalog` in the CSV format `load_catalog` reads; no field may hold a comma."""
+    rows = ["name,category,pattern", *(f"{f.name},{f.category},{f.pattern}" for f in catalog)]
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+
+
+def write_spec(spec: SyntheticSpec, path) -> None:
+    """Write `spec` in the format `load_spec` reads, every feature listed."""
+    lines = [f"#n_benign={spec.n_benign}", f"#n_malware={spec.n_malware}"]
+    if spec.xor_interaction is not None:
+        a, b, q = spec.xor_interaction
+        lines.append(f"#xor={spec.catalog.names[a]},{spec.catalog.names[b]},{float(q)!r}")
+    lines.append("name,p_benign,p_malware")
+    for name, pb, pm in zip(spec.catalog.names, spec.p_benign.tolist(), spec.p_malware.tolist()):
+        lines.append(f"{name},{pb!r},{pm!r}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def make_dataset(X, y, catalog: FeatureCatalog | None = None) -> Dataset:

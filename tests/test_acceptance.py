@@ -26,7 +26,7 @@ from droidtriage.calibration import (
     REFERENCE_TOP20_COUNTS,
     reference_spec,
 )
-from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet, load_catalog, write_catalog
+from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet, load_catalog
 from droidtriage.dataset import Dataset, SyntheticSpec, read_csv, synthesize, write_csv
 from droidtriage.ensemble import (
     LogitModel,
@@ -41,7 +41,7 @@ from droidtriage.modelio import load_model, save_model
 from droidtriage.ranking import FeatureClassCounts, mutual_information, rank_features, top_k
 from droidtriage.trees import train_decision_tree, train_random_tree, tree_scores
 
-from conftest import make_dataset, same_dataset, toy_catalog, training_log_likelihood
+from conftest import make_dataset, same_dataset, toy_catalog, training_log_likelihood, write_catalog
 from test_ranking import ERRATA_ROWS, PUBLISHED_SCORES, _exact_count_dataset
 
 

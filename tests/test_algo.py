@@ -1,11 +1,12 @@
-"""`AlgoDescriptor` is the one place flags are checked, and `train_model`
-dispatches to the trainers through one table read at call time."""
+"""`AlgoDescriptor` is the one place flags are checked, `train_model`
+dispatches to the trainers through one table read at call time, and
+`is_malware` is the one label rule."""
 
 import numpy as np
 import pytest
 
 from droidtriage import bayes
-from droidtriage.algo import KINDS, AlgoDescriptor, train_model
+from droidtriage.algo import KINDS, AlgoDescriptor, is_malware, model_scores, train_model
 from droidtriage.modelio import save_model
 
 from conftest import random_dataset, subset
@@ -97,3 +98,16 @@ def test_all_false_mask_rejected(rng, kind, message):
     ds = random_dataset(rng, 30, 4)
     with pytest.raises(ValueError, match=message):
         train_model(AlgoDescriptor(kind), ds, np.zeros(len(ds), dtype=bool))
+
+
+def test_is_malware_only_above_half():
+    scores = np.array([0.0, 0.25, 0.5, np.nextafter(0.5, 1.0), 1.0])
+    assert is_malware(scores).tolist() == [False, False, False, True, True]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("width", [3, 5])
+def test_wrong_width_rejected_for_every_kind(rng, kind, width):
+    model = train_model(AlgoDescriptor(kind, k=2, trees=2, max_iter=3, cv_folds=2), random_dataset(rng, 40, 4))
+    with pytest.raises(ValueError, match="does not match model features 4"):
+        model_scores(model, np.zeros((2, width), dtype=np.uint8))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from droidtriage.algo import AlgoDescriptor, predict
+from droidtriage.algo import AlgoDescriptor, is_malware, model_scores
 from droidtriage.bayes import NbModel, nb_scores, train_nb
-from droidtriage.dataset import Label
 
 from conftest import make_dataset, random_dataset
 
@@ -43,26 +42,26 @@ class TestTrain:
 class TestPredict:
     def test_single_feature_bit_one(self):
         model = _toy_model(theta_mal=0.8, theta_ben=0.2)
-        label, score = predict(model, [1])
-        assert score == pytest.approx(0.8, abs=1e-12)
-        assert label is Label.MALWARE
+        scores = model_scores(model, np.array([[1]]))
+        assert scores[0] == pytest.approx(0.8, abs=1e-12)
+        assert is_malware(scores)[0]
 
     def test_single_feature_bit_zero(self):
         model = _toy_model(theta_mal=0.8, theta_ben=0.2)
-        label, score = predict(model, [0])
-        assert score == pytest.approx(0.2, abs=1e-12)
-        assert label is Label.BENIGN
+        scores = model_scores(model, np.array([[0]]))
+        assert scores[0] == pytest.approx(0.2, abs=1e-12)
+        assert not is_malware(scores)[0]
 
     def test_symmetric_model_ties_to_benign(self):
         model = _toy_model(theta_mal=0.3, theta_ben=0.3)
-        label, score = predict(model, [1])
-        assert score == pytest.approx(0.5)
-        assert label is Label.BENIGN
+        scores = model_scores(model, np.array([[1]]))
+        assert scores[0] == pytest.approx(0.5)
+        assert not is_malware(scores)[0]
 
     def test_length_mismatch(self):
         model = _toy_model(theta_mal=[0.8, 0.2], theta_ben=[0.2, 0.8])
-        with pytest.raises(ValueError, match="length"):
-            predict(model, [1])
+        with pytest.raises(ValueError, match="width"):
+            model_scores(model, np.array([[1]]))
 
     def test_posterior_complement(self, rng):
         ds = random_dataset(rng, 80, 12)

@@ -8,10 +8,9 @@ from droidtriage.catalog import (
     default_catalog,
     load_catalog,
     select_feature_set,
-    write_catalog,
 )
 
-from conftest import toy_catalog
+from conftest import toy_catalog, write_catalog
 
 
 class TestDefaultCatalog:

@@ -1,0 +1,100 @@
+"""Byte pins of every CLI output: rank (file and stdout), train plus predict
+for each kind, a crossval report, a compare report over all kinds and sets,
+and the roc CSV and SVG, on a small seeded corpus."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from droidtriage.cli import main
+
+CATALOG = """name,category,pattern
+SEND_SMS,PERMISSION,android.permission.SEND_SMS
+READ_SMS,PERMISSION,android.permission.READ_SMS
+INTERNET,PERMISSION,android.permission.INTERNET
+CAMERA,PERMISSION,android.permission.CAMERA
+chmod,COMMAND,chmod
+remount,COMMAND,remount
+exec,API,Runtime.exec
+crypto,API,SecretKeySpec
+"""
+
+SPEC = """#n_benign=70
+#n_malware=50
+name,p_benign,p_malware
+SEND_SMS,0.05,0.6
+READ_SMS,0.1,0.4
+INTERNET,0.8,0.85
+CAMERA,0.3,0.2
+chmod,0.1,0.45
+remount,0.02,0.3
+exec,0.2,0.5
+crypto,0.4,0.15
+"""
+
+# sha256 of each output the commands below write.
+PINS = {
+    "corpus.csv": "a8117e1c06bfc412baf2c39a3c1a98a5be4b7672e321a0a188b50d47e22fda2d",
+    "rank.csv": "ba35973547479971535fb13c39e3983795a35a0933cf39e08f15838ff6b2f2f7",
+    "rank.stdout": "ba35973547479971535fb13c39e3983795a35a0933cf39e08f15838ff6b2f2f7",
+    "nb.model": "63b43e138e9086f38a47fc8d3db5a67810f73717f75097b8caa971dd3716b762",
+    "nb.pred.csv": "3d4b361ed722a0a2246bcbb1867896c276bf0dc71981f2542a117d7b5bbf88de",
+    "dt.model": "5b397baa7451cf1026445f0177e0982ef879c18a42b044e147c838212f416181",
+    "dt.pred.csv": "4d09e144aba874cb12baaffdb6c7f562707941ec05bf74eea23a383083692fe5",
+    "gini.model": "ac3e1243e3673fa78ee7738377b1ecc4f8061fae87830d3336a4cdacec09057f",
+    "gini.pred.csv": "8396fbed027485d3c95c600a279e35c3a93aef8afc0a9d8d4338b5bfda4f4b15",
+    "rt.model": "fffc3d00b053d8448fdf00c09da4edd5a9d4ae2d633f0fdf7ff7276949723fd9",
+    "rt.pred.csv": "8396fbed027485d3c95c600a279e35c3a93aef8afc0a9d8d4338b5bfda4f4b15",
+    "rf.model": "d9baeb509dc400d0f9a3ea4287b36db1ec5861b7ace99e346d7d5a21bbf23443",
+    "rf.pred.csv": "d1ad75d1ad310332dc72d53b4fba5c208df44764e23e437cf56dfbcbdc86a331",
+    "sl.model": "859a874869cc4ef2c92cf72cd715031c00c744a75295e9c9c3a544a693cb0e43",
+    "sl.pred.csv": "cf5f367d54442b917db2b75e11970559032389275a62095517be982007ce114a",
+    "crossval.csv": "8344f5aad6e6f0c0a672cd781590310fcc786555479f3c172674da223857d519",
+    "compare.csv": "d5f5456a772f4b5deb4e6027f02259bb2bd26d7c77b3b960e27a96a69e8ac1f0",
+    "roc.csv": "8d6887d2cab7d16dcd447dee954d1347b954ccb07b4e26625f03c7174c7d09e3",
+    "roc.svg": "7e6f60eb798f902059672ec294503fc63809c5168bcafe9161ef8671a6e909eb",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """name -> bytes of every pinned output, from one run of the commands."""
+    root = tmp_path_factory.mktemp("pins")
+    (root / "cat.csv").write_text(CATALOG)
+    (root / "corpus.spec").write_text(SPEC)
+
+    def run(command, *flags) -> bytes:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([command, "--catalog", str(root / "cat.csv"), *flags]) == 0
+        return out.getvalue().encode()
+
+    corpus = str(root / "corpus.csv")
+    run("synth", "--spec", str(root / "corpus.spec"), "--seed", "5", "--out", corpus)
+    run("rank", "--data", corpus, "--out", str(root / "rank.csv"))
+    (root / "rank.stdout").write_bytes(run("rank", "--data", corpus))
+    for name, flags in [
+        ("nb", ["--algo", "nb", "--alpha", "0.5"]),
+        ("dt", ["--algo", "dt", "--prune"]),
+        ("gini", ["--algo", "dt", "--criterion", "gini"]),
+        ("rt", ["--algo", "rt", "--k", "3"]),
+        ("rf", ["--algo", "rf", "--trees", "4"]),
+        ("sl", ["--algo", "sl", "--max-iter", "8", "--cv-folds", "3"]),
+    ]:
+        model = str(root / f"{name}.model")
+        run("train", *flags, "--data", corpus, "--seed", "9", "--model", model)
+        run("predict", "--data", corpus, "--model", model, "--out", str(root / f"{name}.pred.csv"))
+    run("crossval", "--algo", "rf", "--trees", "3", "--data", corpus, "--folds", "3", "--seed", "4",
+        "--out", str(root / "crossval.csv"))
+    run("compare", "--algo", "nb,dt,rt,rf,sl", "--trees", "3", "--max-iter", "5", "--cv-folds", "2",
+        "--feature-set", "pf,af,capf", "--data", corpus, "--folds", "2", "--seed", "1",
+        "--out", str(root / "compare.csv"))
+    run("roc", "--data", corpus, "--model", str(root / "sl.model"),
+        "--out", str(root / "roc.csv"), "--svg", str(root / "roc.svg"))
+    return {name: (root / name).read_bytes() for name in PINS}
+
+
+@pytest.mark.parametrize("name", PINS)
+def test_output_bytes_pinned(outputs, name):
+    assert hashlib.sha256(outputs[name]).hexdigest() == PINS[name]

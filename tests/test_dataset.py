@@ -23,11 +23,10 @@ from droidtriage.dataset import (
     stratified_fold_indices,
     synthesize,
     write_csv,
-    write_spec,
     write_vector_csv,
 )
 
-from conftest import make_dataset, same_dataset, toy_catalog
+from conftest import make_dataset, same_dataset, toy_catalog, write_catalog, write_spec
 
 
 class TestDatasetInvariants:
@@ -75,7 +74,7 @@ class TestCsvRoundTrip:
         assert path.read_text() == "f00,f01,f02,class\n"
 
     def test_zero_feature_round_trip(self, tmp_path):
-        from droidtriage.catalog import FeatureCatalog, FeatureDef, write_catalog
+        from droidtriage.catalog import FeatureCatalog, FeatureDef
         from droidtriage.cli import main
 
         cat, path = toy_catalog(0), tmp_path / "d.csv"
@@ -97,7 +96,7 @@ class TestCsvRoundTrip:
         assert X.shape == (1, 0) and y.tolist() == [0]
 
     def test_unlabeled_zero_feature_round_trip(self, tmp_path):
-        from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet, select_feature_set, write_catalog
+        from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet, select_feature_set
         from droidtriage.cli import main
 
         path = tmp_path / "v.csv"

@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidtriage import dataset
-from droidtriage.catalog import default_catalog, write_catalog
+from droidtriage.catalog import default_catalog
 from droidtriage.cli import main
 from droidtriage.dataset import DatasetError, SyntheticSpec, read_vectors, synthesize, write_csv
 
-from conftest import make_dataset, toy_catalog, whole_file_reader
+from conftest import make_dataset, toy_catalog, whole_file_reader, write_catalog
 
 F = 3
 HEADER = b"f00,f01,f02,class\n"

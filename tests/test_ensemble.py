@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from droidtriage.algo import AlgoDescriptor, predict
-from droidtriage.dataset import Label, bootstrap_sample_size, stratified_fold_indices
+from droidtriage.algo import AlgoDescriptor, is_malware, model_scores
+from droidtriage.dataset import bootstrap_sample_size, stratified_fold_indices
 from droidtriage.ensemble import (
+    Z_MAX,
     ForestModel,
     LogitModel,
     LogitRegressor,
@@ -106,27 +107,28 @@ class TestForest:
             return TreeModel(feature, child, child, *counts, "entropy", False, 1, 0, 2)
 
         two = ForestModel((constant_tree(1), constant_tree(0)), AlgoDescriptor("rf", trees=2, k=1))
-        label, score = predict(two, [0, 1])
-        assert score == 0.5 and label is Label.BENIGN
+        scores = model_scores(two, np.array([[0, 1]]))
+        assert scores.tolist() == [0.5] and not is_malware(scores)[0]
 
         three = ForestModel(
             (constant_tree(1), constant_tree(1), constant_tree(0)),
             AlgoDescriptor("rf", trees=3, k=1),
         )
-        label, score = predict(three, [0, 1])
-        assert score == pytest.approx(2 / 3) and label is Label.MALWARE
+        scores = model_scores(three, np.array([[0, 1]]))
+        assert scores[0] == pytest.approx(2 / 3) and is_malware(scores)[0]
 
         unanimous = ForestModel((constant_tree(1),) * 3, AlgoDescriptor("rf", trees=3, k=1))
-        assert predict(unanimous, [0, 1]) == (Label.MALWARE, 1.0)
+        scores = model_scores(unanimous, np.array([[0, 1]]))
+        assert scores.tolist() == [1.0] and is_malware(scores)[0]
 
     def test_label_matches_score_rule(self, rng):
         ds = random_dataset(rng, 150, 6)
         model = train_forest(ds, AlgoDescriptor("rf", trees=5, k=2, seed=3))
         scores = forest_scores(model, ds.X)
         for i in range(0, len(ds), 17):
-            label, score = predict(model, ds.X[i])
-            assert score == scores[i]
-            assert (label is Label.MALWARE) == (score > 0.5)
+            score = model_scores(model, ds.X[i : i + 1])
+            assert score[0] == scores[i]
+            assert is_malware(score)[0] == (score[0] > 0.5)
 
     def test_forest_at_least_median_tree_accuracy(self, rng):
         ds = random_dataset(rng, 400, 10)
@@ -188,10 +190,10 @@ class TestLogitboostResponse:
         assert logitboost_response(0, 0.5) == WorkingResponse(-2.0, 0.25)
 
     def test_clamping(self):
-        resp = logitboost_response(1, 0.001, z_max=3.0)
-        assert resp.z == 3.0
-        resp = logitboost_response(0, 0.999, z_max=3.0)
-        assert resp.z == -3.0
+        resp = logitboost_response(1, 0.001)
+        assert resp.z == Z_MAX == 3.0
+        resp = logitboost_response(0, 0.999)
+        assert resp.z == -Z_MAX
 
     def test_weight_floor(self):
         resp = logitboost_response(1, 1e-14)
@@ -228,13 +230,12 @@ class TestSimpleLogistic:
 
     def test_empty_model_scores_half(self):
         empty = LogitModel(0.0, (), 0, 10, 5, 3)
-        label, score = predict(empty, [1, 0, 1])
-        assert score == 0.5 and label is Label.BENIGN
+        scores = model_scores(empty, np.array([[1, 0, 1]]))
+        assert scores.tolist() == [0.5] and not is_malware(scores)[0]
 
     def test_saturation(self):
         model = LogitModel(10.0, (), 0, 1, 2, 2)
-        _, score = predict(model, [0, 0])
-        assert score > 0.999
+        assert model_scores(model, np.array([[0, 0]]))[0] > 0.999
 
     def test_score_complement_under_negation(self, rng):
         ds = random_dataset(rng, 60, 5)

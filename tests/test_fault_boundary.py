@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidtriage.algo import KINDS, MAX_ITER
-from droidtriage.catalog import FeatureCatalog, FeatureDef, write_catalog
+from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.cli import main
 from droidtriage.dataset import Dataset, write_csv
+
+from conftest import write_catalog
 
 # Two catalogs: one with every category, and one without permissions, on
 # which --feature-set pf selects no column at all.

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from droidtriage.algo import AlgoDescriptor, model_scores, train_model
-from droidtriage.catalog import FeatureCatalog, FeatureDef, write_catalog
+from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.cli import main
 from droidtriage.dataset import write_csv
 from droidtriage.modelio import ModelFormatError, load_model, save_model
 
-from conftest import make_dataset, random_dataset, toy_catalog
+from conftest import make_dataset, random_dataset, toy_catalog, write_catalog
 
 ALL_KINDS = [
     AlgoDescriptor("nb", alpha=0.5),
@@ -132,13 +132,14 @@ def _nb_body(alpha="1.0", prior="0.5", theta_benign="0.5 0.5 0.5 0.5", theta_mal
     ]
 
 
-def _rf_body(trees="1", k="1", fraction="1.0", bootstrap="1"):
-    head = [f"trees {trees}", f"k {k}", f"bootstrap_fraction {fraction}", f"bootstrap {bootstrap}", "seed 0"]
-    return head + ["tree"] + _TREE_HEAD + ["n_features 4", "L 1 0"]
-
-
 def _tree_body(criterion="entropy", pruned="0", k="0", seed="0"):
     return [f"criterion {criterion}", f"pruned {pruned}", f"k {k}", f"seed {seed}", "n_features 4", "L 1 0"]
+
+
+def _rf_body(trees="1", k="1", fraction="1.0", bootstrap="1", member=None):
+    """A forest of one leaf; its member is `member` or a tree of the forest's k."""
+    head = [f"trees {trees}", f"k {k}", f"bootstrap_fraction {fraction}", f"bootstrap {bootstrap}", "seed 0"]
+    return head + ["tree"] + (member or _tree_body(k=k))
 
 
 def _sl_body(iterations="1", max_iterations="5", cv_folds="2"):
@@ -181,6 +182,16 @@ CRAFTED = {
     "sl-iterations-above-max": ("sl", _sl_body(iterations="6"), r"iterations_used 6 outside \[0, 5\]"),
     "sl-iterations-negative": ("sl", _SL_HEAD[:1] + ["iterations_used -1"] + _SL_HEAD[2:] + ["n_features 4"], "outside"),
     "nb-alpha-negative": ("nb", _nb_body(alpha="-1.0"), "alpha must be finite and positive"),
+    "dt-with-k": ("dt", _tree_body(k="3"), "dt tree has k 3; dt requires k 0"),
+    "rt-with-k-0": ("rt", _tree_body(k="0"), "rt tree has k 0; dt requires k 0, rt k >= 1"),
+    "rf-member-k-0": ("rf", _rf_body(member=_tree_body(criterion="gini", pruned="1")), "rt tree has k 0"),
+    "rf-member-k-differs": ("rf", _rf_body(k="2", member=_tree_body(k="1")), "forest member has k 1, forest has k 2"),
+    "wrong-header-key": ("nb", ["beta 1.0"] + _nb_body()[1:], "expected 'alpha', got 'beta 1.0'"),
+    "bad-tree-node-line": ("dt", _TREE_HEAD + ["n_features 4", "S 0 1", "L 1 0", "L 0 1"], "bad tree node line 'S 0 1'"),
+    "missing-tree-marker": ("rf", _rf_body()[:5] + ["forest"] + _tree_body(k="1"), "expected 'tree' marker"),
+    "bad-regressor-line": ("sl", _SL_HEAD + ["n_features 4", "R 0 -1.0"], "bad regressor line"),
+    "unknown-kind": ("svm", _nb_body(), "unknown model kind 'svm'"),
+    "trailing-content": ("nb", _nb_body() + ["alpha 1.0"], "trailing content after model body"),
 }
 
 

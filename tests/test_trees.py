@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidtriage.algo import AlgoDescriptor, predict
-from droidtriage.dataset import Label
+from droidtriage.algo import AlgoDescriptor, is_malware, model_scores
 from droidtriage.trees import (
     _IMPURITY,
     ENTROPY,
@@ -205,10 +204,9 @@ class TestXorOracle:
 
     def test_hand_built_xor_tree_predictions(self):
         model = _xor_tree()
-        label, score = predict(model, [1, 0])
-        assert label is Label.MALWARE and score == 1.0
-        label, score = predict(model, [1, 1])
-        assert label is Label.BENIGN and score == 0.0
+        scores = model_scores(model, np.array([[1, 0], [1, 1]]))
+        assert scores.tolist() == [1.0, 0.0]
+        assert is_malware(scores).tolist() == [True, False]
         assert _training_accuracy(model, XOR_X, XOR_Y) == 1.0
 
 
@@ -216,18 +214,18 @@ class TestPredict:
     def test_pure_leaf_scores(self):
         ds = make_dataset([[0], [1]], [1, 1])
         model = train_decision_tree(ds, AlgoDescriptor("dt"))
-        label, score = predict(model, [0])
-        assert label is Label.MALWARE and score == 1.0
+        scores = model_scores(model, np.array([[0]]))
+        assert is_malware(scores)[0] and scores[0] == 1.0
 
     def test_tie_leaf_predicts_benign(self):
         model = _tree([-1], [0], [0], [5], [5], n_features=3)
-        label, score = predict(model, [0, 1, 0])
-        assert label is Label.BENIGN and score == 0.5
+        scores = model_scores(model, np.array([[0, 1, 0]]))
+        assert not is_malware(scores)[0] and scores[0] == 0.5
 
     def test_length_mismatch(self):
         model = _xor_tree()
-        with pytest.raises(ValueError, match="length"):
-            predict(model, [1, 0, 1])
+        with pytest.raises(ValueError, match="width"):
+            model_scores(model, np.array([[1, 0, 1]]))
 
 
 class TestRandomTree:
@@ -537,8 +535,8 @@ class TestVectorizedDescent:
         X = np.asarray(X)
         expected = np.array([_walk(_nested(model), row) for row in X])
         assert np.array_equal(tree_scores(model, X), expected)
-        for row, score in zip(X[:20], expected):
-            assert predict(model, row)[1] == score
+        for i, score in enumerate(expected[:20]):
+            assert model_scores(model, X[i : i + 1])[0] == score
 
     def test_hand_built_xor_tree(self):
         self._check(_xor_tree(), XOR_X)
