@@ -2,7 +2,12 @@
 
 Each feature bit is modeled as class-conditionally independent Bernoulli.
 Smoothing keeps every conditional strictly inside (0, 1), and posteriors are
-evaluated in log space so 179-feature products cannot underflow.
+evaluated in log space so 179-feature products cannot underflow. Scoring
+converts rows to float64 one block of about `_CHUNK_BYTES` at a time, so
+it never holds a float copy of the whole matrix. A block is a multiple of
+64 rows and a one-row tail joins the block before it; on OpenBLAS this
+keeps the bits of one whole-matrix product on one thread, for any number
+of BLAS threads.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import _CHUNK_BYTES, Dataset, DatasetError
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -69,21 +74,37 @@ def train_nb(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> NbModel:
     )
 
 
+def _block_rows(n_features: int) -> int:
+    """Rows per scoring block: `_CHUNK_BYTES` of float64 cells, rounded down
+    to a multiple of 64 rows and at least 64."""
+    return max(64, _CHUNK_BYTES // (8 * max(n_features, 1)) // 64 * 64)
+
+
 def nb_scores(model: NbModel, X) -> np.ndarray:
-    """Posterior P(malware | x) for every row of `X`, computed in log space."""
-    X = np.asarray(X, dtype=np.float64)
+    """Posterior P(malware | x) for every row of `X`, computed in log space.
+
+    Rows are converted to float64 and scored a block of `_block_rows` at a
+    time, so memory holds the output and one block's temporaries."""
+    X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(
             f"matrix width {X.shape[1] if X.ndim == 2 else X.shape} does not match "
             f"model features {model.n_features}"
         )
-    log_mal = np.log(model.prior_malware) + X @ np.log(model.theta_malware) + (
-        1.0 - X
-    ) @ np.log1p(-model.theta_malware)
-    log_ben = np.log1p(-model.prior_malware) + X @ np.log(model.theta_benign) + (
-        1.0 - X
-    ) @ np.log1p(-model.theta_benign)
-    peak = np.maximum(log_mal, log_ben)
-    mal = np.exp(log_mal - peak)
-    ben = np.exp(log_ben - peak)
-    return mal / (mal + ben)
+    log_theta_mal, log1m_theta_mal = np.log(model.theta_malware), np.log1p(-model.theta_malware)
+    log_theta_ben, log1m_theta_ben = np.log(model.theta_benign), np.log1p(-model.theta_benign)
+    log_prior_mal, log_prior_ben = np.log(model.prior_malware), np.log1p(-model.prior_malware)
+    n = X.shape[0]
+    out = np.empty(n)
+    # A last block of one row joins the block before it: numpy takes a one-row
+    # product as a dot product, whose last bits can differ from a matrix row's.
+    starts = range(0, max(n - 1, 1), _block_rows(model.n_features))
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        x = X[lo:hi].astype(np.float64)
+        log_mal = log_prior_mal + x @ log_theta_mal + (1.0 - x) @ log1m_theta_mal
+        log_ben = log_prior_ben + x @ log_theta_ben + (1.0 - x) @ log1m_theta_ben
+        peak = np.maximum(log_mal, log_ben)
+        mal = np.exp(log_mal - peak)
+        ben = np.exp(log_ben - peak)
+        out[lo:hi] = mal / (mal + ben)
+    return out

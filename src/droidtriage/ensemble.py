@@ -166,11 +166,6 @@ def _best_regressors(X, z, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return f, v0, np.divide(sz1, s1, out=np.zeros_like(sz1), where=s1 > 0.0)
 
 
-def _apply_regressor(reg: LogitRegressor, X) -> np.ndarray:
-    col = X[:, reg.feature]
-    return reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * col
-
-
 def _sigmoid2(F):
     """p = 1 / (1 + exp(-2 F)), computed stably for large |F|."""
     return 0.5 * (1.0 + np.tanh(F))
@@ -227,13 +222,14 @@ def train_simple_logistic(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> 
 
 
 def logit_scores(model: LogitModel, X) -> np.ndarray:
-    """P(malware | x) = 1 / (1 + exp(-2 F(x))) for every row of `X`."""
-    X = np.asarray(X, dtype=np.float64)
+    """P(malware | x) = 1 / (1 + exp(-2 F(x))) for every row of `X`. Each
+    regressor reads its column of `X` as it is, so no float copy of `X` is made."""
+    X = np.asarray(X)
     if X.shape[1] != model.n_features:
         raise ValueError(
             f"matrix width {X.shape[1]} does not match model features {model.n_features}"
         )
     F = np.full(X.shape[0], model.intercept)
     for reg in model.regressors:
-        F += 0.5 * _apply_regressor(reg, X)
+        F += 0.5 * (reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * X[:, reg.feature])
     return _sigmoid2(F)

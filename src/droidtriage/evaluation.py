@@ -137,23 +137,14 @@ def roc_auc(scores: Sequence[float], truth: Sequence[int]) -> RocCurve:
 
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    is_pos = (t[order] == 1).astype(np.int64)
-    boundaries = np.flatnonzero(np.diff(s_sorted) != 0.0)
-    group_ends = np.concatenate([boundaries, [s_sorted.size - 1]])
-    cum_pos = np.cumsum(is_pos)
-
-    points = [(0.0, 0.0, math.inf)]
-    auc = 0.0
-    prev_fpr = prev_tpr = 0.0
-    for end in group_ends:
-        tp = int(cum_pos[end])
-        fp = int(end + 1 - tp)
-        fpr = fp / n_neg
-        tpr = tp / n_pos
-        points.append((fpr, tpr, float(s_sorted[end])))
-        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
-        prev_fpr, prev_tpr = fpr, tpr
-    return RocCurve(tuple(points), auc)
+    group_ends = np.append(np.flatnonzero(np.diff(s_sorted) != 0.0), s_sorted.size - 1)
+    tp = np.cumsum(t[order] == 1)[group_ends]
+    fpr = np.append(0.0, (group_ends + 1 - tp) / n_neg)
+    tpr = np.append(0.0, tp / n_pos)
+    # Trapezoids summed left to right, as a running total would add them.
+    auc = np.add.accumulate((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
+    points = zip(fpr.tolist(), tpr.tolist(), [math.inf, *s_sorted[group_ends].tolist()])
+    return RocCurve(tuple(points), float(auc))
 
 
 def write_roc(curve: RocCurve, path) -> None:

@@ -17,13 +17,17 @@ a negative count, a width other than the catalog's and a truncated tree.
 Header hyperparameters pass through `AlgoDescriptor`, flags read 0 or 1,
 and ``k`` may not exceed the catalog's width. The header's kind is the only
 source of a model's kind: a dt tree must have ``k 0``, an rt tree ``k`` of at
-least 1, and every forest member the forest's ``k``.
+least 1. A forest member's criterion, pruned flag, ``k`` and seed are
+derived from the forest as `train_forest` writes them (entropy, unpruned,
+the forest's ``k``, seed ``derive_seed(forest_seed, i)``), and a member
+that disagrees is rejected.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +36,7 @@ from .algo import AlgoDescriptor, Model
 from .bayes import NbModel
 from .catalog import FeatureCatalog, read_lines
 from .ensemble import ForestModel, LogitModel, LogitRegressor
-from .trees import TreeModel
+from .trees import ENTROPY, TreeModel, derive_seed
 
 _MAGIC = "droidtriage-model"
 _VERSION = "v1"
@@ -120,14 +124,18 @@ def _parse_nb_body(lines: _Lines, n_features: int) -> NbModel:
     return NbModel(lines.number(prior), theta_b, theta_m, algo.alpha)
 
 
-def _tree_body(model: TreeModel) -> list[str]:
-    out = [
+def _tree_head(model: TreeModel) -> list[str]:
+    return [
         f"criterion {model.criterion}",
         f"pruned {int(model.pruned)}",
         f"k {model.k}",
         f"seed {model.seed}",
         f"n_features {model.n_features}",
     ]
+
+
+def _tree_body(model: TreeModel) -> list[str]:
+    out = _tree_head(model)
     feature, low, high, n_benign, n_malware = (
         a.tolist() for a in (model.feature, model.low, model.high, model.n_benign, model.n_malware)
     )
@@ -231,12 +239,15 @@ def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
         bootstrap_fraction=lines.number(fraction), bootstrap=lines.flag(bootstrap),
     )
     members = []
-    for _ in range(params.trees):
+    for i in range(params.trees):
         if lines.next() != "tree":
             raise lines.error("expected 'tree' marker")
-        members.append(_parse_tree_body(lines, n_features, "rt"))
-        if members[-1].k != params.k:
-            raise lines.error(f"forest member has k {members[-1].k}, forest has k {params.k}")
+        tree = _parse_tree_body(lines, n_features, "rt")
+        derived = replace(tree, criterion=ENTROPY, pruned=False, k=params.k, seed=derive_seed(params.seed, i))
+        for got, want in zip(_tree_head(tree), _tree_head(derived)):
+            if got != want:
+                raise lines.error(f"forest member has {got}, forest has {want}")
+        members.append(tree)
     return ForestModel(tuple(members), params)
 
 

@@ -29,7 +29,11 @@ per-node key rather than one depth-first stream: the root's key is the
 tree seed, a child's key is ``derive_seed(parent_key, side)`` (side 0 low,
 1 high), and a node examines the ``k`` unused features with the smallest
 ``derive_seed(node_key, f)``. A node's candidates therefore depend only on
-its path, not on the order in which nodes or trees are grown.
+its path, not on the order in which nodes or trees are grown. Each level
+is grown by one call that returns the next level, so a level's temporaries
+are freed before the next level allocates; unused features are held in
+the smallest signed integer dtype that fits them, and candidate keys are
+hashed a block of `_CHUNK_BYTES` at a time.
 
 Scoring descends sets of rows, 64 to a word (bitvector traversal, as in
 QuickScorer): a split's high child gets ``rows & column``, its low child
@@ -46,11 +50,11 @@ reachable, so a tree's node count is always ``len(model.feature)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, stratified_fold_indices
+from .dataset import _CHUNK_BYTES, Dataset, DatasetError, stratified_fold_indices
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -142,6 +146,25 @@ class TreeModel:
         return tree_scores(self, X)
 
 
+class _Level(NamedTuple):
+    """The nodes of one depth level, of every tree being grown, and their entries.
+
+    Entries are (row, class, weight, node) for every weighted row of every
+    node, sorted by node and within a node by class; ``w`` is None when
+    every weight is 1. Per node: its tree, its key (None when k is 0) and
+    its ascending unused features, in the smallest signed integer dtype
+    that holds every feature index.
+    """
+
+    row: np.ndarray
+    y: np.ndarray
+    w: np.ndarray | None
+    node: np.ndarray
+    tree: np.ndarray
+    key: np.ndarray | None
+    unused: np.ndarray
+
+
 def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
     """Grow one tree per weight vector, all in one loop over depth levels.
 
@@ -156,115 +179,27 @@ def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
     """
     n_features = X.shape[1]
     n_trees = len(weights)
-
-    # Entries are (row, class, weight, node) for every weighted row of every
-    # tree, sorted by node of the current level and within a node by class.
     rows = [np.flatnonzero(w) for w in weights]
     rows = [r[np.argsort(y[r], kind="stable")] for r in rows]
-    ent_node = np.repeat(np.arange(n_trees), [r.size for r in rows])
-    ent_w = np.concatenate([w[r] for w, r in zip(weights, rows)])
     ent_row = np.concatenate(rows)
-    ent_y = y[ent_row]
-    if np.all(ent_w == 1):
-        ent_w = None  # counts are plain row counts
-
-    # Per node of the current level: its tree, key and ascending unused features.
-    node_tree = np.arange(n_trees)
-    node_key = None if not k else np.array([int(s) & _MASK64 for s in keys], np.uint64)
-    unused = np.broadcast_to(np.arange(n_features), (n_trees, n_features))
-    first_id = 0
+    ent_w = np.concatenate([w[r] for w, r in zip(weights, rows)])
+    level = _Level(
+        ent_row,
+        y[ent_row],
+        None if np.all(ent_w == 1) else ent_w,
+        np.repeat(np.arange(n_trees), [r.size for r in rows]),
+        np.arange(n_trees),
+        None if not k else np.array([int(s) & _MASK64 for s in keys], np.uint64),
+        np.broadcast_to(np.arange(n_features, dtype=np.min_scalar_type(-n_features)), (n_trees, n_features)),
+    )
+    del rows, ent_row, ent_w  # only `level` holds the entries, so the next level frees them
 
     levels = []  # per level: (tree, feature, low, high, n_benign, n_malware)
-    while node_tree.size:
-        m, u = node_tree.size, unused.shape[1]
-        ids = first_id + np.arange(m)
-        first_id += m
-        cell = 2 * ent_node + ent_y
-        entries = np.bincount(cell, minlength=2 * m).reshape(m, 2)
-        counts = entries if ent_w is None else np.bincount(
-            cell, weights=ent_w, minlength=2 * m
-        ).astype(np.int64).reshape(m, 2)
-        n_ben, n_mal = counts[:, 0], counts[:, 1]
-        n = n_ben + n_mal
-        feature = np.full(m, -1, dtype=np.intp)
-        low, high = ids.copy(), ids.copy()
-        levels.append((node_tree, feature, low, high, n_ben, n_mal))
-
-        open_ = (n >= 2) & (n_mal > 0) & (n_mal < n)
-        if u == 0 or not open_.any():
-            break
-        sel = np.flatnonzero(open_)
-        cand = unused[sel]
-        if 0 < k < u:
-            node_keys = _derive_seeds(node_key[sel, None], cand)
-            kth = np.partition(node_keys, k - 1, axis=1)[:, k - 1 : k]
-            cand = cand[node_keys <= kth].reshape(len(sel), k)
-
-        # Entries of open nodes only, renumbered 0..len(sel)-1. An open node
-        # has both classes, so its benign and malware runs are both nonempty.
-        keep = open_[ent_node]
-        rank = np.cumsum(open_) - 1
-        e_row, e_y = ent_row[keep], ent_y[keep]
-        e_node = rank[ent_node[keep]]
-        e_w = None if ent_w is None else ent_w[keep]
-        starts = np.concatenate(([0], np.cumsum(entries[sel].ravel())[:-1]))
-        if cand.shape[1] < u:
-            flat_idx = cand[e_node]
-            flat_idx += (e_row * n_features)[:, None]
-            gathered = np.take(X, flat_idx)
-        else:
-            gathered = X[e_row]
-        if e_w is not None:
-            gathered = gathered * e_w[:, None].astype(np.min_scalar_type(int(e_w.max())))
-        hist = np.add.reduceat(gathered, starts, axis=0, dtype=np.int32)
-        hist = hist.reshape(len(sel), 2, -1)
-        if cand.shape[1] == u and u < n_features:
-            hist = np.take_along_axis(hist, cand[:, None, :], axis=2)
-
-        pos_mal = hist[:, 1].astype(np.float64)
-        pos = hist[:, 0] + pos_mal
-        n_s = n[sel, None].astype(np.float64)
-        n_mal_s = n_mal[sel, None].astype(np.float64)
-        parent = impurity(n_mal_s, n_s)
-        child_high = impurity(pos_mal, pos)
-        child_low = impurity(n_mal_s - pos_mal, n_s - pos)
-        weighted = (pos * child_high + (n_s - pos) * child_low) / n_s
-        # A feature constant within the node has zero decrease by definition;
-        # mask it out so float jitter cannot promote it into an empty-child split.
-        separates = (pos > 0.0) & (pos < n_s)
-        gains = np.where(separates, parent - weighted, -np.inf)
-        best = np.argmax(gains, axis=1)  # first maximum, i.e. lowest feature index
-        splits = gains[np.arange(len(sel)), best] > 0.0
-        if not splits.any():
-            break
-
-        chosen = cand[splits, best[splits]]
-        parents = sel[splits]
-        children = first_id + 2 * np.arange(parents.size)
-        feature[parents] = chosen
-        low[parents] = children
-        high[parents] = children + 1
-
-        # Next level: each split's low child, then its high child.
-        child_of = np.full(len(sel), -1, dtype=np.intp)
-        child_of[splits] = 2 * np.arange(parents.size)
-        e_child = child_of[e_node]
-        move = e_child >= 0
-        e_row, e_y, e_child = e_row[move], e_y[move], e_child[move]
-        split_feature = np.zeros(len(sel), dtype=np.intp)
-        split_feature[splits] = chosen
-        e_child += np.take(X, e_row * n_features + split_feature[e_node[move]])
-        order = np.argsort(e_child, kind="stable")
-        ent_row, ent_y, ent_node = e_row[order], e_y[order], e_child[order]
-        if e_w is not None:
-            ent_w = e_w[move][order]
-
-        remaining = unused[parents]
-        remaining = remaining[remaining != chosen[:, None]].reshape(parents.size, u - 1)
-        unused = np.repeat(remaining, 2, axis=0)
-        node_tree = np.repeat(node_tree[parents], 2)
-        if node_key is not None:
-            node_key = _derive_seeds(node_key[parents, None], np.arange(2)).ravel()
+    first_id = 0
+    while level is not None:
+        nodes, level = _grow_level(X, k, impurity, level, first_id)
+        levels.append(nodes)
+        first_id += nodes[0].size
 
     tree, *arrays = (np.concatenate(column) for column in zip(*levels))
     local = np.empty(tree.size, dtype=np.intp)
@@ -275,6 +210,125 @@ def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
         feature, low, high, n_ben, n_mal = (a[own] for a in arrays)
         grown.append((feature, local[low], local[high], n_ben, n_mal))
     return grown
+
+
+def _grow_level(X, k, impurity, level: _Level, first_id: int):
+    """The nodes of `level`, numbered from `first_id`, as (tree, feature,
+    low, high, n_benign, n_malware) with every split's children set, and
+    the next level, or None when no node splits. The level's temporaries
+    are freed on return, before the next level allocates its own."""
+    n_features = X.shape[1]
+    m, u = level.tree.size, level.unused.shape[1]
+    ids = first_id + np.arange(m)
+    cell = 2 * level.node + level.y
+    entries = np.bincount(cell, minlength=2 * m).reshape(m, 2)
+    counts = entries if level.w is None else np.bincount(
+        cell, weights=level.w, minlength=2 * m
+    ).astype(np.int64).reshape(m, 2)
+    n_ben, n_mal = counts[:, 0], counts[:, 1]
+    n = n_ben + n_mal
+    feature = np.full(m, -1, dtype=np.intp)
+    low, high = ids.copy(), ids.copy()
+    nodes = (level.tree, feature, low, high, n_ben, n_mal)
+
+    open_ = (n >= 2) & (n_mal > 0) & (n_mal < n)
+    if u == 0 or not open_.any():
+        return nodes, None
+    sel = np.flatnonzero(open_)
+    cand = _random_candidates(level, sel, k) if 0 < k < u else level.unused[sel]
+
+    # Entries of open nodes only, renumbered 0..len(sel)-1.
+    keep = open_[level.node]
+    e_row, e_y = level.row[keep], level.y[keep]
+    e_node = (np.cumsum(open_) - 1)[level.node[keep]]
+    e_w = None if level.w is None else level.w[keep]
+    best = _best_candidates(X, e_row, e_w, entries[sel], cand, u, impurity, n[sel], n_mal[sel])
+    splits = best >= 0
+    if not splits.any():
+        return nodes, None
+
+    chosen = cand[splits, best[splits]]
+    parents = sel[splits]
+    children = first_id + m + 2 * np.arange(parents.size)
+    feature[parents] = chosen
+    low[parents] = children
+    high[parents] = children + 1
+
+    # Next level: each split's low child, then its high child.
+    child_of = np.full(len(sel), -1, dtype=np.intp)
+    child_of[splits] = 2 * np.arange(parents.size)
+    e_child = child_of[e_node]
+    move = e_child >= 0
+    e_row, e_y, e_child = e_row[move], e_y[move], e_child[move]
+    split_feature = np.zeros(len(sel), dtype=np.intp)
+    split_feature[splits] = chosen
+    e_child += np.take(X, e_row * n_features + split_feature[e_node[move]])
+    order = np.argsort(e_child, kind="stable")
+    remaining = level.unused[parents]
+    remaining = remaining[remaining != chosen[:, None]].reshape(parents.size, u - 1)
+    return nodes, _Level(
+        e_row[order],
+        e_y[order],
+        None if e_w is None else e_w[move][order],
+        e_child[order],
+        np.repeat(level.tree[parents], 2),
+        None if level.key is None else _derive_seeds(level.key[parents, None], np.arange(2)).ravel(),
+        np.repeat(remaining, 2, axis=0),
+    )
+
+
+def _random_candidates(level: _Level, sel, k: int) -> np.ndarray:
+    """Per node of `sel`, its `k` unused features with the smallest
+    ``derive_seed(node_key, f)``, ascending. Keys are hashed a block of
+    ``_CHUNK_BYTES // 8`` cells at a time."""
+    step = max(1, _CHUNK_BYTES // 8 // level.unused.shape[1])
+    cand = np.empty((sel.size, k), dtype=level.unused.dtype)
+    for lo in range(0, sel.size, step):
+        block = sel[lo : lo + step]
+        free = level.unused[block]
+        node_keys = _derive_seeds(level.key[block, None], free)
+        kth = np.partition(node_keys, k - 1, axis=1)[:, k - 1 : k]
+        cand[lo : lo + step] = free[node_keys <= kth].reshape(block.size, k)
+    return cand
+
+
+def _best_candidates(X, e_row, e_w, entries, cand, u, impurity, n, n_mal) -> np.ndarray:
+    """Per open node, the column of `cand` whose split decreases impurity
+    most (the first on ties), or -1 where no candidate decreases it.
+
+    The node's entries are the contiguous runs given by `entries`, its
+    benign and malware entry counts; an open node has both classes, so
+    both runs are nonempty. `n` and `n_mal` are its weighted row counts.
+    """
+    n_features = X.shape[1]
+    if cand.shape[1] < u:
+        flat_idx = np.repeat(cand.astype(np.intp), entries.sum(axis=1), axis=0)
+        flat_idx += (e_row * n_features)[:, None]
+        gathered = np.take(X, flat_idx)
+    else:
+        gathered = X[e_row]
+    if e_w is not None:
+        gathered = gathered * e_w[:, None].astype(np.min_scalar_type(int(e_w.max())))
+    starts = np.concatenate(([0], np.cumsum(entries.ravel())[:-1]))
+    hist = np.add.reduceat(gathered, starts, axis=0, dtype=np.int32)
+    hist = hist.reshape(len(cand), 2, -1)
+    if cand.shape[1] == u and u < n_features:
+        hist = np.take_along_axis(hist, cand[:, None, :], axis=2)
+
+    pos_mal = hist[:, 1].astype(np.float64)
+    pos = hist[:, 0] + pos_mal
+    n_s = n[:, None].astype(np.float64)
+    n_mal_s = n_mal[:, None].astype(np.float64)
+    parent = impurity(n_mal_s, n_s)
+    child_high = impurity(pos_mal, pos)
+    child_low = impurity(n_mal_s - pos_mal, n_s - pos)
+    weighted = (pos * child_high + (n_s - pos) * child_low) / n_s
+    # A feature constant within the node has zero decrease by definition;
+    # mask it out so float jitter cannot promote it into an empty-child split.
+    separates = (pos > 0.0) & (pos < n_s)
+    gains = np.where(separates, parent - weighted, -np.inf)
+    best = np.argmax(gains, axis=1)  # first maximum, i.e. lowest feature index
+    return np.where(gains[np.arange(len(cand)), best] > 0.0, best, -1)
 
 
 def _grown_models(dataset, weights, criterion, k, seeds) -> list[TreeModel]:

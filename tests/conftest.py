@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,42 @@ def whole_file_reader(path, catalog: FeatureCatalog, columns: FeatureCatalog | N
     if columns is not None:
         X = X[:, [catalog.index_of(name) for name in columns.names]]
     return X, y if labeled else None
+
+
+def traced_peak(fn):
+    """`fn()` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def nb_scores_oracle(model, X) -> np.ndarray:
+    """nb's posterior with the whole of `X` converted to float64 at once: the
+    formula `nb_scores` evaluates a row block at a time."""
+    X = np.asarray(X, dtype=np.float64)
+    log_mal = np.log(model.prior_malware) + X @ np.log(model.theta_malware) + (
+        1.0 - X
+    ) @ np.log1p(-model.theta_malware)
+    log_ben = np.log1p(-model.prior_malware) + X @ np.log(model.theta_benign) + (
+        1.0 - X
+    ) @ np.log1p(-model.theta_benign)
+    peak = np.maximum(log_mal, log_ben)
+    mal = np.exp(log_mal - peak)
+    ben = np.exp(log_ben - peak)
+    return mal / (mal + ben)
+
+
+def logit_scores_oracle(model, X) -> np.ndarray:
+    """sl's probabilities with the whole of `X` converted to float64 at once:
+    the formula `logit_scores` evaluates on X's own columns."""
+    X = np.asarray(X, dtype=np.float64)
+    F = np.full(X.shape[0], model.intercept)
+    for reg in model.regressors:
+        F += 0.5 * (reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * X[:, reg.feature])
+    return 0.5 * (1.0 + np.tanh(F))
 
 
 def training_log_likelihood(model, ds: Dataset) -> float:

@@ -1,0 +1,109 @@
+"""Scoring and growing in bounded memory, with the bits of whole-matrix scoring.
+
+nb scores a block of rows at a time and sl reads X's own uint8 columns; both
+must equal the whole-matrix float64 formulas of `conftest` bit for bit,
+across block edges. Every kind scores a 10x corpus (68,630 x 179) within a
+fixed tracemalloc peak, and a forest grows within one.
+"""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from droidtriage.algo import KINDS, AlgoDescriptor, model_scores, train_model
+from droidtriage.bayes import _block_rows, nb_scores, train_nb
+from droidtriage.calibration import reference_spec
+from droidtriage.cli import main
+from droidtriage.dataset import synthesize, write_csv
+from droidtriage.ensemble import logit_scores, train_forest, train_simple_logistic
+
+from conftest import logit_scores_oracle, make_dataset, nb_scores_oracle, random_dataset, traced_peak
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+MIB = 1 << 20
+
+
+def _row_counts(n_features: int) -> list[int]:
+    block = _block_rows(n_features)
+    return [0, 1, 2, 63, 64, 65, block - 1, block, block + 1, block + 2, 3 * block + 37]
+
+
+@pytest.mark.parametrize("n_features", [1, 7, 33, 179])
+def test_block_rows_are_whole_words(n_features):
+    block = _block_rows(n_features)
+    assert block >= 64 and block % 64 == 0
+    assert block == 64 or block * 8 * n_features <= 1 << 18
+
+
+@pytest.mark.parametrize("n_features", [7, 33, 179])
+def test_nb_blocks_equal_the_whole_matrix(rng, n_features):
+    model = train_nb(random_dataset(rng, 200, n_features), AlgoDescriptor("nb"))
+    for n in _row_counts(n_features):
+        X = (rng.random((n, n_features)) < 0.3).astype(np.uint8)
+        scores = nb_scores(model, X)
+        assert scores.dtype == np.float64 and scores.shape == (n,)
+        assert scores.tobytes() == nb_scores_oracle(model, X).tobytes(), n
+
+
+@pytest.mark.parametrize("n_features", [7, 33, 179])
+def test_sl_columns_equal_the_whole_matrix(rng, n_features):
+    X = (rng.random((300, n_features)) < 0.4).astype(np.uint8)
+    y = X[:, 0] ^ X[:, -1] & (rng.random(300) < 0.8)
+    model = train_simple_logistic(make_dataset(X, y), AlgoDescriptor("sl", max_iter=12, cv_folds=3))
+    assert model.regressors
+    for n in _row_counts(n_features):
+        X = (rng.random((n, n_features)) < 0.3).astype(np.uint8)
+        scores = logit_scores(model, X)
+        assert scores.dtype == np.float64 and scores.shape == (n,)
+        assert scores.tobytes() == logit_scores_oracle(model, X).tobytes(), n
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return synthesize(reference_spec(), 1)
+
+
+@pytest.fixture(scope="module")
+def corpus_10x():
+    spec = reference_spec()
+    return synthesize(replace(spec, n_benign=10 * spec.n_benign, n_malware=10 * spec.n_malware), 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_scores_68630_rows_under_16_mib(corpus, corpus_10x, kind):
+    model = train_model(AlgoDescriptor(kind, seed=1), corpus)
+    assert corpus_10x.X.shape == (68_630, 179)
+    scores, peak = traced_peak(lambda: model_scores(model, corpus_10x.X))
+    assert scores.shape == (68_630,)
+    assert peak < 16 * MIB, f"{kind} peaked at {peak / MIB:.1f} MiB"
+
+
+def test_forest_grows_under_9_mib(corpus):
+    """Ten trees on the 6,863-row corpus; growing every level's temporaries
+    on top of the last one's peaked at 10.9 MiB."""
+    forest, peak = traced_peak(lambda: train_forest(corpus, AlgoDescriptor("rf", seed=1)))
+    assert len(forest.trees) == 10
+    assert peak < 9 * MIB, f"peaked at {peak / MIB:.1f} MiB"
+
+
+def test_nb_predict_does_not_depend_on_blas_threads(tmp_path, corpus_10x):
+    """Split across two BLAS threads, one whole-matrix product over 68,630
+    rows gave other last bits than on one thread; blocks of whole words do not."""
+    data, model = tmp_path / "d.csv", tmp_path / "nb.model"
+    write_csv(corpus_10x, data)
+    assert main(["train", "--algo", "nb", "--data", str(data), "--model", str(model)]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"p{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "droidtriage", "predict", "--data", str(data), "--model", str(model), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads),
+            check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

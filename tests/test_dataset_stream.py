@@ -6,7 +6,6 @@ import contextlib
 import io
 import os
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from droidtriage.catalog import default_catalog
 from droidtriage.cli import main
 from droidtriage.dataset import DatasetError, SyntheticSpec, read_vectors, synthesize, write_csv
 
-from conftest import make_dataset, toy_catalog, whole_file_reader, write_catalog
+from conftest import make_dataset, toy_catalog, traced_peak, whole_file_reader, write_catalog
 
 F = 3
 HEADER = b"f00,f01,f02,class\n"
@@ -181,16 +180,6 @@ def test_synthesize_in_blocks_equals_one_draw(xor, block):
     assert ds.y.tolist() == [0] * 61 + [1] * 83
 
 
-def _peak(fn):
-    """`fn()` and the peak bytes traced while it ran."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _wide_spec(n: int) -> SyntheticSpec:
     catalog = default_catalog()
     rng = np.random.default_rng(0)
@@ -198,13 +187,13 @@ def _wide_spec(n: int) -> SyntheticSpec:
 
 
 def test_synthesize_holds_the_matrix_and_one_block():
-    ds, peak = _peak(lambda: synthesize(_wide_spec(20_000), 1))
+    ds, peak = traced_peak(lambda: synthesize(_wide_spec(20_000), 1))
     assert peak <= ds.X.nbytes + (2 << 20)
 
 
 def test_read_holds_the_matrix_and_one_block(tmp_path):
     path = tmp_path / "d.csv"
     write_csv(synthesize(_wide_spec(20_000), 1), path)
-    (X, y), peak = _peak(lambda: read_vectors(path, default_catalog()))
+    (X, y), peak = traced_peak(lambda: read_vectors(path, default_catalog()))
     assert len(X) == 20_000
     assert peak <= X.nbytes + y.nbytes + (4 << 20)

@@ -8,6 +8,7 @@ from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.cli import main
 from droidtriage.dataset import write_csv
 from droidtriage.modelio import ModelFormatError, load_model, save_model
+from droidtriage.trees import derive_seed
 
 from conftest import make_dataset, random_dataset, toy_catalog, write_catalog
 
@@ -136,10 +137,15 @@ def _tree_body(criterion="entropy", pruned="0", k="0", seed="0"):
     return [f"criterion {criterion}", f"pruned {pruned}", f"k {k}", f"seed {seed}", "n_features 4", "L 1 0"]
 
 
+# The seed `train_forest` gives member 0 of a forest with seed 0.
+_MEMBER_SEED = str(derive_seed(0, 0))
+
+
 def _rf_body(trees="1", k="1", fraction="1.0", bootstrap="1", member=None):
-    """A forest of one leaf; its member is `member` or a tree of the forest's k."""
+    """A forest of one leaf; its member is `member` or a tree with the fields
+    `train_forest` derives for it: entropy, unpruned, the forest's k and seed."""
     head = [f"trees {trees}", f"k {k}", f"bootstrap_fraction {fraction}", f"bootstrap {bootstrap}", "seed 0"]
-    return head + ["tree"] + (member or _tree_body(k=k))
+    return head + ["tree"] + (member or _tree_body(k=k, seed=_MEMBER_SEED))
 
 
 def _sl_body(iterations="1", max_iterations="5", cv_folds="2"):
@@ -185,7 +191,20 @@ CRAFTED = {
     "dt-with-k": ("dt", _tree_body(k="3"), "dt tree has k 3; dt requires k 0"),
     "rt-with-k-0": ("rt", _tree_body(k="0"), "rt tree has k 0; dt requires k 0, rt k >= 1"),
     "rf-member-k-0": ("rf", _rf_body(member=_tree_body(criterion="gini", pruned="1")), "rt tree has k 0"),
-    "rf-member-k-differs": ("rf", _rf_body(k="2", member=_tree_body(k="1")), "forest member has k 1, forest has k 2"),
+    "rf-member-k-differs": (
+        "rf", _rf_body(k="2", member=_tree_body(k="1", seed=_MEMBER_SEED)), "forest member has k 1, forest has k 2"
+    ),
+    "rf-member-gini": (
+        "rf",
+        _rf_body(member=_tree_body(criterion="gini", k="1", seed=_MEMBER_SEED)),
+        "forest member has criterion gini, forest has criterion entropy",
+    ),
+    "rf-member-pruned": (
+        "rf", _rf_body(member=_tree_body(pruned="1", k="1", seed=_MEMBER_SEED)), "forest member has pruned 1, forest has pruned 0"
+    ),
+    "rf-member-seed": (
+        "rf", _rf_body(member=_tree_body(k="1", seed="77")), f"forest member has seed 77, forest has seed {_MEMBER_SEED}"
+    ),
     "wrong-header-key": ("nb", ["beta 1.0"] + _nb_body()[1:], "expected 'alpha', got 'beta 1.0'"),
     "bad-tree-node-line": ("dt", _TREE_HEAD + ["n_features 4", "S 0 1", "L 1 0", "L 0 1"], "bad tree node line 'S 0 1'"),
     "missing-tree-marker": ("rf", _rf_body()[:5] + ["forest"] + _tree_body(k="1"), "expected 'tree' marker"),

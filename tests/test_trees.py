@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +20,7 @@ from droidtriage.trees import (
     tree_scores,
 )
 
-from conftest import _nested, _walk, make_dataset, random_dataset, subset
+from conftest import _nested, _walk, make_dataset, random_dataset, subset, traced_peak
 
 
 def entropy(n_malware, total) -> float:
@@ -519,12 +518,7 @@ class TestPackRows:
 
     def test_adds_at_most_the_output_and_two_mib(self, rng):
         X = (rng.random((20_000, 179)) < 0.3).astype(np.uint8)
-        tracemalloc.start()
-        try:
-            packed = _pack_rows(X, 179)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        packed, peak = traced_peak(lambda: _pack_rows(X, 179))
         assert peak <= packed.nbytes + (2 << 20)
 
 
