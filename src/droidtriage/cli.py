@@ -2,9 +2,10 @@
 
 Subcommands: synth, extract, rank, train, predict, crossval, compare, roc.
 Exit codes: 0 success, 1 a flag fault (a value argparse or `AlgoDescriptor`
-rejects), 2 a fault in the data, catalog or model; `main` alone maps a fault
-to its code. stdout carries only data and output paths; diagnostics go to
-stderr.
+rejects), 2 a fault in the data, catalog or model, 3 a worker process of
+crossval or compare died (killed, or out of memory); `main` alone maps a
+fault to its code. stdout carries only data and output paths; diagnostics
+go to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import functools
 import sys
 import warnings
+from concurrent.futures import BrokenExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -64,6 +66,14 @@ def _seed(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
+    return value
+
+
+def _workers(text: str) -> int:
+    """argparse type of ``--workers``: a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
     return value
 
 
@@ -169,6 +179,7 @@ def _build_parser() -> _Parser:
     _add_common(p)
     _add_algo_flags(p)
     p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--workers", type=_workers, help="processes fitting folds (default: the CPUs this process may use)")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=_cmd_crossval)
 
@@ -176,6 +187,7 @@ def _build_parser() -> _Parser:
     _add_common(p, multi_sets=True)
     _add_algo_flags(p, multi=True)
     p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--workers", type=_workers, help="processes fitting folds (default: the CPUs this process may use)")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=_cmd_compare)
 
@@ -254,7 +266,7 @@ def _cmd_predict(args) -> int:
 def _cmd_crossval(args) -> int:
     _, dataset = _read_data(args, args.feature_set)
     algo = _algo_from_args(args, args.algo)
-    rows = compare(dataset, [algo], args.folds, args.seed, feature_sets=[FeatureSet(args.feature_set or "capf")])
+    rows = compare(dataset, [algo], args.folds, args.seed, [FeatureSet(args.feature_set or "capf")], args.workers)
     write_report(rows, args.out)
     print(args.out)
     return 0
@@ -266,7 +278,7 @@ def _cmd_compare(args) -> int:
         raise _UsageError(f"--feature-set must list values from {', '.join(_FEATURE_SETS)}; got {args.feature_set!r}")
     _, dataset = _read_data(args, names[0] if len(names) == 1 else None)
     algos = [_algo_from_args(args, kind.strip()) for kind in args.algo.split(",") if kind.strip()]
-    rows = compare(dataset, algos, args.folds, args.seed, feature_sets=[FeatureSet(s) for s in names])
+    rows = compare(dataset, algos, args.folds, args.seed, [FeatureSet(s) for s in names], args.workers)
     write_report(rows, args.out)
     print(args.out)
     return 0
@@ -332,6 +344,9 @@ def main(argv=None) -> int:
         except (*_DATA_ERRORS, ValueError) as exc:  # a data fault, else a flag fault
             print(f"droidtriage: error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, _DATA_ERRORS) else 1
+        except BrokenExecutor as exc:  # a worker process died
+            print(f"droidtriage: error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

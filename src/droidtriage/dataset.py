@@ -17,6 +17,7 @@ file, and the generator draws its doubles a block of rows at a time.
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import math
 import os
@@ -45,6 +46,9 @@ _ROW_ENDS = (
     np.frombuffer(b",benign\n\0,malware\n", np.uint8).reshape(2, -1),
 )
 _CHUNK_BYTES = 1 << 18
+# A data row longer than this and than any valid row is counted, not held;
+# a row within a block is never that long.
+_LONG_ROW = _CHUNK_BYTES
 
 
 class DatasetError(ValueError):
@@ -91,6 +95,9 @@ class Dataset:
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
+
+    def __reduce__(self):
+        return Dataset, (self.catalog, self.X, self.y)  # unpickling checks the bits again
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -149,11 +156,13 @@ def read_vectors(
     `catalog`'s, and the matrix holds `columns`' features either way.
 
     The file is read in blocks of `_CHUNK_BYTES` (see `_whole_lines`), so
-    memory holds the matrix and one block, never the whole file.
+    memory holds the matrix and a few blocks, never the whole file nor a
+    row longer than any valid one.
     """
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
-        blocks = _whole_lines(f)
+        longest_valid = 2 * len(catalog) - 1 + len(",malware")  # a malware row of the widest columns
+        blocks = _whole_lines(f, max(_LONG_ROW, longest_valid))
         block = next(blocks, None)
         if block is None:
             raise DatasetError(f"{path}: empty file")
@@ -187,39 +196,72 @@ def read_vectors(
         X = np.empty((rows, F if cols is None else len(cols)), dtype=np.uint8)
         y = np.empty(rows, dtype=np.uint8)
         n = 0  # rows read
-        for block in itertools.chain((block[cut + 1 :],), blocks):
-            buf = np.frombuffer(block, dtype=np.uint8)
-            ends = np.flatnonzero(buf == 10)
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            lengths = ends - starts
-            good = (lengths == L - 1) | (lengths == L) & labeled
-            m = ends.size if good.all() else int(np.argmin(good))
-            labels = (lengths[:m] == L).astype(np.uint8)
-            if m:
-                window = sliding_window_view(buf, L)[starts[:m]]
-                bits = window[:, 0:W:2] & 1
-                bad = (window != _render(bits, tails, labels)).any(axis=1)
-                if bad.any():
-                    m = int(np.argmax(bad))
-                if n + m > len(X):  # np.resize copies X's rows into the longer array
-                    grown = max(n + m, 2 * len(X))
-                    X, y = np.resize(X, (grown, X.shape[1])), np.resize(y, grown)
-                X[n : n + m] = bits[:m] if cols is None else bits[:m, cols]
-                y[n : n + m] = labels[:m]
-            if m < ends.size:
-                _raise_bad_row(path, names, labeled, block[starts[m] : ends[m]], n + m + 1)
-            n += m
+        try:
+            for block in itertools.chain((block[cut + 1 :],), blocks):
+                buf = np.frombuffer(block, dtype=np.uint8)
+                ends = np.flatnonzero(buf == 10)
+                starts = np.concatenate(([0], ends[:-1] + 1))
+                lengths = ends - starts
+                good = (lengths == L - 1) | (lengths == L) & labeled
+                m = ends.size if good.all() else int(np.argmin(good))
+                labels = (lengths[:m] == L).astype(np.uint8)
+                if m:
+                    window = sliding_window_view(buf, L)[starts[:m]]
+                    bits = window[:, 0:W:2] & 1
+                    bad = (window != _render(bits, tails, labels)).any(axis=1)
+                    if bad.any():
+                        m = int(np.argmax(bad))
+                    if n + m > len(X):  # np.resize copies X's rows into the longer array
+                        grown = max(n + m, 2 * len(X))
+                        X, y = np.resize(X, (grown, X.shape[1])), np.resize(y, grown)
+                    X[n : n + m] = bits[:m] if cols is None else bits[:m, cols]
+                    y[n : n + m] = labels[:m]
+                if m < ends.size:
+                    _raise_bad_row(path, names, labeled, block[starts[m] : ends[m]], n + m + 1)
+                n += m
+        except _LongRow as row:
+            _raise_bad_row(path, names, labeled, row, n + 1)
     return X[:n], y[:n] if labeled else None
 
 
-def _whole_lines(f) -> Iterator[bytes]:
+class _LongRow(Exception):
+    """A data row longer than `_whole_lines`' limit: its length in bytes, its
+    cell count and whether it is UTF-8, counted a block at a time from the
+    file `f` to the row's end."""
+
+    def __init__(self, f, head: bytearray, ended: bool):
+        super().__init__()
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        self.size, self.cells, self.utf8 = 0, 1, True
+        part = head
+        while True:
+            self.size += len(part)
+            self.cells += part.count(b",")
+            # ASCII after a whole character is UTF-8: only the rest is decoded.
+            if self.utf8 and not (part.isascii() and not decoder.getstate()[0]):
+                try:
+                    decoder.decode(part, final=ended)
+                except UnicodeDecodeError:
+                    self.utf8 = False
+            if ended:
+                return
+            chunk = f.read(_CHUNK_BYTES)
+            end = min(i for i in (chunk.find(b"\n"), chunk.find(b"\r"), len(chunk)) if i >= 0)
+            part, ended = chunk[:end], end < len(chunk) or not chunk
+
+
+def _whole_lines(f, longest: int) -> Iterator[bytes]:
     """The bytes of the binary file `f`, read `_CHUNK_BYTES` at a time, in
     blocks of whole lines: CRLF and lone CR become LF, as text mode reads
     them, and a last line without a line end gets one. A line is carried
     into the next block while it is incomplete, and so is a block's last
-    CR, which may begin a CRLF pair."""
+    CR, which may begin a CRLF pair. A data row (any line after the first)
+    longer than `longest` bytes is not carried: :class:`_LongRow` counts it
+    and is raised instead. `longest` is at least a block, so only a carried
+    row can be that long."""
     carry = bytearray()
     cr = False
+    header = True
     while chunk := f.read(_CHUNK_BYTES):
         if cr:
             chunk = b"\r" + chunk
@@ -229,9 +271,13 @@ def _whole_lines(f) -> Iterator[bytes]:
         if b"\r" in chunk:
             chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         cut = chunk.rfind(b"\n") + 1
+        end = chunk.find(b"\n") if cut else len(chunk)  # where the carried line stops
+        if len(carry) + end > longest and not header:
+            raise _LongRow(f, carry + chunk[:end], bool(cut) or cr)
         if cut:
             yield bytes(carry + chunk[:cut])
             carry = bytearray(chunk[cut:])
+            header = False
         else:
             carry += chunk
     if cr or carry:
@@ -245,12 +291,20 @@ def _decode(path, line: bytes, row: int) -> str:
         raise DatasetError(f"{path}: {f'row {row}' if row else 'header'}: not valid UTF-8") from None
 
 
-def _raise_bad_row(path, names: list[str], labeled: bool, line: bytes, row: int) -> None:
-    """Name the first fault of data row `row`, whose bytes are `line`."""
+def _raise_bad_row(path, names: list[str], labeled: bool, line: bytes | _LongRow, row: int) -> None:
+    """Name the first fault of data row `row`: `line` is its bytes, or the
+    `_LongRow` that counted it. A long row whose cell count is right is
+    named by its length, as its cells are not held."""
     F = len(names)
-    cells = _decode(path, line, row).split(",")
-    if len(cells) != F + labeled:
-        raise DatasetError(f"{path}: row {row}: expected {F + labeled} cells, got {len(cells)}")
+    long = isinstance(line, _LongRow)
+    if long and not line.utf8:
+        raise DatasetError(f"{path}: row {row}: not valid UTF-8")
+    cells = None if long else _decode(path, line, row).split(",")
+    count = line.cells if long else len(cells)
+    if count != F + labeled:
+        raise DatasetError(f"{path}: row {row}: expected {F + labeled} cells, got {count}")
+    if long:
+        raise DatasetError(f"{path}: row {row}: {line.size} bytes, longer than any valid row")
     if labeled and cells[-1] not in ("benign", "malware"):
         raise DatasetError(f"{path}: row {row}: unknown label {cells[-1]!r}")
     col = next(i for i, c in enumerate(cells[:F]) if c not in ("0", "1"))

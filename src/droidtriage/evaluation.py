@@ -5,13 +5,25 @@ the positive ("sus") class. Cross-validation is stratified and pooled: fold
 confusion matrices are summed into a single matrix and held-out scores are
 concatenated into a single ROC, so each configuration yields one row of
 rates, micro-averaged over the whole dataset.
+
+`compare` plans every (feature set, algorithm, fold) fit up front and runs
+them in worker processes, one fold per job; every fit has its own derived
+seed and each result is assembled in fold order, so the outcome is the same
+for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+import os
+import signal
+import threading
+import warnings
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from time import perf_counter
 from typing import Sequence
 
 import numpy as np
@@ -162,10 +174,15 @@ class FoldError(RuntimeError):
         self.fold = fold
         self.cause = cause
 
+    def __reduce__(self):
+        return FoldError, (self.fold, self.cause)
+
 
 @dataclass(frozen=True)
 class CvResult:
-    """Pooled k-fold cross-validation outcome for one configuration."""
+    """Pooled k-fold cross-validation outcome for one configuration, with
+    each fold's held-out scores and the seconds its training and scoring
+    took (measured where the fold ran; neither takes part in equality)."""
 
     algo: AlgoDescriptor
     k: int
@@ -174,6 +191,49 @@ class CvResult:
     pooled_matrix: ConfusionMatrix
     pooled_metrics: MetricsReport
     roc: RocCurve
+    fold_scores: tuple[np.ndarray, ...] = field(compare=False)
+    fold_train_s: tuple[float, ...] = field(compare=False)
+    fold_score_s: tuple[float, ...] = field(compare=False)
+
+
+def _fold_job(datasets, algos, folds, seed: int, job) -> tuple[np.ndarray, float, float]:
+    """Fit the job ``(dataset index, algorithm index, fold index)``: train on
+    a bool mask of the fold's complement with the fold's derived seed, score
+    the fold, and return its scores and the seconds each step took."""
+    dataset, algo, fi = datasets[job[0]], algos[job[1]], job[2]
+    train_rows = np.ones(len(dataset), dtype=bool)
+    train_rows[folds[fi]] = False
+    fold_seed = derive_seed(derive_seed(seed, fi), algo.seed)
+    start = perf_counter()
+    try:
+        model = train_model(replace(algo, seed=fold_seed), dataset, train_rows)
+    except ValueError as exc:
+        raise FoldError(fi, exc) from exc
+    trained = perf_counter()
+    scores = model_scores(model, dataset.X[folds[fi]])
+    return scores, trained - start, perf_counter() - trained
+
+
+def _cv_result(algo: AlgoDescriptor, seed: int, y: np.ndarray, folds, fold_jobs) -> CvResult:
+    """Pool the `_fold_job` results of `algo`'s folds, in fold order."""
+    scores, train_s, score_s = zip(*fold_jobs)
+    truth = [y[idx] for idx in folds]
+    fold_matrices = [confusion(t, is_malware(s)) for t, s in zip(truth, scores)]
+    pooled = fold_matrices[0]
+    for cm in fold_matrices[1:]:
+        pooled = pooled + cm
+    return CvResult(
+        algo=algo,
+        k=len(folds),
+        seed=seed,
+        fold_matrices=tuple(fold_matrices),
+        pooled_matrix=pooled,
+        pooled_metrics=metrics(pooled),
+        roc=roc_auc(np.concatenate(scores), np.concatenate(truth)),
+        fold_scores=scores,
+        fold_train_s=train_s,
+        fold_score_s=score_s,
+    )
 
 
 def cross_validate(dataset: Dataset, algo: AlgoDescriptor, k: int = 10, seed: int = 0) -> CvResult:
@@ -182,48 +242,90 @@ def cross_validate(dataset: Dataset, algo: AlgoDescriptor, k: int = 10, seed: in
     A fold model trains on a bool mask of the complement's rows, not on a
     copy of them. Fold models train with seeds derived from (`seed`, fold
     index), so the whole result is deterministic. Training errors are
-    re-raised as :class:`FoldError` naming the fold.
+    re-raised as :class:`FoldError` naming the fold. The folds are fitted
+    as `compare` fits them.
     """
-    folds = stratified_fold_indices(dataset.y, k, seed)
-    fold_matrices = []
-    pooled_scores = []
-    pooled_truth = []
-    for fi, test_idx in enumerate(folds):
-        train_rows = np.ones(len(dataset), dtype=bool)
-        train_rows[test_idx] = False
-        fold_seed = derive_seed(derive_seed(seed, fi), algo.seed)
-        try:
-            model = train_model(replace(algo, seed=fold_seed), dataset, train_rows)
-        except ValueError as exc:
-            raise FoldError(fi, exc) from exc
-        scores = model_scores(model, dataset.X[test_idx])
-        truth = dataset.y[test_idx]
-        fold_matrices.append(confusion(truth, is_malware(scores)))
-        pooled_scores.append(scores)
-        pooled_truth.append(truth)
-    pooled = fold_matrices[0]
-    for cm in fold_matrices[1:]:
-        pooled = pooled + cm
-    return CvResult(
-        algo=algo,
-        k=k,
-        seed=seed,
-        fold_matrices=tuple(fold_matrices),
-        pooled_matrix=pooled,
-        pooled_metrics=metrics(pooled),
-        roc=roc_auc(np.concatenate(pooled_scores), np.concatenate(pooled_truth)),
+    return compare(dataset, [algo], k, seed)[0].cv
+
+
+def _default_workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# A worker process's (datasets, algorithms, folds, seed), set once by
+# `_start_worker`; the parent never sets it.
+_WORK = None
+
+
+def _start_worker(work) -> None:
+    global _WORK
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    _WORK = work
+
+
+def _worker_job(job):
+    return _fold_job(*_WORK, job)
+
+
+def _run_jobs(work, jobs: list, workers: int) -> list:
+    """`_fold_job` of each of `jobs` on `work`, in order: in this process for
+    one worker or one job, else in a pool of at most `workers` processes
+    made for the call and shut down before it returns.
+
+    The pool forks where the platform can and no other Python thread runs,
+    so each worker inherits the datasets and the BLAS thread count; it
+    spawns otherwise, and the work is pickled to each worker once.
+    """
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return list(map(functools.partial(_fold_job, *work), jobs))
+    # Imported here: multiprocessing and its pool cost about 18 ms and 1 MiB
+    # to import, which the commands that run no pool should not pay.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    pool = ProcessPoolExecutor(
+        workers,
+        multiprocessing.get_context("fork" if fork else "spawn"),
+        initializer=_start_worker,
+        initargs=(work,),
     )
+    try:
+        with warnings.catch_warnings():
+            # From Python 3.12 a fork warns when threads run; here they can
+            # only be OpenBLAS's, which it stops and restarts across a fork.
+            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
+            results = pool.map(_worker_job, jobs)
+        return list(results)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One line of the comparison table: a configuration and its rates."""
+    """One line of the comparison table: a feature set, its width, and the
+    cross-validation of one algorithm on it."""
 
-    algo: str
     feature_set: str
     features: int
-    report: MetricsReport
-    auc: float
+    cv: CvResult
+
+    @property
+    def algo(self) -> str:
+        return self.cv.algo.kind
+
+    @property
+    def report(self) -> MetricsReport:
+        return self.cv.pooled_metrics
+
+    @property
+    def auc(self) -> float:
+        return self.cv.roc.auc
 
 
 def compare(
@@ -232,20 +334,30 @@ def compare(
     k: int = 10,
     seed: int = 0,
     feature_sets: Sequence[FeatureSet] = (FeatureSet.CAPF,),
+    workers: int | None = None,
 ) -> list[ComparisonRow]:
-    """Cross-validate every (feature set, algorithm) pair on `dataset`."""
+    """Cross-validate every (feature set, algorithm) pair on `dataset`, one
+    row per pair, feature set major.
+
+    Every fold of every pair is one job, run by `workers` processes (the
+    CPUs this process may run on when None); the rows are the same for any
+    count.
+    """
     if not algos:
         raise ValueError("compare needs at least one algorithm")
-    rows = []
-    for fs in feature_sets:
-        sub = select_feature_set(dataset.catalog, fs)
-        projected = dataset if fs is FeatureSet.CAPF else dataset.select_features(sub.names)
-        for algo in algos:
-            cv = cross_validate(projected, algo, k, seed)
-            rows.append(
-                ComparisonRow(algo.kind, fs.value, len(sub), cv.pooled_metrics, cv.roc.auc)
-            )
-    return rows
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    subs = [select_feature_set(dataset.catalog, fs) for fs in feature_sets]
+    projected = [dataset if fs is FeatureSet.CAPF else dataset.select_features(sub.names)
+                 for fs, sub in zip(feature_sets, subs)]
+    folds = stratified_fold_indices(dataset.y, k, seed)
+    jobs = list(itertools.product(range(len(projected)), range(len(algos)), range(k)))
+    results = iter(_run_jobs((projected, algos, folds, seed), jobs, workers or _default_workers()))
+    return [
+        ComparisonRow(fs.value, len(sub), _cv_result(algo, seed, dataset.y, folds, itertools.islice(results, k)))
+        for fs, sub in zip(feature_sets, subs)
+        for algo in algos
+    ]
 
 
 _REPORT_HEADER = "algo,feature_set,features,TPR,TNR,FPR,FNR,ACC,ERR,precision,AUC"

@@ -1,8 +1,10 @@
 """Byte pins of every CLI output: rank (file and stdout), train plus predict
 for each kind, a crossval report, a compare report over all kinds and sets,
-and the roc CSV and SVG, on a small seeded corpus."""
+and the roc CSV and SVG, on a small seeded corpus. The two reports are also
+pinned with their folds fitted in this process and in two workers."""
 
 import contextlib
+import functools
 import hashlib
 import io
 
@@ -58,20 +60,36 @@ PINS = {
 }
 
 
+# The commands that fit folds, by the report each writes.
+FOLD_COMMANDS = {
+    "crossval.csv": ["crossval", "--algo", "rf", "--trees", "3", "--folds", "3", "--seed", "4"],
+    "compare.csv": ["compare", "--algo", "nb,dt,rt,rf,sl", "--trees", "3", "--max-iter", "5", "--cv-folds", "2",
+                    "--feature-set", "pf,af,capf", "--folds", "2", "--seed", "1"],
+}
+
+
+def _run(root, command, *flags) -> bytes:
+    """stdout of one command run with the pinned catalog in `root`."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([command, "--catalog", str(root / "cat.csv"), *flags]) == 0
+    return out.getvalue().encode()
+
+
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    """name -> bytes of every pinned output, from one run of the commands."""
+def root(tmp_path_factory):
+    """A directory holding the catalog and the seeded corpus."""
     root = tmp_path_factory.mktemp("pins")
     (root / "cat.csv").write_text(CATALOG)
     (root / "corpus.spec").write_text(SPEC)
+    _run(root, "synth", "--spec", str(root / "corpus.spec"), "--seed", "5", "--out", str(root / "corpus.csv"))
+    return root
 
-    def run(command, *flags) -> bytes:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert main([command, "--catalog", str(root / "cat.csv"), *flags]) == 0
-        return out.getvalue().encode()
 
+@pytest.fixture(scope="module")
+def outputs(root):
+    """name -> bytes of every pinned output, from one run of the commands."""
+    run = functools.partial(_run, root)
     corpus = str(root / "corpus.csv")
-    run("synth", "--spec", str(root / "corpus.spec"), "--seed", "5", "--out", corpus)
     run("rank", "--data", corpus, "--out", str(root / "rank.csv"))
     (root / "rank.stdout").write_bytes(run("rank", "--data", corpus))
     for name, flags in [
@@ -85,11 +103,8 @@ def outputs(tmp_path_factory):
         model = str(root / f"{name}.model")
         run("train", *flags, "--data", corpus, "--seed", "9", "--model", model)
         run("predict", "--data", corpus, "--model", model, "--out", str(root / f"{name}.pred.csv"))
-    run("crossval", "--algo", "rf", "--trees", "3", "--data", corpus, "--folds", "3", "--seed", "4",
-        "--out", str(root / "crossval.csv"))
-    run("compare", "--algo", "nb,dt,rt,rf,sl", "--trees", "3", "--max-iter", "5", "--cv-folds", "2",
-        "--feature-set", "pf,af,capf", "--data", corpus, "--folds", "2", "--seed", "1",
-        "--out", str(root / "compare.csv"))
+    for name, argv in FOLD_COMMANDS.items():
+        run(*argv, "--data", corpus, "--out", str(root / name))
     run("roc", "--data", corpus, "--model", str(root / "sl.model"),
         "--out", str(root / "roc.csv"), "--svg", str(root / "roc.svg"))
     return {name: (root / name).read_bytes() for name in PINS}
@@ -98,3 +113,11 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", PINS)
 def test_output_bytes_pinned(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == PINS[name]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("name", FOLD_COMMANDS)
+def test_fold_reports_pinned_for_any_worker_count(root, name, workers):
+    out = root / f"{workers}-{name}"
+    _run(root, *FOLD_COMMANDS[name], "--data", str(root / "corpus.csv"), "--workers", workers, "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]

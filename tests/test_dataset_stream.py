@@ -197,3 +197,54 @@ def test_read_holds_the_matrix_and_one_block(tmp_path):
     (X, y), peak = traced_peak(lambda: read_vectors(path, default_catalog()))
     assert len(X) == 20_000
     assert peak <= X.nbytes + y.nbytes + (4 << 20)
+
+
+def _long_row_file(path, long_row: bytes, end: bytes = b"\n") -> None:
+    """A default-catalog CSV: a good row, then `long_row`, then a good row."""
+    catalog = default_catalog()
+    good = b"0," * len(catalog) + b"benign"
+    path.write_bytes((",".join(catalog.names) + ",class\n").encode() + good + end + long_row + end + good + end)
+
+
+LONG = 300_000  # cells in a long row: its bytes are over `dataset._LONG_ROW`
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize("long_row", [
+    b"0," * LONG + b"benign",                         # too many cells
+    b"0," * LONG + "é".encode() + b",malware",        # too many cells, one not ASCII
+    b"0," * (LONG // 2) + b"\xff" + b",0" * LONG,     # not UTF-8
+    b"0," * (LONG // 2) + b"\xc3",                    # ends inside a character
+], ids=["cells", "non-ascii", "not-utf8", "cut-character"])
+@pytest.mark.parametrize("block", [7, 1 << 18])
+def test_long_row_is_named_as_the_whole_file_reader_names_it(tmp_path, long_row, end, block):
+    """A row longer than any valid one is counted a block at a time, not
+    held, and its fault is named as if it were held."""
+    assert len(long_row) > dataset._LONG_ROW
+    path = tmp_path / "d.csv"
+    _long_row_file(path, long_row, end)
+    expected = _outcome(whole_file_reader, path, default_catalog())
+    assert expected.startswith(f"{path}: row 2: ")
+    assert _read_in_blocks(path, block, default_catalog()) == expected
+
+
+def test_long_row_with_the_right_cell_count_is_named_by_its_length(tmp_path):
+    long_row = b"0," * 178 + b"0" * LONG + b",benign"
+    path = tmp_path / "d.csv"
+    _long_row_file(path, long_row)
+    message = f"{path}: row 2: {len(long_row)} bytes, longer than any valid row"
+    for block in (7, 1 << 18):
+        assert _read_in_blocks(path, block, default_catalog()) == message
+
+
+def test_sixteen_mib_row_peaks_within_a_few_blocks_of_the_matrix(tmp_path):
+    """A row of 8,388,608 ``0,`` cells used to peak at 139 MiB, carried whole
+    and split into cells before its fault was named."""
+    catalog = default_catalog()
+    path = tmp_path / "d.csv"
+    path.write_bytes((",".join(catalog.names) + ",class\n").encode() + b"0," * (8 << 20) + b"\n")
+    _, peak = traced_peak(lambda: _outcome(read_vectors, path, catalog))
+    assert _outcome(read_vectors, path, catalog) == f"{path}: row 1: expected 180 cells, got 8388609"
+    # read_vectors sizes its matrix from the file: a row takes at least L bytes.
+    matrix = (path.stat().st_size // (2 * len(catalog) - 1 + len(",benign\n"))) * (len(catalog) + 1)
+    assert peak < matrix + 8 * dataset._CHUNK_BYTES, f"{(peak - matrix) / (1 << 20):.1f} MiB over the matrix"

@@ -9,7 +9,9 @@ from droidtriage.algo import AlgoDescriptor, model_scores, train_model
 from droidtriage.evaluation import (
     ComparisonRow,
     ConfusionMatrix,
+    CvResult,
     FoldError,
+    RocCurve,
     compare,
     confusion,
     cross_validate,
@@ -290,7 +292,8 @@ class TestCompare:
 
     def test_report_csv_format(self, tmp_path):
         cm = ConfusionMatrix(10, 0, 5, 0)
-        row = ComparisonRow("nb", "capf", 5, metrics(cm), 0.5)
+        cv = CvResult(AlgoDescriptor("nb"), 1, 0, (cm,), cm, metrics(cm), RocCurve((), 0.5), (), (), ())
+        row = ComparisonRow("capf", 5, cv)
         write_report([row], tmp_path / "r.csv")
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0] == "algo,feature_set,features,TPR,TNR,FPR,FNR,ACC,ERR,precision,AUC"

@@ -69,6 +69,7 @@ def argvs(draw):
     optional = dict(VALUED_FLAGS)
     if command != "train":
         optional["--folds"] = st.integers(-1, 24).map(str)
+        optional["--workers"] = st.integers(-2, 4).map(str)
     values = draw(st.fixed_dictionaries({}, optional=optional))
     argv = [command, f"--algo={algo}"] + [f"{flag}={value}" for flag, value in values.items()]
     argv += draw(st.lists(st.sampled_from(["--prune", "--no-bootstrap"]), unique=True))
