@@ -95,9 +95,6 @@ class FeatureCatalog:
     def __setattr__(self, name, value):
         raise AttributeError("FeatureCatalog is immutable")
 
-    def __reduce__(self):
-        return FeatureCatalog, (self.features,)  # unpickling checks the names again
-
     def __len__(self) -> int:
         return len(self.features)
 

@@ -69,14 +69,6 @@ def _seed(text: str) -> int:
     return value
 
 
-def _workers(text: str) -> int:
-    """argparse type of ``--workers``: a positive integer."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
-    return value
-
-
 def _base_catalog(args) -> FeatureCatalog:
     return default_catalog() if args.catalog is None else load_catalog(args.catalog)
 
@@ -179,7 +171,6 @@ def _build_parser() -> _Parser:
     _add_common(p)
     _add_algo_flags(p)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--workers", type=_workers, help="processes fitting folds (default: the CPUs this process may use)")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=_cmd_crossval)
 
@@ -187,7 +178,6 @@ def _build_parser() -> _Parser:
     _add_common(p, multi_sets=True)
     _add_algo_flags(p, multi=True)
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--workers", type=_workers, help="processes fitting folds (default: the CPUs this process may use)")
     p.add_argument("--out", required=True, help="report CSV")
     p.set_defaults(func=_cmd_compare)
 
@@ -266,7 +256,7 @@ def _cmd_predict(args) -> int:
 def _cmd_crossval(args) -> int:
     _, dataset = _read_data(args, args.feature_set)
     algo = _algo_from_args(args, args.algo)
-    rows = compare(dataset, [algo], args.folds, args.seed, [FeatureSet(args.feature_set or "capf")], args.workers)
+    rows = compare(dataset, [algo], args.folds, args.seed, feature_sets=[FeatureSet(args.feature_set or "capf")])
     write_report(rows, args.out)
     print(args.out)
     return 0
@@ -278,7 +268,7 @@ def _cmd_compare(args) -> int:
         raise _UsageError(f"--feature-set must list values from {', '.join(_FEATURE_SETS)}; got {args.feature_set!r}")
     _, dataset = _read_data(args, names[0] if len(names) == 1 else None)
     algos = [_algo_from_args(args, kind.strip()) for kind in args.algo.split(",") if kind.strip()]
-    rows = compare(dataset, algos, args.folds, args.seed, [FeatureSet(s) for s in names], args.workers)
+    rows = compare(dataset, algos, args.folds, args.seed, feature_sets=[FeatureSet(s) for s in names])
     write_report(rows, args.out)
     print(args.out)
     return 0

@@ -96,9 +96,6 @@ class Dataset:
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
 
-    def __reduce__(self):
-        return Dataset, (self.catalog, self.X, self.y)  # unpickling checks the bits again
-
     def __len__(self) -> int:
         return self.X.shape[0]
 

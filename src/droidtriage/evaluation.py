@@ -7,7 +7,8 @@ concatenated into a single ROC, so each configuration yields one row of
 rates, micro-averaged over the whole dataset.
 
 `compare` plans every (feature set, algorithm, fold) fit up front and runs
-them in worker processes, one fold per job; every fit has its own derived
+them in forked worker processes where that is safe and leaves cores free
+(see `_default_workers`), one fold per job; every fit has its own derived
 seed and each result is assembled in fold order, so the outcome is the same
 for any worker count.
 """
@@ -19,8 +20,8 @@ import itertools
 import math
 import os
 import signal
+import sys
 import threading
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -181,8 +182,8 @@ class FoldError(RuntimeError):
 @dataclass(frozen=True)
 class CvResult:
     """Pooled k-fold cross-validation outcome for one configuration, with
-    each fold's held-out scores and the seconds its training and scoring
-    took (measured where the fold ran; neither takes part in equality)."""
+    the seconds each fold's training and scoring took (measured where the
+    fold ran; neither takes part in equality)."""
 
     algo: AlgoDescriptor
     k: int
@@ -191,7 +192,6 @@ class CvResult:
     pooled_matrix: ConfusionMatrix
     pooled_metrics: MetricsReport
     roc: RocCurve
-    fold_scores: tuple[np.ndarray, ...] = field(compare=False)
     fold_train_s: tuple[float, ...] = field(compare=False)
     fold_score_s: tuple[float, ...] = field(compare=False)
 
@@ -230,7 +230,6 @@ def _cv_result(algo: AlgoDescriptor, seed: int, y: np.ndarray, folds, fold_jobs)
         pooled_matrix=pooled,
         pooled_metrics=metrics(pooled),
         roc=roc_auc(np.concatenate(scores), np.concatenate(truth)),
-        fold_scores=scores,
         fold_train_s=train_s,
         fold_score_s=score_s,
     )
@@ -249,11 +248,20 @@ def cross_validate(dataset: Dataset, algo: AlgoDescriptor, k: int = 10, seed: in
 
 
 def _default_workers() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    """How many processes fit folds: one off Linux, where a fork is not known
+    to be safe; else the CPUs this process may run on divided by the threads
+    a BLAS call may use, so that workers times BLAS threads do not outnumber
+    the CPUs. The BLAS count follows OpenBLAS's rule: the first positive
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, else every CPU.
+    """
+    if sys.platform != "linux":
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
 
 
 # A worker process's (datasets, algorithms, folds, seed), set once by
@@ -271,37 +279,28 @@ def _worker_job(job):
     return _fold_job(*_WORK, job)
 
 
-def _run_jobs(work, jobs: list, workers: int) -> list:
-    """`_fold_job` of each of `jobs` on `work`, in order: in this process for
-    one worker or one job, else in a pool of at most `workers` processes
-    made for the call and shut down before it returns.
+def _run_jobs(work, jobs: list) -> list:
+    """`_fold_job` of each of `jobs` on `work`, in order: in a pool of at
+    most `_default_workers()` processes made for the call and shut down
+    before it returns, or in this process for one worker, for one job, or
+    while another Python thread runs, as a fork is not safe then.
 
-    The pool forks where the platform can and no other Python thread runs,
-    so each worker inherits the datasets and the BLAS thread count; it
-    spawns otherwise, and the work is pickled to each worker once.
+    The workers are forked, so each inherits the datasets and the BLAS
+    thread count, and a fit's bits do not depend on where it ran.
     """
-    workers = min(workers, len(jobs))
-    if workers <= 1:
+    workers = min(_default_workers(), len(jobs))
+    if workers <= 1 or threading.active_count() > 1:
         return list(map(functools.partial(_fold_job, *work), jobs))
     # Imported here: multiprocessing and its pool cost about 18 ms and 1 MiB
     # to import, which the commands that run no pool should not pay.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
     pool = ProcessPoolExecutor(
-        workers,
-        multiprocessing.get_context("fork" if fork else "spawn"),
-        initializer=_start_worker,
-        initargs=(work,),
+        workers, multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(work,)
     )
     try:
-        with warnings.catch_warnings():
-            # From Python 3.12 a fork warns when threads run; here they can
-            # only be OpenBLAS's, which it stops and restarts across a fork.
-            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
-            results = pool.map(_worker_job, jobs)
-        return list(results)
+        return list(pool.map(_worker_job, jobs))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -334,25 +333,21 @@ def compare(
     k: int = 10,
     seed: int = 0,
     feature_sets: Sequence[FeatureSet] = (FeatureSet.CAPF,),
-    workers: int | None = None,
 ) -> list[ComparisonRow]:
     """Cross-validate every (feature set, algorithm) pair on `dataset`, one
     row per pair, feature set major.
 
-    Every fold of every pair is one job, run by `workers` processes (the
-    CPUs this process may run on when None); the rows are the same for any
-    count.
+    Every fold of every pair is one job, run by `_run_jobs`; the rows are
+    the same for any worker count.
     """
     if not algos:
         raise ValueError("compare needs at least one algorithm")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     subs = [select_feature_set(dataset.catalog, fs) for fs in feature_sets]
     projected = [dataset if fs is FeatureSet.CAPF else dataset.select_features(sub.names)
                  for fs, sub in zip(feature_sets, subs)]
     folds = stratified_fold_indices(dataset.y, k, seed)
     jobs = list(itertools.product(range(len(projected)), range(len(algos)), range(k)))
-    results = iter(_run_jobs((projected, algos, folds, seed), jobs, workers or _default_workers()))
+    results = iter(_run_jobs((projected, algos, folds, seed), jobs))
     return [
         ComparisonRow(fs.value, len(sub), _cv_result(algo, seed, dataset.y, folds, itertools.islice(results, k)))
         for fs, sub in zip(feature_sets, subs)

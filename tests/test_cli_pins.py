@@ -10,6 +10,7 @@ import io
 
 import pytest
 
+from droidtriage import evaluation
 from droidtriage.cli import main
 
 CATALOG = """name,category,pattern
@@ -115,9 +116,10 @@ def test_output_bytes_pinned(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == PINS[name]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", FOLD_COMMANDS)
-def test_fold_reports_pinned_for_any_worker_count(root, name, workers):
+def test_fold_reports_pinned_for_any_worker_count(root, monkeypatch, name, workers):
+    monkeypatch.setattr(evaluation, "_default_workers", lambda: workers)
     out = root / f"{workers}-{name}"
-    _run(root, *FOLD_COMMANDS[name], "--data", str(root / "corpus.csv"), "--workers", workers, "--out", str(out))
+    _run(root, *FOLD_COMMANDS[name], "--data", str(root / "corpus.csv"), "--out", str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]

@@ -4,12 +4,14 @@ writes nothing to stdout and exactly one error line to stderr."""
 
 import contextlib
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidtriage import evaluation
 from droidtriage.algo import KINDS, MAX_ITER
 from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.cli import main
@@ -59,7 +61,8 @@ KIND = st.sampled_from([*KINDS, "svm", ""])
 
 @st.composite
 def argvs(draw):
-    """(catalog name, argv without the file flags) for train, crossval or compare."""
+    """(catalog name, argv without the file flags, fold workers) for train,
+    crossval or compare."""
     command = draw(st.sampled_from(["train", "crossval", "compare"]))
     if command == "compare":
         algo = ",".join(draw(st.lists(KIND, max_size=3)))
@@ -69,24 +72,24 @@ def argvs(draw):
     optional = dict(VALUED_FLAGS)
     if command != "train":
         optional["--folds"] = st.integers(-1, 24).map(str)
-        optional["--workers"] = st.integers(-2, 4).map(str)
     values = draw(st.fixed_dictionaries({}, optional=optional))
     argv = [command, f"--algo={algo}"] + [f"{flag}={value}" for flag, value in values.items()]
     argv += draw(st.lists(st.sampled_from(["--prune", "--no-bootstrap"]), unique=True))
     if draw(st.booleans()):
         argv += ["--feature-set", sets]
-    return draw(st.sampled_from(sorted(CATALOGS))), argv
+    return draw(st.sampled_from(sorted(CATALOGS))), argv, draw(st.sampled_from([1, 2]))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argvs())
 def test_every_flag_value_exits_0_1_or_2_with_one_line(corpora, case):
     root, paths = corpora
-    catalog, argv = case
+    catalog, argv, workers = case
     out_flag = "--model" if argv[0] == "train" else "--out"
     argv = argv + ["--catalog", str(paths[catalog][0]), "--data", str(paths[catalog][1]), out_flag, str(root / "out")]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.object(evaluation, "_default_workers", lambda: workers):
         rc = main(argv)
     assert rc in (0, 1, 2)
     if rc != 0:
