@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import _CHUNK_BYTES, Dataset, DatasetError
+from .dataset import _CHUNK_BYTES, Dataset, DatasetError, _checked_matrix
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -85,12 +85,7 @@ def nb_scores(model: NbModel, X) -> np.ndarray:
 
     Rows are converted to float64 and scored a block of `_block_rows` at a
     time, so memory holds the output and one block's temporaries."""
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError(
-            f"matrix width {X.shape[1] if X.ndim == 2 else X.shape} does not match "
-            f"model features {model.n_features}"
-        )
+    X = _checked_matrix(X, model.n_features)
     log_theta_mal, log1m_theta_mal = np.log(model.theta_malware), np.log1p(-model.theta_malware)
     log_theta_ben, log1m_theta_ben = np.log(model.theta_benign), np.log1p(-model.theta_benign)
     log_prior_mal, log_prior_ben = np.log(model.prior_malware), np.log1p(-model.prior_malware)

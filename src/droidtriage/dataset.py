@@ -55,6 +55,15 @@ class DatasetError(ValueError):
     """A dataset file or value violates the dataset contract."""
 
 
+def _checked_matrix(X, n_features: int) -> np.ndarray:
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix of rows, got shape {X.shape}")
+    if X.shape[1] != n_features:
+        raise ValueError(f"matrix width {X.shape[1]} does not match model features {n_features}")
+    return X
+
+
 class Dataset:
     """An ordered collection of labeled binary feature vectors.
 

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, bootstrap_sample_size, stratified_fold_indices
-from .trees import TreeModel, _descend, _pack_rows, _row_weights, derive_seed, grow_random_trees
+from .dataset import Dataset, DatasetError, _checked_matrix, bootstrap_sample_size, stratified_fold_indices
+from .trees import ENTROPY, TreeModel, _descend, _grow, _pack_rows, _row_weights, derive_seed
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -38,19 +38,46 @@ WEIGHT_FLOOR = 1e-10
 _P_CLIP = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
+    """Member trees' nodes, stacked: tree i starts at node ``offsets[i]``, its child ids count from there."""
+
     kind = "rf"
 
-    trees: tuple[TreeModel, ...]
+    feature: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    n_benign: np.ndarray
+    n_malware: np.ndarray
+    offsets: np.ndarray
     params: AlgoDescriptor  # the rf descriptor it was trained with, k resolved
+    n_features: int
+
+    def __post_init__(self):
+        if len(self.offsets) != self.params.trees:
+            raise ValueError(f"forest holds {len(self.offsets)} trees, its params {self.params.trees}")
 
     @property
-    def n_features(self) -> int:
-        return self.trees[0].n_features
+    def trees(self) -> tuple[TreeModel, ...]:
+        columns = (self.feature, self.low, self.high, self.n_benign, self.n_malware)
+        members = zip(*(np.split(a, self.offsets[1:]) for a in columns))
+        return tuple(_member(arrays, self.params, i, self.n_features) for i, arrays in enumerate(members))
 
     def scores(self, X) -> np.ndarray:
         return forest_scores(self, X)
+
+
+def _member(arrays, params: AlgoDescriptor, i: int, n_features: int) -> TreeModel:
+    """Tree i of a forest with `params`: entropy, unpruned, the forest's k, seed derive_seed(seed, i)."""
+    return TreeModel(*arrays, ENTROPY, False, params.k, derive_seed(params.seed, i), n_features)
+
+
+def _stack(parts, params: AlgoDescriptor, n_features: int) -> ForestModel:
+    """The forest of `parts` in order, each a run of trees laid out as `trees._grow` returns them."""
+    starts = np.cumsum([0] + [part[0].size for part in parts])
+    *nodes, _ = (np.concatenate(column) for column in zip(*parts))
+    offsets = np.concatenate([np.add(part[5], start) for part, start in zip(parts, starts)])
+    return ForestModel(*nodes, offsets, params, n_features)
 
 
 def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int = 1) -> ForestModel:
@@ -80,18 +107,18 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int
     else:
         weights = [weights] * params.trees
 
-    def grow(batch: slice) -> list[TreeModel]:
-        return grow_random_trees(dataset, params.k, seeds[batch], weights[batch])
+    def grow(batch: slice) -> tuple[np.ndarray, ...]:
+        return _grow(dataset.X, dataset.y, weights[batch], params.k, seeds[batch], ENTROPY)
 
     n_batches = max(1, min(workers, params.trees))
     bounds = np.linspace(0, params.trees, n_batches + 1).astype(int).tolist()
     batches = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
     if n_batches == 1:  # a thread would keep its malloc arena after training
-        members = grow(batches[0])
+        parts = [grow(batches[0])]
     else:
         with ThreadPoolExecutor(max_workers=n_batches) as pool:
-            members = [tree for batch in pool.map(grow, batches) for tree in batch]
-    return ForestModel(tuple(members), params)
+            parts = list(pool.map(grow, batches))
+    return _stack(parts, params, dataset.feature_count)
 
 
 def forest_scores(model: ForestModel, X) -> np.ndarray:
@@ -99,7 +126,7 @@ def forest_scores(model: ForestModel, X) -> np.ndarray:
     `X` is packed once, and each tree's descent marks the rows it votes malware."""
     packed = _pack_rows(X, model.n_features)
     votes = [_descend(t, packed, t.n_malware > t.n_benign, len(X)) for t in model.trees]
-    return np.concatenate(votes).sum(axis=0) / len(model.trees)
+    return np.concatenate(votes).sum(axis=0) / model.params.trees
 
 
 class WorkingResponse(NamedTuple):
@@ -224,11 +251,7 @@ def train_simple_logistic(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> 
 def logit_scores(model: LogitModel, X) -> np.ndarray:
     """P(malware | x) = 1 / (1 + exp(-2 F(x))) for every row of `X`. Each
     regressor reads its column of `X` as it is, so no float copy of `X` is made."""
-    X = np.asarray(X)
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"matrix width {X.shape[1]} does not match model features {model.n_features}"
-        )
+    X = _checked_matrix(X, model.n_features)
     F = np.full(X.shape[0], model.intercept)
     for reg in model.regressors:
         F += 0.5 * (reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * X[:, reg.feature])

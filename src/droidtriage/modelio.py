@@ -19,15 +19,14 @@ and ``k`` may not exceed the catalog's width. The header's kind is the only
 source of a model's kind: a dt tree must have ``k 0``, an rt tree ``k`` of at
 least 1. A forest member's criterion, pruned flag, ``k`` and seed are
 derived from the forest as `train_forest` writes them (entropy, unpruned,
-the forest's ``k``, seed ``derive_seed(forest_seed, i)``), and a member
-that disagrees is rejected.
+the forest's ``k``, seed ``derive_seed(forest_seed, i)``); a member that
+disagrees is rejected, and the members' nodes are stacked as in training.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,8 @@ import numpy as np
 from .algo import AlgoDescriptor, Model
 from .bayes import NbModel
 from .catalog import FeatureCatalog, read_lines
-from .ensemble import ForestModel, LogitModel, LogitRegressor
-from .trees import ENTROPY, TreeModel, derive_seed
+from .ensemble import ForestModel, LogitModel, LogitRegressor, _member, _stack
+from .trees import TreeModel
 
 _MAGIC = "droidtriage-model"
 _VERSION = "v1"
@@ -167,24 +166,22 @@ def _parse_nodes(lines: _Lines, n_features: int) -> tuple[np.ndarray, ...]:
         parts = line.split(" ")
         i = len(feature)
         if parts[0] == "S" and len(parts) == 2:
-            feature.append(lines.feature(parts[1], n_features))
-            high.append(0)
-            n_benign.append(0)
-            n_malware.append(0)
+            f, b, m = lines.feature(parts[1], n_features), 0, 0  # a split's counts are summed below
             waiting.append(i)
-            continue
-        if parts[0] != "L" or len(parts) != 3:
+        elif parts[0] == "L" and len(parts) == 3:
+            f, b, m = -1, int(parts[1]), int(parts[2])
+            if b < 0 or m < 0:
+                raise lines.error(f"negative leaf count in {line!r}")
+        else:
             raise lines.error(f"bad tree node line {line!r}")
-        b, m = int(parts[1]), int(parts[2])
-        if b < 0 or m < 0:
-            raise lines.error(f"negative leaf count in {line!r}")
-        feature.append(-1)
-        high.append(i)
+        feature.append(f)
+        high.append(i)  # a leaf's own id; a split's is set when its low subtree ends
         n_benign.append(b)
         n_malware.append(m)
-        if not waiting:
-            break
-        high[waiting.pop()] = i + 1
+        if f < 0:
+            if not waiting:
+                break
+            high[waiting.pop()] = i + 1
     for i in range(len(feature) - 1, -1, -1):  # a split counts its children's rows
         if feature[i] >= 0:
             n_benign[i] = n_benign[i + 1] + n_benign[high[i]]
@@ -243,12 +240,12 @@ def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
         if lines.next() != "tree":
             raise lines.error("expected 'tree' marker")
         tree = _parse_tree_body(lines, n_features, "rt")
-        derived = replace(tree, criterion=ENTROPY, pruned=False, k=params.k, seed=derive_seed(params.seed, i))
-        for got, want in zip(_tree_head(tree), _tree_head(derived)):
+        nodes = (tree.feature, tree.low, tree.high, tree.n_benign, tree.n_malware)
+        for got, want in zip(_tree_head(tree), _tree_head(_member(nodes, params, i, n_features))):
             if got != want:
                 raise lines.error(f"forest member has {got}, forest has {want}")
-        members.append(tree)
-    return ForestModel(tuple(members), params)
+        members.append((*nodes, [0]))
+    return _stack(members, params, n_features)
 
 
 def _logit_body(model: LogitModel) -> list[str]:

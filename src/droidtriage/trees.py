@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dataset import _CHUNK_BYTES, Dataset, DatasetError, stratified_fold_indices
+from .dataset import _CHUNK_BYTES, Dataset, DatasetError, _checked_matrix, stratified_fold_indices
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -165,7 +165,7 @@ class _Level(NamedTuple):
     unused: np.ndarray
 
 
-def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
+def _grow(X, y, weights, k, keys, criterion) -> tuple[np.ndarray, ...]:
     """Grow one tree per weight vector, all in one loop over depth levels.
 
     ``weights[i]`` counts how often each row of `X` enters tree i. `keys`
@@ -174,10 +174,12 @@ def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
     ``derive_seed(node_key, f)``, or all of them when no more than `k`
     remain. With `k` zero every node examines all unused features.
 
-    Returns, per tree, breadth-first arrays (feature, low, high, n_benign,
-    n_malware); a leaf has feature -1 and its own index as both children.
+    Returns the trees' breadth-first `TreeModel` arrays stacked, and each tree's first node,
+    from which its child ids count; a leaf has feature -1 and its own id as both children.
     """
     n_features = X.shape[1]
+    if k > n_features:
+        raise DatasetError(f"k={k} must lie in [1, {n_features}]")
     n_trees = len(weights)
     rows = [np.flatnonzero(w) for w in weights]
     rows = [r[np.argsort(y[r], kind="stable")] for r in rows]
@@ -197,19 +199,16 @@ def _grow(X, y, weights, k, keys, impurity) -> list[tuple[np.ndarray, ...]]:
     levels = []  # per level: (tree, feature, low, high, n_benign, n_malware)
     first_id = 0
     while level is not None:
-        nodes, level = _grow_level(X, k, impurity, level, first_id)
+        nodes, level = _grow_level(X, k, _IMPURITY[criterion], level, first_id)
         levels.append(nodes)
         first_id += nodes[0].size
 
     tree, *arrays = (np.concatenate(column) for column in zip(*levels))
-    local = np.empty(tree.size, dtype=np.intp)
-    grown = []
-    for t in range(n_trees):
-        own = np.flatnonzero(tree == t)
-        local[own] = np.arange(own.size)
-        feature, low, high, n_ben, n_mal = (a[own] for a in arrays)
-        grown.append((feature, local[low], local[high], n_ben, n_mal))
-    return grown
+    order = np.argsort(tree, kind="stable")  # tree by tree, each in id order
+    offsets = np.searchsorted(tree[order], np.arange(n_trees))
+    local = np.argsort(order) - offsets[tree]  # each node's id within its tree
+    feature, low, high, n_ben, n_mal = (a[order] for a in arrays)
+    return feature, local[low], local[high], n_ben, n_mal, offsets
 
 
 def _grow_level(X, k, impurity, level: _Level, first_id: int):
@@ -331,14 +330,6 @@ def _best_candidates(X, e_row, e_w, entries, cand, u, impurity, n, n_mal) -> np.
     return np.where(gains[np.arange(len(cand)), best] > 0.0, best, -1)
 
 
-def _grown_models(dataset, weights, criterion, k, seeds) -> list[TreeModel]:
-    grown = _grow(dataset.X, dataset.y, weights, k, seeds, _IMPURITY[criterion])
-    return [
-        TreeModel(*arrays, criterion, False, k, seed, dataset.feature_count)
-        for seed, arrays in zip(seeds, grown)
-    ]
-
-
 def _row_weights(dataset: Dataset, rows) -> np.ndarray:
     """The bool row mask `rows` (every row when None) as 0/1 int64 weights."""
     weights = np.ones(len(dataset), dtype=np.int64) if rows is None else rows.astype(np.int64)
@@ -362,14 +353,13 @@ def train_decision_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> Tr
     holdout than the subtree did.
     """
     weights = _row_weights(dataset, rows)
-    if not algo.prune:
-        return _grown_models(dataset, [weights], algo.criterion, 0, [algo.seed])[0]
-
-    selected = np.flatnonzero(weights)
-    holdout = selected[stratified_fold_indices(dataset.y[selected], _PRUNE_FOLDS, algo.seed)[0]]
-    weights[holdout] = 0
-    grown = _grown_models(dataset, [weights], algo.criterion, 0, [algo.seed])[0]
-    return _reduced_error_prune(grown, dataset.X, dataset.y, holdout)
+    if algo.prune:
+        selected = np.flatnonzero(weights)
+        holdout = selected[stratified_fold_indices(dataset.y[selected], _PRUNE_FOLDS, algo.seed)[0]]
+        weights[holdout] = 0
+    *arrays, _ = _grow(dataset.X, dataset.y, [weights], 0, [algo.seed], algo.criterion)
+    tree = TreeModel(*arrays, algo.criterion, False, 0, algo.seed, dataset.feature_count)
+    return _reduced_error_prune(tree, dataset.X, dataset.y, holdout) if algo.prune else tree
 
 
 def train_random_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> TreeModel:
@@ -386,20 +376,8 @@ def train_random_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> Tree
     feature, so the structure coincides with the unpruned decision tree.
     """
     k = algo.split_count(dataset.feature_count)
-    return grow_random_trees(dataset, k, [algo.seed], [_row_weights(dataset, rows)])[0]
-
-
-def grow_random_trees(dataset: Dataset, k: int, seeds, weights) -> list[TreeModel]:
-    """Random trees as `train_random_tree` grows them, one per seed, in one pass.
-
-    ``weights[i]`` counts how often each row of `dataset` enters tree i, so a
-    fold or a bootstrap resample needs no copy of the data: tree i equals
-    ``train_random_tree`` with ``k`` and ``seeds[i]`` on a dataset that
-    repeats every row its weight's number of times.
-    """
-    if not 1 <= k <= dataset.feature_count:
-        raise DatasetError(f"k={k} must lie in [1, {dataset.feature_count}]")
-    return _grown_models(dataset, weights, ENTROPY, k, list(seeds))
+    *arrays, _ = _grow(dataset.X, dataset.y, [_row_weights(dataset, rows)], k, [algo.seed], ENTROPY)
+    return TreeModel(*arrays, ENTROPY, False, k, algo.seed, dataset.feature_count)
 
 
 def _pack_rows(X, n_features: int) -> np.ndarray:
@@ -407,9 +385,7 @@ def _pack_rows(X, n_features: int) -> np.ndarray:
     rows whose bit f is nonzero, and the last set holds every row. Bit j of
     word w stands for row 64 w + j; the padding bits past row n are 0. Rows
     are packed `_PACK_ROWS` at a time, so memory holds the output and one block."""
-    X = np.asarray(X)
-    if X.shape[1] != n_features:
-        raise ValueError(f"matrix width {X.shape[1]} does not match model features {n_features}")
+    X = _checked_matrix(X, n_features)
     n = X.shape[0]
     packed = np.empty((n_features + 1, -(-n // 64) * 8), dtype=np.uint8)
     bits = np.empty((_PACK_ROWS, n_features + 1), dtype=np.uint8)

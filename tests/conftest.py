@@ -7,7 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.dataset import _ROW_ENDS, Dataset, DatasetError, SyntheticSpec, _render
-from droidtriage.ensemble import log_likelihood, logit_scores
+from droidtriage.ensemble import _stack, log_likelihood, logit_scores
 
 
 def toy_catalog(n: int, prefix: str = "f") -> FeatureCatalog:
@@ -178,6 +178,12 @@ def _nested(model):
         return ("S", int(model.feature[i]), node(model.low[i]), node(model.high[i]))
 
     return node(0)
+
+
+def _forest(trees, params):
+    """A forest of the hand-built `trees`, stacked as the loader stacks its members."""
+    parts = [(t.feature, t.low, t.high, t.n_benign, t.n_malware, [0]) for t in trees]
+    return _stack(parts, params, trees[0].n_features)
 
 
 def _walk(root, bits) -> float:

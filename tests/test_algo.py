@@ -2,6 +2,8 @@
 dispatches to the trainers through one table read at call time, and
 `is_malware` is the one label rule."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,12 @@ def test_wrong_width_rejected_for_every_kind(rng, kind, width):
     model = train_model(AlgoDescriptor(kind, k=2, trees=2, max_iter=3, cv_folds=2), random_dataset(rng, 40, 4))
     with pytest.raises(ValueError, match="does not match model features 4"):
         model_scores(model, np.zeros((2, width), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+def test_non_matrix_rejected_for_every_kind(rng, kind, shape):
+    """A vector or a 3-d array is one ValueError naming its shape, whatever the kind."""
+    model = train_model(AlgoDescriptor(kind, k=2, trees=2, max_iter=3, cv_folds=2), random_dataset(rng, 40, 4))
+    with pytest.raises(ValueError, match=f"expected a 2-d matrix of rows, got shape {re.escape(str(shape))}"):
+        model_scores(model, np.zeros(shape, dtype=np.uint8))

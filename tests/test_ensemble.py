@@ -19,7 +19,7 @@ from droidtriage.ensemble import (
 )
 from droidtriage.trees import TreeModel, train_random_tree, tree_scores
 
-from conftest import _nested, _walk, make_dataset, random_dataset, subset, training_log_likelihood
+from conftest import _forest, _nested, _walk, make_dataset, random_dataset, subset, training_log_likelihood
 
 
 class TestDeriveSeed:
@@ -106,18 +106,18 @@ class TestForest:
             counts = np.array([1 - mal]), np.array([mal])
             return TreeModel(feature, child, child, *counts, "entropy", False, 1, 0, 2)
 
-        two = ForestModel((constant_tree(1), constant_tree(0)), AlgoDescriptor("rf", trees=2, k=1))
+        two = _forest((constant_tree(1), constant_tree(0)), AlgoDescriptor("rf", trees=2, k=1))
         scores = model_scores(two, np.array([[0, 1]]))
         assert scores.tolist() == [0.5] and not is_malware(scores)[0]
 
-        three = ForestModel(
+        three = _forest(
             (constant_tree(1), constant_tree(1), constant_tree(0)),
             AlgoDescriptor("rf", trees=3, k=1),
         )
         scores = model_scores(three, np.array([[0, 1]]))
         assert scores[0] == pytest.approx(2 / 3) and is_malware(scores)[0]
 
-        unanimous = ForestModel((constant_tree(1),) * 3, AlgoDescriptor("rf", trees=3, k=1))
+        unanimous = _forest((constant_tree(1),) * 3, AlgoDescriptor("rf", trees=3, k=1))
         scores = model_scores(unanimous, np.array([[0, 1]]))
         assert scores.tolist() == [1.0] and is_malware(scores)[0]
 
@@ -178,10 +178,62 @@ class TestForestDescent:
 
         X = np.ones((65, 3), dtype=np.uint8)
         params = AlgoDescriptor("rf", trees=3, k=1)
-        benign = ForestModel((leaf(2, 2), leaf(3, 1), leaf(0, 0)), params)
+        benign = _forest((leaf(2, 2), leaf(3, 1), leaf(0, 0)), params)
         assert np.array_equal(forest_scores(benign, X), np.zeros(65))
-        mixed = ForestModel((leaf(2, 2), leaf(1, 3), leaf(0, 1)), params)
+        mixed = _forest((leaf(2, 2), leaf(1, 3), leaf(0, 1)), params)
         assert np.array_equal(forest_scores(mixed, X), np.full(65, 2 / 3))
+
+
+class TestForestLayout:
+    """A forest is its members' nodes stacked in five arrays; a member's
+    criterion, pruned flag, k and seed come from the forest, never from it."""
+
+    def test_hand_built_members_take_the_forest_fields(self, rng, tmp_path):
+        from droidtriage.modelio import load_model, save_model
+
+        def tree(feature, low, high, n_benign, n_malware, criterion, pruned, k, seed) -> TreeModel:
+            arrays = [np.array(a, dtype=np.intp) for a in (feature, low, high)]
+            counts = [np.array(n, dtype=np.int64) for n in (n_benign, n_malware)]
+            return TreeModel(*arrays, *counts, criterion, pruned, k, seed, 6)
+
+        # Nodes in preorder, as a model file numbers them, so a reloaded forest has the same arrays.
+        members = [
+            tree([1, -1, 4, -1, -1], [1, 1, 3, 3, 4], [2, 1, 4, 3, 4], [4, 3, 1, 0, 1], [8, 1, 7, 2, 5], "gini", True, 5, 0),
+            tree([0, -1, -1], [1, 1, 2], [2, 1, 2], [5, 5, 0], [3, 0, 3], "entropy", False, 1, 77),
+        ]
+        ds = random_dataset(rng, 200, 6)
+        forest = _forest(members, AlgoDescriptor("rf", trees=2, k=3, seed=21))
+        assert [(t.criterion, t.pruned, t.k, t.seed) for t in forest.trees] == [
+            ("entropy", False, 3, derive_seed(21, i)) for i in range(2)
+        ]
+        path = tmp_path / "forest.rf"
+        save_model(forest, path, ds.catalog)
+        loaded = load_model(path, ds.catalog)
+        for name in ("feature", "low", "high", "n_benign", "n_malware", "offsets"):
+            assert np.array_equal(getattr(loaded, name), getattr(forest, name)), name
+        assert loaded.params == forest.params and loaded.n_features == forest.n_features
+        assert np.array_equal(forest_scores(loaded, ds.X), forest_scores(forest, ds.X))
+        assert [_nested(t) for t in loaded.trees] == [_nested(t) for t in members]
+        assert 0.0 < forest_scores(forest, ds.X).mean() < 1.0
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_tree_count_must_match_params(self, rng, count):
+        ds = random_dataset(rng, 100, 5)
+        trees = [train_random_tree(ds, AlgoDescriptor("rt", k=2, seed=s)) for s in range(count)]
+        with pytest.raises(ValueError, match=f"forest holds {count} trees, its params 3"):
+            _forest(trees, AlgoDescriptor("rf", trees=3, k=2))
+
+    def test_members_are_views_with_derived_fields(self, rng):
+        ds = random_dataset(rng, 250, 7)
+        forest = train_forest(ds, AlgoDescriptor("rf", trees=4, k=3, seed=13))
+        assert forest.offsets.tolist()[0] == 0 and len(forest.offsets) == 4
+        ends = [*forest.offsets[1:].tolist(), forest.feature.size]
+        for i, (member, start, end) in enumerate(zip(forest.trees, forest.offsets.tolist(), ends)):
+            for name in ("feature", "low", "high", "n_benign", "n_malware"):
+                array = getattr(member, name)
+                assert np.shares_memory(array, getattr(forest, name)) and array.size == end - start
+            assert (member.criterion, member.pruned, member.k, member.seed) == ("entropy", False, 3, derive_seed(13, i))
+            assert member.n_features == 7 and member.kind == "rt"
 
 
 class TestLogitboostResponse:

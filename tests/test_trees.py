@@ -20,7 +20,7 @@ from droidtriage.trees import (
     tree_scores,
 )
 
-from conftest import _nested, _walk, make_dataset, random_dataset, subset, traced_peak
+from conftest import _forest, _nested, _walk, make_dataset, random_dataset, subset, traced_peak
 
 
 def entropy(n_malware, total) -> float:
@@ -636,13 +636,13 @@ def _trees_and_matrix(draw):
 @settings(max_examples=150, deadline=None)
 @given(_trees_and_matrix())
 def test_descent_matches_walk(case):
-    from droidtriage.ensemble import ForestModel, forest_scores
+    from droidtriage.ensemble import forest_scores
 
     trees, X = case
     walked = np.array([[_walk(_nested(t), row) for row in X] for t in trees]).reshape(len(trees), -1)
     for tree, expected in zip(trees, walked):
         assert np.array_equal(tree_scores(tree, X), expected)
-    forest = ForestModel(tuple(trees), AlgoDescriptor("rf", trees=len(trees), k=1))
+    forest = _forest(trees, AlgoDescriptor("rf", trees=len(trees), k=1))
     assert np.array_equal(forest_scores(forest, X), (walked > 0.5).sum(axis=0) / len(trees))
 
 
