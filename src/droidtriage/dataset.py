@@ -13,6 +13,14 @@ every platform. Each synthesis call owns a single fresh stream.
 Reading, writing and synthesis go a block of `_CHUNK_BYTES` at a time, so
 they hold the bit matrix plus one block: the reader never holds the whole
 file, and the generator draws its doubles a block of rows at a time.
+
+A row's cells are little-endian uint16 pairs, each a cell byte and the
+separator after it (see `_row_layout`). The writer renders a block of rows
+with one add of the bits to the pairs' words, then writes the label tags;
+the reader takes a block of rows when every pair's word less its cell-0
+word is 0 or 1, that difference being the bit, and every tag is its
+label's. A block that fails is checked row by row to name its first bad
+row.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ _ROW_ENDS = (
     np.frombuffer(b",benign\n\0,malware\n", np.uint8).reshape(2, -1),
 )
 _CHUNK_BYTES = 1 << 18
-# A data row longer than this and than any valid row is counted, not held;
-# a row within a block is never that long.
+# A line longer than this and than any valid header or row is counted, not
+# held; a line within a block is never that long.
 _LONG_ROW = _CHUNK_BYTES
 
 
@@ -120,12 +128,17 @@ class Dataset:
     def class_feature_counts(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
         """Instances per class, shape (2,), and 1-bits per class and feature,
         shape (2, F), both int64, over the rows the bool mask `rows` selects
-        (every row when None); row 0 is benign, row 1 malware."""
-        malware = self.y.astype(bool) if rows is None else rows & (self.y == 1)
-        ones = self.X.sum(axis=0, dtype=np.int64, where=True if rows is None else rows[:, None])
-        ones_mal = self.X.sum(axis=0, dtype=np.int64, where=malware[:, None])
+        (every row when None); row 0 is benign, row 1 malware. Each class's
+        rows are summed a block of rows at a time, in uint32."""
+        ones = np.zeros((2, self.feature_count), dtype=np.int64)
+        step = _CHUNK_BYTES // max(self.feature_count, 1) + 1
+        for lo in range(0, len(self), step):
+            X, y = self.X[lo : lo + step], self.y[lo : lo + step]
+            selected = True if rows is None else rows[lo : lo + step]
+            for label in (0, 1):
+                ones[label] += np.add.reduce(X[(y == label) & selected], axis=0, dtype=np.uint32)
         y = self.y if rows is None else self.y[rows]
-        return np.bincount(y, minlength=2).astype(np.int64), np.stack((ones - ones_mal, ones_mal))
+        return np.bincount(y, minlength=2).astype(np.int64), ones
 
     def select_features(self, names: Iterable[str]) -> "Dataset":
         """Project onto the named features, columns ordered as given."""
@@ -163,13 +176,19 @@ def read_vectors(
 
     The file is read in blocks of `_CHUNK_BYTES` (see `_whole_lines`), so
     memory holds the matrix and a few blocks, never the whole file nor a
-    row longer than any valid one.
+    line longer than any valid one.
     """
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
-        longest_valid = 2 * len(catalog) - 1 + len(",malware")  # a malware row of the widest columns
-        blocks = _whole_lines(f, max(_LONG_ROW, longest_valid))
-        block = next(blocks, None)
+        longest_header = len(",".join([*catalog.names, "class"]).encode("utf-8"))
+        longest_row = 2 * len(catalog) - 1 + len(",malware")  # a malware row of the widest columns
+        blocks = _whole_lines(f, max(_LONG_ROW, longest_header), max(_LONG_ROW, longest_row))
+        try:
+            block = next(blocks, None)
+        except _LongLine as line:  # too long to be any valid header
+            if not line.utf8:
+                raise _utf8_error(path, 0) from None
+            raise _header_error(path, line.cells, line.last == b",class", len(catalog) + 1) from None
         if block is None:
             raise DatasetError(f"{path}: empty file")
         cut = block.index(b"\n")
@@ -179,23 +198,17 @@ def read_vectors(
         names = list(catalog.names)
         labeled = header == names + ["class"]
         if not labeled and header != (names or [""]):  # no columns: an empty header
-            have = len(header)
-            want = len(names) + 1
-            if header and header[-1] != "class" and have in (want, want - 1):
-                raise DatasetError(f"{path}: label column absent or misplaced")
-            raise DatasetError(
-                f"{path}: header does not match catalog "
-                f"({have} columns, expected {want} including 'class')"
-            )
+            raise _header_error(path, len(header), header[-1] == "class", len(names) + 1)
         F = len(names)
-        # A good row is F cells joined by commas (W bytes), then the newline, or
-        # the ",benign" tag and newline, or the ",malware" tag, one byte longer
-        # (with no comma when F is 0); it is exactly what the writer makes of
-        # the bits read from it. Each takes at least L bytes of the file (the
-        # last L - 1 if it has no line end), so the file's size bounds n.
-        W = max(2 * F - 1, 0)
-        tails = _ROW_ENDS[labeled][:, int(labeled and F == 0) : len(",malware")]
-        L = W + tails.shape[1]
+        # A good row is what the writer makes of the bits read from it (see
+        # `_row_layout`): F cell pairs, each reading its bit above its
+        # pair's word, then its tag, which ends at the newline of a benign
+        # row; a malware row is one byte longer. It takes at least L bytes
+        # of the file (the last L - 1 if it has no line end), so the file's
+        # size bounds n.
+        pairs, tails = _row_layout(F, labeled)
+        tags = tails[:, : len("malware")]  # a malware row's newline is past L
+        L = 2 * F + tags.shape[1]
         cols = None if columns is None else [catalog.index_of(name) for name in columns.names]
         # A FIFO reports size 0: the matrix then grows as rows arrive.
         rows = max(0, info.st_size - cut) // L if stat.S_ISREG(info.st_mode) else 0
@@ -213,10 +226,11 @@ def read_vectors(
                 labels = (lengths[:m] == L).astype(np.uint8)
                 if m:
                     window = sliding_window_view(buf, L)[starts[:m]]
-                    bits = window[:, 0:W:2] & 1
-                    bad = (window != _render(bits, tails, labels)).any(axis=1)
-                    if bad.any():
-                        m = int(np.argmax(bad))
+                    bits = window[:, : 2 * F].view("<u2")
+                    bits -= pairs  # each cell's bit, or above 1 where a pair is bad
+                    cells_ok, tags_ok = bits <= 1, window[:, 2 * F :] == tags[labels]
+                    if not (cells_ok.all() and tags_ok.all()):
+                        m = int(np.argmin(cells_ok.all(axis=1) & tags_ok.all(axis=1)))
                     if n + m > len(X):  # np.resize copies X's rows into the longer array
                         grown = max(n + m, 2 * len(X))
                         X, y = np.resize(X, (grown, X.shape[1])), np.resize(y, grown)
@@ -225,24 +239,25 @@ def read_vectors(
                 if m < ends.size:
                     _raise_bad_row(path, names, labeled, block[starts[m] : ends[m]], n + m + 1)
                 n += m
-        except _LongRow as row:
+        except _LongLine as row:
             _raise_bad_row(path, names, labeled, row, n + 1)
     return X[:n], y[:n] if labeled else None
 
 
-class _LongRow(Exception):
-    """A data row longer than `_whole_lines`' limit: its length in bytes, its
-    cell count and whether it is UTF-8, counted a block at a time from the
-    file `f` to the row's end."""
+class _LongLine(Exception):
+    """A line longer than `_whole_lines`' limit: its length in bytes, its
+    cell count, whether it is UTF-8 and its last bytes (up to ``,class``),
+    counted a block at a time from the file `f` to the line's end."""
 
     def __init__(self, f, head: bytearray, ended: bool):
         super().__init__()
         decoder = codecs.getincrementaldecoder("utf-8")()
-        self.size, self.cells, self.utf8 = 0, 1, True
+        self.size, self.cells, self.utf8, self.last = 0, 1, True, b""
         part = head
         while True:
             self.size += len(part)
             self.cells += part.count(b",")
+            self.last = (self.last + part[-len(",class") :])[-len(",class") :]
             # ASCII after a whole character is UTF-8: only the rest is decoded.
             if self.utf8 and not (part.isascii() and not decoder.getstate()[0]):
                 try:
@@ -256,18 +271,19 @@ class _LongRow(Exception):
             part, ended = chunk[:end], end < len(chunk) or not chunk
 
 
-def _whole_lines(f, longest: int) -> Iterator[bytes]:
+def _whole_lines(f, longest_header: int, longest_row: int) -> Iterator[bytearray]:
     """The bytes of the binary file `f`, read `_CHUNK_BYTES` at a time, in
     blocks of whole lines: CRLF and lone CR become LF, as text mode reads
     them, and a last line without a line end gets one. A line is carried
     into the next block while it is incomplete, and so is a block's last
-    CR, which may begin a CRLF pair. A data row (any line after the first)
-    longer than `longest` bytes is not carried: :class:`_LongRow` counts it
-    and is raised instead. `longest` is at least a block, so only a carried
-    row can be that long."""
+    CR, which may begin a CRLF pair. A header longer than `longest_header`
+    bytes, or a data row longer than `longest_row`, is not carried:
+    :class:`_LongLine` counts it and is raised instead. Both limits are at
+    least a block, so only a carried line can be that long. Each block is
+    copied once, into the carried line."""
     carry = bytearray()
     cr = False
-    header = True
+    longest = longest_header
     while chunk := f.read(_CHUNK_BYTES):
         if cr:
             chunk = b"\r" + chunk
@@ -278,33 +294,50 @@ def _whole_lines(f, longest: int) -> Iterator[bytes]:
             chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         cut = chunk.rfind(b"\n") + 1
         end = chunk.find(b"\n") if cut else len(chunk)  # where the carried line stops
-        if len(carry) + end > longest and not header:
-            raise _LongRow(f, carry + chunk[:end], bool(cut) or cr)
+        if len(carry) + end > longest:
+            raise _LongLine(f, carry + chunk[:end], bool(cut) or cr)
         if cut:
-            yield bytes(carry + chunk[:cut])
-            carry = bytearray(chunk[cut:])
-            header = False
+            carry += memoryview(chunk)[:cut]
+            yield carry
+            carry = bytearray(memoryview(chunk)[cut:])
+            longest = longest_row
         else:
             carry += chunk
     if cr or carry:
-        yield bytes(carry + b"\n")
+        carry += b"\n"
+        yield carry
+
+
+def _utf8_error(path, row: int) -> DatasetError:
+    return DatasetError(f"{path}: {f'row {row}' if row else 'header'}: not valid UTF-8")
 
 
 def _decode(path, line: bytes, row: int) -> str:
     try:
         return line.decode("utf-8")
     except UnicodeDecodeError:
-        raise DatasetError(f"{path}: {f'row {row}' if row else 'header'}: not valid UTF-8") from None
+        raise _utf8_error(path, row) from None
 
 
-def _raise_bad_row(path, names: list[str], labeled: bool, line: bytes | _LongRow, row: int) -> None:
+def _header_error(path, cells: int, class_last: bool, want: int) -> DatasetError:
+    """The fault of a header of `cells` cells, whose last cell is ``class``
+    when `class_last`, that names neither the catalog's `want` - 1 features
+    nor them and ``class``."""
+    if not class_last and cells in (want, want - 1):
+        return DatasetError(f"{path}: label column absent or misplaced")
+    return DatasetError(
+        f"{path}: header does not match catalog ({cells} columns, expected {want} including 'class')"
+    )
+
+
+def _raise_bad_row(path, names: list[str], labeled: bool, line: bytes | _LongLine, row: int) -> None:
     """Name the first fault of data row `row`: `line` is its bytes, or the
-    `_LongRow` that counted it. A long row whose cell count is right is
+    `_LongLine` that counted it. A long row whose cell count is right is
     named by its length, as its cells are not held."""
     F = len(names)
-    long = isinstance(line, _LongRow)
+    long = isinstance(line, _LongLine)
     if long and not line.utf8:
-        raise DatasetError(f"{path}: row {row}: not valid UTF-8")
+        raise _utf8_error(path, row)
     cells = None if long else _decode(path, line, row).split(",")
     count = line.cells if long else len(cells)
     if count != F + labeled:
@@ -319,29 +352,34 @@ def _raise_bad_row(path, names: list[str], labeled: bool, line: bytes | _LongRow
     )
 
 
-def _render(bits: np.ndarray, ends: np.ndarray, labels) -> np.ndarray:
-    """One byte row per row of `bits`: ``48 + bit`` cells joined by commas,
-    then ``ends[label]``."""
-    W = max(2 * bits.shape[1] - 1, 0)
-    block = np.full((len(bits), W + ends.shape[1]), ord(","), dtype=np.uint8)
-    block[:, 0:W:2] = bits
-    block[:, 0:W:2] += ord("0")
-    block[:, W:] = ends[labels]
-    return block
+def _row_layout(F: int, labeled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """How a row of F cells is laid out: its cells as F little-endian uint16
+    pairs of a cell byte and the separator after it, here with every cell
+    ``0``, so a row's pairs are these words plus its bits; and the rest of
+    its tail by label. The last separator is the tail's first byte: the
+    comma before a label, or an unlabeled row's newline. A row without cells
+    is its bare tail, with no comma before the label."""
+    ends = _ROW_ENDS[labeled]
+    pairs = np.full(F, ord("0") | ord(",") << 8, dtype="<u2")
+    pairs[-1:] = ord("0") | int(ends[0, 0]) << 8
+    return pairs, ends[:, int(labeled or F > 0) :]
 
 
 def _write_rows(path, names: Sequence[str], X: np.ndarray, y: np.ndarray | None) -> None:
     """Write a header and one row per row of `X`, labeled when `y` is given,
     rendering the rows in bounded chunks."""
     labeled = y is not None
-    # A row without cells is its bare label, with no comma before it.
-    ends = _ROW_ENDS[labeled][:, int(labeled and not X.shape[1]) :]
-    step = max(1, _CHUNK_BYTES // (2 * X.shape[1] + ends.shape[1]))
+    F = X.shape[1]
+    pairs, tails = _row_layout(F, labeled)
+    step = max(1, _CHUNK_BYTES // (2 * F + tails.shape[1]))
     with open(path, "wb") as f:
         f.write((",".join([*names, "class"] if labeled else names) + "\n").encode("utf-8"))
         for lo in range(0, len(X), step):
-            block = _render(X[lo : lo + step], ends, y[lo : lo + step] if labeled else 0)
-            f.write(block[block != 0])  # drops the pad after each benign tag
+            bits = X[lo : lo + step]
+            block = np.empty((len(bits), 2 * F + tails.shape[1]), dtype=np.uint8)
+            np.add(bits, pairs, out=block[:, : 2 * F].view("<u2"))
+            block[:, 2 * F :] = tails[y[lo : lo + step] if labeled else 0]
+            f.write(block.tobytes().replace(b"\0", b""))  # drops the pad after each benign tag
 
 
 def write_csv(dataset: Dataset, path) -> None:

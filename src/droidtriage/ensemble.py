@@ -56,6 +56,8 @@ class ForestModel:
     def __post_init__(self):
         if len(self.offsets) != self.params.trees:
             raise ValueError(f"forest holds {len(self.offsets)} trees, its params {self.params.trees}")
+        if self.params.k is None or not 1 <= self.params.k <= self.n_features:
+            raise ValueError(f"forest k {self.params.k} must be resolved to [1, {self.n_features}]")
 
     @property
     def trees(self) -> tuple[TreeModel, ...]:

@@ -6,7 +6,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from droidtriage.catalog import FeatureCatalog, FeatureDef
-from droidtriage.dataset import _ROW_ENDS, Dataset, DatasetError, SyntheticSpec, _render
+from droidtriage.dataset import _ROW_ENDS, Dataset, DatasetError, SyntheticSpec
 from droidtriage.ensemble import _stack, log_likelihood, logit_scores
 
 
@@ -59,10 +59,22 @@ def same_dataset(a: Dataset, b: Dataset) -> bool:
     return a.catalog.names == b.catalog.names and np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
 
+def _render(bits: np.ndarray, ends: np.ndarray, labels) -> np.ndarray:
+    """One byte row per row of `bits`: ``48 + bit`` cells joined by commas,
+    then ``ends[label]``: the rows a good file holds, byte for byte."""
+    W = max(2 * bits.shape[1] - 1, 0)
+    block = np.full((len(bits), W + ends.shape[1]), ord(","), dtype=np.uint8)
+    block[:, 0:W:2] = bits
+    block[:, 0:W:2] += ord("0")
+    block[:, W:] = ends[labels]
+    return block
+
+
 def whole_file_reader(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None):
     """The whole-file byte-level reader the streaming `read_vectors`
     replaced, kept as its oracle: the same (X, y) or the same DatasetError.
-    It holds the whole file, its newline mask and the matrix at once."""
+    It holds the whole file, its newline mask and the matrix at once, and
+    checks each row by rendering it from its bits and comparing every byte."""
     data = Path(path).read_bytes()
     if b"\r" in data:  # universal newlines, as text mode reads them
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")

@@ -1,7 +1,9 @@
 """Byte pins of every CLI output: rank (file and stdout), train plus predict
 for each kind, a crossval report, a compare report over all kinds and sets,
 and the roc CSV and SVG, on a small seeded corpus. The two reports are also
-pinned with their folds fitted in this process and in two workers."""
+pinned with their folds fitted in this process and in two workers. A
+default-catalog synth of the reference calibration, about ten 256 KiB
+blocks, and its rank output pin the CSV writer and reader across blocks."""
 
 import contextlib
 import functools
@@ -58,6 +60,14 @@ PINS = {
     "compare.csv": "d5f5456a772f4b5deb4e6027f02259bb2bd26d7c77b3b960e27a96a69e8ac1f0",
     "roc.csv": "8d6887d2cab7d16dcd447dee954d1347b954ccb07b4e26625f03c7174c7d09e3",
     "roc.svg": "7e6f60eb798f902059672ec294503fc63809c5168bcafe9161ef8671a6e909eb",
+}
+
+
+# sha256 of a default-catalog synth of the reference calibration (6,863 rows)
+# and of its ranking.
+CALIBRATED_PINS = {
+    "calibrated.csv": "afb586abec926ad8e920c8488ddd27e95621e2f42e78c18f6a3ab45014fc1c01",
+    "calibrated.rank.csv": "bd68faf05a18cf66984a02b3f4254fa68ee67044ce0b98b890fff9000d6201d2",
 }
 
 
@@ -123,3 +133,12 @@ def test_fold_reports_pinned_for_any_worker_count(root, monkeypatch, name, worke
     out = root / f"{workers}-{name}"
     _run(root, *FOLD_COMMANDS[name], "--data", str(root / "corpus.csv"), "--out", str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]
+
+
+def test_calibrated_corpus_and_ranking_pinned(tmp_path):
+    corpus, ranking = (str(tmp_path / name) for name in CALIBRATED_PINS)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", corpus]) == 0
+        assert main(["rank", "--data", corpus, "--out", ranking]) == 0
+    for name in CALIBRATED_PINS:
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == CALIBRATED_PINS[name], name

@@ -11,6 +11,7 @@ from droidtriage.calibration import (
     REFERENCE_TOP20_COUNTS,
     reference_spec,
 )
+from droidtriage import dataset
 from droidtriage.catalog import default_catalog
 from droidtriage.dataset import (
     Dataset,
@@ -49,6 +50,23 @@ class TestDatasetInvariants:
     def test_class_counts_degenerate(self):
         assert make_dataset(np.zeros((0, 2)), []).class_counts() == (0, 0)
         assert make_dataset([[1, 0]], [1]).class_counts() == (0, 1)
+
+    @pytest.mark.parametrize("block", [1, 1 << 18])
+    def test_class_feature_counts_equal_an_int64_oracle(self, rng, monkeypatch, block):
+        """Over every row, a fold's rows and one class's rows, with blocks of
+        one row and of about 1,465 rows of the 179 features."""
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", block)
+        ds = make_dataset(rng.random((4000, 179)) < rng.random(179), rng.random(4000) < 0.4)
+        fold = np.zeros(len(ds), dtype=bool)
+        fold[stratified_fold_indices(ds.y, 3, 1)[0]] = True
+        for rows in (None, fold, ds.y == 1):
+            selected = np.ones(len(ds), dtype=bool) if rows is None else rows
+            counts, ones = ds.class_feature_counts(rows)
+            assert counts.dtype == ones.dtype == np.int64
+            for label in (0, 1):
+                chosen = selected & (ds.y == label)
+                assert counts[label] == np.count_nonzero(chosen)
+                assert np.array_equal(ones[label], ds.X[chosen].astype(np.int64).sum(axis=0))
 
     def test_select_features_projects_columns(self):
         ds = make_dataset([[0, 1, 1], [1, 0, 1]], [0, 1])

@@ -248,3 +248,96 @@ def test_sixteen_mib_row_peaks_within_a_few_blocks_of_the_matrix(tmp_path):
     # read_vectors sizes its matrix from the file: a row takes at least L bytes.
     matrix = (path.stat().st_size // (2 * len(catalog) - 1 + len(",benign\n"))) * (len(catalog) + 1)
     assert peak < matrix + 8 * dataset._CHUNK_BYTES, f"{(peak - matrix) / (1 << 20):.1f} MiB over the matrix"
+
+
+def _rows_file(path, F: int, labeled: bool) -> list[tuple[int, int]]:
+    """A CSV of three rows of F cells, the second malware when labeled;
+    returns the (start, end) byte span of each row with its newline."""
+    ds = make_dataset(np.array([[1, 0] * F, [0, 1] * F, [1, 1] * F])[:, :F], [0, 1, 0], toy_catalog(F))
+    write_csv(ds, path)
+    data = path.read_bytes()
+    if not labeled:
+        lines = data.split(b"\n")
+        data = b"\n".join(line.rsplit(b",", 1)[0] for line in lines)
+        path.write_bytes(data)
+    starts = _row_starts(data)
+    return list(zip(starts, [*starts[1:], len(data)]))
+
+
+@pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+@pytest.mark.parametrize("F", [1, 179])
+def test_each_pair_and_tail_byte_mutated_reads_as_the_whole_file_reader(tmp_path, F, labeled):
+    """Each byte of the first, a middle and the last cell pair of a benign
+    and of a malware row, and each byte of their tails, replaced by bytes
+    chosen to hit the pair and tag checks, for blocks of 1, 7, L and 256 KiB
+    bytes (L a benign row's length)."""
+    path = tmp_path / "d.csv"
+    rows = _rows_file(path, F, labeled)
+    base = path.read_bytes()
+    catalog = toy_catalog(F)
+    blocks = (1, 7, rows[0][1] - rows[0][0], 1 << 18)
+    for start, end in rows[:2]:
+        pairs = [start + 2 * i + j for i in sorted({0, F // 2, F - 1}) for j in (0, 1)]
+        tail = range(start + 2 * F, end)
+        for pos in sorted({*pairs, *tail}):
+            for value in ({ord(c) for c in "01,\n\r2\xff"} | {base[pos] ^ 1, base[pos] ^ 0x20}) - {base[pos]}:
+                path.write_bytes(base[:pos] + bytes([value]) + base[pos + 1 :])
+                expected = _outcome(whole_file_reader, path, catalog)
+                for block in blocks:
+                    assert _read_in_blocks(path, block, catalog) == expected, (pos, value, block)
+
+
+def test_write_of_the_deploy_corpus_holds_a_few_blocks(tmp_path):
+    """A 68,630 x 179 corpus is rendered a block at a time; each block's
+    words, bytes and padless bytes are the only copies."""
+    ds = synthesize(_wide_spec(68_630), 1)
+    _, peak = traced_peak(lambda: write_csv(ds, tmp_path / "d.csv"))
+    assert peak < 4 * dataset._CHUNK_BYTES, f"{peak / (1 << 20):.2f} MiB"
+
+
+LONG_NAME = "x" * 300_000  # a header holding it is over `dataset._LONG_ROW`
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r", b""])
+@pytest.mark.parametrize("header", [
+    ",".join(["x"] * LONG) + ",",                                    # too many cells
+    ",".join([*default_catalog().names[:178], LONG_NAME]),           # 179 cells, no class
+    ",".join([*default_catalog().names[:178], LONG_NAME, "class"]),  # 180 cells ending in class
+    ",".join([*default_catalog().names[:179], LONG_NAME]),           # 180 cells, no class
+    ",".join([LONG_NAME, "é", "class"]),                             # not ASCII
+], ids=["cells", "absent", "class-last", "misplaced", "non-ascii"])
+@pytest.mark.parametrize("block", [7, 1 << 18])
+def test_long_header_is_named_as_the_whole_file_reader_names_it(tmp_path, header, end, block):
+    """A header longer than any valid one is counted a block at a time, not
+    held, and its fault is named as if it were held."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(header.encode() + end + b"0," * 179 + b"benign\n")
+    expected = _outcome(whole_file_reader, path, default_catalog())
+    assert expected.startswith(f"{path}: ")
+    assert _read_in_blocks(path, block, default_catalog()) == expected
+
+
+@pytest.mark.parametrize("header", [
+    b"x," * (LONG // 2) + b"\xff" + b",x" * LONG,  # not UTF-8
+    b"x," * (LONG // 2) + b"\xc3",                  # ends inside a character
+], ids=["not-utf8", "cut-character"])
+@pytest.mark.parametrize("block", [7, 1 << 18])
+def test_long_header_not_utf8_is_named(tmp_path, header, block):
+    path = tmp_path / "d.csv"
+    for end in (b"\n", b"\r\n", b""):
+        path.write_bytes(header + end)
+        message = f"{path}: header: not valid UTF-8"
+        assert _outcome(whole_file_reader, path, default_catalog()) == message
+        assert _read_in_blocks(path, block, default_catalog()) == message
+
+
+def test_eight_mi_name_header_peaks_within_a_few_blocks(tmp_path):
+    """A header of 8,388,608 ``x,`` names used to peak at 115 MiB, carried whole."""
+    catalog = default_catalog()
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"x," * (8 << 20) + b"\n" + b"0," * 179 + b"benign\n")
+    expected = _outcome(whole_file_reader, path, catalog)
+    assert expected == f"{path}: header does not match catalog (8388609 columns, expected 180 including 'class')"
+    got, peak = traced_peak(lambda: _outcome(read_vectors, path, catalog))
+    assert got == expected
+    assert peak < 8 * dataset._CHUNK_BYTES, f"{peak / (1 << 20):.2f} MiB"

@@ -223,6 +223,22 @@ class TestForestLayout:
         with pytest.raises(ValueError, match=f"forest holds {count} trees, its params 3"):
             _forest(trees, AlgoDescriptor("rf", trees=3, k=2))
 
+    @pytest.mark.parametrize("k", [None, 6])
+    def test_k_must_be_resolved_to_the_features(self, rng, tmp_path, k):
+        """A forest's k is resolved against its features before it is built:
+        a default-k rf descriptor stacked by hand would save ``k None``."""
+        from droidtriage.modelio import load_model, save_model
+
+        ds = random_dataset(rng, 100, 5)
+        trees = [train_random_tree(ds, AlgoDescriptor("rt", k=2, seed=s)) for s in range(2)]
+        with pytest.raises(ValueError, match=f"forest k {k} must be resolved to \\[1, 5\\]"):
+            _forest(trees, AlgoDescriptor("rf", trees=2, k=k))
+        assert _forest(trees, AlgoDescriptor("rf", trees=2, k=5)).params.k == 5
+        forest = train_forest(ds, AlgoDescriptor("rf", trees=2))
+        assert forest.params.k == 3  # floor(log2 5) + 1
+        save_model(forest, tmp_path / "forest.rf", ds.catalog)
+        assert load_model(tmp_path / "forest.rf", ds.catalog).params == forest.params
+
     def test_members_are_views_with_derived_fields(self, rng):
         ds = random_dataset(rng, 250, 7)
         forest = train_forest(ds, AlgoDescriptor("rf", trees=4, k=3, seed=13))
