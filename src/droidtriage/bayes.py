@@ -81,7 +81,8 @@ def _block_rows(n_features: int) -> int:
 
 
 def nb_scores(model: NbModel, X) -> np.ndarray:
-    """Posterior P(malware | x) for every row of `X`, computed in log space.
+    """Posterior P(malware | x) for every row of `X`, a matrix or
+    `PackedRows`, computed in log space.
 
     Rows are converted to float64 and scored a block of `_block_rows` at a
     time, so memory holds the output and one block's temporaries."""

@@ -35,16 +35,16 @@ from .dataset import (
     DatasetError,
     Label,
     load_spec,
+    read_class_counts,
     read_csv,
-    read_vectors,
-    synthesize,
-    write_csv,
+    read_packed,
+    write_synthesized,
     write_vector_csv,
 )
 from .evaluation import FoldError, RocCurve, compare, roc_auc, write_report, write_roc
 from .extract import scan_app
 from .modelio import ModelFormatError, load_model, save_model
-from .ranking import rank_features, write_ranking
+from .ranking import rank_by_counts, write_ranking
 from .trees import CRITERIA
 
 _DATA_ERRORS = (CatalogError, DatasetError, ModelFormatError, FoldError, OSError)
@@ -80,15 +80,14 @@ def _columns(args, feature_set: str | None) -> tuple[FeatureCatalog, FeatureCata
     return catalog, select_feature_set(catalog, FeatureSet(feature_set)) if feature_set else catalog
 
 
-def _read_data(args, feature_set: str | None, labeled: bool = True):
+def _read_data(args, feature_set: str | None, read=read_csv):
     """The columns the set named `feature_set` selects (all when None) and
-    `--data` read with them: a dataset, or the bits and labels when `labeled`
-    is False.
+    `read` (a dataset reader of `dataset`) of `--data` with them.
 
     The file's header may name those columns or the full catalog's.
     """
     catalog, columns = _columns(args, feature_set)
-    return columns, (read_csv if labeled else read_vectors)(args.data, catalog, columns)
+    return columns, read(args.data, catalog, columns)
 
 
 def _algo_from_args(args, kind: str) -> AlgoDescriptor:
@@ -199,7 +198,7 @@ def _cmd_synth(args) -> int:
             raise DatasetError(f"reference calibration: {exc.args[0]}") from None
     else:
         spec = load_spec(args.spec, catalog)
-    write_csv(synthesize(spec, args.seed), args.out)
+    write_synthesized(spec, args.seed, args.out)
     print(args.out)
     return 0
 
@@ -214,8 +213,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    _, dataset = _read_data(args, args.feature_set)
-    ranking = rank_features(dataset)
+    columns, counts = _read_data(args, args.feature_set, read_class_counts)
+    ranking = rank_by_counts(columns.names, *counts)
     if args.top is not None:
         if not 1 <= args.top <= len(ranking):
             raise _UsageError(f"--top must lie in [1, {len(ranking)}], got {args.top}")
@@ -239,18 +238,39 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    catalog, (X, _) = _read_data(args, args.feature_set, labeled=False)
-    model = load_model(args.model, catalog)
-    values, which = np.unique(model_scores(model, X), return_inverse=True)
-    cells = [f",{'malware' if m else 'benign'},{float(s)!r}\n" for s, m in zip(values, is_malware(values))]
-    step = _CHUNK_BYTES // 64  # rows per write; a row is under 64 bytes
-    with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-        f.write("row,label,score\n")
-        for lo in range(0, len(which), step):
-            block = [cells[j] for j in which[lo : lo + step].tolist()]
-            f.write("".join(map(str.__add__, map(str, range(lo + 1, lo + 1 + len(block))), block)))
+    catalog, rows = _read_data(args, args.feature_set, read_packed)
+    _write_predictions(args.out, model_scores(load_model(args.model, catalog), rows))
     print(args.out)
     return 0
+
+
+# A row's label cell, by `is_malware`, with a NUL pad after the shorter one.
+_LABEL_CELLS = np.frombuffer(b",benign,\0,malware,", dtype=np.uint8).reshape(2, -1)
+
+
+def _write_predictions(path, scores: np.ndarray) -> None:
+    """Write ``row,label,score`` lines a block of rows at a time. A block is
+    rendered as a byte table, each row its number as digits behind NUL
+    pads, its label cell, and its score from a table of the block's
+    distinct scores, each a ``repr`` and a newline followed by NUL pads;
+    the pads are dropped."""
+    powers = 10 ** np.arange(len(str(len(scores))))[::-1]
+    step = _CHUNK_BYTES // 64  # rows per block; a row is under 64 bytes
+    with open(path, "wb") as f:
+        f.write(b"row,label,score\n")
+        for lo in range(0, len(scores), step):
+            values, which = np.unique(scores[lo : lo + step], return_inverse=True)
+            text = np.frombuffer(("\n".join(map(repr, values.tolist())) + "\n").encode(), dtype=np.uint8)
+            sizes = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
+            table = np.zeros((len(values), sizes.max()), dtype=np.uint8)
+            table[np.arange(table.shape[1]) < sizes[:, None]] = text
+            digits = np.arange(lo + 1, lo + len(which) + 1)[:, None] // powers  # 0 before a row's first digit
+            block = np.concatenate((
+                np.where(digits, digits % 10 + ord("0"), 0).astype(np.uint8),
+                _LABEL_CELLS[is_malware(values)[which].view(np.uint8)],
+                table[which],
+            ), axis=1)
+            f.write(block.tobytes().replace(b"\0", b""))
 
 
 def _cmd_crossval(args) -> int:

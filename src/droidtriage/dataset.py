@@ -10,9 +10,14 @@ Randomness comes from numpy's default PCG64 generator, which has a fixed,
 documented algorithm, so a (spec, seed) pair reproduces the same dataset on
 every platform. Each synthesis call owns a single fresh stream.
 
-Reading, writing and synthesis go a block of `_CHUNK_BYTES` at a time, so
-they hold the bit matrix plus one block: the reader never holds the whole
-file, and the generator draws its doubles a block of rows at a time.
+Reading, writing and synthesis go a block of `_CHUNK_BYTES` at a time:
+`_read_blocks` checks a file's rows a block at a time, and
+`_synthesized_blocks` draws a corpus's rows a block at a time. What a
+command holds depends on what it keeps of the blocks: `read_vectors` (and
+so train, crossval, compare and roc) the bit matrix plus one block;
+`read_class_counts` (rank) and `write_synthesized` (synth) one block;
+`read_packed` (predict) the rows at 1 bit per cell, as `PackedRows`, plus
+one block. No reader holds the whole file.
 
 A row's cells are little-endian uint16 pairs, each a cell byte and the
 separator after it (see `_row_layout`). The writer renders a block of rows
@@ -26,13 +31,14 @@ row.
 from __future__ import annotations
 
 import codecs
+import errno
 import itertools
 import math
 import os
 import stat
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,19 +63,83 @@ _CHUNK_BYTES = 1 << 18
 # A line longer than this and than any valid header or row is counted, not
 # held; a line within a block is never that long.
 _LONG_ROW = _CHUNK_BYTES
+_PACK_ROWS = 4096  # rows per packing block of `PackedRows.pack`, a multiple of 64
+_BYTE_BITS = (1 << np.arange(8)).astype(np.uint8)  # row r of 8 is bit r of a byte
 
 
 class DatasetError(ValueError):
     """A dataset file or value violates the dataset contract."""
 
 
-def _checked_matrix(X, n_features: int) -> np.ndarray:
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix of rows, got shape {X.shape}")
+@dataclass(frozen=True, eq=False)
+class PackedRows:
+    """Rows of F bits held at 1 bit per cell, as the row sets tree scoring
+    descends: ``sets[f]`` holds, in ``ceil(n_rows / 64)`` uint64 words, the
+    rows whose bit f is set, and ``sets[F]`` holds every row. Bit j of word w
+    stands for row 64 w + j; the bits past the last row are 0. ``rows[lo:hi]``
+    unpacks rows lo to hi as a C-ordered (hi - lo, F) uint8 matrix, so a
+    scorer that reads a block of rows reads a matrix or packed rows alike."""
+
+    sets: np.ndarray
+    n_rows: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_rows, self.sets.shape[0] - 1
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.n_rows)
+        words = self.sets[:-1, lo // 64 : -(-hi // 64)]
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        return np.ascontiguousarray(bits[:, lo % 64 : lo % 64 + max(hi - lo, 0)].T)
+
+    @classmethod
+    def pack(cls, blocks: Iterable[np.ndarray], n_features: int) -> "PackedRows":
+        """The rows of `blocks`, each an (m, n_features) matrix whose nonzero
+        cells are set bits. Rows are gathered into one staging block of
+        `_PACK_ROWS` rows and packed from there, so memory holds the sets,
+        a copy of them while they are joined, and one block."""
+        F = n_features
+        stage = np.empty((_PACK_ROWS, F + 1), dtype=np.uint8)
+        stage[:, F] = 1
+        parts, staged = [], 0
+
+        def pack_stage() -> None:
+            padded = stage[: -(-staged // 64) * 64]
+            padded[staged:] = 0
+            packed = np.einsum("rbf,b->fr", padded.reshape(-1, 8, F + 1), _BYTE_BITS, dtype=np.uint8)
+            parts.append(np.ascontiguousarray(packed).view(np.uint64))
+
+        n = 0
+        for block in blocks:
+            lo = 0
+            while lo < len(block):
+                m = min(len(block) - lo, _PACK_ROWS - staged)
+                np.not_equal(block[lo : lo + m], 0, out=stage[staged : staged + m, :F].view(bool))
+                staged, lo, n = staged + m, lo + m, n + m
+                if staged == _PACK_ROWS:
+                    pack_stage()
+                    staged = 0
+        if staged:
+            pack_stage()
+        return cls(np.concatenate(parts, axis=1) if parts else np.zeros((F + 1, 0), np.uint64), n)
+
+
+def _checked_matrix(X, n_features: int):
+    """`X` as a 2-d matrix of rows, or as the `PackedRows` it is, `n_features` wide."""
+    if not isinstance(X, PackedRows):
+        X = np.asarray(X)
+        if X.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix of rows, got shape {X.shape}")
     if X.shape[1] != n_features:
         raise ValueError(f"matrix width {X.shape[1]} does not match model features {n_features}")
     return X
+
+
+def _packed(X, n_features: int) -> PackedRows:
+    """`X` as row sets: itself when it is `PackedRows`, else its matrix packed."""
+    X = _checked_matrix(X, n_features)
+    return X if isinstance(X, PackedRows) else PackedRows.pack([X], n_features)
 
 
 class Dataset:
@@ -130,21 +200,32 @@ class Dataset:
         shape (2, F), both int64, over the rows the bool mask `rows` selects
         (every row when None); row 0 is benign, row 1 malware. Each class's
         rows are summed a block of rows at a time, in uint32."""
-        ones = np.zeros((2, self.feature_count), dtype=np.int64)
+        counts, ones = np.zeros(2, dtype=np.int64), np.zeros((2, self.feature_count), dtype=np.int64)
         step = _CHUNK_BYTES // max(self.feature_count, 1) + 1
         for lo in range(0, len(self), step):
-            X, y = self.X[lo : lo + step], self.y[lo : lo + step]
             selected = True if rows is None else rows[lo : lo + step]
-            for label in (0, 1):
-                ones[label] += np.add.reduce(X[(y == label) & selected], axis=0, dtype=np.uint32)
-        y = self.y if rows is None else self.y[rows]
-        return np.bincount(y, minlength=2).astype(np.int64), ones
+            _add_class_bits(counts, ones, self.X[lo : lo + step], self.y[lo : lo + step], selected)
+        return counts, ones
 
     def select_features(self, names: Iterable[str]) -> "Dataset":
         """Project onto the named features, columns ordered as given."""
         names = list(names)
         cols = [self.catalog.index_of(n) for n in names]
         return Dataset(self.catalog.subset(names), self.X[:, cols], self.y)
+
+
+def _add_class_bits(counts, ones, X, y, selected=True) -> None:
+    """Add the rows of the block `X` that `selected` selects (a bool mask,
+    or True for all) to `counts`, rows per class, and `ones`, 1-bits per
+    class and feature; each class's rows are summed in uint32."""
+    for label in (0, 1):
+        chosen = (y == label) & selected
+        counts[label] += np.count_nonzero(chosen)
+        ones[label] += np.add.reduce(X[chosen], axis=0, dtype=np.uint32)
+
+
+def _no_labels(path) -> DatasetError:
+    return DatasetError(f"{path}: label column absent")
 
 
 def read_csv(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None) -> Dataset:
@@ -158,7 +239,7 @@ def read_csv(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = Non
     """
     X, y = read_vectors(path, catalog, columns)
     if y is None:
-        raise DatasetError(f"{path}: label column absent")
+        raise _no_labels(path)
     return Dataset(catalog if columns is None else columns, X, y)
 
 
@@ -174,9 +255,78 @@ def read_vectors(
     sub-catalog of `catalog`, the header may name `columns`' features or
     `catalog`'s, and the matrix holds `columns`' features either way.
 
-    The file is read in blocks of `_CHUNK_BYTES` (see `_whole_lines`), so
-    memory holds the matrix and a few blocks, never the whole file nor a
-    line longer than any valid one.
+    The rows come from `_read_blocks`, so memory holds the matrix and a few
+    blocks, never the whole file nor a line longer than any valid one. The
+    matrix is sized from the file's size; a size whose matrix memory cannot
+    hold is a :class:`DatasetError`.
+    """
+    blocks = _read_blocks(path, catalog, columns)
+    header = next(blocks)
+    try:
+        X = np.empty((header.most_rows, header.width), dtype=np.uint8)
+        y = np.empty(header.most_rows, dtype=np.uint8)
+    except MemoryError:
+        raise DatasetError(
+            f"{path}: its size allows {header.most_rows} rows, too many to hold in memory"
+        ) from None
+    n = 0  # rows read
+    for bits, labels in blocks:
+        m = len(bits)
+        if n + m > len(X):  # np.resize copies X's rows into the longer array
+            grown = max(n + m, 2 * len(X))
+            X, y = np.resize(X, (grown, X.shape[1])), np.resize(y, grown)
+        X[n : n + m] = bits
+        if header.labeled:
+            y[n : n + m] = labels
+        n += m
+    return X[:n], y[:n] if header.labeled else None
+
+
+def read_class_counts(
+    path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``read_csv(path, catalog, columns).class_feature_counts()``, with the
+    same faults, summed a block at a time: memory holds one block."""
+    blocks = _read_blocks(path, catalog, columns)
+    header = next(blocks)
+    counts, ones = np.zeros(2, dtype=np.int64), np.zeros((2, header.width), dtype=np.int64)
+    for bits, labels in blocks:
+        if header.labeled:
+            _add_class_bits(counts, ones, bits, labels)
+    if not header.labeled:  # named after every row is checked, as read_csv names it
+        raise _no_labels(path)
+    return counts, ones
+
+
+def read_packed(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None) -> PackedRows:
+    """The rows of a dataset CSV, labeled or not, as `PackedRows`, with the
+    faults of `read_vectors`. Each block is packed as it is checked, so
+    memory holds the rows at 1 bit per cell plus a few blocks; the row sets
+    grow as rows arrive."""
+    blocks = _read_blocks(path, catalog, columns)
+    header = next(blocks)
+    return PackedRows.pack((bits for bits, _ in blocks), header.width)
+
+
+class _Header(NamedTuple):
+    """What a dataset CSV's header tells before any row is read."""
+
+    width: int  # bits in each row of the blocks
+    labeled: bool
+    most_rows: int  # the rows a regular file of its size can hold; 0 for a pipe
+
+
+def _read_blocks(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None):
+    """Check the rows of a dataset CSV a block at a time, as `read_vectors`
+    reads them: a generator whose first item is the file's `_Header`, and
+    each later item a block of good rows as (bits, labels). The bits are an
+    (m, width) matrix of 0/1 integers, the labels uint8, or None when the
+    file is unlabeled; both are valid only until the next block. A bad row
+    raises :class:`DatasetError` when its block is reached. The file is
+    open while the generator runs, and is closed when it ends or is closed
+    or collected unfinished.
+
+    The file is read in blocks of `_CHUNK_BYTES` (see `_whole_lines`).
     """
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
@@ -191,8 +341,8 @@ def read_vectors(
             raise _header_error(path, line.cells, line.last == b",class", len(catalog) + 1) from None
         if block is None:
             raise DatasetError(f"{path}: empty file")
-        cut = block.index(b"\n")
-        header = _decode(path, block[:cut], 0).split(",")
+        cut = int(np.argmax(np.frombuffer(block, dtype=np.uint8) == 10))
+        header = _decode(path, bytes(block[:cut]), 0).split(",")
         if columns is not None and header in (list(columns.names) or [""], [*columns.names, "class"]):
             catalog, columns = columns, None
         names = list(catalog.names)
@@ -210,10 +360,9 @@ def read_vectors(
         tags = tails[:, : len("malware")]  # a malware row's newline is past L
         L = 2 * F + tags.shape[1]
         cols = None if columns is None else [catalog.index_of(name) for name in columns.names]
-        # A FIFO reports size 0: the matrix then grows as rows arrive.
-        rows = max(0, info.st_size - cut) // L if stat.S_ISREG(info.st_mode) else 0
-        X = np.empty((rows, F if cols is None else len(cols)), dtype=np.uint8)
-        y = np.empty(rows, dtype=np.uint8)
+        # A FIFO reports size 0: it bounds nothing.
+        most_rows = max(0, info.st_size - cut) // L if stat.S_ISREG(info.st_mode) else 0
+        yield _Header(F if cols is None else len(cols), labeled, most_rows)
         n = 0  # rows read
         try:
             for block in itertools.chain((block[cut + 1 :],), blocks):
@@ -231,25 +380,24 @@ def read_vectors(
                     cells_ok, tags_ok = bits <= 1, window[:, 2 * F :] == tags[labels]
                     if not (cells_ok.all() and tags_ok.all()):
                         m = int(np.argmin(cells_ok.all(axis=1) & tags_ok.all(axis=1)))
-                    if n + m > len(X):  # np.resize copies X's rows into the longer array
-                        grown = max(n + m, 2 * len(X))
-                        X, y = np.resize(X, (grown, X.shape[1])), np.resize(y, grown)
-                    X[n : n + m] = bits[:m] if cols is None else bits[:m, cols]
-                    y[n : n + m] = labels[:m]
                 if m < ends.size:
-                    _raise_bad_row(path, names, labeled, block[starts[m] : ends[m]], n + m + 1)
+                    _raise_bad_row(path, names, labeled, bytes(block[starts[m] : ends[m]]), n + m + 1)
+                if m:
+                    yield bits if cols is None else bits[:, cols], labels if labeled else None
                 n += m
         except _LongLine as row:
             _raise_bad_row(path, names, labeled, row, n + 1)
-    return X[:n], y[:n] if labeled else None
 
 
 class _LongLine(Exception):
     """A line longer than `_whole_lines`' limit: its length in bytes, its
     cell count, whether it is UTF-8 and its last bytes (up to ``,class``),
-    counted a block at a time from the file `f` to the line's end."""
+    counted a block at a time from the file `f` to the line's end. A hole
+    of a sparse file is skipped, not read: its bytes are NULs, which hold
+    no comma or line end and are ASCII, so one NUL stands for them all in
+    every check but the length."""
 
-    def __init__(self, f, head: bytearray, ended: bool):
+    def __init__(self, f, head: bytes, ended: bool):
         super().__init__()
         decoder = codecs.getincrementaldecoder("utf-8")()
         self.size, self.cells, self.utf8, self.last = 0, 1, True, b""
@@ -266,12 +414,33 @@ class _LongLine(Exception):
                     self.utf8 = False
             if ended:
                 return
+            if hole := _hole_size(f):
+                self.size += hole - 1
+                part = b"\0"
+                continue
             chunk = f.read(_CHUNK_BYTES)
             end = min(i for i in (chunk.find(b"\n"), chunk.find(b"\r"), len(chunk)) if i >= 0)
             part, ended = chunk[:end], end < len(chunk) or not chunk
 
 
-def _whole_lines(f, longest_header: int, longest_row: int) -> Iterator[bytearray]:
+def _hole_size(f) -> int:
+    """The bytes from the position of the binary file `f` to its next data,
+    skipping them: a hole of a sparse file, which reads as NULs. 0 where
+    there is no hole, or where the file cannot tell (a pipe, or a system
+    without ``SEEK_DATA``)."""
+    try:
+        pos = f.tell()
+        try:
+            return f.seek(pos, os.SEEK_DATA) - pos
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:
+                raise
+            return f.seek(0, os.SEEK_END) - pos  # no data past pos
+    except (OSError, AttributeError):
+        return 0
+
+
+def _whole_lines(f, longest_header: int, longest_row: int) -> Iterator[memoryview]:
     """The bytes of the binary file `f`, read `_CHUNK_BYTES` at a time, in
     blocks of whole lines: CRLF and lone CR become LF, as text mode reads
     them, and a last line without a line end gets one. A line is carried
@@ -279,33 +448,39 @@ def _whole_lines(f, longest_header: int, longest_row: int) -> Iterator[bytearray
     CR, which may begin a CRLF pair. A header longer than `longest_header`
     bytes, or a data row longer than `longest_row`, is not carried:
     :class:`_LongLine` counts it and is raised instead. Both limits are at
-    least a block, so only a carried line can be that long. Each block is
-    copied once, into the carried line."""
-    carry = bytearray()
-    cr = False
+    least a block, so only a carried line can be that long.
+
+    Every block is a view of one buffer, read into behind the carried line,
+    so a block is valid only until the next one is asked for."""
+    buf = bytearray(max(longest_header, longest_row, _CHUNK_BYTES + 1) + 2 + _CHUNK_BYTES)
+    view = memoryview(buf)
+    carry = 0  # bytes of the incomplete line at the buffer's start
+    cr = False  # whether a CR was held back after them
     longest = longest_header
-    while chunk := f.read(_CHUNK_BYTES):
+    while got := f.readinto(view[carry + cr : carry + cr + _CHUNK_BYTES]):
         if cr:
-            chunk = b"\r" + chunk
-        cr = chunk.endswith(b"\r")
-        if cr:
-            chunk = chunk[:-1]
-        if b"\r" in chunk:
-            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        cut = chunk.rfind(b"\n") + 1
-        end = chunk.find(b"\n") if cut else len(chunk)  # where the carried line stops
-        if len(carry) + end > longest:
-            raise _LongLine(f, carry + chunk[:end], bool(cut) or cr)
+            buf[carry] = ord("\r")
+        end = carry + cr + got
+        cr = buf[end - 1] == ord("\r")
+        end -= cr
+        if buf.find(b"\r", carry, end) >= 0:
+            chunk = bytes(view[carry:end]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            end = carry + len(chunk)
+            view[carry:end] = chunk
+        cut = buf.rfind(b"\n", carry, end) + 1
+        first = buf.find(b"\n", carry, end) if cut else end  # where the carried line stops
+        if first > longest:
+            raise _LongLine(f, bytes(view[:first]), bool(cut) or cr)
         if cut:
-            carry += memoryview(chunk)[:cut]
-            yield carry
-            carry = bytearray(memoryview(chunk)[cut:])
+            yield view[:cut]
+            view[: end - cut] = view[cut:end]
+            carry = end - cut
             longest = longest_row
         else:
-            carry += chunk
+            carry = end
     if cr or carry:
-        carry += b"\n"
-        yield carry
+        buf[carry] = ord("\n")
+        yield view[: carry + 1]
 
 
 def _utf8_error(path, row: int) -> DatasetError:
@@ -365,20 +540,17 @@ def _row_layout(F: int, labeled: bool) -> tuple[np.ndarray, np.ndarray]:
     return pairs, ends[:, int(labeled or F > 0) :]
 
 
-def _write_rows(path, names: Sequence[str], X: np.ndarray, y: np.ndarray | None) -> None:
-    """Write a header and one row per row of `X`, labeled when `y` is given,
-    rendering the rows in bounded chunks."""
-    labeled = y is not None
-    F = X.shape[1]
+def _write_rows(path, names: Sequence[str], blocks: Iterable[tuple], labeled: bool) -> None:
+    """Write a header and the rows of `blocks`, each (bits, labels), a block
+    at a time; rows are labeled when `labeled`, and labels are then ignored."""
+    F = len(names)
     pairs, tails = _row_layout(F, labeled)
-    step = max(1, _CHUNK_BYTES // (2 * F + tails.shape[1]))
     with open(path, "wb") as f:
         f.write((",".join([*names, "class"] if labeled else names) + "\n").encode("utf-8"))
-        for lo in range(0, len(X), step):
-            bits = X[lo : lo + step]
+        for bits, labels in blocks:
             block = np.empty((len(bits), 2 * F + tails.shape[1]), dtype=np.uint8)
             np.add(bits, pairs, out=block[:, : 2 * F].view("<u2"))
-            block[:, 2 * F :] = tails[y[lo : lo + step] if labeled else 0]
+            block[:, 2 * F :] = tails[labels if labeled else 0]
             f.write(block.tobytes().replace(b"\0", b""))  # drops the pad after each benign tag
 
 
@@ -387,7 +559,10 @@ def write_csv(dataset: Dataset, path) -> None:
 
     Round-trips bit for bit: ``read_csv(write_csv(d)) == d``.
     """
-    _write_rows(path, dataset.catalog.names, dataset.X, dataset.y)
+    X, y = dataset.X, dataset.y
+    step = max(1, _CHUNK_BYTES // (2 * X.shape[1] + len("malware\n")))
+    blocks = ((X[lo : lo + step], y[lo : lo + step]) for lo in range(0, len(X), step))
+    _write_rows(path, dataset.catalog.names, blocks, True)
 
 
 def write_vector_csv(catalog: FeatureCatalog, bits, path, label: Label | None = None) -> None:
@@ -397,8 +572,8 @@ def write_vector_csv(catalog: FeatureCatalog, bits, path, label: Label | None = 
         raise DatasetError(
             f"vector length {bits.shape} does not match catalog size {len(catalog)}"
         )
-    y = None if label is None else np.array([Label(label)], dtype=np.uint8)
-    _write_rows(path, catalog.names, (bits != 0)[None, :], y)
+    labels = None if label is None else np.array([Label(label)], dtype=np.uint8)
+    _write_rows(path, catalog.names, [((bits != 0)[None, :], labels)], label is not None)
 
 
 BACKGROUND_RATE = 0.05
@@ -535,32 +710,59 @@ def synthesize(spec: SyntheticSpec, seed: int) -> Dataset:
     Instances come out as the benign block followed by the malware block;
     shuffling, when needed, is the evaluation layer's concern. Each bit is an
     independent Bernoulli draw at its class rate unless rewritten by the
-    spec's XOR interaction.
+    spec's XOR interaction. The rows are `_synthesized_blocks`'.
+    """
+    X = np.empty((spec.n_benign + spec.n_malware, len(spec.catalog)), dtype=np.uint8)
+    lo = 0
+    for bits, _ in _synthesized_blocks(spec, seed):
+        X[lo : lo + len(bits)] = bits
+        lo += len(bits)
+    y = np.repeat(np.array([0, 1], dtype=np.uint8), [spec.n_benign, spec.n_malware])
+    return Dataset(spec.catalog, X, y)
+
+
+def write_synthesized(spec: SyntheticSpec, seed: int, path) -> None:
+    """Write ``synthesize(spec, seed)`` as :func:`write_csv` writes it, each
+    block of rows as it is drawn: memory holds one block, whatever the
+    spec's row counts."""
+    _write_rows(path, spec.catalog.names, _synthesized_blocks(spec, seed), True)
+
+
+def _synthesized_blocks(spec: SyntheticSpec, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows of ``synthesize(spec, seed)``, a block at a time, as (bits,
+    labels) arrays that are reused for the next block.
+
+    One stream draws each class's bits, then its XOR draws, one per row.
+    PCG64 fills a (300, F) draw and then a (700, F) draw with the doubles
+    of one (1000, F) draw, so rows are drawn a block at a time; each block's
+    XOR draws come from a copy of the stream advanced past the class's F
+    doubles per row, and the stream goes on from that copy.
     """
     rng = np.random.default_rng(seed)
     F = len(spec.catalog)
-    X = np.empty((spec.n_benign + spec.n_malware, F), dtype=np.uint8)
-    # Rows are drawn a block at a time into X: PCG64 fills a (300, F) draw
-    # and then a (700, F) draw with the doubles of one (1000, F) draw.
     draw = np.empty((max(1, _CHUNK_BYTES // (8 * max(F, 1))), F))
-    lo = 0
+    bits = np.empty(draw.shape, dtype=np.uint8)
     for count, p, label_bit in (
         (spec.n_benign, spec.p_benign, 0),
         (spec.n_malware, spec.p_malware, 1),
     ):
-        bits = X[lo : lo + count]
-        for i in range(0, count, len(draw)):
-            u = rng.random(out=draw[: count - i])
-            np.less(u, p, out=bits[i : i + len(u)].view(bool))
+        labels = np.full(len(draw), label_bit, dtype=np.uint8)
         if spec.xor_interaction is not None:
             a, b, q = spec.xor_interaction
-            for i in range(0, count, len(draw)):
-                rows = bits[i : i + len(draw)]
-                agree = rng.random(len(rows)) < q
+            xor_stream = np.random.PCG64()
+            xor_stream.state = rng.bit_generator.state
+            xor_stream.advance(count * F)
+            xor_rng = np.random.Generator(xor_stream)
+        for i in range(0, count, len(draw)):
+            u = rng.random(out=draw[: count - i])
+            rows = bits[: len(u)]
+            np.less(u, p, out=rows.view(bool))
+            if spec.xor_interaction is not None:
+                agree = xor_rng.random(len(rows)) < q
                 rows[:, b] = rows[:, a] ^ np.where(agree, label_bit, 1 - label_bit).astype(np.uint8)
-        lo += count
-    y = np.repeat(np.array([0, 1], dtype=np.uint8), [spec.n_benign, spec.n_malware])
-    return Dataset(spec.catalog, X, y)
+            yield rows, labels[: len(rows)]
+        if spec.xor_interaction is not None:
+            rng = xor_rng
 
 
 def stratified_fold_indices(y: Sequence[int], k: int, seed: int) -> list[np.ndarray]:

@@ -26,8 +26,16 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, _checked_matrix, bootstrap_sample_size, stratified_fold_indices
-from .trees import ENTROPY, TreeModel, _descend, _grow, _pack_rows, _row_weights, derive_seed
+from .dataset import (
+    _CHUNK_BYTES,
+    Dataset,
+    DatasetError,
+    _checked_matrix,
+    _packed,
+    bootstrap_sample_size,
+    stratified_fold_indices,
+)
+from .trees import ENTROPY, TreeModel, _descend, _grow, _row_weights, derive_seed
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -124,10 +132,11 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int
 
 
 def forest_scores(model: ForestModel, X) -> np.ndarray:
-    """Malware vote fraction for every row of `X`; a tree with a tied leaf votes benign.
-    `X` is packed once, and each tree's descent marks the rows it votes malware."""
-    packed = _pack_rows(X, model.n_features)
-    votes = [_descend(t, packed, t.n_malware > t.n_benign, len(X)) for t in model.trees]
+    """Malware vote fraction for every row of `X`, a matrix or `PackedRows`;
+    a tree with a tied leaf votes benign. A matrix is packed once, and each
+    tree's descent marks the rows it votes malware."""
+    rows = _packed(X, model.n_features)
+    votes = [_descend(t, rows, t.n_malware > t.n_benign) for t in model.trees]
     return np.concatenate(votes).sum(axis=0) / model.params.trees
 
 
@@ -251,10 +260,15 @@ def train_simple_logistic(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> 
 
 
 def logit_scores(model: LogitModel, X) -> np.ndarray:
-    """P(malware | x) = 1 / (1 + exp(-2 F(x))) for every row of `X`. Each
-    regressor reads its column of `X` as it is, so no float copy of `X` is made."""
+    """P(malware | x) = 1 / (1 + exp(-2 F(x))) for every row of `X`, a
+    matrix or `PackedRows`. Rows are read a block of `_CHUNK_BYTES` cells at
+    a time, and each regressor reads its column of the block as it is, so no
+    float copy of `X` is made; each row's sum is the same for any block."""
     X = _checked_matrix(X, model.n_features)
     F = np.full(X.shape[0], model.intercept)
-    for reg in model.regressors:
-        F += 0.5 * (reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * X[:, reg.feature])
+    step = max(1, _CHUNK_BYTES // max(model.n_features, 1))
+    for lo in range(0, X.shape[0], step):
+        x, f = X[lo : lo + step], F[lo : lo + step]
+        for reg in model.regressors:
+            f += 0.5 * (reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * x[:, reg.feature])
     return _sigmoid2(F)

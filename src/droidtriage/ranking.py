@@ -73,13 +73,19 @@ def rank_features(dataset: Dataset) -> list[RankedFeature]:
     Ties break by ascending feature name so that rankings are fully
     deterministic. Requires at least one instance of each class.
     """
-    counts, ones = dataset.class_feature_counts()
+    return rank_by_counts(dataset.catalog.names, *dataset.class_feature_counts())
+
+
+def rank_by_counts(names: Sequence[str], counts, ones) -> list[RankedFeature]:
+    """`rank_features` of the features `names` from their class counts:
+    rows per class, shape (2,), and 1-bits per class and feature, shape
+    (2, F), as `Dataset.class_feature_counts` gives them."""
     n_ben, n_mal = counts.tolist()
     if n_ben == 0 or n_mal == 0:
         raise DatasetError("ranking requires at least one instance of each class")
     ranked = [
         RankedFeature(name, mutual_information(FeatureClassCounts(pos_ben, pos_mal, n_ben, n_mal)))
-        for name, pos_ben, pos_mal in zip(dataset.catalog.names, *ones.tolist())
+        for name, pos_ben, pos_mal in zip(names, *ones.tolist())
     ]
     ranked.sort(key=lambda r: (-r.score, r.name))
     return ranked

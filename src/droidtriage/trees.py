@@ -38,10 +38,11 @@ hashed a block of `_CHUNK_BYTES` at a time.
 Scoring descends sets of rows, 64 to a word (bitvector traversal, as in
 QuickScorer): a split's high child gets ``rows & column``, its low child
 ``rows ^ high``, and a leaf ORs its rows into one plane per set bit of a
-per-node value (its id, or a forest member's vote). Rows are packed into
-those sets 4,096 at a time, so packing holds the bit matrix, the packed sets
-and one block. Pruning routes the holdout rows to their leaves the same way,
-counts them per leaf and class with one ``np.bincount``, and in one reverse
+per-node value (its id, or a forest member's vote). The sets are
+`dataset.PackedRows`: a matrix is packed into them 4,096 rows at a time,
+and `predict` packs each block of a file as it is read. Pruning routes
+the holdout rows to their leaves the same way, counts them per leaf and
+class with one ``np.bincount``, and in one reverse
 pass over ids sums each split's counts from its children and collapses the
 split where a leaf does no worse. It then drops the nodes no longer
 reachable, so a tree's node count is always ``len(model.feature)``.
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dataset import _CHUNK_BYTES, Dataset, DatasetError, _checked_matrix, stratified_fold_indices
+from .dataset import _CHUNK_BYTES, Dataset, DatasetError, PackedRows, _packed, stratified_fold_indices
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -70,8 +71,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_BYTE_BITS = (1 << np.arange(8)).astype(np.uint8)  # row r of 8 is bit r of a byte
-_PACK_ROWS = 4096  # rows per block of `_pack_rows`, a multiple of 64
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -380,50 +379,40 @@ def train_random_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> Tree
     return TreeModel(*arrays, ENTROPY, False, k, algo.seed, dataset.feature_count)
 
 
-def _pack_rows(X, n_features: int) -> np.ndarray:
-    """Row sets of `X`, ``ceil(n / 64)`` uint64 words each: set f holds the
-    rows whose bit f is nonzero, and the last set holds every row. Bit j of
-    word w stands for row 64 w + j; the padding bits past row n are 0. Rows
-    are packed `_PACK_ROWS` at a time, so memory holds the output and one block."""
-    X = _checked_matrix(X, n_features)
-    n = X.shape[0]
-    packed = np.empty((n_features + 1, -(-n // 64) * 8), dtype=np.uint8)
-    bits = np.empty((_PACK_ROWS, n_features + 1), dtype=np.uint8)
-    bits[:, n_features] = 1
-    for lo in range(0, n, _PACK_ROWS):
-        block = X[lo : lo + _PACK_ROWS]
-        m = len(block)
-        np.not_equal(block, 0, out=bits[:m, :n_features].view(bool))
-        padded = bits[: -(-m // 64) * 64]
-        padded[m:] = 0
-        packed[:, lo // 8 : lo // 8 + len(padded) // 8] = np.einsum(
-            "rbf,b->fr", padded.reshape(-1, 8, n_features + 1), _BYTE_BITS, dtype=np.uint8
-        )
-    return packed.view(np.uint64)
-
-
-def _descend(model: TreeModel, packed: np.ndarray, value: np.ndarray, n: int) -> np.ndarray:
-    """Bits of the per-node integer `value` of the leaf each of the `n` rows
-    of `packed` reaches, one row of 0/1 bytes per bit: each level's leaves OR
-    their rows into the plane of each set bit of their value."""
+def _descend(model: TreeModel, rows: PackedRows, value: np.ndarray) -> np.ndarray:
+    """Bits of the per-node integer `value` of the leaf each row of `rows`
+    reaches, one row of 0/1 bytes per bit: each level's leaves OR their rows
+    into the plane of each set bit of their value. The next level's sets are
+    written into one array: its low half takes the splits' sets, its high
+    half their features' sets, ANDed with them, and the low half then keeps
+    what the high half does not."""
+    packed = rows.sets
     bit = np.arange(int(value.max()).bit_length())
     planes = np.zeros((bit.size, packed.shape[1]), dtype=np.uint64)
     level, sets = np.zeros(1, dtype=np.intp), packed[-1:]
     while level.size:
         split = model.feature[level] >= 0
-        leaf_sets, has = sets[~split], (value[level[~split]] >> bit[:, None]) & 1
+        leaves = np.flatnonzero(~split)
+        has = (value[level[leaves]] >> bit[:, None]) & 1
         for b in bit:
-            planes[b] |= np.bitwise_or.reduce(leaf_sets[has[b] == 1], axis=0)
-        level, sets = level[split], sets[split]
-        high_sets = sets & packed[model.feature[level]]
-        sets = np.concatenate((sets ^ high_sets, high_sets))
+            planes[b] |= np.bitwise_or.reduce(sets[leaves[has[b] == 1]], axis=0)
+        parents = np.flatnonzero(split)
+        level = level[parents]
+        k = parents.size
+        nxt = np.empty((2 * k, packed.shape[1]), dtype=np.uint64)
+        low, high = nxt[:k], nxt[k:]
+        np.take(sets, parents, axis=0, out=low, mode="clip")
+        np.take(packed, model.feature[level], axis=0, out=high, mode="clip")
+        high &= low
+        low ^= high
+        sets = nxt
         level = np.concatenate((model.low[level], model.high[level]))
-    return np.unpackbits(planes.view(np.uint8), axis=1, count=n, bitorder="little")
+    return np.unpackbits(planes.view(np.uint8), axis=1, count=rows.n_rows, bitorder="little")
 
 
 def _leaf_of(model: TreeModel, X) -> np.ndarray:
-    """The leaf each row of `X` reaches."""
-    bits = _descend(model, _pack_rows(X, model.n_features), np.arange(model.feature.size), len(X))
+    """The leaf each row of `X`, a matrix or `PackedRows`, reaches."""
+    bits = _descend(model, _packed(X, model.n_features), np.arange(model.feature.size))
     return np.dot(1 << np.arange(len(bits)), bits)
 
 
@@ -472,8 +461,8 @@ def _reduced_error_prune(model: TreeModel, X, y, holdout) -> TreeModel:
 
 
 def tree_scores(model: TreeModel, X) -> np.ndarray:
-    """Malware fraction of the training rows at the leaf each row of `X`
-    reaches (0 at a leaf no training row reached)."""
+    """Malware fraction of the training rows at the leaf each row of `X`, a
+    matrix or `PackedRows`, reaches (0 at a leaf no training row reached)."""
     score = model.n_malware / np.maximum(model.n_benign + model.n_malware, 1)
     return score[_leaf_of(model, X)]
 

@@ -3,9 +3,13 @@
 nb scores a block of rows at a time and sl reads X's own uint8 columns; both
 must equal the whole-matrix float64 formulas of `conftest` bit for bit,
 across block edges. Every kind scores a 10x corpus (68,630 x 179) within a
-fixed tracemalloc peak, and a forest grows within one.
+fixed tracemalloc peak, and a forest grows within one. The streaming
+commands, synth, rank and predict, run through `main` on that corpus
+within a fixed peak each.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -18,11 +22,20 @@ import pytest
 from droidtriage.algo import KINDS, AlgoDescriptor, model_scores, train_model
 from droidtriage.bayes import _block_rows, nb_scores, train_nb
 from droidtriage.calibration import reference_spec
+from droidtriage.catalog import default_catalog
 from droidtriage.cli import main
 from droidtriage.dataset import synthesize, write_csv
 from droidtriage.ensemble import logit_scores, train_forest, train_simple_logistic
+from droidtriage.modelio import save_model
 
-from conftest import logit_scores_oracle, make_dataset, nb_scores_oracle, random_dataset, traced_peak
+from conftest import (
+    logit_scores_oracle,
+    make_dataset,
+    nb_scores_oracle,
+    random_dataset,
+    traced_peak,
+    write_spec,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MIB = 1 << 20
@@ -81,6 +94,37 @@ def test_every_kind_scores_68630_rows_under_16_mib(corpus, corpus_10x, kind):
     scores, peak = traced_peak(lambda: model_scores(model, corpus_10x.X))
     assert scores.shape == (68_630,)
     assert peak < 16 * MIB, f"{kind} peaked at {peak / MIB:.1f} MiB"
+
+
+@pytest.fixture(scope="module")
+def deploy(tmp_path_factory, corpus, corpus_10x):
+    """The 10x corpus as a CSV, the spec that draws it, and a 10-tree forest
+    trained on the calibrated corpus."""
+    root = tmp_path_factory.mktemp("deploy")
+    write_csv(corpus_10x, root / "c10.csv")
+    spec = reference_spec()
+    write_spec(replace(spec, n_benign=10 * spec.n_benign, n_malware=10 * spec.n_malware), root / "s10.spec")
+    save_model(train_forest(corpus, AlgoDescriptor("rf", seed=1)), root / "rf.model", default_catalog())
+    return root
+
+
+@pytest.mark.parametrize("command, mib", [("synth", 2), ("rank", 2), ("predict", 10)])
+def test_streaming_command_peaks_within_its_bound(deploy, command, mib):
+    """Each command held the 11.7 MiB bit matrix of 68,630 x 179 rows: synth
+    peaked at 12.5 MiB, rank at 13.2 and predict at 17.2; they now hold a
+    block, and predict the rows at 1 bit per cell."""
+    data, out = str(deploy / "c10.csv"), str(deploy / f"{command}.out")
+    argv = {
+        "synth": ["synth", "--spec", str(deploy / "s10.spec"), "--seed", "2", "--out", out],
+        "rank": ["rank", "--data", data, "--out", out],
+        "predict": ["predict", "--data", data, "--model", str(deploy / "rf.model"), "--out", out],
+    }[command]
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc, peak = traced_peak(lambda: main(argv))
+    assert rc == 0
+    assert peak < mib * MIB, f"{command} peaked at {peak / MIB:.2f} MiB"
+    if command == "synth":  # the corpus the other commands read
+        assert (deploy / "synth.out").read_bytes() == (deploy / "c10.csv").read_bytes()
 
 
 def test_forest_grows_under_9_mib(corpus):

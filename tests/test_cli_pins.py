@@ -3,7 +3,9 @@ for each kind, a crossval report, a compare report over all kinds and sets,
 and the roc CSV and SVG, on a small seeded corpus. The two reports are also
 pinned with their folds fitted in this process and in two workers. A
 default-catalog synth of the reference calibration, about ten 256 KiB
-blocks, and its rank output pin the CSV writer and reader across blocks."""
+blocks, and its rank output pin the CSV writer and reader across blocks;
+every prediction and a synth with an XOR interaction are pinned with
+blocks of a few rows too."""
 
 import contextlib
 import functools
@@ -12,7 +14,7 @@ import io
 
 import pytest
 
-from droidtriage import evaluation
+from droidtriage import bayes, cli, dataset, ensemble, evaluation
 from droidtriage.cli import main
 
 CATALOG = """name,category,pattern
@@ -70,6 +72,12 @@ CALIBRATED_PINS = {
     "calibrated.rank.csv": "bd68faf05a18cf66984a02b3f4254fa68ee67044ce0b98b890fff9000d6201d2",
 }
 
+
+# sha256 of a synth, seed 5, of SPEC with an XOR of SEND_SMS and chmod at q = 0.8.
+XOR_PIN = "cf5a9110bd96f7a701d8f8c3e696427e55ed907d3c7ae3f28458c6e222ee685d"
+
+# The trained models whose predictions PINS holds.
+MODELS = ("nb", "dt", "gini", "rt", "rf", "sl")
 
 # The commands that fit folds, by the report each writes.
 FOLD_COMMANDS = {
@@ -142,3 +150,33 @@ def test_calibrated_corpus_and_ranking_pinned(tmp_path):
         assert main(["rank", "--data", corpus, "--out", ranking]) == 0
     for name in CALIBRATED_PINS:
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == CALIBRATED_PINS[name], name
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Blocks of a few rows in every module that reads, packs, scores or
+    writes rows a block at a time: 64 bytes of CSV (two or three rows),
+    64 rows per pack, nb's minimum of 64 rows, 8 rows for sl and one row
+    per block of predictions."""
+    for module in (dataset, bayes, ensemble, cli):
+        monkeypatch.setattr(module, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(dataset, "_PACK_ROWS", 64)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_predictions_pinned_across_blocks(root, outputs, tiny_blocks, name):
+    out = root / f"tiny-{name}.pred.csv"
+    _run(root, "predict", "--data", str(root / "corpus.csv"), "--model", str(root / f"{name}.model"), "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[f"{name}.pred.csv"]
+
+
+@pytest.mark.parametrize("blocks", ["default", "tiny"])
+def test_xor_synth_pinned_across_blocks(root, request, blocks):
+    """With blocks of one row, each class's XOR draws come from a copy of the
+    stream advanced past its bits, a block at a time."""
+    if blocks == "tiny":
+        request.getfixturevalue("tiny_blocks")
+    spec, out = root / "xor.spec", root / f"{blocks}-xor.csv"
+    spec.write_text(SPEC.replace("name,p_benign", "#xor=SEND_SMS,chmod,0.8\nname,p_benign"))
+    _run(root, "synth", "--spec", str(spec), "--seed", "5", "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == XOR_PIN

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from droidtriage import dataset
 from droidtriage.catalog import default_catalog
 from droidtriage.cli import main
-from droidtriage.dataset import DatasetError, SyntheticSpec, read_vectors, synthesize, write_csv
+from droidtriage.dataset import DatasetError, SyntheticSpec, read_packed, read_vectors, synthesize, write_csv
 
 from conftest import make_dataset, toy_catalog, traced_peak, whole_file_reader, write_catalog
 
@@ -150,6 +150,42 @@ def test_fifo_grows_the_matrix(tmp_path, rng):
     finally:
         writer.join()
     assert got == _outcome(read_vectors, path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_grows_the_row_sets(tmp_path, rng):
+    """predict's reader packs a pipe's rows as they arrive."""
+    ds = make_dataset(rng.integers(0, 2, (5000, F)), rng.integers(0, 2, 5000), toy_catalog(F))
+    path, fifo = tmp_path / "d.csv", tmp_path / "pipe"
+    write_csv(ds, path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_CHUNK_BYTES", 1000)
+            rows = read_packed(fifo, toy_catalog(F))
+    finally:
+        writer.join()
+    assert rows.shape == ds.X.shape and np.array_equal(rows[:], ds.X)
+
+
+def test_abandoned_reader_closes_its_file(tmp_path, rng):
+    """The block reader holds its file open between blocks; dropped after
+    its first block, it closes the file."""
+    path = tmp_path / "d.csv"
+    write_csv(make_dataset(rng.integers(0, 2, (3000, F)), rng.integers(0, 2, 3000), toy_catalog(F)), path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_CHUNK_BYTES", 1000)
+        blocks = dataset._read_blocks(path, toy_catalog(F))
+        header = next(blocks)
+        bits, labels = next(blocks)
+    assert header == (F, True, (path.stat().st_size - len(HEADER) + 1) // L)
+    assert bits.shape[1] == F and len(bits) == len(labels) < 3000
+    f = blocks.gi_frame.f_locals["f"]
+    assert not f.closed
+    del blocks
+    assert f.closed
 
 
 def _one_draw(spec: SyntheticSpec, seed: int) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Hostile spec and catalog files fail through `cli.main` with exit 2 and
-exactly one stderr line naming the fault. Hostile model files are the
-`CRAFTED` cases of test_modelio.py."""
+exactly one stderr line naming the fault, and so do sizes that ask for more
+memory than a host has. Hostile model files are the `CRAFTED` cases of
+test_modelio.py."""
 
+import errno
+import os
 import re
 
 import pytest
 
+from droidtriage.catalog import default_catalog
 from droidtriage.cli import main
 
 _SPEC_HEAD = "#n_benign=5\n#n_malware=5\nname,p_benign,p_malware\n"
@@ -56,3 +60,43 @@ def test_bad_catalog_exits_2(tmp_path, capsys, name):
     out = tmp_path / "x.csv"
     _rejected(capsys, ["synth", "--catalog", str(tmp_path / "cat.csv"), "--out", str(out)], message)
     assert not out.exists()
+
+
+@pytest.fixture
+def tebibyte_csv(tmp_path):
+    """A default-catalog header, then a hole up to 1 TiB: a file whose size
+    allows 3,012,360,615 rows, 502 GiB of bits, and that holds none."""
+    path = tmp_path / "huge.csv"
+    path.write_text(",".join([*default_catalog().names, "class"]) + "\n")
+    os.truncate(path, 1 << 40)
+    with open(path, "rb") as f:
+        try:
+            os.lseek(f.fileno(), 1 << 20, os.SEEK_DATA)
+        except (AttributeError, OSError) as exc:
+            if getattr(exc, "errno", None) != errno.ENXIO:
+                pytest.skip("the file system does not report holes")
+        else:
+            pytest.skip("the file system does not report holes")
+    return path
+
+
+@pytest.mark.parametrize("command", ["rank", "predict", "train"])
+def test_tebibyte_file_exits_2(tmp_path, capsys, tebibyte_csv, command):
+    """rank and predict allocate nothing from the size, and skip the hole to
+    name the first row; train's matrix, sized from the file, cannot be held."""
+    out = tmp_path / "out"
+    argv = {
+        "rank": ["rank", "--data", str(tebibyte_csv), "--out", str(out)],
+        "predict": ["predict", "--data", str(tebibyte_csv), "--model", str(tmp_path / "absent.model"), "--out", str(out)],
+        "train": ["train", "--algo", "nb", "--data", str(tebibyte_csv), "--model", str(out)],
+    }[command]
+    _rejected(capsys, argv, re.escape(f"{tebibyte_csv}: "))
+    assert not out.exists()
+
+
+def test_synth_of_a_trillion_rows_fails_on_its_first_write(tmp_path, capsys):
+    """Rows are written as they are drawn, so /dev/full fails the first block."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    (tmp_path / "s.spec").write_text("#n_benign=1000000000000\n#n_malware=1\n")
+    _rejected(capsys, ["synth", "--spec", str(tmp_path / "s.spec"), "--out", "/dev/full"], "No space left on device")

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidtriage.algo import AlgoDescriptor, is_malware, model_scores
+from droidtriage.dataset import PackedRows, _packed
 from droidtriage.trees import (
     _IMPURITY,
     ENTROPY,
     GINI,
     TreeModel,
-    _pack_rows,
     default_split_count,
     derive_seed,
     train_decision_tree,
@@ -500,7 +500,7 @@ class TestLevelwiseGrowthOracle:
 
 
 def _packbits_reference(X) -> np.ndarray:
-    """`_pack_rows` in one `np.packbits` over the padded matrix and its all-rows column."""
+    """`_packed` in one `np.packbits` over the padded matrix and its all-rows column."""
     n, F = X.shape
     bits = np.zeros((-(-n // 64) * 64, F + 1), dtype=np.uint8)
     bits[:n, :F] = X != 0
@@ -512,13 +512,27 @@ class TestPackRows:
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 4095, 4096, 4097, 8193])
     def test_matches_packbits_across_block_boundaries(self, rng, n):
         X = rng.integers(0, 3, size=(n, 7)).astype(np.uint8)
-        packed = _pack_rows(X, 7)
+        rows = _packed(X, 7)
+        packed = rows.sets
+        assert rows.shape == (n, 7)
         assert packed.dtype == np.uint64 and packed.shape == (8, -(-n // 64))
         assert np.array_equal(packed, _packbits_reference(X))
 
+    def test_uneven_blocks_pack_and_unpack_as_the_matrix(self, rng):
+        """Blocks of any size, as a file's blocks come, give the matrix's sets,
+        and any row range unpacks as the matrix's rows."""
+        X = rng.integers(0, 2, size=(9000, 7)).astype(np.uint8)
+        cuts = [0, 1, 64, 100, 4095, 4200, 8191, 9000]
+        rows = PackedRows.pack((X[a:b] for a, b in zip(cuts, cuts[1:])), 7)
+        assert rows.n_rows == 9000 and np.array_equal(rows.sets, _packbits_reference(X))
+        for lo, hi in [(0, 0), (0, 9000), (63, 65), (100, 4200), (8999, 9000), (8990, 12000)]:
+            block = rows[lo:hi]
+            assert block.dtype == np.uint8 and block.flags.c_contiguous
+            assert np.array_equal(block, X[lo:hi])
+
     def test_adds_at_most_the_output_and_two_mib(self, rng):
         X = (rng.random((20_000, 179)) < 0.3).astype(np.uint8)
-        packed, peak = traced_peak(lambda: _pack_rows(X, 179))
+        packed, peak = traced_peak(lambda: _packed(X, 179).sets)
         assert peak <= packed.nbytes + (2 << 20)
 
 
