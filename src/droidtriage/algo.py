@@ -19,9 +19,10 @@ from .dataset import Dataset
 
 KINDS = ("nb", "dt", "rt", "rf", "sl")
 
-# sl keeps one held-out log-likelihood per boosting iteration; a cap keeps a
-# mistyped --max-iter from allocating and boosting without end.
+# sl keeps a held-out log-likelihood per boosting iteration and float arrays as
+# long as the data per fold; caps keep a mistyped flag from allocating without end.
 MAX_ITER = 10_000
+MAX_CV_FOLDS = 10
 
 Model = bayes.NbModel | trees.TreeModel | ensemble.ForestModel | ensemble.LogitModel
 
@@ -67,8 +68,8 @@ class AlgoDescriptor:
             raise ValueError("max_iter must be at least 1")
         if self.max_iter > MAX_ITER:
             raise ValueError(f"max_iter must be at most {MAX_ITER}")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be at least 2")
+        if not 2 <= self.cv_folds <= MAX_CV_FOLDS:
+            raise ValueError(f"cv_folds must lie in [2, {MAX_CV_FOLDS}]")
 
     def split_count(self, n_features: int) -> int:
         return self.k if self.k is not None else trees.default_split_count(n_features)

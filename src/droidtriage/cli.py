@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algo import KINDS, MAX_ITER, AlgoDescriptor, is_malware, model_scores, train_model
+from .algo import KINDS, MAX_CV_FOLDS, MAX_ITER, AlgoDescriptor, is_malware, model_scores, train_model
 from .calibration import reference_spec
 from .catalog import (
     CatalogError,
@@ -44,7 +44,7 @@ from .dataset import (
 from .evaluation import FoldError, RocCurve, compare, roc_auc, write_report, write_roc
 from .extract import scan_app
 from .modelio import ModelFormatError, load_model, save_model
-from .ranking import rank_by_counts, write_ranking
+from .ranking import format_ranking, rank_by_counts, write_ranking
 from .trees import CRITERIA
 
 _DATA_ERRORS = (CatalogError, DatasetError, ModelFormatError, FoldError, OSError)
@@ -113,7 +113,8 @@ def _add_algo_flags(p: _Parser, multi: bool = False) -> None:
     flag("--no-bootstrap", dest="bootstrap", action="store_false", help="rf: train every tree on the full set")
     flag("--max-iter", type=int,
          help=f"sl: boosting iteration cap (default {_DEFAULTS['max_iter']}, at most {MAX_ITER})")
-    flag("--cv-folds", type=int, help=f"sl: folds for iteration selection (default {_DEFAULTS['cv_folds']})")
+    flag("--cv-folds", type=int,
+         help=f"sl: folds for iteration selection (default {_DEFAULTS['cv_folds']}, at most {MAX_CV_FOLDS})")
 
 
 def _add_common(p: _Parser, *, multi_sets: bool = False) -> None:
@@ -220,9 +221,7 @@ def _cmd_rank(args) -> int:
             raise _UsageError(f"--top must lie in [1, {len(ranking)}], got {args.top}")
         ranking = ranking[: args.top]
     if args.out is None:
-        print("rank,name,score")
-        for i, r in enumerate(ranking, start=1):
-            print(f"{i},{r.name},{r.score:.6f}")
+        sys.stdout.write(format_ranking(ranking))
     else:
         write_ranking(ranking, args.out)
         print(args.out)

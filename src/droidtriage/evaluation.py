@@ -7,10 +7,10 @@ concatenated into a single ROC, so each configuration yields one row of
 rates, micro-averaged over the whole dataset.
 
 `compare` plans every (feature set, algorithm, fold) fit up front and runs
-them in forked worker processes where that is safe and leaves cores free
-(see `_default_workers`), one fold per job; every fit has its own derived
-seed and each result is assembled in fold order, so the outcome is the same
-for any worker count.
+them in forked worker processes, one per CPU, where a fork is safe (see
+`_default_workers`), one fold per job; every fit has its own derived seed,
+no fit's bits depend on the BLAS thread count, and each result is assembled
+in fold order, so the outcome is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -248,20 +248,10 @@ def cross_validate(dataset: Dataset, algo: AlgoDescriptor, k: int = 10, seed: in
 
 
 def _default_workers() -> int:
-    """How many processes fit folds: one off Linux, where a fork is not known
-    to be safe; else the CPUs this process may run on divided by the threads
-    a BLAS call may use, so that workers times BLAS threads do not outnumber
-    the CPUs. The BLAS count follows OpenBLAS's rule: the first positive
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, else every CPU.
-    """
-    if sys.platform != "linux":
-        return 1
-    cpus = len(os.sched_getaffinity(0))
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
+    """How many processes fit folds: the CPUs this process may run on, or one
+    off Linux, where a fork is not known to be safe. Fits take their BLAS products
+    over small fixed row blocks: one thread each, the same bits for any thread count."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
 # A worker process's (datasets, algorithms, folds, seed), set once by
@@ -285,8 +275,7 @@ def _run_jobs(work, jobs: list) -> list:
     before it returns, or in this process for one worker, for one job, or
     while another Python thread runs, as a fork is not safe then.
 
-    The workers are forked, so each inherits the datasets and the BLAS
-    thread count, and a fit's bits do not depend on where it ran.
+    Forked workers inherit the datasets; a fit's bits do not depend on where it ran.
     """
     workers = min(_default_workers(), len(jobs))
     if workers <= 1 or threading.active_count() > 1:

@@ -98,8 +98,12 @@ def top_k(ranking: Sequence[RankedFeature], k: int) -> list[str]:
     return [r.name for r in ranking[:k]]
 
 
+def format_ranking(ranking: Sequence[RankedFeature]) -> str:
+    """A ranking as CSV text ``rank,name,score`` with 6-decimal scores."""
+    rows = (f"{i},{r.name},{r.score:.6f}\n" for i, r in enumerate(ranking, start=1))
+    return "rank,name,score\n" + "".join(rows)
+
+
 def write_ranking(ranking: Sequence[RankedFeature], path) -> None:
-    """Write a ranking as CSV ``rank,name,score`` with 6-decimal scores."""
-    rows = ["rank,name,score"]
-    rows.extend(f"{i},{r.name},{r.score:.6f}" for i, r in enumerate(ranking, start=1))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    """Write `format_ranking` of a ranking to `path`."""
+    Path(path).write_text(format_ranking(ranking), encoding="utf-8", newline="\n")

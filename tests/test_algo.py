@@ -25,7 +25,8 @@ BAD_FIELDS = [
     ("bootstrap_fraction", 1.5, r"bootstrap fraction must lie in \(0, 1\]"),
     ("max_iter", 0, "max_iter must be at least 1"),
     ("max_iter", 10_001, "max_iter must be at most 10000"),
-    ("cv_folds", 1, "cv_folds must be at least 2"),
+    ("cv_folds", 1, r"cv_folds must lie in \[2, 10\]"),
+    ("cv_folds", 11, r"cv_folds must lie in \[2, 10\]"),
     ("seed", -1, "seed must be non-negative"),
 ]
 

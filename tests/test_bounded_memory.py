@@ -4,8 +4,9 @@ nb scores a block of rows at a time and sl reads X's own uint8 columns; both
 must equal the whole-matrix float64 formulas of `conftest` bit for bit,
 across block edges. Every kind scores a 10x corpus (68,630 x 179) within a
 fixed tracemalloc peak, and a forest grows within one. The streaming
-commands, synth, rank and predict, run through `main` on that corpus
-within a fixed peak each.
+commands, synth, rank and predict, and sl's train run through `main` on
+that corpus within a fixed peak each, and every kind's model file and
+predictions are the same on one BLAS thread and on two.
 """
 
 import contextlib
@@ -98,9 +99,10 @@ def test_every_kind_scores_68630_rows_under_16_mib(corpus, corpus_10x, kind):
 
 @pytest.fixture(scope="module")
 def deploy(tmp_path_factory, corpus, corpus_10x):
-    """The 10x corpus as a CSV, the spec that draws it, and a 10-tree forest
-    trained on the calibrated corpus."""
+    """The calibrated and the 10x corpus as CSVs, the spec that draws the
+    10x one, and a 10-tree forest trained on the calibrated corpus."""
     root = tmp_path_factory.mktemp("deploy")
+    write_csv(corpus, root / "c1.csv")
     write_csv(corpus_10x, root / "c10.csv")
     spec = reference_spec()
     write_spec(replace(spec, n_benign=10 * spec.n_benign, n_malware=10 * spec.n_malware), root / "s10.spec")
@@ -108,16 +110,19 @@ def deploy(tmp_path_factory, corpus, corpus_10x):
     return root
 
 
-@pytest.mark.parametrize("command, mib", [("synth", 2), ("rank", 2), ("predict", 10)])
-def test_streaming_command_peaks_within_its_bound(deploy, command, mib):
-    """Each command held the 11.7 MiB bit matrix of 68,630 x 179 rows: synth
-    peaked at 12.5 MiB, rank at 13.2 and predict at 17.2; they now hold a
-    block, and predict the rows at 1 bit per cell."""
+@pytest.mark.parametrize("command, mib", [("synth", 2), ("rank", 2), ("predict", 10), ("train", 40)])
+def test_deploy_command_peaks_within_its_bound(deploy, command, mib):
+    """Each streaming command held the 11.7 MiB bit matrix of 68,630 x 179
+    rows: synth peaked at 12.5 MiB, rank at 13.2 and predict at 17.2; they
+    now hold a block, and predict the rows at 1 bit per cell. train --algo sl
+    held a float64 copy of the matrix too and peaked at 132 MiB; it now holds
+    the bit matrix and a few float arrays per fold."""
     data, out = str(deploy / "c10.csv"), str(deploy / f"{command}.out")
     argv = {
         "synth": ["synth", "--spec", str(deploy / "s10.spec"), "--seed", "2", "--out", out],
         "rank": ["rank", "--data", data, "--out", out],
         "predict": ["predict", "--data", data, "--model", str(deploy / "rf.model"), "--out", out],
+        "train": ["train", "--algo", "sl", "--data", data, "--model", out],
     }[command]
     with contextlib.redirect_stdout(io.StringIO()):
         rc, peak = traced_peak(lambda: main(argv))
@@ -135,19 +140,36 @@ def test_forest_grows_under_9_mib(corpus):
     assert peak < 9 * MIB, f"peaked at {peak / MIB:.1f} MiB"
 
 
-def test_nb_predict_does_not_depend_on_blas_threads(tmp_path, corpus_10x):
-    """Split across two BLAS threads, one whole-matrix product over 68,630
-    rows gave other last bits than on one thread; blocks of whole words do not."""
-    data, model = tmp_path / "d.csv", tmp_path / "nb.model"
-    write_csv(corpus_10x, data)
-    assert main(["train", "--algo", "nb", "--data", str(data), "--model", str(model)]) == 0
+# Trains every kind on the calibrated corpus in directory argv[1] and
+# predicts the 10x corpus with it, writing both files to directory argv[2].
+EVERY_KIND = """
+import contextlib, io, sys
+from droidtriage.algo import KINDS
+from droidtriage.cli import main
+
+data, out = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for kind in KINDS:
+        model = f"{out}/{kind}.model"
+        assert main(["train", "--algo", kind, "--data", f"{data}/c1.csv", "--model", model]) == 0
+        assert main(["predict", "--data", f"{data}/c10.csv", "--model", model, "--out", f"{out}/{kind}.csv"]) == 0
+"""
+
+
+def test_every_kind_does_not_depend_on_blas_threads(deploy, tmp_path):
+    """Split across two BLAS threads, a whole-matrix product gave other last
+    bits than on one thread: nb's scores of 68,630 rows and sl's regressors
+    trained on 6,863. Both now take their products over fixed row blocks."""
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"p{threads}.csv"
+        out = tmp_path / threads
+        out.mkdir()
         subprocess.run(
-            [sys.executable, "-m", "droidtriage", "predict", "--data", str(data), "--model", str(model), "--out", str(out)],
+            [sys.executable, "-c", EVERY_KIND, str(deploy), str(out)],
             env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads),
-            check=True, capture_output=True, timeout=120,
+            check=True, capture_output=True, timeout=300,
         )
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert len(outputs[0]) == 2 * len(KINDS)
+    for name, data in outputs[0].items():
+        assert outputs[1][name] == data, name

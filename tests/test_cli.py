@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from droidtriage import cli
-from droidtriage.algo import KINDS, MAX_ITER, AlgoDescriptor
+from droidtriage.algo import KINDS, MAX_CV_FOLDS, MAX_ITER, AlgoDescriptor
 from droidtriage.catalog import FeatureSet, default_catalog, select_feature_set
 from droidtriage.cli import main
 from droidtriage.dataset import read_csv, write_csv
@@ -475,16 +475,21 @@ def test_compare_reads_single_set_file(tmp_path, small_corpus, capsys):
         assert f"expected {len(default_catalog()) + 1} including 'class'" in err[0]
 
 
-def test_max_iter_above_cap_is_usage_error(tmp_path, small_corpus):
-    """--max-iter past the cap exits 1 with one line instead of boosting for ever."""
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iter", "100000000", f"max_iter must be at most {MAX_ITER}"),
+    ("--cv-folds", "29000", f"cv_folds must lie in [2, {MAX_CV_FOLDS}]"),
+])
+def test_sl_flag_above_cap_is_usage_error(tmp_path, small_corpus, flag, value, message):
+    """--max-iter or --cv-folds past its cap exits 1 with one line instead of
+    boosting for ever or allocating a float array per fold and row."""
     model = tmp_path / "m.model"
-    argv = ["train", "--algo", "sl", "--max-iter", "100000000", "--data", str(small_corpus), "--model", str(model)]
+    argv = ["train", "--algo", "sl", flag, value, "--data", str(small_corpus), "--model", str(model)]
     proc = subprocess.run(
         [sys.executable, "-m", "droidtriage", *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1
-    assert proc.stderr == f"droidtriage: error: max_iter must be at most {MAX_ITER}\n"
+    assert proc.stderr == f"droidtriage: error: {message}\n"
     assert proc.stdout == "" and not model.exists()
 
 

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from droidtriage.algo import AlgoDescriptor, model_scores, train_model
+from droidtriage.algo import MAX_CV_FOLDS, AlgoDescriptor, model_scores, train_model
 from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.cli import main
 from droidtriage.dataset import write_csv
@@ -184,7 +184,8 @@ CRAFTED = {
     "tree-pruned-5": ("dt", _tree_body(pruned="5"), "flag must be 0 or 1, got '5'"),
     "tree-seed-negative": ("dt", _tree_body(seed="-1"), "seed must be non-negative"),
     "sl-max-iterations-negative": ("sl", _sl_body(iterations="0", max_iterations="-4"), "max_iter must be at least 1"),
-    "sl-cv-folds-0": ("sl", _sl_body(cv_folds="0"), "cv_folds must be at least 2"),
+    "sl-cv-folds-0": ("sl", _sl_body(cv_folds="0"), rf"cv_folds must lie in \[2, {MAX_CV_FOLDS}\]"),
+    "sl-cv-folds-above-cap": ("sl", _sl_body(cv_folds=str(MAX_CV_FOLDS + 1)), rf"cv_folds must lie in \[2, {MAX_CV_FOLDS}\]"),
     "sl-iterations-above-max": ("sl", _sl_body(iterations="6"), r"iterations_used 6 outside \[0, 5\]"),
     "sl-iterations-negative": ("sl", _SL_HEAD[:1] + ["iterations_used -1"] + _SL_HEAD[2:] + ["n_features 4"], "outside"),
     "nb-alpha-negative": ("nb", _nb_body(alpha="-1.0"), "alpha must be finite and positive"),
