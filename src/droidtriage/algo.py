@@ -19,10 +19,11 @@ from .dataset import Dataset
 
 KINDS = ("nb", "dt", "rt", "rf", "sl")
 
-# sl keeps a held-out log-likelihood per boosting iteration and float arrays as
-# long as the data per fold; caps keep a mistyped flag from allocating without end.
+# sl keeps a log-likelihood per boosting iteration and data-long float arrays per
+# fold, rf a seed and row weights per tree; caps keep a mistyped flag from allocating without end.
 MAX_ITER = 10_000
 MAX_CV_FOLDS = 10
+MAX_TREES = 1000
 
 Model = bayes.NbModel | trees.TreeModel | ensemble.ForestModel | ensemble.LogitModel
 
@@ -62,6 +63,8 @@ class AlgoDescriptor:
             raise ValueError("k must be at least 1")
         if self.trees < 1:
             raise ValueError("forest needs at least one tree")
+        if self.trees > MAX_TREES:
+            raise ValueError(f"trees must be at most {MAX_TREES}")
         if not 0.0 < self.bootstrap_fraction <= 1.0:
             raise ValueError("bootstrap fraction must lie in (0, 1]")
         if self.max_iter < 1:

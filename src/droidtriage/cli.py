@@ -1,11 +1,12 @@
 """Command-line front end wiring the library into one pipeline.
 
-Subcommands: synth, extract, rank, train, predict, crossval, compare, roc.
-Exit codes: 0 success, 1 a flag fault (a value argparse or `AlgoDescriptor`
-rejects), 2 a fault in the data, catalog or model, 3 a worker process of
-crossval or compare died (killed, or out of memory); `main` alone maps a
-fault to its code. stdout carries only data and output paths; diagnostics
-go to stderr.
+Subcommands: synth, extract, rank, train, predict, compare (also named
+crossval), roc. Exit codes: 0 success, 1 a flag fault (a value argparse or
+`AlgoDescriptor` rejects), 2 a fault in the data, catalog or model, 3 a
+worker process of compare died (killed, or out of memory). Each command
+returns the text meant for stdout, its output paths or the ranking, and
+`main` alone writes it, once the command has succeeded, and alone maps a
+fault to its code; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algo import KINDS, MAX_CV_FOLDS, MAX_ITER, AlgoDescriptor, is_malware, model_scores, train_model
+from .algo import KINDS, MAX_CV_FOLDS, MAX_ITER, MAX_TREES, AlgoDescriptor, is_malware, model_scores, train_model
 from .calibration import reference_spec
 from .catalog import (
     CatalogError,
@@ -99,15 +100,17 @@ def _algo_from_args(args, kind: str) -> AlgoDescriptor:
 
 def _add_algo_flags(p: _Parser, multi: bool = False) -> None:
     """The algorithm flags, stored under `AlgoDescriptor`'s field names and
-    absent from the namespace when not given."""
+    absent from the namespace when not given, but for `--seed`, which also
+    seeds compare's folds."""
     help_kind = "classifier kind" + (", comma-separated list allowed" if multi else "")
     p.add_argument("--algo", required=True, help=f"{help_kind}: one of {', '.join(KINDS)}")
+    p.add_argument("--seed", type=_seed, default=_DEFAULTS["seed"])
     flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
     flag("--alpha", type=float, help=f"nb: smoothing (default {_DEFAULTS['alpha']})")
-    flag("--criterion", choices=CRITERIA, help=f"dt: split criterion (default {_DEFAULTS['criterion']})")
+    flag("--criterion", help=f"dt: split criterion, {' or '.join(CRITERIA)} (default {_DEFAULTS['criterion']})")
     flag("--prune", action="store_true", help="dt: reduced-error pruning")
     flag("--k", type=int, help="rt/rf: candidates per split (default log2 F + 1)")
-    flag("--trees", type=int, help=f"rf: ensemble size (default {_DEFAULTS['trees']})")
+    flag("--trees", type=int, help=f"rf: ensemble size (default {_DEFAULTS['trees']}, at most {MAX_TREES})")
     flag("--bootstrap", dest="bootstrap_fraction", type=float,
          help=f"rf: resample fraction (default {_DEFAULTS['bootstrap_fraction']})")
     flag("--no-bootstrap", dest="bootstrap", action="store_false", help="rf: train every tree on the full set")
@@ -124,7 +127,6 @@ def _add_common(p: _Parser, *, multi_sets: bool = False) -> None:
         p.add_argument("--feature-set", help=f"comma-separated subset list drawn from {', '.join(_FEATURE_SETS)}")
     else:
         p.add_argument("--feature-set", choices=_FEATURE_SETS)
-    p.add_argument("--seed", type=_seed, default=_DEFAULTS["seed"])
 
 
 @functools.cache
@@ -167,14 +169,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="predictions CSV")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("crossval", help="stratified k-fold cross-validation report")
-    _add_common(p)
-    _add_algo_flags(p)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--out", required=True, help="report CSV")
-    p.set_defaults(func=_cmd_crossval)
-
-    p = sub.add_parser("compare", help="cross-validate several classifiers side by side")
+    p = sub.add_parser("compare", aliases=["crossval"],
+                       help="stratified k-fold cross-validation of several classifiers side by side")
     _add_common(p, multi_sets=True)
     _add_algo_flags(p, multi=True)
     p.add_argument("--folds", type=int, default=10)
@@ -190,7 +186,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> str:
     catalog = _base_catalog(args)
     if args.spec is None:
         try:
@@ -200,20 +196,18 @@ def _cmd_synth(args) -> int:
     else:
         spec = load_spec(args.spec, catalog)
     write_synthesized(spec, args.seed, args.out)
-    print(args.out)
-    return 0
+    return f"{args.out}\n"
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> str:
     _, columns = _columns(args, args.feature_set)
     bits = scan_app(args.app_dir, columns)
     label = None if args.label is None else Label[args.label.upper()]
     write_vector_csv(columns, bits, args.out, label=label)
-    print(args.out)
-    return 0
+    return f"{args.out}\n"
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> str:
     columns, counts = _read_data(args, args.feature_set, read_class_counts)
     ranking = rank_by_counts(columns.names, *counts)
     if args.top is not None:
@@ -221,26 +215,22 @@ def _cmd_rank(args) -> int:
             raise _UsageError(f"--top must lie in [1, {len(ranking)}], got {args.top}")
         ranking = ranking[: args.top]
     if args.out is None:
-        sys.stdout.write(format_ranking(ranking))
-    else:
-        write_ranking(ranking, args.out)
-        print(args.out)
-    return 0
+        return format_ranking(ranking)
+    write_ranking(ranking, args.out)
+    return f"{args.out}\n"
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> str:
     catalog, dataset = _read_data(args, args.feature_set)
     model = train_model(_algo_from_args(args, args.algo), dataset)
     save_model(model, args.model, catalog)
-    print(args.model)
-    return 0
+    return f"{args.model}\n"
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> str:
     catalog, rows = _read_data(args, args.feature_set, read_packed)
     _write_predictions(args.out, model_scores(load_model(args.model, catalog), rows))
-    print(args.out)
-    return 0
+    return f"{args.out}\n"
 
 
 # A row's label cell, by `is_malware`, with a NUL pad after the shorter one.
@@ -272,16 +262,7 @@ def _write_predictions(path, scores: np.ndarray) -> None:
             f.write(block.tobytes().replace(b"\0", b""))
 
 
-def _cmd_crossval(args) -> int:
-    _, dataset = _read_data(args, args.feature_set)
-    algo = _algo_from_args(args, args.algo)
-    rows = compare(dataset, [algo], args.folds, args.seed, feature_sets=[FeatureSet(args.feature_set or "capf")])
-    write_report(rows, args.out)
-    print(args.out)
-    return 0
-
-
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     names = [s.strip() for s in (args.feature_set or "capf").split(",")]
     if not set(names) <= set(_FEATURE_SETS):
         raise _UsageError(f"--feature-set must list values from {', '.join(_FEATURE_SETS)}; got {args.feature_set!r}")
@@ -289,11 +270,10 @@ def _cmd_compare(args) -> int:
     algos = [_algo_from_args(args, kind.strip()) for kind in args.algo.split(",") if kind.strip()]
     rows = compare(dataset, algos, args.folds, args.seed, feature_sets=[FeatureSet(s) for s in names])
     write_report(rows, args.out)
-    print(args.out)
-    return 0
+    return f"{args.out}\n"
 
 
-def _cmd_roc(args) -> int:
+def _cmd_roc(args) -> str:
     catalog, dataset = _read_data(args, args.feature_set)
     scores = model_scores(load_model(args.model, catalog), dataset.X)
     try:
@@ -301,11 +281,9 @@ def _cmd_roc(args) -> int:
     except ValueError as exc:
         raise DatasetError(f"{args.data}: {exc}") from None
     write_roc(curve, args.out)
-    print(args.out)
     if args.svg:
         Path(args.svg).write_text(roc_svg(curve), encoding="utf-8", newline="\n")
-        print(args.svg)
-    return 0
+    return "".join(f"{path}\n" for path in (args.out, args.svg) if path)
 
 
 def roc_svg(curve: RocCurve) -> str:
@@ -349,7 +327,8 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"droidtriage: warning: {message}", file=sys.stderr)
         try:
             args = parser.parse_args(argv)
-            return args.func(args)
+            sys.stdout.write(args.func(args))
+            return 0
         except (*_DATA_ERRORS, ValueError) as exc:  # a data fault, else a flag fault
             print(f"droidtriage: error: {exc}", file=sys.stderr)
             return 2 if isinstance(exc, _DATA_ERRORS) else 1

@@ -9,7 +9,8 @@ as tokens: an occurrence flanked by identifier characters does not count, so
 SEND_SMS never fires inside SEND_SMS_EXTRA.
 
 Files are read in chunks that overlap by one byte less than the longest
-pattern, and each chunk is searched for every pattern in one pass. FIFOs,
+pattern, and each chunk is searched for every pattern in one pass; the
+manifest's overlap by one byte more, so a token's neighbours are read. FIFOs,
 sockets, devices and symlinks whose target lies outside the root are skipped.
 
 Bit contributions from individual files combine with OR, which makes the
@@ -38,18 +39,14 @@ _FOUR = np.arange(4)
 
 
 def _contains_token(data: bytes, pattern: bytes) -> bool:
-    """True when `pattern` occurs delimited by non-identifier bytes."""
-    start = 0
-    while True:
-        pos = data.find(pattern, start)
-        if pos < 0:
-            return False
-        before_ok = pos == 0 or data[pos - 1] not in _IDENT
-        end = pos + len(pattern)
-        after_ok = end == len(data) or data[end] not in _IDENT
-        if before_ok and after_ok:
+    """True when `pattern` occurs in `data` between non-identifier bytes of
+    `data`, so neither at its start nor at its end."""
+    start, stop = 1, len(data) - 1
+    while (pos := data.find(pattern, start, stop)) >= 0:
+        if data[pos - 1] not in _IDENT and data[pos + len(pattern)] not in _IDENT:
             return True
         start = pos + 1
+    return False
 
 
 class _PatternIndex:
@@ -113,6 +110,26 @@ def _open_regular(path: Path, inside: Path):
     return os.fdopen(fd, "rb", buffering=0)
 
 
+def _scan_manifest(f, tokens: dict[int, bytes], bits: np.ndarray) -> None:
+    """Set the bits of the permission `tokens` that stand alone in the open
+    manifest `f`; reading stops once all are found. A chunk is searched
+    behind the last bytes before it, as many as the longest token has, and
+    ahead of the byte after it; a newline stands before the file and after
+    it."""
+    keep = max(map(len, tokens.values()), default=0)
+    tail, data = b"\n", f.read(_CHUNK)
+    while tokens:
+        ahead = f.read(_CHUNK)
+        buf = b"".join((tail, data, ahead[:1] or b"\n"))
+        found = [i for i, token in tokens.items() if _contains_token(buf, token)]
+        bits[found] = 1
+        for i in found:
+            del tokens[i]
+        if not ahead:
+            break
+        tail, data = buf[-keep - 1 : -1], ahead
+
+
 def _scan_file(f, index: _PatternIndex, pending: set[int], bits: np.ndarray) -> None:
     """Set the bits of the `pending` patterns found in the open file `f` and
     remove them from `pending`. Reading stops once none is left."""
@@ -154,10 +171,8 @@ def scan_app(root, catalog: FeatureCatalog) -> np.ndarray:
             )
         else:
             with f:
-                data = f.read()
-            for i, feat in enumerate(catalog):
-                if feat.category == PERMISSION and _contains_token(data, patterns[i]):
-                    bits[i] = 1
+                tokens = {i: patterns[i] for i, feat in enumerate(catalog) if feat.category == PERMISSION}
+                _scan_manifest(f, tokens, bits)
 
     pending = {i for i, f in enumerate(catalog) if f.category != PERMISSION}
     if not pending:

@@ -21,6 +21,7 @@ BAD_FIELDS = [
     ("criterion", "nope", "criterion must be one of"),
     ("k", 0, "k must be at least 1"),
     ("trees", 0, "forest needs at least one tree"),
+    ("trees", 1001, "trees must be at most 1000"),
     ("bootstrap_fraction", 0.0, r"bootstrap fraction must lie in \(0, 1\]"),
     ("bootstrap_fraction", 1.5, r"bootstrap fraction must lie in \(0, 1\]"),
     ("max_iter", 0, "max_iter must be at least 1"),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from droidtriage import cli
-from droidtriage.algo import KINDS, MAX_CV_FOLDS, MAX_ITER, AlgoDescriptor
+from droidtriage.algo import KINDS, MAX_CV_FOLDS, MAX_ITER, MAX_TREES, AlgoDescriptor
 from droidtriage.catalog import FeatureSet, default_catalog, select_feature_set
 from droidtriage.cli import main
 from droidtriage.dataset import read_csv, write_csv
@@ -100,14 +100,13 @@ def test_unknown_flag_exits_1(capsys):
         ["train", "--algo", "dt", "--prune"],
         ["train", "--algo", "nb"],
         ["crossval", "--algo", "nb"],
-        ["rank"],
         ["synth"],
     ],
     ids=" ".join,
 )
 def test_negative_seed_is_usage_error(tmp_path, small_corpus, capsys, command):
     out = tmp_path / "out"
-    flag = {"train": "--model", "crossval": "--out", "rank": "--out", "synth": "--out"}
+    flag = {"train": "--model", "crossval": "--out", "synth": "--out"}
     data = [] if command[0] == "synth" else ["--data", str(small_corpus)]
     rc = main(command + data + ["--seed", "-1", flag[command[0]], str(out)])
     captured = capsys.readouterr()
@@ -475,15 +474,17 @@ def test_compare_reads_single_set_file(tmp_path, small_corpus, capsys):
         assert f"expected {len(default_catalog()) + 1} including 'class'" in err[0]
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--max-iter", "100000000", f"max_iter must be at most {MAX_ITER}"),
-    ("--cv-folds", "29000", f"cv_folds must lie in [2, {MAX_CV_FOLDS}]"),
+@pytest.mark.parametrize("algo, flag, value, message", [
+    ("sl", "--max-iter", "100000000", f"max_iter must be at most {MAX_ITER}"),
+    ("sl", "--cv-folds", "29000", f"cv_folds must lie in [2, {MAX_CV_FOLDS}]"),
+    ("rf", "--trees", str(10**30), f"trees must be at most {MAX_TREES}"),
 ])
-def test_sl_flag_above_cap_is_usage_error(tmp_path, small_corpus, flag, value, message):
-    """--max-iter or --cv-folds past its cap exits 1 with one line instead of
-    boosting for ever or allocating a float array per fold and row."""
+def test_flag_above_cap_is_usage_error(tmp_path, small_corpus, algo, flag, value, message):
+    """--max-iter, --cv-folds or --trees past its cap exits 1 with one line
+    instead of boosting or growing trees for ever or allocating a float
+    array per fold and row."""
     model = tmp_path / "m.model"
-    argv = ["train", "--algo", "sl", flag, value, "--data", str(small_corpus), "--model", str(model)]
+    argv = ["train", "--algo", algo, flag, value, "--data", str(small_corpus), "--model", str(model)]
     proc = subprocess.run(
         [sys.executable, "-m", "droidtriage", *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
@@ -491,6 +492,88 @@ def test_sl_flag_above_cap_is_usage_error(tmp_path, small_corpus, flag, value, m
     assert proc.returncode == 1
     assert proc.stderr == f"droidtriage: error: {message}\n"
     assert proc.stdout == "" and not model.exists()
+
+
+def test_crossval_is_compare(tmp_path, small_corpus):
+    """crossval is a second name of compare: it takes the same comma lists
+    and writes the same report."""
+    reports = []
+    for command in ("crossval", "compare"):
+        out = tmp_path / f"{command}.csv"
+        argv = [command, "--algo", "nb,dt", "--feature-set", "pf,capf", "--folds", "3", "--data", str(small_corpus)]
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and reports[0].count(b"\n") == 5
+
+
+@pytest.fixture(scope="module")
+def nb_model(small_corpus, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "nb.model"
+    assert main(["train", "--algo", "nb", "--data", str(small_corpus), "--model", str(path)]) == 0
+    return path
+
+
+# Each command's argv and the outputs whose paths it prints, with {D} the
+# small corpus, {M} an nb model of it, {S} a small spec, {A} an app tree and
+# {O} an empty directory. The last argument is a path: under a missing
+# directory the command fails.
+STDOUT_CASES = {
+    "synth": (["synth", "--spec", "{S}", "--seed", "2", "--out", "{O}/s.csv"], ["{O}/s.csv"]),
+    "extract": (["extract", "{A}", "--out", "{O}/v.csv"], ["{O}/v.csv"]),
+    "rank": (["rank", "--top", "3", "--data", "{D}"], []),
+    "rank --out": (["rank", "--data", "{D}", "--out", "{O}/r.csv"], ["{O}/r.csv"]),
+    "train": (["train", "--algo", "nb", "--data", "{D}", "--model", "{O}/m.model"], ["{O}/m.model"]),
+    "predict": (["predict", "--model", "{M}", "--data", "{D}", "--out", "{O}/p.csv"], ["{O}/p.csv"]),
+    "crossval": (["crossval", "--algo", "nb", "--folds", "3", "--data", "{D}", "--out", "{O}/cv.csv"], ["{O}/cv.csv"]),
+    "compare": (["compare", "--algo", "nb,dt", "--folds", "3", "--data", "{D}", "--out", "{O}/c.csv"], ["{O}/c.csv"]),
+    "roc": (["roc", "--model", "{M}", "--data", "{D}", "--out", "{O}/roc.csv"], ["{O}/roc.csv"]),
+    "roc --svg": (["roc", "--model", "{M}", "--data", "{D}", "--out", "{O}/roc.csv", "--svg", "{O}/roc.svg"],
+                  ["{O}/roc.csv", "{O}/roc.svg"]),
+}
+
+
+@pytest.mark.parametrize("case", STDOUT_CASES)
+@pytest.mark.parametrize("outcome", ["success", "failure"])
+def test_stdout_is_written_only_on_success(tmp_path, small_corpus, nb_model, capsys, case, outcome):
+    """A command that succeeds prints exactly its output paths, or the
+    ranking; one that fails prints nothing to stdout and one line to stderr,
+    also when it fails after writing an output (roc --svg)."""
+    places = {"D": small_corpus, "M": nb_model, "S": tmp_path / "spec", "A": tmp_path / "app", "O": tmp_path / "out"}
+    places["S"].write_text("#n_benign=6\n#n_malware=4\nname,p_benign,p_malware\nSEND_SMS,0.1,0.8\n")
+    places["A"].mkdir()
+    (places["A"] / "AndroidManifest.xml").write_text('<uses-permission android:name="android.permission.SEND_SMS"/>')
+    places["O"].mkdir()
+    argv, outputs = ([a.format(**places) for a in args] for args in STDOUT_CASES[case])
+    if outcome == "failure":
+        argv[-1] = str(places["O"] / "missing" / Path(argv[-1]).name)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    if outcome == "failure":
+        assert rc == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("droidtriage: error:")
+    elif outputs:
+        assert rc == 0 and captured.out == "".join(f"{o}\n" for o in outputs)
+    else:
+        ranking = places["O"] / "ranking.csv"
+        assert main(["rank", "--top", "3", "--data", str(small_corpus), "--out", str(ranking)]) == 0
+        assert rc == 0 and captured.out == ranking.read_text() and captured.out.count("\n") == 4
+
+
+@pytest.mark.parametrize("command", [
+    ["rank", "--out", "x.csv"],
+    ["predict", "--model", "m.model", "--out", "p.csv"],
+    ["roc", "--model", "m.model", "--out", "roc.csv"],
+])
+@pytest.mark.parametrize("seed", ["0", "-1"])
+def test_seed_is_no_flag_where_it_seeds_nothing(tmp_path, small_corpus, capsys, command, seed):
+    """rank, predict and roc draw no random numbers, so they have no --seed:
+    given one, even the default, they exit 1 with argparse's single line."""
+    argv = command[:1] + [a if a.startswith("--") else str(tmp_path / a) for a in command[1:]]
+    rc = main([*argv, "--data", str(small_corpus), "--seed", seed])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"droidtriage: error: unrecognized arguments: --seed {seed}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repeated_usage_error_reads_the_same(capsys):

@@ -14,7 +14,7 @@ import io
 
 import pytest
 
-from droidtriage import bayes, cli, dataset, ensemble, evaluation
+from droidtriage import bayes, cli, dataset, ensemble, evaluation, trees
 from droidtriage.cli import main
 
 CATALOG = """name,category,pattern
@@ -76,8 +76,15 @@ CALIBRATED_PINS = {
 # sha256 of a synth, seed 5, of SPEC with an XOR of SEND_SMS and chmod at q = 0.8.
 XOR_PIN = "cf5a9110bd96f7a701d8f8c3e696427e55ed907d3c7ae3f28458c6e222ee685d"
 
-# The trained models whose predictions PINS holds.
-MODELS = ("nb", "dt", "gini", "rt", "rf", "sl")
+# The flags of each trained model whose file and predictions PINS holds.
+TRAIN_FLAGS = {
+    "nb": ["--algo", "nb", "--alpha", "0.5"],
+    "dt": ["--algo", "dt", "--prune"],
+    "gini": ["--algo", "dt", "--criterion", "gini"],
+    "rt": ["--algo", "rt", "--k", "3"],
+    "rf": ["--algo", "rf", "--trees", "4"],
+    "sl": ["--algo", "sl", "--max-iter", "8", "--cv-folds", "3"],
+}
 
 # The commands that fit folds, by the report each writes.
 FOLD_COMMANDS = {
@@ -111,14 +118,7 @@ def outputs(root):
     corpus = str(root / "corpus.csv")
     run("rank", "--data", corpus, "--out", str(root / "rank.csv"))
     (root / "rank.stdout").write_bytes(run("rank", "--data", corpus))
-    for name, flags in [
-        ("nb", ["--algo", "nb", "--alpha", "0.5"]),
-        ("dt", ["--algo", "dt", "--prune"]),
-        ("gini", ["--algo", "dt", "--criterion", "gini"]),
-        ("rt", ["--algo", "rt", "--k", "3"]),
-        ("rf", ["--algo", "rf", "--trees", "4"]),
-        ("sl", ["--algo", "sl", "--max-iter", "8", "--cv-folds", "3"]),
-    ]:
+    for name, flags in TRAIN_FLAGS.items():
         model = str(root / f"{name}.model")
         run("train", *flags, "--data", corpus, "--seed", "9", "--model", model)
         run("predict", "--data", corpus, "--model", model, "--out", str(root / f"{name}.pred.csv"))
@@ -156,14 +156,24 @@ def test_calibrated_corpus_and_ranking_pinned(tmp_path):
 def tiny_blocks(monkeypatch):
     """Blocks of a few rows in every module that reads, packs, scores or
     writes rows a block at a time: 64 bytes of CSV (two or three rows),
-    64 rows per pack, nb's minimum of 64 rows, 8 rows for sl and one row
-    per block of predictions."""
-    for module in (dataset, bayes, ensemble, cli):
+    64 rows per pack, nb's minimum of 64 rows, 8 rows for sl, one row per
+    block of predictions and one or two nodes per block of random split
+    candidates."""
+    for module in (dataset, bayes, ensemble, cli, trees):
         monkeypatch.setattr(module, "_CHUNK_BYTES", 64)
     monkeypatch.setattr(dataset, "_PACK_ROWS", 64)
 
 
-@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("name", ["rt", "rf"])
+def test_random_trees_pinned_across_blocks(root, tiny_blocks, name):
+    """A tree grown with one or two nodes per block of random split
+    candidates is the one grown with them all in one block."""
+    model = root / f"tiny-{name}.model"
+    _run(root, "train", *TRAIN_FLAGS[name], "--data", str(root / "corpus.csv"), "--seed", "9", "--model", str(model))
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == PINS[f"{name}.model"]
+
+
+@pytest.mark.parametrize("name", TRAIN_FLAGS)
 def test_predictions_pinned_across_blocks(root, outputs, tiny_blocks, name):
     out = root / f"tiny-{name}.pred.csv"
     _run(root, "predict", "--data", str(root / "corpus.csv"), "--model", str(root / f"{name}.model"), "--out", str(out))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -9,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidtriage import extract
 from droidtriage.catalog import PERMISSION, FeatureCatalog, FeatureDef, FeatureSet, default_catalog, select_feature_set
 from droidtriage.dataset import read_vectors
 from droidtriage.extract import _CHUNK, MANIFEST_NAME, scan_app
+
+from conftest import traced_peak
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 AF = select_feature_set(default_catalog(), FeatureSet.AF)
@@ -304,3 +308,91 @@ def test_symlink_leaving_root_is_skipped(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("\n") == 1 and "not a regular file inside the app tree" in proc.stderr
     assert np.array_equal(_bits_of(tmp_path / "vec.csv"), _expected("busybox", "chmod"))
+
+
+def _manifest_reference(data, catalog):
+    """Permission bits of a manifest read whole: each pattern standing alone
+    between non-identifier bytes."""
+    return np.array([
+        f.category == PERMISSION
+        and re.search(rb"(?<![A-Za-z0-9_])" + re.escape(f.pattern.encode()) + rb"(?![A-Za-z0-9_])", data) is not None
+        for f in catalog
+    ], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("chunk", [16, 64])  # shorter and longer than the token
+@pytest.mark.parametrize("before, after", [
+    (b" ", b" "),  # split across an edge
+    (b" ", b"_EXTRA"),  # the identifier tail in the next chunk
+    (b"x", b" "),  # an identifier byte in the previous chunk
+    (b" ", b""),  # ending the file
+], ids=["split", "extra-after", "ident-before", "at-end"])
+def test_manifest_token_at_chunk_edge_matches_whole_file(tmp_path, monkeypatch, chunk, before, after):
+    """With the token the one permission, a buffer carries just the token's
+    length from the chunk before: a token starting anywhere up to past the
+    second edge is found as in the file read whole. The file goes on for
+    two chunks after the token unless the token ends it."""
+    monkeypatch.setattr(extract, "_CHUNK", chunk)
+    cat = FeatureCatalog([FeatureDef("SEND_SMS", PERMISSION, "android.permission.SEND_SMS")])
+    token = cat[0].pattern.encode()
+    for at in range(2 * chunk + 3):
+        root = tmp_path / str(at)
+        data = (b" " * at + before)[len(before):] + token + after  # `before` ends the first `at` bytes
+        data += b" " * (2 * chunk if after else 0)
+        _write_tree(root)
+        (root / MANIFEST_NAME).write_bytes(data)
+        bits = scan_app(root, cat)
+        assert np.array_equal(bits, _manifest_reference(data, cat)), at
+        assert bits[0] == ((at == 0 or before == b" ") and after != b"_EXTRA"), at
+
+
+def _sparse_manifest(root, head=b""):
+    _write_tree(root)
+    with open(root / MANIFEST_NAME, "wb") as f:
+        f.write(head)
+        f.truncate(8 << 20)
+
+
+def test_sparse_manifest_scanned_in_bounded_memory(tmp_path):
+    """An 8 MiB manifest is read a chunk at a time, not whole: a chunk, the
+    next one and the buffer searched are held at once."""
+    root = tmp_path / "app"
+    _sparse_manifest(root, b'"android.permission.SEND_SMS"')
+    cat = default_catalog()
+    bits, peak = traced_peak(lambda: scan_app(root, cat))
+    assert np.array_equal(bits, _expected("SEND_SMS"))
+    assert peak < 6 * _CHUNK, peak
+
+
+def test_manifest_read_stops_once_every_permission_is_found(tmp_path, monkeypatch):
+    cat = select_feature_set(default_catalog(), FeatureSet.PF)
+    root = tmp_path / "app"
+    _sparse_manifest(root, " ".join(f'"{f.pattern}"' for f in cat).encode())
+    read = []
+
+    def counting(path, inside):
+        f = open_regular(path, inside)
+        return None if f is None else _Counting(f, read)
+
+    open_regular = extract._open_regular
+    monkeypatch.setattr(extract, "_open_regular", counting)
+    assert scan_app(root, cat).all()
+    assert sum(read) <= 2 * _CHUNK
+
+
+class _Counting:
+    """A file that records the size of every read."""
+
+    def __init__(self, f, sizes):
+        self.f, self.sizes = f, sizes
+
+    def read(self, n):
+        data = self.f.read(n)
+        self.sizes.append(len(data))
+        return data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droidtriage import evaluation
-from droidtriage.algo import KINDS, MAX_ITER
+from droidtriage.algo import KINDS, MAX_ITER, MAX_TREES
 from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.cli import main
 from droidtriage.dataset import Dataset, write_csv
@@ -44,13 +44,14 @@ def corpora(tmp_path_factory):
 
 
 # Each flag draws valid values often enough that whole commands succeed too.
-# --trees stays small: a forest draws a seed and a row-weight vector for every
-# tree before it grows any, so a huge value is a memory hazard, not a flag test.
+# --trees stays small, or past its cap: a forest draws a seed and a row-weight
+# vector for every tree before it grows any, so a huge value under the cap
+# costs memory and time, not coverage; one past it is rejected before training.
 VALUED_FLAGS = {
     "--alpha": st.one_of(st.floats(0.01, 4.0), st.floats()).map(repr),
     "--criterion": st.sampled_from(["entropy", "gini", "bogus"]),
     "--k": st.integers(-2, 8).map(str),
-    "--trees": st.integers(-2, 16).map(str),
+    "--trees": (st.integers(-2, 16) | st.just(MAX_TREES + 1)).map(str),
     "--bootstrap": st.one_of(st.floats(0.05, 1.0), st.floats()).map(repr),
     "--max-iter": st.sampled_from([-1, 0, 1, 2, 5, 30, MAX_ITER + 1]).map(str),
     "--cv-folds": st.integers(-1, 10).map(str),

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from droidtriage.algo import MAX_CV_FOLDS, AlgoDescriptor, model_scores, train_model
+from droidtriage.algo import MAX_CV_FOLDS, MAX_TREES, AlgoDescriptor, model_scores, train_model
 from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.cli import main
 from droidtriage.dataset import write_csv
@@ -173,6 +173,7 @@ CRAFTED = {
     "sl-regressor-inf": ("sl", _SL_HEAD + ["n_features 4", "R 0 -1.0 inf"], "non-finite"),
     "sl-regressor-nan": ("sl", _SL_HEAD + ["n_features 4", "R 0 NaN 1.0"], "non-finite"),
     "rf-trees-0": ("rf", _rf_body(trees="0"), "forest needs at least one tree"),
+    "rf-trees-above-cap": ("rf", _rf_body(trees=str(MAX_TREES + 1)), f"trees must be at most {MAX_TREES}"),
     "rf-k-0": ("rf", _rf_body(k="0"), "k must be at least 1"),
     "rf-fraction-0": ("rf", _rf_body(fraction="0.0"), r"bootstrap fraction must lie in \(0, 1\]"),
     "rf-fraction-1.5": ("rf", _rf_body(fraction="1.5"), r"bootstrap fraction must lie in \(0, 1\]"),
