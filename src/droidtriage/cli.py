@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import warnings
 from concurrent.futures import BrokenExecutor
@@ -280,9 +281,16 @@ def _cmd_roc(args) -> str:
         curve = roc_auc(scores, dataset.y)
     except ValueError as exc:
         raise DatasetError(f"{args.data}: {exc}") from None
+    svg = roc_svg(curve) if args.svg else None
+    created = not os.path.lexists(args.out)
     write_roc(curve, args.out)
-    if args.svg:
-        Path(args.svg).write_text(roc_svg(curve), encoding="utf-8", newline="\n")
+    if svg is not None:
+        try:
+            Path(args.svg).write_text(svg, encoding="utf-8", newline="\n")
+        except OSError:
+            if created:  # a failed command leaves behind no file it made
+                os.unlink(args.out)
+            raise
     return "".join(f"{path}\n" for path in (args.out, args.svg) if path)
 
 

@@ -1,8 +1,9 @@
 """Ensemble learners: bagged random forests and boosted simple logistic.
 
 The forest trains T random trees, each on its own bootstrap resample, and
-aggregates hard majority votes. A resample is kept as a count per row, not a
-copy of the data, and the trees grow together, one depth level at a time.
+aggregates hard majority votes. A resample is kept as a count per row, in
+the smallest unsigned dtype that holds it, not a copy of the data, and the
+trees grow together, one depth level at a time.
 Every tree derives its own seed from the master seed with a fixed 64-bit
 mixing function, so the model is a pure function of (dataset, descriptor) no
 matter how many workers train in parallel.
@@ -36,7 +37,7 @@ from .dataset import (
     bootstrap_sample_size,
     stratified_fold_indices,
 )
-from .trees import ENTROPY, TreeModel, _descend, _grow, _row_weights, derive_seed
+from .trees import ENTROPY, TreeModel, _descend, _grow, _narrow, _row_weights, derive_seed
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -117,7 +118,7 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int
         selected = np.flatnonzero(weights)
         size = bootstrap_sample_size(selected.size, params.bootstrap_fraction)
         draws = (np.random.default_rng(derive_seed(s, 1)).integers(0, selected.size, size) for s in seeds)
-        weights = [np.bincount(selected[draw], minlength=len(dataset)) for draw in draws]
+        weights = [_narrow(np.bincount(selected[draw], minlength=len(dataset))) for draw in draws]
     else:
         weights = [weights] * params.trees
 

@@ -123,12 +123,24 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    """Threshold-sweep staircase from (0,0) to (1,1) plus its area."""
+    """Threshold-sweep staircase from (0,0) to (1,1) plus its area. The
+    staircase is one (m, 3) float64 array of (fpr, tpr, threshold) rows;
+    two curves are equal when their arrays and areas are."""
 
-    points: tuple[tuple[float, float, float], ...]  # (fpr, tpr, threshold)
+    staircase: np.ndarray
     auc: float
+
+    @property
+    def points(self) -> tuple[tuple[float, float, float], ...]:
+        """The staircase's rows as tuples of floats."""
+        return tuple(map(tuple, self.staircase.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, RocCurve):
+            return NotImplemented
+        return self.auc == other.auc and np.array_equal(self.staircase, other.staircase)
 
 
 def roc_auc(scores: Sequence[float], truth: Sequence[int]) -> RocCurve:
@@ -156,8 +168,7 @@ def roc_auc(scores: Sequence[float], truth: Sequence[int]) -> RocCurve:
     tpr = np.append(0.0, tp / n_pos)
     # Trapezoids summed left to right, as a running total would add them.
     auc = np.add.accumulate((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
-    points = zip(fpr.tolist(), tpr.tolist(), [math.inf, *s_sorted[group_ends].tolist()])
-    return RocCurve(tuple(points), float(auc))
+    return RocCurve(np.column_stack((fpr, tpr, np.append(math.inf, s_sorted[group_ends]))), float(auc))
 
 
 def write_roc(curve: RocCurve, path) -> None:

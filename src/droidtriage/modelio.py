@@ -6,7 +6,9 @@ against the caller's catalog so vectors can never be silently misaligned.
 Floats are written with ``repr``, which round-trips exactly, and tree leaves
 store integer counts, so a reloaded model predicts bit-identically. The body
 after those two lines depends on the kind; `_BODIES` maps each kind to the
-functions that write and parse it.
+functions that write and parse it. The writer yields the body a part at a
+time, and a forest's part is one tree, so saving holds one tree's text,
+not the whole file's.
 
 A tree's nodes are written in preorder from node 0, ``S feature`` for a
 split (then its low and its high subtree) and ``L n_benign n_malware`` for a
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from pathlib import Path
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -106,8 +108,8 @@ class _Lines:
         return self._pos >= len(self._lines)
 
 
-def _nb_body(model: NbModel) -> list[str]:
-    return [
+def _nb_body(model: NbModel) -> Iterator[list[str]]:
+    yield [
         f"alpha {float(model.alpha)!r}",
         f"prior {float(model.prior_malware)!r}",
         "theta_benign " + " ".join(repr(float(v)) for v in model.theta_benign),
@@ -133,7 +135,7 @@ def _tree_head(model: TreeModel) -> list[str]:
     ]
 
 
-def _tree_body(model: TreeModel) -> list[str]:
+def _tree_body(model: TreeModel) -> Iterator[list[str]]:
     out = _tree_head(model)
     feature, low, high, n_benign, n_malware = (
         a.tolist() for a in (model.feature, model.low, model.high, model.n_benign, model.n_malware)
@@ -146,7 +148,7 @@ def _tree_body(model: TreeModel) -> list[str]:
         else:
             out.append(f"S {feature[i]}")
             stack += (high[i], low[i])
-    return out
+    yield out
 
 
 def _parse_nodes(lines: _Lines, n_features: int) -> tuple[np.ndarray, ...]:
@@ -212,9 +214,9 @@ def _parse_tree_body(lines: _Lines, n_features: int, kind: str) -> TreeModel:
     return TreeModel(*arrays, algo.criterion, algo.prune, k, algo.seed, n_features)
 
 
-def _forest_body(model: ForestModel) -> list[str]:
+def _forest_body(model: ForestModel) -> Iterator[list[str]]:
     p = model.params
-    out = [
+    yield [
         f"trees {p.trees}",
         f"k {p.k}",
         f"bootstrap_fraction {p.bootstrap_fraction!r}",
@@ -222,9 +224,8 @@ def _forest_body(model: ForestModel) -> list[str]:
         f"seed {p.seed}",
     ]
     for tree in model.trees:
-        out.append("tree")
-        out.extend(_tree_body(tree))
-    return out
+        yield ["tree"]
+        yield from _tree_body(tree)
 
 
 def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
@@ -248,7 +249,7 @@ def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
     return _stack(members, params, n_features)
 
 
-def _logit_body(model: LogitModel) -> list[str]:
+def _logit_body(model: LogitModel) -> Iterator[list[str]]:
     out = [
         f"intercept {model.intercept!r}",
         f"iterations_used {model.iterations_used}",
@@ -257,7 +258,7 @@ def _logit_body(model: LogitModel) -> list[str]:
         f"n_features {model.n_features}",
     ]
     out.extend(f"R {r.feature} {r.value_if_0!r} {r.value_if_1!r}" for r in model.regressors)
-    return out
+    yield out
 
 
 def _parse_logit_body(lines: _Lines, n_features: int) -> LogitModel:
@@ -279,7 +280,7 @@ def _parse_logit_body(lines: _Lines, n_features: int) -> LogitModel:
     return LogitModel(lines.number(intercept), tuple(regs), iterations, algo.max_iter, algo.cv_folds, n_features)
 
 
-# kind -> (body writer, body parser)
+# kind -> (body writer, yielding the body's lines a part at a time, and body parser)
 _BODIES = {
     "nb": (_nb_body, _parse_nb_body),
     "dt": (_tree_body, functools.partial(_parse_tree_body, kind="dt")),
@@ -290,11 +291,14 @@ _BODIES = {
 
 
 def save_model(model: Model, path, catalog: FeatureCatalog) -> None:
-    """Write `model` to `path`, stamped with `catalog`'s fingerprint."""
+    """Write `model` to `path`, stamped with `catalog`'s fingerprint, a
+    part of its body (a forest's tree) at a time."""
     write_body, _ = _BODIES[model.kind]
-    out = [f"{_MAGIC} {_VERSION} {model.kind}", f"catalog {catalog.fingerprint()}"]
-    out.extend(write_body(model))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
+    head = f"{_MAGIC} {_VERSION} {model.kind}\ncatalog {catalog.fingerprint()}\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(head)
+        for part in write_body(model):
+            f.write("\n".join(part) + "\n")
 
 
 def load_model(path, catalog: FeatureCatalog) -> Model:

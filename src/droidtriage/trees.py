@@ -18,22 +18,31 @@ its subtrees.
 
 Trees grow level by level rather than one node per recursive call. At each
 depth the rows of every open node, of every tree being grown, are kept
-sorted by node and class; each node's candidate columns are gathered as
-bytes and its per-feature class counts come from one segmented sum
-(``np.add.reduceat``), the histogram method of gradient-boosting
-libraries. A row carries an integer weight, so a training fold is a 0/1
-mask and a bootstrap resample a count per row, never a copy of the data.
-Every node at depth d has exactly F - d unused features, so the candidates
-form one rectangular matrix per level. Random candidates come from a
-per-node key rather than one depth-first stream: the root's key is the
-tree seed, a child's key is ``derive_seed(parent_key, side)`` (side 0 low,
-1 high), and a node examines the ``k`` unused features with the smallest
+sorted by node and class, as int32 rows and nodes; each node's candidate
+columns are gathered as bytes and its per-feature class counts are
+segmented sums (``np.add.reduceat``) over its two runs of entries, the
+histogram method of gradient-boosting libraries. The gather is summed a
+bounded block at a time and never held whole: the plain tree gathers
+whole rows, ``_CHUNK_BYTES // F`` of them at a time, and a run that crosses
+a block edge adds each block's part into its sums; the random trees gather
+``_CHUNK_BYTES // (8 * entries)`` candidate columns at a time (at least
+one). The sums are integers, so the blocks never change a tree. A row
+carries an integer weight, in the smallest unsigned dtype that holds it, so
+a training fold is a 0/1 mask and a bootstrap resample a count per row,
+never a copy of the data. Every node at depth d has exactly F - d unused
+features, so the candidates form one rectangular matrix per level, and the
+parent's and both children's impurities are evaluated side by side in one
+call per level. Random candidates come from a per-node key rather than one
+depth-first stream: the root's key is the tree seed, a child's key is
+``derive_seed(parent_key, side)`` (side 0 low, 1 high), and a node
+examines the ``k`` unused features with the smallest
 ``derive_seed(node_key, f)``. A node's candidates therefore depend only on
 its path, not on the order in which nodes or trees are grown. Each level
 is grown by one call that returns the next level, so a level's temporaries
 are freed before the next level allocates; unused features are held in
 the smallest signed integer dtype that fits them, and candidate keys are
-hashed a block of `_CHUNK_BYTES` at a time.
+hashed a block of `_CHUNK_BYTES` at a time, from a table of each
+feature's term of the hash made once per call.
 
 Scoring descends sets of rows, 64 to a word (bitvector traversal, as in
 QuickScorer): a split's high child gets ``rows & column``, its low child
@@ -81,9 +90,16 @@ def derive_seed(master: int, index: int) -> int:
 def _derive_seeds(master, index) -> np.ndarray:
     """SplitMix64's finalizer of ``master + (index + 1) * golden`` over broadcast uint64
     arrays, at least 1-d: numpy wraps array products silently but warns on 0-d ones."""
-    z = np.asarray(master, dtype=np.uint64) + (
-        np.asarray(index, dtype=np.uint64) + np.uint64(1)
-    ) * np.uint64(_GOLDEN)
+    return _mix(np.asarray(master, dtype=np.uint64) + _salt(np.asarray(index, dtype=np.uint64)))
+
+
+def _salt(index) -> np.ndarray:
+    """``(index + 1) * golden`` of the uint64 array `index`, modulo 2**64."""
+    return (index + np.uint64(1)) * np.uint64(_GOLDEN)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of the uint64 array `z`, which it overwrites."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
@@ -149,10 +165,11 @@ class _Level(NamedTuple):
     """The nodes of one depth level, of every tree being grown, and their entries.
 
     Entries are (row, class, weight, node) for every weighted row of every
-    node, sorted by node and within a node by class; ``w`` is None when
-    every weight is 1. Per node: its tree, its key (None when k is 0) and
-    its ascending unused features, in the smallest signed integer dtype
-    that holds every feature index.
+    node, sorted by node and within a node by class. Rows and nodes are
+    int32, and ``w`` is in the smallest unsigned dtype that holds every
+    weight, or None when every weight is 1. Per node: its tree, its key
+    (None when k is 0) and its ascending unused features, in the smallest
+    signed integer dtype that holds every feature index.
     """
 
     row: np.ndarray
@@ -182,23 +199,24 @@ def _grow(X, y, weights, k, keys, criterion) -> tuple[np.ndarray, ...]:
     n_trees = len(weights)
     rows = [np.flatnonzero(w) for w in weights]
     rows = [r[np.argsort(y[r], kind="stable")] for r in rows]
-    ent_row = np.concatenate(rows)
+    ent_row = np.concatenate(rows, dtype=np.int32)
     ent_w = np.concatenate([w[r] for w, r in zip(weights, rows)])
     level = _Level(
         ent_row,
         y[ent_row],
-        None if np.all(ent_w == 1) else ent_w,
-        np.repeat(np.arange(n_trees), [r.size for r in rows]),
+        None if np.all(ent_w == 1) else _narrow(ent_w),
+        np.repeat(np.arange(n_trees, dtype=np.int32), [r.size for r in rows]),
         np.arange(n_trees),
         None if not k else np.array([int(s) & _MASK64 for s in keys], np.uint64),
         np.broadcast_to(np.arange(n_features, dtype=np.min_scalar_type(-n_features)), (n_trees, n_features)),
     )
     del rows, ent_row, ent_w  # only `level` holds the entries, so the next level frees them
+    salt = _salt(np.arange(n_features, dtype=np.uint64))  # a node key plus salt[f] hashes to f's key
 
     levels = []  # per level: (tree, feature, low, high, n_benign, n_malware)
     first_id = 0
     while level is not None:
-        nodes, level = _grow_level(X, k, _IMPURITY[criterion], level, first_id)
+        nodes, level = _grow_level(X, k, _IMPURITY[criterion], level, first_id, salt)
         levels.append(nodes)
         first_id += nodes[0].size
 
@@ -210,12 +228,11 @@ def _grow(X, y, weights, k, keys, criterion) -> tuple[np.ndarray, ...]:
     return feature, local[low], local[high], n_ben, n_mal, offsets
 
 
-def _grow_level(X, k, impurity, level: _Level, first_id: int):
+def _grow_level(X, k, impurity, level: _Level, first_id: int, salt):
     """The nodes of `level`, numbered from `first_id`, as (tree, feature,
     low, high, n_benign, n_malware) with every split's children set, and
     the next level, or None when no node splits. The level's temporaries
     are freed on return, before the next level allocates its own."""
-    n_features = X.shape[1]
     m, u = level.tree.size, level.unused.shape[1]
     ids = first_id + np.arange(m)
     cell = 2 * level.node + level.y
@@ -233,12 +250,12 @@ def _grow_level(X, k, impurity, level: _Level, first_id: int):
     if u == 0 or not open_.any():
         return nodes, None
     sel = np.flatnonzero(open_)
-    cand = _random_candidates(level, sel, k) if 0 < k < u else level.unused[sel]
+    cand = _random_candidates(level, sel, k, salt) if 0 < k < u else level.unused[sel]
 
     # Entries of open nodes only, renumbered 0..len(sel)-1.
     keep = open_[level.node]
     e_row, e_y = level.row[keep], level.y[keep]
-    e_node = (np.cumsum(open_) - 1)[level.node[keep]]
+    e_node = (np.cumsum(open_, dtype=np.int32) - 1)[level.node[keep]]
     e_w = None if level.w is None else level.w[keep]
     best = _best_candidates(X, e_row, e_w, entries[sel], cand, u, impurity, n[sel], n_mal[sel])
     splits = best >= 0
@@ -253,14 +270,17 @@ def _grow_level(X, k, impurity, level: _Level, first_id: int):
     high[parents] = children + 1
 
     # Next level: each split's low child, then its high child.
-    child_of = np.full(len(sel), -1, dtype=np.intp)
+    child_of = np.full(len(sel), -1, dtype=np.int32)
     child_of[splits] = 2 * np.arange(parents.size)
     e_child = child_of[e_node]
     move = e_child >= 0
     e_row, e_y, e_child = e_row[move], e_y[move], e_child[move]
     split_feature = np.zeros(len(sel), dtype=np.intp)
     split_feature[splits] = chosen
-    e_child += np.take(X, e_row * n_features + split_feature[e_node[move]])
+    flat = split_feature[e_node[move]]
+    flat += np.multiply(e_row, X.shape[1], dtype=np.intp)
+    e_child += np.take(X, flat)
+    del flat
     order = np.argsort(e_child, kind="stable")
     remaining = level.unused[parents]
     remaining = remaining[remaining != chosen[:, None]].reshape(parents.size, u - 1)
@@ -275,16 +295,17 @@ def _grow_level(X, k, impurity, level: _Level, first_id: int):
     )
 
 
-def _random_candidates(level: _Level, sel, k: int) -> np.ndarray:
+def _random_candidates(level: _Level, sel, k: int, salt) -> np.ndarray:
     """Per node of `sel`, its `k` unused features with the smallest
-    ``derive_seed(node_key, f)``, ascending. Keys are hashed a block of
-    ``_CHUNK_BYTES // 8`` cells at a time."""
+    ``derive_seed(node_key, f)``, which is ``_mix(node_key + salt[f])``,
+    ascending. Keys are hashed a block of ``_CHUNK_BYTES // 8`` cells at a
+    time."""
     step = max(1, _CHUNK_BYTES // 8 // level.unused.shape[1])
     cand = np.empty((sel.size, k), dtype=level.unused.dtype)
     for lo in range(0, sel.size, step):
         block = sel[lo : lo + step]
         free = level.unused[block]
-        node_keys = _derive_seeds(level.key[block, None], free)
+        node_keys = _mix(level.key[block, None] + salt[free])
         kth = np.partition(node_keys, k - 1, axis=1)[:, k - 1 : k]
         cand[lo : lo + step] = free[node_keys <= kth].reshape(block.size, k)
     return cand
@@ -297,36 +318,69 @@ def _best_candidates(X, e_row, e_w, entries, cand, u, impurity, n, n_mal) -> np.
     The node's entries are the contiguous runs given by `entries`, its
     benign and malware entry counts; an open node has both classes, so
     both runs are nonempty. `n` and `n_mal` are its weighted row counts.
+    The parent's, the high children's and the low children's impurities
+    are evaluated in one call, side by side.
     """
-    n_features = X.shape[1]
+    starts = np.concatenate(([0], np.cumsum(entries.ravel())[:-1]))  # each (node, class) run's first entry
     if cand.shape[1] < u:
-        flat_idx = np.repeat(cand.astype(np.intp), entries.sum(axis=1), axis=0)
-        flat_idx += (e_row * n_features)[:, None]
-        gathered = np.take(X, flat_idx)
+        hist = _candidate_sums(X, e_row, e_w, starts, entries.sum(axis=1), cand).T.reshape(len(cand), 2, -1)
     else:
-        gathered = X[e_row]
-    if e_w is not None:
-        gathered = gathered * e_w[:, None].astype(np.min_scalar_type(int(e_w.max())))
-    starts = np.concatenate(([0], np.cumsum(entries.ravel())[:-1]))
-    hist = np.add.reduceat(gathered, starts, axis=0, dtype=np.int32)
-    hist = hist.reshape(len(cand), 2, -1)
-    if cand.shape[1] == u and u < n_features:
-        hist = np.take_along_axis(hist, cand[:, None, :], axis=2)
+        hist = _row_sums(X, e_row, e_w, starts).reshape(len(cand), 2, -1)
+        if u < X.shape[1]:
+            hist = np.take_along_axis(hist, cand[:, None, :], axis=2)
 
-    pos_mal = hist[:, 1].astype(np.float64)
-    pos = hist[:, 0] + pos_mal
-    n_s = n[:, None].astype(np.float64)
-    n_mal_s = n_mal[:, None].astype(np.float64)
-    parent = impurity(n_mal_s, n_s)
-    child_high = impurity(pos_mal, pos)
-    child_low = impurity(n_mal_s - pos_mal, n_s - pos)
-    weighted = (pos * child_high + (n_s - pos) * child_low) / n_s
+    c = hist.shape[2]
+    pos_mal, pos = hist[:, 1], hist[:, 0] + hist[:, 1]
+    n_mal, n = n_mal[:, None], n[:, None]
+    mal = np.concatenate((n_mal, pos_mal, n_mal - pos_mal), axis=1, dtype=np.float64)
+    tot = np.concatenate((n, pos, n - pos), axis=1, dtype=np.float64)
+    h = impurity(mal, tot)
+    n_s, pos, neg = tot[:, :1], tot[:, 1 : c + 1], tot[:, c + 1 :]
+    weighted = (pos * h[:, 1 : c + 1] + neg * h[:, c + 1 :]) / n_s
     # A feature constant within the node has zero decrease by definition;
     # mask it out so float jitter cannot promote it into an empty-child split.
-    separates = (pos > 0.0) & (pos < n_s)
-    gains = np.where(separates, parent - weighted, -np.inf)
+    separates = (pos > 0.0) & (neg > 0.0)
+    gains = np.where(separates, h[:, :1] - weighted, -np.inf)
     best = np.argmax(gains, axis=1)  # first maximum, i.e. lowest feature index
     return np.where(gains[np.arange(len(cand)), best] > 0.0, best, -1)
+
+
+def _row_sums(X, e_row, e_w, starts) -> np.ndarray:
+    """Per run of entries, each starting at `starts`, the weighted sum of
+    its entries' rows of `X`, from whole rows gathered ``_CHUNK_BYTES // F``
+    at a time. A run that crosses a block edge adds each block's part into
+    its sums."""
+    hist = np.zeros((starts.size, X.shape[1]), dtype=np.int32)
+    step = max(1, _CHUNK_BYTES // X.shape[1])
+    for lo in range(0, e_row.size, step):
+        hi = min(lo + step, e_row.size)
+        block = X[e_row[lo:hi]]
+        if e_w is not None:
+            block = block * e_w[lo:hi, None]
+        first, last = np.searchsorted(starts, lo, "right") - 1, np.searchsorted(starts, hi)
+        hist[first:last] += np.add.reduceat(block, np.maximum(starts[first:last] - lo, 0), axis=0, dtype=np.int32)
+    return hist
+
+
+def _candidate_sums(X, e_row, e_w, starts, sizes, cand) -> np.ndarray:
+    """Per candidate column of `cand` and run of entries, each starting at
+    `starts`, the weighted count of the run's rows with its node's candidate
+    set; node i has ``sizes[i]`` entries. Gathered ``_CHUNK_BYTES // (8 *
+    entries)`` columns at a time (at least one)."""
+    offset = np.multiply(e_row, X.shape[1], dtype=np.intp)
+    hist = np.empty((cand.shape[1], starts.size), dtype=np.int32)
+    step = max(1, _CHUNK_BYTES // (8 * e_row.size))
+    for lo in range(0, cand.shape[1], step):
+        gathered = np.take(X, np.repeat(cand.T[lo : lo + step], sizes, axis=1) + offset)
+        if e_w is not None:
+            gathered = gathered * e_w
+        hist[lo : lo + step] = np.add.reduceat(gathered, starts, axis=1, dtype=np.int32)
+    return hist
+
+
+def _narrow(counts: np.ndarray) -> np.ndarray:
+    """The non-negative integers `counts` in the smallest unsigned dtype that holds them."""
+    return counts.astype(np.min_scalar_type(int(counts.max())))
 
 
 def _row_weights(dataset: Dataset, rows) -> np.ndarray:

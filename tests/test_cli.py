@@ -537,7 +537,8 @@ STDOUT_CASES = {
 def test_stdout_is_written_only_on_success(tmp_path, small_corpus, nb_model, capsys, case, outcome):
     """A command that succeeds prints exactly its output paths, or the
     ranking; one that fails prints nothing to stdout and one line to stderr,
-    also when it fails after writing an output (roc --svg)."""
+    and leaves no output behind, also when it fails after writing an output
+    (roc --svg)."""
     places = {"D": small_corpus, "M": nb_model, "S": tmp_path / "spec", "A": tmp_path / "app", "O": tmp_path / "out"}
     places["S"].write_text("#n_benign=6\n#n_malware=4\nname,p_benign,p_malware\nSEND_SMS,0.1,0.8\n")
     places["A"].mkdir()
@@ -551,6 +552,7 @@ def test_stdout_is_written_only_on_success(tmp_path, small_corpus, nb_model, cap
     if outcome == "failure":
         assert rc == 2 and captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("droidtriage: error:")
+        assert not any(places["O"].iterdir()), "a failed command left an output behind"
     elif outputs:
         assert rc == 0 and captured.out == "".join(f"{o}\n" for o in outputs)
     else:

@@ -157,17 +157,21 @@ def tiny_blocks(monkeypatch):
     """Blocks of a few rows in every module that reads, packs, scores or
     writes rows a block at a time: 64 bytes of CSV (two or three rows),
     64 rows per pack, nb's minimum of 64 rows, 8 rows for sl, one row per
-    block of predictions and one or two nodes per block of random split
+    block of predictions, 8 rows or a few candidate columns per block of a
+    split histogram and one or two nodes per block of random split
     candidates."""
     for module in (dataset, bayes, ensemble, cli, trees):
         monkeypatch.setattr(module, "_CHUNK_BYTES", 64)
     monkeypatch.setattr(dataset, "_PACK_ROWS", 64)
 
 
-@pytest.mark.parametrize("name", ["rt", "rf"])
-def test_random_trees_pinned_across_blocks(root, tiny_blocks, name):
-    """A tree grown with one or two nodes per block of random split
-    candidates is the one grown with them all in one block."""
+@pytest.mark.parametrize("name", ["dt", "gini", "rt", "rf"])
+def test_trees_pinned_across_blocks(root, tiny_blocks, name):
+    """A tree grown with blocks of a few cells is the one grown with whole
+    levels in one block: dt's split histograms are summed 8 rows at a time,
+    so a node's runs of entries cross block edges, and rt's and rf's a
+    candidate column or a few at a time, their keys hashed one or two nodes
+    per block."""
     model = root / f"tiny-{name}.model"
     _run(root, "train", *TRAIN_FLAGS[name], "--data", str(root / "corpus.csv"), "--seed", "9", "--model", str(model))
     assert hashlib.sha256(model.read_bytes()).hexdigest() == PINS[f"{name}.model"]

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droidtriage import trees
 from droidtriage.algo import AlgoDescriptor, is_malware, model_scores
 from droidtriage.dataset import PackedRows, _packed
+from droidtriage.ensemble import train_forest
 from droidtriage.trees import (
     _IMPURITY,
     ENTROPY,
@@ -497,6 +499,43 @@ class TestLevelwiseGrowthOracle:
         key = 2**63 + 5
         model = train_random_tree(reference_corpus, AlgoDescriptor("rt", k=8, seed=key))
         assert _nested(model) == _reference_tree(reference_corpus, k=8, key=key)
+
+
+@pytest.mark.parametrize("chunk", [1, 18, 42, 1000])
+def test_blocked_sums_grow_the_same_trees(rng, monkeypatch, chunk):
+    """dt (pruned and gini), rt and a bootstrap-weighted rf grown with
+    `_CHUNK_BYTES` patched down to `chunk` equal the trees grown with whole
+    levels in one block. On 6 features dt sums rows 1, 3, 7 or 166 at a
+    time: with 3 and 7 a run of one node's entries crosses three or more
+    blocks, and a block holds several whole runs. rt and rf sum one or a few
+    candidate columns at a time."""
+    ds = random_dataset(rng, 90, 6)
+    fits = [
+        lambda: train_decision_tree(ds, AlgoDescriptor("dt", prune=True, seed=2)),
+        lambda: train_decision_tree(ds, AlgoDescriptor("dt", criterion="gini")),
+        lambda: train_random_tree(ds, AlgoDescriptor("rt", seed=5)),
+        lambda: train_forest(ds, AlgoDescriptor("rf", trees=5, seed=3)),
+    ]
+    columns = ("feature", "low", "high", "n_benign", "n_malware")
+    wanted = [[getattr(fit(), c) for c in columns] for fit in fits]
+
+    row_sums, step = trees._row_sums, max(1, chunk // 6)
+    spans = []  # per run of entries summed a row block at a time: its first and last block
+
+    def spy(X, e_row, e_w, starts):
+        spans.extend(zip(starts // step, (np.append(starts[1:], e_row.size) - 1) // step))
+        return row_sums(X, e_row, e_w, starts)
+
+    monkeypatch.setattr(trees, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(trees, "_row_sums", spy)
+    for fit, want in zip(fits, wanted):
+        model = fit()
+        for column, array in zip(columns, want):
+            assert getattr(model, column).tobytes() == array.tobytes(), column
+    if step in (3, 7):
+        first, last = np.array(spans).T
+        assert (last - first >= 2).any()
+        assert np.bincount(first[first == last]).max() >= 2
 
 
 def _packbits_reference(X) -> np.ndarray:
