@@ -3,7 +3,7 @@
 Each feature bit is modeled as class-conditionally independent Bernoulli.
 Smoothing keeps every conditional strictly inside (0, 1), and posteriors are
 evaluated in log space so 179-feature products cannot underflow. Scoring
-converts rows to float64 one block of about `_CHUNK_BYTES` at a time, so
+converts rows to float64 one block of cells at a time, so
 it never holds a float copy of the whole matrix. A block is a multiple of
 64 rows and a one-row tail joins the block before it; on OpenBLAS this
 keeps the bits of one whole-matrix product on one thread, for any number
@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import _CHUNK_BYTES, Dataset, DatasetError, _checked_matrix
+from .dataset import Dataset, DatasetError, _block_len, _checked_matrix
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -75,9 +75,9 @@ def train_nb(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> NbModel:
 
 
 def _block_rows(n_features: int) -> int:
-    """Rows per scoring block: `_CHUNK_BYTES` of float64 cells, rounded down
-    to a multiple of 64 rows and at least 64."""
-    return max(64, _CHUNK_BYTES // (8 * max(n_features, 1)) // 64 * 64)
+    """Rows per scoring block: a block of float64 cells, rounded down to a
+    multiple of 64 rows and at least 64."""
+    return max(64, _block_len(8 * n_features) // 64 * 64)
 
 
 def nb_scores(model: NbModel, X) -> np.ndarray:

@@ -16,7 +16,6 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, Iterator
 
 PERMISSION = "PERMISSION"
@@ -148,14 +147,16 @@ def select_feature_set(catalog: FeatureCatalog, feature_set: FeatureSet) -> Feat
     raise ValueError(f"unknown feature set {feature_set!r}")
 
 
-def read_lines(path, error: type[Exception]) -> list[str]:
-    """The lines of text file `path`, read with universal newlines and
-    without the final empty one; bytes that are not UTF-8 raise `error`."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError:
-        raise error(f"{path}: not valid UTF-8") from None
-    return lines[:-1] if lines[-1] == "" else lines
+def read_lines(path, error: type[Exception]) -> Iterator[str]:
+    """The lines of text file `path`, one at a time, with universal newlines
+    and without line ends; bytes that are not UTF-8 raise `error` when
+    reached. The file closes when the generator ends or is closed or collected."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            for line in f:
+                yield line.removesuffix("\n")
+        except UnicodeDecodeError:
+            raise error(f"{path}: not valid UTF-8") from None
 
 
 def load_catalog(path) -> FeatureCatalog:
@@ -166,13 +167,14 @@ def load_catalog(path) -> FeatureCatalog:
     quoting is involved. Errors report the offending line number.
     """
     lines = read_lines(path, CatalogError)
-    if not lines:
+    header = next(lines, None)
+    if header is None:
         raise CatalogError(f"{path}: no features defined")
-    if lines[0] != _HEADER:
-        raise CatalogError(f"{path}: line 1: expected header {_HEADER!r}, got {lines[0]!r}")
+    if header != _HEADER:
+        raise CatalogError(f"{path}: line 1: expected header {_HEADER!r}, got {header!r}")
     feats: list[FeatureDef] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         cells = line.split(",")
         if len(cells) != 3:
             raise CatalogError(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")

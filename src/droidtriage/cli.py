@@ -33,9 +33,9 @@ from .catalog import (
     select_feature_set,
 )
 from .dataset import (
-    _CHUNK_BYTES,
     DatasetError,
     Label,
+    _blocks,
     load_spec,
     read_class_counts,
     read_csv,
@@ -245,16 +245,15 @@ def _write_predictions(path, scores: np.ndarray) -> None:
     distinct scores, each a ``repr`` and a newline followed by NUL pads;
     the pads are dropped."""
     powers = 10 ** np.arange(len(str(len(scores))))[::-1]
-    step = _CHUNK_BYTES // 64  # rows per block; a row is under 64 bytes
     with open(path, "wb") as f:
         f.write(b"row,label,score\n")
-        for lo in range(0, len(scores), step):
-            values, which = np.unique(scores[lo : lo + step], return_inverse=True)
+        for s in _blocks(len(scores), 64):  # a row is under 64 bytes
+            values, which = np.unique(scores[s], return_inverse=True)
             text = np.frombuffer(("\n".join(map(repr, values.tolist())) + "\n").encode(), dtype=np.uint8)
             sizes = np.diff(np.flatnonzero(text == ord("\n")), prepend=-1)
             table = np.zeros((len(values), sizes.max()), dtype=np.uint8)
             table[np.arange(table.shape[1]) < sizes[:, None]] = text
-            digits = np.arange(lo + 1, lo + len(which) + 1)[:, None] // powers  # 0 before a row's first digit
+            digits = np.arange(s.start + 1, s.stop + 1)[:, None] // powers  # 0 before a row's first digit
             block = np.concatenate((
                 np.where(digits, digits % 10 + ord("0"), 0).astype(np.uint8),
                 _LABEL_CELLS[is_malware(values)[which].view(np.uint8)],
@@ -282,16 +281,20 @@ def _cmd_roc(args) -> str:
     except ValueError as exc:
         raise DatasetError(f"{args.data}: {exc}") from None
     svg = roc_svg(curve) if args.svg else None
-    created = not os.path.lexists(args.out)
-    write_roc(curve, args.out)
-    if svg is not None:
-        try:
+    paths = [path for path in (args.out, args.svg) if path]
+    created = [path for path in paths if not os.path.lexists(path)]
+    try:
+        for path in paths:  # every output opens, untruncated, before any is written
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        write_roc(curve, args.out)
+        if svg is not None:
             Path(args.svg).write_text(svg, encoding="utf-8", newline="\n")
-        except OSError:
-            if created:  # a failed command leaves behind no file it made
-                os.unlink(args.out)
-            raise
-    return "".join(f"{path}\n" for path in (args.out, args.svg) if path)
+    except OSError:
+        for path in created:  # a failed command leaves behind no file it made
+            if os.path.lexists(path):
+                os.unlink(path)
+        raise
+    return "".join(f"{path}\n" for path in paths)
 
 
 def roc_svg(curve: RocCurve) -> str:

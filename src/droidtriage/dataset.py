@@ -10,14 +10,14 @@ Randomness comes from numpy's default PCG64 generator, which has a fixed,
 documented algorithm, so a (spec, seed) pair reproduces the same dataset on
 every platform. Each synthesis call owns a single fresh stream.
 
-Reading, writing and synthesis go a block of `_CHUNK_BYTES` at a time:
-`_read_blocks` checks a file's rows a block at a time, and
-`_synthesized_blocks` draws a corpus's rows a block at a time. What a
-command holds depends on what it keeps of the blocks: `read_vectors` (and
-so train, crossval, compare and roc) the bit matrix plus one block;
-`read_class_counts` (rank) and `write_synthesized` (synth) one block;
-`read_packed` (predict) the rows at 1 bit per cell, as `PackedRows`, plus
-one block. No reader holds the whole file.
+`_CHUNK_BYTES` is the one block size of every layer: `_block_len` turns an
+item's width in bytes into items per block, and `_blocks` cuts a range into
+such blocks. `_read_blocks` checks a file's rows and `_synthesized_blocks`
+draws a corpus's rows a block at a time. A command holds what it keeps of
+the blocks: `read_vectors` (train, compare, roc) the bit matrix plus one
+block; `read_class_counts` (rank) and `write_synthesized` (synth) one
+block; `read_packed` (predict) the rows at 1 bit per cell, as
+`PackedRows`, plus one block. No reader holds the whole file.
 
 A row's cells are little-endian uint16 pairs, each a cell byte and the
 separator after it (see `_row_layout`). The writer renders a block of rows
@@ -59,12 +59,23 @@ _ROW_ENDS = (
     np.frombuffer(b"\n", np.uint8)[None],
     np.frombuffer(b",benign\n\0,malware\n", np.uint8).reshape(2, -1),
 )
-_CHUNK_BYTES = 1 << 18
+_CHUNK_BYTES = 1 << 18  # 1 MiB blocks scanned app files no faster and raised a 64-app scan's peak RSS by a fifth
 # A line longer than this and than any valid header or row is counted, not
 # held; a line within a block is never that long.
 _LONG_ROW = _CHUNK_BYTES
 _PACK_ROWS = 4096  # rows per packing block of `PackedRows.pack`, a multiple of 64
 _BYTE_BITS = (1 << np.arange(8)).astype(np.uint8)  # row r of 8 is bit r of a byte
+
+
+def _block_len(item_bytes: int) -> int:
+    """Items of `item_bytes` bytes (0 counts as 1) per block of `_CHUNK_BYTES`, at least one."""
+    return max(1, _CHUNK_BYTES // max(item_bytes, 1))
+
+
+def _blocks(n: int, item_bytes: int) -> Iterator[slice]:
+    """``range(n)`` as slices of `_block_len(item_bytes)` items, the last shorter."""
+    step = _block_len(item_bytes)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 class DatasetError(ValueError):
@@ -201,10 +212,8 @@ class Dataset:
         (every row when None); row 0 is benign, row 1 malware. Each class's
         rows are summed a block of rows at a time, in uint32."""
         counts, ones = np.zeros(2, dtype=np.int64), np.zeros((2, self.feature_count), dtype=np.int64)
-        step = _CHUNK_BYTES // max(self.feature_count, 1) + 1
-        for lo in range(0, len(self), step):
-            selected = True if rows is None else rows[lo : lo + step]
-            _add_class_bits(counts, ones, self.X[lo : lo + step], self.y[lo : lo + step], selected)
+        for s in _blocks(len(self), self.feature_count):
+            _add_class_bits(counts, ones, self.X[s], self.y[s], True if rows is None else rows[s])
         return counts, ones
 
     def select_features(self, names: Iterable[str]) -> "Dataset":
@@ -560,8 +569,7 @@ def write_csv(dataset: Dataset, path) -> None:
     Round-trips bit for bit: ``read_csv(write_csv(d)) == d``.
     """
     X, y = dataset.X, dataset.y
-    step = max(1, _CHUNK_BYTES // (2 * X.shape[1] + len("malware\n")))
-    blocks = ((X[lo : lo + step], y[lo : lo + step]) for lo in range(0, len(X), step))
+    blocks = ((X[s], y[s]) for s in _blocks(len(X), 2 * X.shape[1] + len("malware\n")))
     _write_rows(path, dataset.catalog.names, blocks, True)
 
 
@@ -740,7 +748,7 @@ def _synthesized_blocks(spec: SyntheticSpec, seed: int) -> Iterator[tuple[np.nda
     """
     rng = np.random.default_rng(seed)
     F = len(spec.catalog)
-    draw = np.empty((max(1, _CHUNK_BYTES // (8 * max(F, 1))), F))
+    draw = np.empty((_block_len(8 * F), F))
     bits = np.empty(draw.shape, dtype=np.uint8)
     for count, p, label_bit in (
         (spec.n_benign, spec.p_benign, 0),

@@ -29,9 +29,9 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .dataset import (
-    _CHUNK_BYTES,
     Dataset,
     DatasetError,
+    _blocks,
     _checked_matrix,
     _packed,
     bootstrap_sample_size,
@@ -268,14 +268,13 @@ def train_simple_logistic(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> 
 
 def logit_scores(model: LogitModel, X) -> np.ndarray:
     """P(malware | x) = 1 / (1 + exp(-2 F(x))) for every row of `X`, a
-    matrix or `PackedRows`. Rows are read a block of `_CHUNK_BYTES` cells at
-    a time, and each regressor reads its column of the block as it is, so no
+    matrix or `PackedRows`. Rows are read a block at a time (a byte per
+    cell), and each regressor reads its column of the block as it is, so no
     float copy of `X` is made; each row's sum is the same for any block."""
     X = _checked_matrix(X, model.n_features)
     F = np.full(X.shape[0], model.intercept)
-    step = max(1, _CHUNK_BYTES // max(model.n_features, 1))
-    for lo in range(0, X.shape[0], step):
-        x, f = X[lo : lo + step], F[lo : lo + step]
+    for s in _blocks(X.shape[0], model.n_features):
+        x, f = X[s], F[s]
         for reg in model.regressors:
             f += 0.5 * (reg.value_if_0 + (reg.value_if_1 - reg.value_if_0) * x[:, reg.feature])
     return _sigmoid2(F)

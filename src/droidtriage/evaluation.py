@@ -338,13 +338,14 @@ def compare(
     row per pair, feature set major.
 
     Every fold of every pair is one job, run by `_run_jobs`; the rows are
-    the same for any worker count.
+    the same for any worker count. A set with every column of `dataset`
+    is fitted on `dataset` itself, not on a copy.
     """
     if not algos:
         raise ValueError("compare needs at least one algorithm")
     subs = [select_feature_set(dataset.catalog, fs) for fs in feature_sets]
-    projected = [dataset if fs is FeatureSet.CAPF else dataset.select_features(sub.names)
-                 for fs, sub in zip(feature_sets, subs)]
+    projected = [dataset if len(sub) == dataset.feature_count else dataset.select_features(sub.names)
+                 for sub in subs]
     folds = stratified_fold_indices(dataset.y, k, seed)
     jobs = list(itertools.product(range(len(projected)), range(len(algos)), range(k)))
     results = iter(_run_jobs((projected, algos, folds, seed), jobs))

@@ -52,17 +52,16 @@ class _Lines:
 
     def __init__(self, path):
         self._lines = read_lines(path, ModelFormatError)
-        self._pos = 0
         self._path = path
 
     def error(self, message: str) -> ModelFormatError:
         return ModelFormatError(f"{self._path}: {message}")
 
     def next(self) -> str:
-        if self._pos >= len(self._lines):
+        line = next(self._lines, None)
+        if line is None:
             raise self.error("unexpected end of file")
-        self._pos += 1
-        return self._lines[self._pos - 1]
+        return line
 
     def fields(self, *keys: str) -> list[str]:
         """The values of the next lines, which must read ``key value`` for each key."""
@@ -105,7 +104,7 @@ class _Lines:
         return f
 
     def done(self) -> bool:
-        return self._pos >= len(self._lines)
+        return next(self._lines, None) is None
 
 
 def _nb_body(model: NbModel) -> Iterator[list[str]]:

@@ -22,27 +22,26 @@ sorted by node and class, as int32 rows and nodes; each node's candidate
 columns are gathered as bytes and its per-feature class counts are
 segmented sums (``np.add.reduceat``) over its two runs of entries, the
 histogram method of gradient-boosting libraries. The gather is summed a
-bounded block at a time and never held whole: the plain tree gathers
-whole rows, ``_CHUNK_BYTES // F`` of them at a time, and a run that crosses
-a block edge adds each block's part into its sums; the random trees gather
-``_CHUNK_BYTES // (8 * entries)`` candidate columns at a time (at least
-one). The sums are integers, so the blocks never change a tree. A row
-carries an integer weight, in the smallest unsigned dtype that holds it, so
-a training fold is a 0/1 mask and a bootstrap resample a count per row,
-never a copy of the data. Every node at depth d has exactly F - d unused
-features, so the candidates form one rectangular matrix per level, and the
-parent's and both children's impurities are evaluated side by side in one
-call per level. Random candidates come from a per-node key rather than one
-depth-first stream: the root's key is the tree seed, a child's key is
-``derive_seed(parent_key, side)`` (side 0 low, 1 high), and a node
-examines the ``k`` unused features with the smallest
+`dataset._blocks` block at a time and never held whole: the plain tree
+gathers whole rows of F bytes, and a run that crosses a block edge adds
+each block's part into its sums; the random trees gather candidate columns
+of 8 bytes per entry. The sums are integers, so the blocks never change a
+tree. A row carries an integer weight, in the smallest unsigned dtype that
+holds it, so a training fold is a 0/1 mask and a bootstrap resample a
+count per row, never a copy of the data. Every node at depth d has exactly
+F - d unused features, so the candidates form one rectangular matrix per
+level, and the parent's and both children's impurities are evaluated side
+by side in one call per level. Random candidates come from a per-node key
+rather than one depth-first stream: the root's key is the tree seed, a
+child's key is ``derive_seed(parent_key, side)`` (side 0 low, 1 high), and
+a node examines the ``k`` unused features with the smallest
 ``derive_seed(node_key, f)``. A node's candidates therefore depend only on
 its path, not on the order in which nodes or trees are grown. Each level
 is grown by one call that returns the next level, so a level's temporaries
-are freed before the next level allocates; unused features are held in
-the smallest signed integer dtype that fits them, and candidate keys are
-hashed a block of `_CHUNK_BYTES` at a time, from a table of each
-feature's term of the hash made once per call.
+are freed before the next level allocates; unused features are held in the
+smallest signed integer dtype that fits them, and candidate keys are
+hashed a block of nodes at a time, from a table of each feature's term of
+the hash made once per call.
 
 Scoring descends sets of rows, 64 to a word (bitvector traversal, as in
 QuickScorer): a split's high child gets ``rows & column``, its low child
@@ -64,7 +63,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dataset import _CHUNK_BYTES, Dataset, DatasetError, PackedRows, _packed, stratified_fold_indices
+from .dataset import Dataset, DatasetError, PackedRows, _blocks, _packed, stratified_fold_indices
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -298,16 +297,15 @@ def _grow_level(X, k, impurity, level: _Level, first_id: int, salt):
 def _random_candidates(level: _Level, sel, k: int, salt) -> np.ndarray:
     """Per node of `sel`, its `k` unused features with the smallest
     ``derive_seed(node_key, f)``, which is ``_mix(node_key + salt[f])``,
-    ascending. Keys are hashed a block of ``_CHUNK_BYTES // 8`` cells at a
-    time."""
-    step = max(1, _CHUNK_BYTES // 8 // level.unused.shape[1])
+    ascending. Keys are hashed a block of nodes, 8 bytes per unused
+    feature, at a time."""
     cand = np.empty((sel.size, k), dtype=level.unused.dtype)
-    for lo in range(0, sel.size, step):
-        block = sel[lo : lo + step]
+    for s in _blocks(sel.size, 8 * level.unused.shape[1]):
+        block = sel[s]
         free = level.unused[block]
         node_keys = _mix(level.key[block, None] + salt[free])
         kth = np.partition(node_keys, k - 1, axis=1)[:, k - 1 : k]
-        cand[lo : lo + step] = free[node_keys <= kth].reshape(block.size, k)
+        cand[s] = free[node_keys <= kth].reshape(block.size, k)
     return cand
 
 
@@ -347,16 +345,15 @@ def _best_candidates(X, e_row, e_w, entries, cand, u, impurity, n, n_mal) -> np.
 
 def _row_sums(X, e_row, e_w, starts) -> np.ndarray:
     """Per run of entries, each starting at `starts`, the weighted sum of
-    its entries' rows of `X`, from whole rows gathered ``_CHUNK_BYTES // F``
-    at a time. A run that crosses a block edge adds each block's part into
-    its sums."""
+    its entries' rows of `X`, from a block of whole rows gathered at a
+    time. A run that crosses a block edge adds each block's part into its
+    sums."""
     hist = np.zeros((starts.size, X.shape[1]), dtype=np.int32)
-    step = max(1, _CHUNK_BYTES // X.shape[1])
-    for lo in range(0, e_row.size, step):
-        hi = min(lo + step, e_row.size)
-        block = X[e_row[lo:hi]]
+    for s in _blocks(e_row.size, X.shape[1]):
+        lo, hi = s.start, s.stop
+        block = X[e_row[s]]
         if e_w is not None:
-            block = block * e_w[lo:hi, None]
+            block = block * e_w[s, None]
         first, last = np.searchsorted(starts, lo, "right") - 1, np.searchsorted(starts, hi)
         hist[first:last] += np.add.reduceat(block, np.maximum(starts[first:last] - lo, 0), axis=0, dtype=np.int32)
     return hist
@@ -365,16 +362,15 @@ def _row_sums(X, e_row, e_w, starts) -> np.ndarray:
 def _candidate_sums(X, e_row, e_w, starts, sizes, cand) -> np.ndarray:
     """Per candidate column of `cand` and run of entries, each starting at
     `starts`, the weighted count of the run's rows with its node's candidate
-    set; node i has ``sizes[i]`` entries. Gathered ``_CHUNK_BYTES // (8 *
-    entries)`` columns at a time (at least one)."""
+    set; node i has ``sizes[i]`` entries. Gathered a block of columns, 8
+    bytes per entry, at a time."""
     offset = np.multiply(e_row, X.shape[1], dtype=np.intp)
     hist = np.empty((cand.shape[1], starts.size), dtype=np.int32)
-    step = max(1, _CHUNK_BYTES // (8 * e_row.size))
-    for lo in range(0, cand.shape[1], step):
-        gathered = np.take(X, np.repeat(cand.T[lo : lo + step], sizes, axis=1) + offset)
+    for s in _blocks(cand.shape[1], 8 * e_row.size):
+        gathered = np.take(X, np.repeat(cand.T[s], sizes, axis=1) + offset)
         if e_w is not None:
             gathered = gathered * e_w
-        hist[lo : lo + step] = np.add.reduceat(gathered, starts, axis=1, dtype=np.int32)
+        hist[s] = np.add.reduceat(gathered, starts, axis=1, dtype=np.int32)
     return hist
 
 

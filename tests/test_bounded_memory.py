@@ -6,7 +6,8 @@ across block edges. Every kind scores a 10x corpus (68,630 x 179) within a
 fixed tracemalloc peak, and a forest grows within one. The streaming
 commands, synth, rank and predict, and the train of sl, dt, rt and rf run
 through `main` on that corpus within a fixed peak each, and every kind's model file and
-predictions are the same on one BLAS thread and on two.
+predictions are the same on one BLAS thread and on two. A forest's model
+file loads within a fixed peak.
 """
 
 import contextlib
@@ -27,7 +28,7 @@ from droidtriage.catalog import default_catalog
 from droidtriage.cli import main
 from droidtriage.dataset import synthesize, write_csv
 from droidtriage.ensemble import logit_scores, train_forest, train_simple_logistic
-from droidtriage.modelio import save_model
+from droidtriage.modelio import load_model, save_model
 
 from conftest import (
     logit_scores_oracle,
@@ -137,6 +138,15 @@ def test_deploy_command_peaks_within_its_bound(deploy, command, mib):
     assert peak < mib * MIB, f"{command} peaked at {peak / MIB:.2f} MiB"
     if command == "synth":  # the corpus the other commands read
         assert (deploy / "synth.out").read_bytes() == (deploy / "c10.csv").read_bytes()
+
+
+def test_forest_loads_under_2_mib(deploy):
+    """A model file is parsed a line at a time: loading the 10-tree forest
+    (112 KB) held every line of the file at once and peaked at 2.6 MiB; it
+    now reads a line at a time and peaks at 1.5."""
+    model, peak = traced_peak(lambda: load_model(deploy / "rf.model", default_catalog()))
+    assert len(model.trees) == 10
+    assert peak < 2 * MIB, f"peaked at {peak / MIB:.2f} MiB"
 
 
 def test_forest_grows_under_5_mib(corpus):

@@ -561,6 +561,21 @@ def test_stdout_is_written_only_on_success(tmp_path, small_corpus, nb_model, cap
         assert rc == 0 and captured.out == ranking.read_text() and captured.out.count("\n") == 4
 
 
+@pytest.mark.parametrize("kept, failing", [("--out", "--svg"), ("--svg", "--out")])
+def test_failed_roc_leaves_existing_outputs_alone(tmp_path, small_corpus, nb_model, capsys, kept, failing):
+    """An output already in place stays byte-identical when the other one
+    cannot be opened, and no file is created: the ROC CSV used to be
+    rewritten before the SVG path failed."""
+    kept_path, before = tmp_path / "kept", b"an earlier output\n"
+    kept_path.write_bytes(before)
+    paths = {kept: str(kept_path), failing: str(tmp_path / "missing" / "out")}
+    rc = main(["roc", "--model", str(nb_model), "--data", str(small_corpus), *(a for item in paths.items() for a in item)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and captured.err.startswith("droidtriage: error:")
+    assert kept_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+
+
 @pytest.mark.parametrize("command", [
     ["rank", "--out", "x.csv"],
     ["predict", "--model", "m.model", "--out", "p.csv"],

@@ -14,7 +14,7 @@ import io
 
 import pytest
 
-from droidtriage import bayes, cli, dataset, ensemble, evaluation, trees
+from droidtriage import dataset, evaluation
 from droidtriage.cli import main
 
 CATALOG = """name,category,pattern
@@ -155,13 +155,13 @@ def test_calibrated_corpus_and_ranking_pinned(tmp_path):
 @pytest.fixture
 def tiny_blocks(monkeypatch):
     """Blocks of a few rows in every module that reads, packs, scores or
-    writes rows a block at a time: 64 bytes of CSV (two or three rows),
+    writes rows a block at a time, all of which take their block size
+    from `dataset`: 64 bytes of CSV (two or three rows),
     64 rows per pack, nb's minimum of 64 rows, 8 rows for sl, one row per
     block of predictions, 8 rows or a few candidate columns per block of a
     split histogram and one or two nodes per block of random split
     candidates."""
-    for module in (dataset, bayes, ensemble, cli, trees):
-        monkeypatch.setattr(module, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(dataset, "_CHUNK_BYTES", 64)
     monkeypatch.setattr(dataset, "_PACK_ROWS", 64)
 
 

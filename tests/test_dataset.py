@@ -479,6 +479,20 @@ class TestSpecFile:
         with pytest.raises(DatasetError, match="ghost"):
             load_spec(tmp_path / "s.spec", toy_catalog(1))
 
+    def test_blank_lines_synthesize_the_same_bytes(self, tmp_path):
+        """Empty and whitespace-only lines are skipped wherever they stand."""
+        from droidtriage.cli import main
+
+        lines = ["#n_benign=40", "#n_malware=30", "#xor=SEND_SMS,chmod,0.9", "name,p_benign,p_malware",
+                 "SEND_SMS,0.1,0.8", "chmod,0.3,0.6"]
+        outputs = []
+        for name, text in (("plain", "\n".join(lines) + "\n"), ("blank", "\n\n  \n".join(["", *lines, ""]))):
+            (tmp_path / f"{name}.spec").write_text(text)
+            out = tmp_path / f"{name}.csv"
+            assert main(["synth", "--spec", str(tmp_path / f"{name}.spec"), "--seed", "3", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_synth_default_is_reference_spec(self, tmp_path):
         from droidtriage.cli import main
 

@@ -285,6 +285,33 @@ class TestCompare:
         assert [r.features for r in rows] == [3, 3, 2, 2, 5, 5]
         assert rows[0].feature_set == "pf" and rows[-1].feature_set == "capf"
 
+    def test_set_with_every_column_is_not_copied(self, monkeypatch):
+        """On a pf-only dataset, pf is every column: compare fits it as it
+        is, with the report of capf, and copies only a narrower set."""
+        from droidtriage.catalog import FeatureCatalog, FeatureDef
+        from droidtriage.dataset import Dataset
+
+        gen = np.random.default_rng(5)
+        catalog = FeatureCatalog(
+            [FeatureDef(f"P{i}", "PERMISSION", f"android.permission.P{i}") for i in range(3)]
+            + [FeatureDef("A0", "API", "api0")]
+        )
+        X = (gen.random((60, 4)) < 0.5).astype(np.uint8)
+        y = (gen.random(60) < 0.5).astype(np.uint8)
+        y[:2] = [0, 1]
+        ds = make_dataset(X, y, catalog)
+        copies = []
+        select = Dataset.select_features
+        monkeypatch.setattr(Dataset, "select_features", lambda self, names: copies.append(names) or select(self, names))
+        algos = [AlgoDescriptor("nb"), AlgoDescriptor("dt")]
+        pf_only = select(ds, ["P0", "P1", "P2"])
+        rows = compare(pf_only, algos, k=3, seed=1, feature_sets=[FeatureSet.PF])
+        assert copies == []
+        whole = compare(pf_only, algos, k=3, seed=1, feature_sets=[FeatureSet.CAPF])
+        assert [(r.features, r.report, r.auc) for r in rows] == [(r.features, r.report, r.auc) for r in whole]
+        compare(ds, algos, k=3, seed=1, feature_sets=[FeatureSet.PF])
+        assert len(copies) == 1
+
     def test_empty_algos_rejected(self, rng):
         ds = random_dataset(rng, 40, 3)
         with pytest.raises(ValueError):

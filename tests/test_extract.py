@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidtriage import extract
+from droidtriage import dataset, extract
 from droidtriage.catalog import PERMISSION, FeatureCatalog, FeatureDef, FeatureSet, default_catalog, select_feature_set
-from droidtriage.dataset import read_vectors
-from droidtriage.extract import _CHUNK, MANIFEST_NAME, scan_app
+from droidtriage.dataset import _CHUNK_BYTES, read_vectors
+from droidtriage.extract import MANIFEST_NAME, scan_app
 
 from conftest import traced_peak
 
@@ -193,9 +193,9 @@ def _api_catalog(patterns):
 def test_pattern_found_at_every_offset_around_chunk_boundary(tmp_path, catalog, planted):
     """A pattern ending in the first chunk, straddling the boundary, or
     starting the second chunk is found, as in the file read whole."""
-    filler = np.random.default_rng(7).integers(0, 0x20, 2 * _CHUNK, dtype=np.uint8).tobytes()
+    filler = np.random.default_rng(7).integers(0, 0x20, 2 * _CHUNK_BYTES, dtype=np.uint8).tobytes()
     token = planted.encode()
-    for offset in range(_CHUNK - len(token), _CHUNK + 1):
+    for offset in range(_CHUNK_BYTES - len(token), _CHUNK_BYTES + 1):
         root = tmp_path / str(offset)
         _write_tree(root, manifest="", files=[("blob.bin", filler[:offset] + token + filler[offset:])])
         bits = scan_app(root, catalog)
@@ -214,7 +214,7 @@ def test_tiny_and_empty_files(tmp_path):
 
 
 _SHORT_PATTERNS = st.lists(st.text("abmo", min_size=1, max_size=5), min_size=1, max_size=6)
-_SIZES = st.sampled_from([0, 1, 2, 3, 4, 100, _CHUNK - 1, _CHUNK, _CHUNK + 1]) | st.integers(0, 2 * _CHUNK + 64)
+_SIZES = st.sampled_from([0, 1, 2, 3, 4, 100, _CHUNK_BYTES - 1, _CHUNK_BYTES, _CHUNK_BYTES + 1]) | st.integers(0, 2 * _CHUNK_BYTES + 64)
 
 
 @st.composite
@@ -236,7 +236,7 @@ def _app_trees(draw):
         for _ in range(draw(st.integers(0, 4))):
             token = draw(st.sampled_from(tokens))
             at = draw(
-                st.integers(_CHUNK - len(token) - 2, _CHUNK + 2)
+                st.integers(_CHUNK_BYTES - len(token) - 2, _CHUNK_BYTES + 2)
                 | st.integers(0, max(size - 1, 0))
                 | st.just(max(size - len(token), 0))  # ending the file
             )
@@ -332,7 +332,7 @@ def test_manifest_token_at_chunk_edge_matches_whole_file(tmp_path, monkeypatch, 
     length from the chunk before: a token starting anywhere up to past the
     second edge is found as in the file read whole. The file goes on for
     two chunks after the token unless the token ends it."""
-    monkeypatch.setattr(extract, "_CHUNK", chunk)
+    monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)
     cat = FeatureCatalog([FeatureDef("SEND_SMS", PERMISSION, "android.permission.SEND_SMS")])
     token = cat[0].pattern.encode()
     for at in range(2 * chunk + 3):
@@ -361,7 +361,7 @@ def test_sparse_manifest_scanned_in_bounded_memory(tmp_path):
     cat = default_catalog()
     bits, peak = traced_peak(lambda: scan_app(root, cat))
     assert np.array_equal(bits, _expected("SEND_SMS"))
-    assert peak < 6 * _CHUNK, peak
+    assert peak < 6 * _CHUNK_BYTES, peak
 
 
 def test_manifest_read_stops_once_every_permission_is_found(tmp_path, monkeypatch):
@@ -377,7 +377,7 @@ def test_manifest_read_stops_once_every_permission_is_found(tmp_path, monkeypatc
     open_regular = extract._open_regular
     monkeypatch.setattr(extract, "_open_regular", counting)
     assert scan_app(root, cat).all()
-    assert sum(read) <= 2 * _CHUNK
+    assert sum(read) <= 2 * _CHUNK_BYTES
 
 
 class _Counting:

@@ -62,6 +62,18 @@ def test_bad_catalog_exits_2(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def test_rank_of_unlabeled_extract_output_exits_2(tmp_path, capsys):
+    """`extract` without --label writes no class column, which rank needs."""
+    app, vector = tmp_path / "app", tmp_path / "vec.csv"
+    app.mkdir()
+    (app / "AndroidManifest.xml").write_text('<uses-permission android:name="android.permission.SEND_SMS"/>')
+    assert main(["extract", str(app), "--out", str(vector)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "ranking.csv"
+    _rejected(capsys, ["rank", "--data", str(vector), "--out", str(out)], re.escape(f"{vector}: label column absent"))
+    assert not out.exists()
+
+
 @pytest.fixture
 def tebibyte_csv(tmp_path):
     """A default-catalog header, then a hole up to 1 TiB: a file whose size

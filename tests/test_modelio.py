@@ -190,6 +190,17 @@ CRAFTED = {
     "sl-iterations-above-max": ("sl", _sl_body(iterations="6"), r"iterations_used 6 outside \[0, 5\]"),
     "sl-iterations-negative": ("sl", _SL_HEAD[:1] + ["iterations_used -1"] + _SL_HEAD[2:] + ["n_features 4"], "outside"),
     "nb-alpha-negative": ("nb", _nb_body(alpha="-1.0"), "alpha must be finite and positive"),
+    "nb-theta-0": (
+        "nb", _nb_body(theta_benign="0.5 0.0 0.5 0.5"), r"malformed model file: theta_benign must lie strictly inside \(0, 1\)"
+    ),
+    "nb-theta-1": (
+        "nb", _nb_body(theta_malware="0.5 0.5 1.0 0.5"), r"malformed model file: theta_malware must lie strictly inside \(0, 1\)"
+    ),
+    "nb-prior-0": ("nb", _nb_body(prior="0.0"), r"malformed model file: prior must lie strictly inside \(0, 1\)"),
+    "nb-prior-1": ("nb", _nb_body(prior="1.0"), r"malformed model file: prior must lie strictly inside \(0, 1\)"),
+    "nb-theta-malware-short": (
+        "nb", _nb_body(theta_malware="0.5 0.5 0.5"), "malformed model file: conditional probability arrays must have equal shape"
+    ),
     "dt-with-k": ("dt", _tree_body(k="3"), "dt tree has k 3; dt requires k 0"),
     "rt-with-k-0": ("rt", _tree_body(k="0"), "rt tree has k 0; dt requires k 0, rt k >= 1"),
     "rf-member-k-0": ("rf", _rf_body(member=_tree_body(criterion="gini", pruned="1")), "rt tree has k 0"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidtriage import trees
+from droidtriage import dataset, trees
 from droidtriage.algo import AlgoDescriptor, is_malware, model_scores
 from droidtriage.dataset import PackedRows, _packed
 from droidtriage.ensemble import train_forest
@@ -526,7 +526,7 @@ def test_blocked_sums_grow_the_same_trees(rng, monkeypatch, chunk):
         spans.extend(zip(starts // step, (np.append(starts[1:], e_row.size) - 1) // step))
         return row_sums(X, e_row, e_w, starts)
 
-    monkeypatch.setattr(trees, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)
     monkeypatch.setattr(trees, "_row_sums", spy)
     for fit, want in zip(fits, wanted):
         model = fit()
