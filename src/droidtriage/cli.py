@@ -36,6 +36,7 @@ from .dataset import (
     DatasetError,
     Label,
     _blocks,
+    _no_labels,
     load_spec,
     read_class_counts,
     read_csv,
@@ -229,7 +230,7 @@ def _cmd_train(args) -> str:
 
 
 def _cmd_predict(args) -> str:
-    catalog, rows = _read_data(args, args.feature_set, read_packed)
+    catalog, (rows, _) = _read_data(args, args.feature_set, read_packed)
     _write_predictions(args.out, model_scores(load_model(args.model, catalog), rows))
     return f"{args.out}\n"
 
@@ -274,10 +275,14 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_roc(args) -> str:
-    catalog, dataset = _read_data(args, args.feature_set)
-    scores = model_scores(load_model(args.model, catalog), dataset.X)
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        raise _UsageError(f"--out and --svg name the same file: {args.out}")
+    catalog, (rows, labels) = _read_data(args, args.feature_set, read_packed)
+    if labels is None:
+        raise _no_labels(args.data)
+    scores = model_scores(load_model(args.model, catalog), rows)
     try:
-        curve = roc_auc(scores, dataset.y)
+        curve = roc_auc(scores, labels)
     except ValueError as exc:
         raise DatasetError(f"{args.data}: {exc}") from None
     svg = roc_svg(curve) if args.svg else None

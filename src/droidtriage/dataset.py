@@ -14,10 +14,10 @@ every platform. Each synthesis call owns a single fresh stream.
 item's width in bytes into items per block, and `_blocks` cuts a range into
 such blocks. `_read_blocks` checks a file's rows and `_synthesized_blocks`
 draws a corpus's rows a block at a time. A command holds what it keeps of
-the blocks: `read_vectors` (train, compare, roc) the bit matrix plus one
-block; `read_class_counts` (rank) and `write_synthesized` (synth) one
-block; `read_packed` (predict) the rows at 1 bit per cell, as
-`PackedRows`, plus one block. No reader holds the whole file.
+the blocks: `read_vectors` (train, compare) the bit matrix plus one block;
+`read_class_counts` (rank) and `write_synthesized` (synth) one block;
+`read_packed` (predict, roc) the rows at 1 bit per cell, as `PackedRows`,
+and the labels, plus one block. No reader holds the whole file.
 
 A row's cells are little-endian uint16 pairs, each a cell byte and the
 separator after it (see `_row_layout`). The writer renders a block of rows
@@ -307,14 +307,16 @@ def read_class_counts(
     return counts, ones
 
 
-def read_packed(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None) -> PackedRows:
-    """The rows of a dataset CSV, labeled or not, as `PackedRows`, with the
-    faults of `read_vectors`. Each block is packed as it is checked, so
-    memory holds the rows at 1 bit per cell plus a few blocks; the row sets
-    grow as rows arrive."""
+def read_packed(
+    path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None
+) -> tuple[PackedRows, np.ndarray | None]:
+    """`read_vectors`, faults and all, with the rows as `PackedRows`: each block is
+    packed as it is checked, so memory holds 1 bit a cell, the labels and a few blocks."""
     blocks = _read_blocks(path, catalog, columns)
     header = next(blocks)
-    return PackedRows.pack((bits for bits, _ in blocks), header.width)
+    labels = [np.empty(0, dtype=np.uint8)]  # each block's, kept as its bits are packed
+    rows = PackedRows.pack((labels.append(y) or bits for bits, y in blocks), header.width)
+    return rows, np.concatenate(labels) if header.labeled else None
 
 
 class _Header(NamedTuple):
@@ -329,11 +331,11 @@ def _read_blocks(path, catalog: FeatureCatalog, columns: FeatureCatalog | None =
     """Check the rows of a dataset CSV a block at a time, as `read_vectors`
     reads them: a generator whose first item is the file's `_Header`, and
     each later item a block of good rows as (bits, labels). The bits are an
-    (m, width) matrix of 0/1 integers, the labels uint8, or None when the
-    file is unlabeled; both are valid only until the next block. A bad row
-    raises :class:`DatasetError` when its block is reached. The file is
-    open while the generator runs, and is closed when it ends or is closed
-    or collected unfinished.
+    (m, width) matrix of 0/1 integers, valid only until the next block, and
+    the labels the block's own uint8 array, or None when the file is
+    unlabeled. A bad row raises :class:`DatasetError` when its block is
+    reached. The file is open while the generator runs, and is closed when
+    it ends or is closed or collected unfinished.
 
     The file is read in blocks of `_CHUNK_BYTES` (see `_whole_lines`).
     """

@@ -6,7 +6,7 @@ the smallest unsigned dtype that holds it, not a copy of the data, and the
 trees grow together, one depth level at a time.
 Every tree derives its own seed from the master seed with a fixed 64-bit
 mixing function, so the model is a pure function of (dataset, descriptor) no
-matter how many workers train in parallel.
+matter how many worker processes grow its batches of trees in parallel.
 
 Simple logistic is stagewise additive logistic regression: each boosting
 iteration computes Newton-step working responses z with weights w = p(1-p),
@@ -22,12 +22,12 @@ and the model keeps the all-data model's regressors up to the chosen count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import pool
 from .dataset import (
     Dataset,
     DatasetError,
@@ -107,9 +107,9 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int
     off, every tree sees all of them. The draw becomes a count per row, so
     tree i equals ``train_random_tree`` on the resampled copy without the
     copy being made. All trees of a batch grow in one loop over depth levels;
-    `workers` threads each grow a contiguous batch, and results are
-    identical for any `workers` count. With one tree and bootstrap off, the
-    forest is exactly `train_random_tree` with seed ``derive_seed(seed, 0)``.
+    `pool.run` grows a contiguous batch in each of `workers` processes, and
+    the forest is the same for any `workers`. With one tree and bootstrap
+    off, it is exactly `train_random_tree` with seed ``derive_seed(seed, 0)``.
     """
     params = replace(algo, k=algo.split_count(dataset.feature_count))
     seeds = [derive_seed(params.seed, i) for i in range(params.trees)]
@@ -125,15 +125,9 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int
     def grow(batch: slice) -> tuple[np.ndarray, ...]:
         return _grow(dataset.X, dataset.y, weights[batch], params.k, seeds[batch], ENTROPY)
 
-    n_batches = max(1, min(workers, params.trees))
-    bounds = np.linspace(0, params.trees, n_batches + 1).astype(int).tolist()
-    batches = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    if n_batches == 1:  # a thread would keep its malloc arena after training
-        parts = [grow(batches[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=n_batches) as pool:
-            parts = list(pool.map(grow, batches))
-    return _stack(parts, params, dataset.feature_count)
+    n = max(1, min(workers, params.trees))
+    batches = [slice(i * params.trees // n, (i + 1) * params.trees // n) for i in range(n)]
+    return _stack(pool.run(grow, batches, workers), params, dataset.feature_count)
 
 
 def forest_scores(model: ForestModel, X) -> np.ndarray:

@@ -7,8 +7,7 @@ concatenated into a single ROC, so each configuration yields one row of
 rates, micro-averaged over the whole dataset.
 
 `compare` plans every (feature set, algorithm, fold) fit up front and runs
-them in forked worker processes, one per CPU, where a fork is safe (see
-`_default_workers`), one fold per job; every fit has its own derived seed,
+them on `pool.run`, one fold per job; every fit has its own derived seed,
 no fit's bits depend on the BLAS thread count, and each result is assembled
 in fold order, so the outcome is the same for any worker count.
 """
@@ -19,9 +18,7 @@ import functools
 import itertools
 import math
 import os
-import signal
 import sys
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -29,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import pool
 from .algo import AlgoDescriptor, is_malware, model_scores, train_model
 from .catalog import FeatureSet, select_feature_set
 from .dataset import Dataset, stratified_fold_indices
@@ -265,44 +263,9 @@ def _default_workers() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-# A worker process's (datasets, algorithms, folds, seed), set once by
-# `_start_worker`; the parent never sets it.
-_WORK = None
-
-
-def _start_worker(work) -> None:
-    global _WORK
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-    _WORK = work
-
-
-def _worker_job(job):
-    return _fold_job(*_WORK, job)
-
-
 def _run_jobs(work, jobs: list) -> list:
-    """`_fold_job` of each of `jobs` on `work`, in order: in a pool of at
-    most `_default_workers()` processes made for the call and shut down
-    before it returns, or in this process for one worker, for one job, or
-    while another Python thread runs, as a fork is not safe then.
-
-    Forked workers inherit the datasets; a fit's bits do not depend on where it ran.
-    """
-    workers = min(_default_workers(), len(jobs))
-    if workers <= 1 or threading.active_count() > 1:
-        return list(map(functools.partial(_fold_job, *work), jobs))
-    # Imported here: multiprocessing and its pool cost about 18 ms and 1 MiB
-    # to import, which the commands that run no pool should not pay.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"), initializer=_start_worker, initargs=(work,)
-    )
-    try:
-        return list(pool.map(_worker_job, jobs))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    """`_fold_job` of each of `jobs` on `work`, in order; a fit's bits do not depend on where it ran."""
+    return pool.run(functools.partial(_fold_job, *work), jobs, _default_workers())
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ nb scores a block of rows at a time and sl reads X's own uint8 columns; both
 must equal the whole-matrix float64 formulas of `conftest` bit for bit,
 across block edges. Every kind scores a 10x corpus (68,630 x 179) within a
 fixed tracemalloc peak, and a forest grows within one. The streaming
-commands, synth, rank and predict, and the train of sl, dt, rt and rf run
+commands, synth, rank, predict and roc, and the train of sl, dt, rt and rf run
 through `main` on that corpus within a fixed peak each, and every kind's model file and
 predictions are the same on one BLAS thread and on two. A forest's model
 file loads within a fixed peak.
@@ -112,12 +112,14 @@ def deploy(tmp_path_factory, corpus, corpus_10x):
 
 
 @pytest.mark.parametrize("command, mib", [
-    ("synth", 2), ("rank", 2), ("predict", 10), ("train", 40), ("train-dt", 24), ("train-rt", 20), ("train-rf", 44),
+    ("synth", 2), ("rank", 2), ("predict", 10), ("roc", 8), ("train", 40), ("train-dt", 24), ("train-rt", 20),
+    ("train-rf", 44),
 ])
 def test_deploy_command_peaks_within_its_bound(deploy, command, mib):
     """Each streaming command held the 11.7 MiB bit matrix of 68,630 x 179
-    rows: synth peaked at 12.5 MiB, rank at 13.2 and predict at 17.2; they
-    now hold a block, and predict the rows at 1 bit per cell. train --algo sl
+    rows: synth peaked at 12.5 MiB, rank at 13.2, predict at 17.2 and roc at
+    16.4; they now hold a block, and predict and roc the rows at 1 bit per
+    cell and roc their labels. train --algo sl
     held a float64 copy of the matrix too and peaked at 132 MiB; it now holds
     the bit matrix and a few float arrays per fold. The trees' train copied
     each level's gather of split candidates whole, as int32: dt peaked at
@@ -129,6 +131,7 @@ def test_deploy_command_peaks_within_its_bound(deploy, command, mib):
         "synth": ["synth", "--spec", str(deploy / "s10.spec"), "--seed", "2", "--out", out],
         "rank": ["rank", "--data", data, "--out", out],
         "predict": ["predict", "--data", data, "--model", str(deploy / "rf.model"), "--out", out],
+        "roc": ["roc", "--data", data, "--model", str(deploy / "rf.model"), "--out", out],
         "train": ["train", "--algo", "sl", "--data", data, "--model", out],
         **{f"train-{kind}": ["train", "--algo", kind, "--data", data, "--model", out] for kind in ("dt", "rt", "rf")},
     }[command]

@@ -576,6 +576,21 @@ def test_failed_roc_leaves_existing_outputs_alone(tmp_path, small_corpus, nb_mod
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
 
 
+@pytest.mark.parametrize("svg", ["roc.csv", "sub/../roc.csv", "link.csv"])
+def test_roc_outputs_naming_one_file_are_a_flag_fault(tmp_path, capsys, svg):
+    """`--out` and `--svg` naming one file, also through `..` or a symlink,
+    exit 1 before anything is read or written: the SVG used to replace the
+    CSV and the path was printed twice. Data and model do not exist here."""
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "roc.csv")
+    rc = main(["roc", "--model", str(tmp_path / "m.model"), "--data", str(tmp_path / "d.csv"),
+               "--out", str(tmp_path / "roc.csv"), "--svg", str(tmp_path / svg)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"droidtriage: error: --out and --svg name the same file: {tmp_path / 'roc.csv'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "sub"]
+
+
 @pytest.mark.parametrize("command", [
     ["rank", "--out", "x.csv"],
     ["predict", "--model", "m.model", "--out", "p.csv"],

@@ -154,7 +154,7 @@ def test_fifo_grows_the_matrix(tmp_path, rng):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_fifo_grows_the_row_sets(tmp_path, rng):
-    """predict's reader packs a pipe's rows as they arrive."""
+    """predict's and roc's reader packs a pipe's rows as they arrive, and keeps their labels."""
     ds = make_dataset(rng.integers(0, 2, (5000, F)), rng.integers(0, 2, 5000), toy_catalog(F))
     path, fifo = tmp_path / "d.csv", tmp_path / "pipe"
     write_csv(ds, path)
@@ -164,10 +164,11 @@ def test_fifo_grows_the_row_sets(tmp_path, rng):
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataset, "_CHUNK_BYTES", 1000)
-            rows = read_packed(fifo, toy_catalog(F))
+            rows, labels = read_packed(fifo, toy_catalog(F))
     finally:
         writer.join()
     assert rows.shape == ds.X.shape and np.array_equal(rows[:], ds.X)
+    assert labels.dtype == np.uint8 and np.array_equal(labels, ds.y)
 
 
 def test_abandoned_reader_closes_its_file(tmp_path, rng):

@@ -62,15 +62,20 @@ def test_bad_catalog_exits_2(tmp_path, capsys, name):
     assert not out.exists()
 
 
-def test_rank_of_unlabeled_extract_output_exits_2(tmp_path, capsys):
-    """`extract` without --label writes no class column, which rank needs."""
-    app, vector = tmp_path / "app", tmp_path / "vec.csv"
+@pytest.mark.parametrize("command", ["rank", "roc"])
+def test_unlabeled_extract_output_exits_2(tmp_path, capsys, command):
+    """`extract` without --label writes no class column, which rank and roc need."""
+    app, vector, model = tmp_path / "app", tmp_path / "vec.csv", tmp_path / "nb.model"
     app.mkdir()
     (app / "AndroidManifest.xml").write_text('<uses-permission android:name="android.permission.SEND_SMS"/>')
     assert main(["extract", str(app), "--out", str(vector)]) == 0
+    (tmp_path / "s.spec").write_text(_SPEC_HEAD + "SEND_SMS,0.1,0.8\n")
+    assert main(["synth", "--spec", str(tmp_path / "s.spec"), "--out", str(tmp_path / "train.csv")]) == 0
+    assert main(["train", "--algo", "nb", "--data", str(tmp_path / "train.csv"), "--model", str(model)]) == 0
     capsys.readouterr()
-    out = tmp_path / "ranking.csv"
-    _rejected(capsys, ["rank", "--data", str(vector), "--out", str(out)], re.escape(f"{vector}: label column absent"))
+    out = tmp_path / "out.csv"
+    argv = {"rank": ["rank"], "roc": ["roc", "--model", str(model)]}[command]
+    _rejected(capsys, [*argv, "--data", str(vector), "--out", str(out)], re.escape(f"{vector}: label column absent"))
     assert not out.exists()
 
 

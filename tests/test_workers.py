@@ -1,7 +1,8 @@
 """crossval and compare fit their folds in worker processes: the outcome is
 the same for any worker count, a fault crosses the process boundary as it
 would surface in one process, and no worker outlives the call. The count is
-set by patching `evaluation._default_workers`."""
+set by patching `evaluation._default_workers`. A forest grows its batches of
+trees on the same pool, and importing the command line loads no pool."""
 
 import contextlib
 import io
@@ -18,11 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from droidtriage import bayes, evaluation
+from droidtriage import bayes, ensemble, evaluation
 from droidtriage.algo import KINDS, AlgoDescriptor
 from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet
 from droidtriage.cli import main
 from droidtriage.dataset import DatasetError, write_csv
+from droidtriage.ensemble import train_forest
 from droidtriage.evaluation import FoldError, compare, cross_validate, stratified_fold_indices
 
 from conftest import make_dataset, write_catalog
@@ -179,6 +181,30 @@ def _fit_pid(corpus, monkeypatch) -> int:
     return int(str(caught.value.cause).split()[-1])
 
 
+def _grow_pid(corpus, monkeypatch) -> int:
+    """The process a batch of a two-worker forest was grown in."""
+    def refuse(*args):
+        raise DatasetError(f"pid {os.getpid()}")
+
+    monkeypatch.setattr(ensemble, "_grow", refuse)
+    with pytest.raises(DatasetError) as caught:
+        train_forest(corpus, AlgoDescriptor("rf", trees=4, seed=1), workers=2)
+    return int(str(caught.value).split()[-1])
+
+
+@contextlib.contextmanager
+def _another_thread():
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    waiter.start()
+    try:
+        yield
+    finally:
+        release.set()
+        waiter.join(60)
+    assert not waiter.is_alive()
+
+
 def test_folds_are_fitted_in_workers(corpus, workers, monkeypatch):
     workers(2)
     assert _fit_pid(corpus, monkeypatch) != os.getpid()
@@ -187,15 +213,33 @@ def test_folds_are_fitted_in_workers(corpus, workers, monkeypatch):
 def test_folds_are_fitted_here_while_another_thread_runs(corpus, workers, monkeypatch):
     """A fork is only safe with no other thread: the jobs run in this process."""
     workers(2)
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait, args=(60,))
-    waiter.start()
-    try:
+    with _another_thread():
         assert _fit_pid(corpus, monkeypatch) == os.getpid()
-    finally:
-        release.set()
-        waiter.join(60)
-    assert not waiter.is_alive()
+
+
+def test_forest_batches_are_grown_in_workers(corpus, monkeypatch):
+    assert _grow_pid(corpus, monkeypatch) != os.getpid()
+
+
+def test_forest_batches_are_grown_here_while_another_thread_runs(corpus, monkeypatch):
+    with _another_thread():
+        assert _grow_pid(corpus, monkeypatch) == os.getpid()
+
+
+POOL_MODULES = """
+import sys
+import droidtriage.cli
+print(*(m for m in ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread") if m in sys.modules))
+"""
+
+
+def test_command_line_import_loads_no_pool():
+    """The pool's modules cost about 18 ms and 1 MiB to import, which every
+    command that runs no pool would pay: they load only when a pool runs."""
+    proc = subprocess.run([sys.executable, "-c", POOL_MODULES], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_fold_timings_are_measured_per_fold(corpus, workers):
