@@ -3,16 +3,15 @@
 Subcommands: synth, extract, rank, train, predict, compare (also named
 crossval), roc. Exit codes: 0 success, 1 a flag fault (a value argparse or
 `AlgoDescriptor` rejects), 2 a fault in the data, catalog or model, 3 a
-worker process of compare died (killed, or out of memory). Each command
-returns the text meant for stdout, its output paths or the ranking, and
-`main` alone writes it, once the command has succeeded, and alone maps a
-fault to its code; diagnostics go to stderr.
+worker process of compare died (killed, or out of memory). `main` alone maps
+faults to codes and handles every command's outputs; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 import warnings
@@ -143,7 +142,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--catalog", default=None)
     p.add_argument("--seed", type=_seed, default=_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, outputs=("out",))
 
     p = sub.add_parser("extract", help="scan an unpacked app directory into a vector CSV")
     p.add_argument("app_dir", help="root of the unpacked application tree")
@@ -151,25 +150,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--feature-set", choices=_FEATURE_SETS)
     p.add_argument("--label", choices=["benign", "malware"], default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_extract)
+    p.set_defaults(func=_cmd_extract, outputs=("out",))
 
     p = sub.add_parser("rank", help="mutual-information feature ranking")
     _add_common(p)
     p.add_argument("--top", type=int, default=None, help="keep only the top K features")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")
-    p.set_defaults(func=_cmd_rank)
+    p.set_defaults(func=_cmd_rank, outputs=("out",))
 
     p = sub.add_parser("train", help="train a classifier and save the model file")
     _add_common(p)
     _add_algo_flags(p)
     p.add_argument("--model", required=True, help="output model path")
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, outputs=("model",))
 
     p = sub.add_parser("predict", help="score a dataset with a saved model")
     _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="predictions CSV")
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, outputs=("out",))
 
     p = sub.add_parser("compare", aliases=["crossval"],
                        help="stratified k-fold cross-validation of several classifiers side by side")
@@ -177,18 +176,18 @@ def _build_parser() -> _Parser:
     _add_algo_flags(p, multi=True)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--out", required=True, help="report CSV")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, outputs=("out",))
 
     p = sub.add_parser("roc", help="ROC staircase (CSV, optionally SVG) for a saved model")
     _add_common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="ROC CSV")
     p.add_argument("--svg", default=None, help="also write an SVG plot here")
-    p.set_defaults(func=_cmd_roc)
+    p.set_defaults(func=_cmd_roc, outputs=("out", "svg"))
     return parser
 
 
-def _cmd_synth(args) -> str:
+def _cmd_synth(args) -> None:
     catalog = _base_catalog(args)
     if args.spec is None:
         try:
@@ -198,18 +197,16 @@ def _cmd_synth(args) -> str:
     else:
         spec = load_spec(args.spec, catalog)
     write_synthesized(spec, args.seed, args.out)
-    return f"{args.out}\n"
 
 
-def _cmd_extract(args) -> str:
+def _cmd_extract(args) -> None:
     _, columns = _columns(args, args.feature_set)
     bits = scan_app(args.app_dir, columns)
     label = None if args.label is None else Label[args.label.upper()]
     write_vector_csv(columns, bits, args.out, label=label)
-    return f"{args.out}\n"
 
 
-def _cmd_rank(args) -> str:
+def _cmd_rank(args) -> str | None:
     columns, counts = _read_data(args, args.feature_set, read_class_counts)
     ranking = rank_by_counts(columns.names, *counts)
     if args.top is not None:
@@ -219,20 +216,17 @@ def _cmd_rank(args) -> str:
     if args.out is None:
         return format_ranking(ranking)
     write_ranking(ranking, args.out)
-    return f"{args.out}\n"
 
 
-def _cmd_train(args) -> str:
+def _cmd_train(args) -> None:
     catalog, dataset = _read_data(args, args.feature_set)
     model = train_model(_algo_from_args(args, args.algo), dataset)
     save_model(model, args.model, catalog)
-    return f"{args.model}\n"
 
 
-def _cmd_predict(args) -> str:
+def _cmd_predict(args) -> None:
     catalog, (rows, _) = _read_data(args, args.feature_set, read_packed)
     _write_predictions(args.out, model_scores(load_model(args.model, catalog), rows))
-    return f"{args.out}\n"
 
 
 # A row's label cell, by `is_malware`, with a NUL pad after the shorter one.
@@ -263,7 +257,7 @@ def _write_predictions(path, scores: np.ndarray) -> None:
             f.write(block.tobytes().replace(b"\0", b""))
 
 
-def _cmd_compare(args) -> str:
+def _cmd_compare(args) -> None:
     names = [s.strip() for s in (args.feature_set or "capf").split(",")]
     if not set(names) <= set(_FEATURE_SETS):
         raise _UsageError(f"--feature-set must list values from {', '.join(_FEATURE_SETS)}; got {args.feature_set!r}")
@@ -271,12 +265,9 @@ def _cmd_compare(args) -> str:
     algos = [_algo_from_args(args, kind.strip()) for kind in args.algo.split(",") if kind.strip()]
     rows = compare(dataset, algos, args.folds, args.seed, feature_sets=[FeatureSet(s) for s in names])
     write_report(rows, args.out)
-    return f"{args.out}\n"
 
 
-def _cmd_roc(args) -> str:
-    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
-        raise _UsageError(f"--out and --svg name the same file: {args.out}")
+def _cmd_roc(args) -> None:
     catalog, (rows, labels) = _read_data(args, args.feature_set, read_packed)
     if labels is None:
         raise _no_labels(args.data)
@@ -285,21 +276,9 @@ def _cmd_roc(args) -> str:
         curve = roc_auc(scores, labels)
     except ValueError as exc:
         raise DatasetError(f"{args.data}: {exc}") from None
-    svg = roc_svg(curve) if args.svg else None
-    paths = [path for path in (args.out, args.svg) if path]
-    created = [path for path in paths if not os.path.lexists(path)]
-    try:
-        for path in paths:  # every output opens, untruncated, before any is written
-            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
-        write_roc(curve, args.out)
-        if svg is not None:
-            Path(args.svg).write_text(svg, encoding="utf-8", newline="\n")
-    except OSError:
-        for path in created:  # a failed command leaves behind no file it made
-            if os.path.lexists(path):
-                os.unlink(path)
-        raise
-    return "".join(f"{path}\n" for path in paths)
+    write_roc(curve, args.out)
+    if args.svg:
+        Path(args.svg).write_text(roc_svg(curve), encoding="utf-8", newline="\n")
 
 
 def roc_svg(curve: RocCurve) -> str:
@@ -337,20 +316,40 @@ def roc_svg(curve: RocCurve) -> str:
 """
 
 
+def _run(args) -> str:
+    """The stdout text of the command in `args`: what it returns, then each
+    output path given. Two outputs naming one file are a flag fault. Each
+    output but a FIFO or a device, which the command opens once, is opened
+    untruncated before it runs; those made here are removed if it raises."""
+    given = {flag: getattr(args, flag) for flag in args.outputs if getattr(args, flag) is not None}
+    for (flag, path), (other, other_path) in itertools.combinations(given.items(), 2):
+        if os.path.realpath(path) == os.path.realpath(other_path):
+            raise _UsageError(f"--{flag} and --{other} name the same file: {path}")
+    created = []
+    try:
+        for path in given.values():
+            if not os.path.lexists(path):
+                created.append(path)
+            if os.path.isfile(path) or path in created:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+        text = args.func(args) or ""
+    except BaseException:
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
+    return text + "".join(f"{path}\n" for path in given.values())
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"droidtriage: warning: {message}", file=sys.stderr)
         try:
-            args = parser.parse_args(argv)
-            sys.stdout.write(args.func(args))
+            sys.stdout.write(_run(parser.parse_args(argv)))
             return 0
-        except (*_DATA_ERRORS, ValueError) as exc:  # a data fault, else a flag fault
+        except (*_DATA_ERRORS, ValueError, BrokenExecutor) as exc:  # a data fault, a flag fault, a worker's death
             print(f"droidtriage: error: {exc}", file=sys.stderr)
-            return 2 if isinstance(exc, _DATA_ERRORS) else 1
-        except BrokenExecutor as exc:  # a worker process died
-            print(f"droidtriage: error: {exc}", file=sys.stderr)
-            return 3
+            return 2 if isinstance(exc, _DATA_ERRORS) else 1 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -532,24 +532,46 @@ STDOUT_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", STDOUT_CASES)
-@pytest.mark.parametrize("outcome", ["success", "failure"])
-def test_stdout_is_written_only_on_success(tmp_path, small_corpus, nb_model, capsys, case, outcome):
-    """A command that succeeds prints exactly its output paths, or the
-    ranking; one that fails prints nothing to stdout and one line to stderr,
-    and leaves no output behind, also when it fails after writing an output
-    (roc --svg)."""
+# The writer each command calls through `droidtriage.cli`; rank without
+# --out writes no file, and its ranking text stands in.
+WRITERS = {
+    "synth": "write_synthesized", "extract": "write_vector_csv", "rank": "format_ranking",
+    "rank --out": "write_ranking", "train": "save_model", "predict": "_write_predictions",
+    "crossval": "write_report", "compare": "write_report", "roc": "write_roc", "roc --svg": "write_roc",
+}
+
+
+def _stdout_case(tmp_path, small_corpus, nb_model, case):
+    """The argv and printed outputs of `STDOUT_CASES[case]`, and the places
+    they name, made under `tmp_path`."""
     places = {"D": small_corpus, "M": nb_model, "S": tmp_path / "spec", "A": tmp_path / "app", "O": tmp_path / "out"}
     places["S"].write_text("#n_benign=6\n#n_malware=4\nname,p_benign,p_malware\nSEND_SMS,0.1,0.8\n")
     places["A"].mkdir()
     (places["A"] / "AndroidManifest.xml").write_text('<uses-permission android:name="android.permission.SEND_SMS"/>')
     places["O"].mkdir()
     argv, outputs = ([a.format(**places) for a in args] for args in STDOUT_CASES[case])
+    return argv, outputs, places
+
+
+@pytest.mark.parametrize("case", STDOUT_CASES)
+@pytest.mark.parametrize("outcome", ["success", "failure", "writer fault"])
+def test_stdout_is_written_only_on_success(tmp_path, small_corpus, nb_model, capsys, monkeypatch, case, outcome):
+    """A command that succeeds prints exactly its output paths, or the
+    ranking; one that fails prints nothing to stdout and one line to stderr,
+    and leaves no output behind, also when it fails after writing an output
+    (roc --svg) or its writer fails after writing part of a new one."""
+    argv, outputs, places = _stdout_case(tmp_path, small_corpus, nb_model, case)
     if outcome == "failure":
         argv[-1] = str(places["O"] / "missing" / Path(argv[-1]).name)
+    elif outcome == "writer fault":
+        def fault(*args, **kwargs):
+            for path in outputs[:1]:
+                Path(path).write_text("row,label,score\n1,")
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(cli, WRITERS[case], fault)
     rc = main(argv)
     captured = capsys.readouterr()
-    if outcome == "failure":
+    if outcome != "success":
         assert rc == 2 and captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("droidtriage: error:")
         assert not any(places["O"].iterdir()), "a failed command left an output behind"
@@ -559,6 +581,52 @@ def test_stdout_is_written_only_on_success(tmp_path, small_corpus, nb_model, cap
         ranking = places["O"] / "ranking.csv"
         assert main(["rank", "--top", "3", "--data", str(small_corpus), "--out", str(ranking)]) == 0
         assert rc == 0 and captured.out == ranking.read_text() and captured.out.count("\n") == 4
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("case", ["synth", "roc"])
+def test_output_to_a_fifo(tmp_path, small_corpus, nb_model, case):
+    """An output that is a FIFO is opened once, by its writer, and receives
+    the bytes a regular file does: roc used to open it before the write, so
+    the reader saw an empty stream and the write then blocked for ever. The
+    command runs in a child under a timeout, so a hang fails in seconds."""
+    argv, outputs, places = _stdout_case(tmp_path, small_corpus, nb_model, case)
+    assert main(argv) == 0
+    expected = Path(outputs[0]).read_bytes()
+    fifo = places["O"] / "pipe"
+    os.mkfifo(fifo)
+    argv[argv.index(outputs[0])] = str(fifo)
+    read = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), sys.stdout.buffer)"
+    with subprocess.Popen([sys.executable, "-c", read, str(fifo)], stdout=subprocess.PIPE) as reader:
+        try:
+            proc = subprocess.run([sys.executable, "-m", "droidtriage", *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                                  capture_output=True, text=True, timeout=30)
+            received = reader.communicate(timeout=30)[0]
+        finally:
+            reader.kill()
+    assert proc.returncode == 0 and proc.stderr == "" and proc.stdout == f"{fifo}\n"
+    assert received == expected and len(expected) > 0
+
+
+def test_unwritable_output_fails_before_the_command_runs(tmp_path, small_corpus, monkeypatch, capsys):
+    """compare with --out under a missing directory exits 2 without running
+    its folds; with a writable --out, the output exists, empty, while the
+    command runs."""
+    seen = []
+
+    def record(dataset, algos, *args, **kwargs):
+        seen.append(out.read_bytes())
+        return []
+
+    monkeypatch.setattr(cli, "compare", record)
+    argv = ["compare", "--algo", "nb", "--folds", "3", "--data", str(small_corpus), "--out"]
+    out = tmp_path / "missing" / "c.csv"
+    rc = main([*argv, str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and seen == []
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("droidtriage: error:")
+    out = tmp_path / "c.csv"
+    assert main([*argv, str(out)]) == 0 and seen == [b""]
 
 
 @pytest.mark.parametrize("kept, failing", [("--out", "--svg"), ("--svg", "--out")])
