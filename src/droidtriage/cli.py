@@ -3,7 +3,7 @@
 Subcommands: synth, extract, rank, train, predict, compare (also named
 crossval), roc. Exit codes: 0 success, 1 a flag fault (a value argparse or
 `AlgoDescriptor` rejects), 2 a fault in the data, catalog or model, 3 a
-worker process of compare died (killed, or out of memory). `main` alone maps
+worker process died (killed, or out of memory). `main` alone maps
 faults to codes and handles every command's outputs; diagnostics go to stderr.
 """
 

@@ -621,7 +621,7 @@ class SyntheticSpec:
             p = np.ascontiguousarray(getattr(self, attr), dtype=np.float64)
             if p.shape != (F,):
                 raise ValueError(f"{attr} must have shape ({F},), got {p.shape}")
-            if np.any(p < 0.0) or np.any(p > 1.0):
+            if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both
                 raise ValueError(f"{attr} entries must lie in [0, 1]")
             p.setflags(write=False)
             object.__setattr__(self, attr, p)

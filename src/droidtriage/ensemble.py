@@ -95,7 +95,7 @@ def _stack(parts, params: AlgoDescriptor, n_features: int) -> ForestModel:
     return ForestModel(*nodes, offsets, params, n_features)
 
 
-def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int = 1) -> ForestModel:
+def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> ForestModel:
     """Train a bagged forest of ``algo.trees`` random trees, each examining
     ``k = algo.split_count(F)`` candidates per split, on the rows the bool
     mask `rows` selects (every row when None).
@@ -107,9 +107,10 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int
     off, every tree sees all of them. The draw becomes a count per row, so
     tree i equals ``train_random_tree`` on the resampled copy without the
     copy being made. All trees of a batch grow in one loop over depth levels;
-    `pool.run` grows a contiguous batch in each of `workers` processes, and
-    the forest is the same for any `workers`. With one tree and bootstrap
-    off, it is exactly `train_random_tree` with seed ``derive_seed(seed, 0)``.
+    `pool.run` grows a contiguous batch in each of `pool.workers()` processes
+    (one batch, here, inside a `compare` fold's worker), and the forest is the
+    same for any count. With one tree and bootstrap off, it is exactly
+    `train_random_tree` with seed ``derive_seed(seed, 0)``.
     """
     params = replace(algo, k=algo.split_count(dataset.feature_count))
     seeds = [derive_seed(params.seed, i) for i in range(params.trees)]
@@ -125,9 +126,9 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None, workers: int
     def grow(batch: slice) -> tuple[np.ndarray, ...]:
         return _grow(dataset.X, dataset.y, weights[batch], params.k, seeds[batch], ENTROPY)
 
-    n = max(1, min(workers, params.trees))
+    n = min(pool.workers(), params.trees)
     batches = [slice(i * params.trees // n, (i + 1) * params.trees // n) for i in range(n)]
-    return _stack(pool.run(grow, batches, workers), params, dataset.feature_count)
+    return _stack(pool.run(grow, batches), params, dataset.feature_count)
 
 
 def forest_scores(model: ForestModel, X) -> np.ndarray:

@@ -7,9 +7,10 @@ concatenated into a single ROC, so each configuration yields one row of
 rates, micro-averaged over the whole dataset.
 
 `compare` plans every (feature set, algorithm, fold) fit up front and runs
-them on `pool.run`, one fold per job; every fit has its own derived seed,
-no fit's bits depend on the BLAS thread count, and each result is assembled
-in fold order, so the outcome is the same for any worker count.
+them on `pool.run`, one fold per job, on as many processes as `pool.workers`
+gives; a forest in a fold grows whole in that fold's process. Every fit has
+its own derived seed, no fit's bits depend on the BLAS thread count, and each
+result is assembled in fold order, so the outcome is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -256,18 +255,6 @@ def cross_validate(dataset: Dataset, algo: AlgoDescriptor, k: int = 10, seed: in
     return compare(dataset, [algo], k, seed)[0].cv
 
 
-def _default_workers() -> int:
-    """How many processes fit folds: the CPUs this process may run on, or one
-    off Linux, where a fork is not known to be safe. Fits take their BLAS products
-    over small fixed row blocks: one thread each, the same bits for any thread count."""
-    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
-
-
-def _run_jobs(work, jobs: list) -> list:
-    """`_fold_job` of each of `jobs` on `work`, in order; a fit's bits do not depend on where it ran."""
-    return pool.run(functools.partial(_fold_job, *work), jobs, _default_workers())
-
-
 @dataclass(frozen=True)
 class ComparisonRow:
     """One line of the comparison table: a feature set, its width, and the
@@ -300,7 +287,7 @@ def compare(
     """Cross-validate every (feature set, algorithm) pair on `dataset`, one
     row per pair, feature set major.
 
-    Every fold of every pair is one job, run by `_run_jobs`; the rows are
+    Every fold of every pair is one job, run by `pool.run`; the rows are
     the same for any worker count. A set with every column of `dataset`
     is fitted on `dataset` itself, not on a copy.
     """
@@ -311,7 +298,7 @@ def compare(
                  for sub in subs]
     folds = stratified_fold_indices(dataset.y, k, seed)
     jobs = list(itertools.product(range(len(projected)), range(len(algos)), range(k)))
-    results = iter(_run_jobs((projected, algos, folds, seed), jobs))
+    results = iter(pool.run(functools.partial(_fold_job, projected, algos, folds, seed), jobs))
     return [
         ComparisonRow(fs.value, len(sub), _cv_result(algo, seed, dataset.y, folds, itertools.islice(results, k)))
         for fs, sub in zip(feature_sets, subs)

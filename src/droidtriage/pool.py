@@ -1,6 +1,7 @@
-"""One worker pool for every fan-out, `compare`'s folds and `train_forest`'s
-batches of trees: results come in item order, the same for any worker count."""
+"""One worker pool, and one rule for its size, for every fan-out: `compare`'s
+folds and `train_forest`'s batches of trees. Results come in item order."""
 
+import os
 import signal
 import sys
 import threading
@@ -18,18 +19,27 @@ def _call(item):
     return _JOB(item)
 
 
-def run(job, items: list, workers: int) -> list:
+def workers() -> int:
+    """How many processes a fan-out uses: the CPUs this process may run on
+    (so `taskset` bounds it); one off Linux, while another Python thread runs
+    (a fork is not safe then), and inside a worker, so that a fan-out in a
+    job stays in that job's process."""
+    if sys.platform != "linux" or threading.active_count() > 1 or _JOB is not None:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def run(job, items: list) -> list:
     """``job(item)`` for each of `items`, in order, on a pool of at most
-    `workers` forked processes made for the call, which inherit `job`, so
-    only items and results are pickled; or in this process for one worker or
-    item, off Linux, or while another Python thread runs: a fork is not safe then."""
-    workers = min(workers, len(items))
-    if workers <= 1 or sys.platform != "linux" or threading.active_count() > 1:
+    `workers()` forked processes made for the call, which inherit `job`, so
+    only items and results are pickled; or in this process for one worker or item."""
+    n = min(workers(), len(items))
+    if n <= 1:
         return list(map(job, items))
     import multiprocessing  # here: it and the pool take about 18 ms and 1 MiB to import
     from concurrent.futures import ProcessPoolExecutor
 
-    executor = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), initializer=_start, initargs=(job,))
+    executor = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), initializer=_start, initargs=(job,))
     try:
         return list(executor.map(_call, items))
     finally:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -210,3 +211,10 @@ def _walk(root, bits) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """A function that sets how many CPUs this process may run on, the input
+    of `pool.workers`; forked workers inherit it, and still run one process each."""
+    return lambda n: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

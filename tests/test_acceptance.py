@@ -150,7 +150,7 @@ def full_size_corpus():
     return synthesize(reference_spec(), 3)
 
 
-def test_criterion_05_forest_oracles(full_size_corpus, tmp_path):
+def test_criterion_05_forest_oracles(full_size_corpus, tmp_path, cpus):
     with criterion(5, "forest seed-derivation and worker-count determinism", 30.0):
         ds = full_size_corpus
         single = train_forest(ds, AlgoDescriptor("rf", trees=1, k=8, bootstrap=False, seed=17))
@@ -163,7 +163,8 @@ def test_criterion_05_forest_oracles(full_size_corpus, tmp_path):
         blobs = []
         scores = []
         for workers in (1, 2, 8):
-            model = train_forest(ds, params, workers=workers)
+            cpus(workers)
+            model = train_forest(ds, params)
             path = tmp_path / f"forest-w{workers}.rf"
             save_model(model, path, ds.catalog)
             blobs.append(path.read_bytes())

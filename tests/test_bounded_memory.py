@@ -115,7 +115,7 @@ def deploy(tmp_path_factory, corpus, corpus_10x):
     ("synth", 2), ("rank", 2), ("predict", 10), ("roc", 8), ("train", 40), ("train-dt", 24), ("train-rt", 20),
     ("train-rf", 44),
 ])
-def test_deploy_command_peaks_within_its_bound(deploy, command, mib):
+def test_deploy_command_peaks_within_its_bound(deploy, cpus, command, mib):
     """Each streaming command held the 11.7 MiB bit matrix of 68,630 x 179
     rows: synth peaked at 12.5 MiB, rank at 13.2, predict at 17.2 and roc at
     16.4; they now hold a block, and predict and roc the rows at 1 bit per
@@ -125,7 +125,9 @@ def test_deploy_command_peaks_within_its_bound(deploy, command, mib):
     each level's gather of split candidates whole, as int32: dt peaked at
     73.7 MiB, rt at 22.0 and a 10-tree rf at 85.7. They now hold the bit
     matrix and sum a block of the gather at a time; rf still holds every
-    tree's level entries."""
+    tree's level entries. tracemalloc sees this process only, so each runs
+    on one CPU: on more, rf's trees would grow in workers it does not see."""
+    cpus(1)
     data, out = str(deploy / "c10.csv"), str(deploy / f"{command}.out")
     argv = {
         "synth": ["synth", "--spec", str(deploy / "s10.spec"), "--seed", "2", "--out", out],
@@ -152,10 +154,12 @@ def test_forest_loads_under_2_mib(deploy):
     assert peak < 2 * MIB, f"peaked at {peak / MIB:.2f} MiB"
 
 
-def test_forest_grows_under_5_mib(corpus):
-    """Ten trees on the 6,863-row corpus; growing every level's temporaries
+def test_forest_grows_under_5_mib(corpus, cpus):
+    """Ten trees on the 6,863-row corpus, on one CPU so that they grow in this
+    process, which tracemalloc sees; growing every level's temporaries
     on top of the last one's peaked at 10.9 MiB, and copying each level's
     whole gather of split candidates at 7.4."""
+    cpus(1)
     forest, peak = traced_peak(lambda: train_forest(corpus, AlgoDescriptor("rf", seed=1)))
     assert len(forest.trees) == 10
     assert peak < 5 * MIB, f"peaked at {peak / MIB:.1f} MiB"

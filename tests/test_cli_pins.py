@@ -1,7 +1,8 @@
 """Byte pins of every CLI output: rank (file and stdout), train plus predict
 for each kind, a crossval report, a compare report over all kinds and sets,
-and the roc CSV and SVG, on a small seeded corpus. The two reports are also
-pinned with their folds fitted in this process and in two workers. A
+and the roc CSV and SVG, on a small seeded corpus. The two reports and the
+forest are also pinned on one CPU and on two, so with their folds fitted
+and the forest's trees grown in this process and in two workers. A
 default-catalog synth of the reference calibration, about ten 256 KiB
 blocks, and its rank output pin the CSV writer and reader across blocks;
 every prediction and a synth with an XOR interaction are pinned with
@@ -14,7 +15,7 @@ import io
 
 import pytest
 
-from droidtriage import dataset, evaluation
+from droidtriage import dataset
 from droidtriage.cli import main
 
 CATALOG = """name,category,pattern
@@ -135,11 +136,15 @@ def test_output_bytes_pinned(outputs, name):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", FOLD_COMMANDS)
-def test_fold_reports_pinned_for_any_worker_count(root, monkeypatch, name, workers):
-    monkeypatch.setattr(evaluation, "_default_workers", lambda: workers)
+@pytest.mark.parametrize("name", [*FOLD_COMMANDS, "rf.model"])
+def test_fold_reports_pinned_for_any_worker_count(root, cpus, name, workers):
+    cpus(workers)
     out = root / f"{workers}-{name}"
-    _run(root, *FOLD_COMMANDS[name], "--data", str(root / "corpus.csv"), "--out", str(out))
+    if name == "rf.model":
+        argv = ["train", *TRAIN_FLAGS["rf"], "--seed", "9", "--model"]
+    else:
+        argv = [*FOLD_COMMANDS[name], "--out"]
+    _run(root, *argv, str(out), "--data", str(root / "corpus.csv"))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]
 
 

@@ -439,6 +439,12 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             SyntheticSpec(cat, [0.5, 1.2], [0.5, 0.5], 1, 1)
 
+    @pytest.mark.parametrize("rates", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_rate_rejected(self, rates):
+        """A NaN rate passed both `p < 0` and `p > 1` unflagged and was drawn as rate 0."""
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SyntheticSpec.from_rates(toy_catalog(2), {"f01": rates}, 1, 1)
+
     def test_invalid_xor_rejected(self):
         cat = toy_catalog(2)
         with pytest.raises(ValueError, match="distinct"):

@@ -55,10 +55,13 @@ class TestForest:
         votes = forest_scores(forest, ds.X)
         assert np.array_equal(votes, (tree_scores(lone, ds.X) > 0.5).astype(float))
 
-    def test_deterministic_across_worker_counts(self, rng):
+    def test_deterministic_across_worker_counts(self, rng, cpus):
         ds = random_dataset(rng, 200, 8)
         params = AlgoDescriptor("rf", trees=6, k=3, seed=5)
-        models = [train_forest(ds, params, workers=w) for w in (1, 2, 8)]
+        models = []
+        for n in (1, 2, 8):
+            cpus(n)
+            models.append(train_forest(ds, params))
         for other in models[1:]:
             assert all(_nested(a) == _nested(b) for a, b in zip(models[0].trees, other.trees))
 
@@ -73,13 +76,15 @@ class TestForest:
             assert _nested(member) == _nested(copy)
             assert member.seed == tree_seed
 
-    def test_trees_do_not_depend_on_their_batch(self, rng):
+    def test_trees_do_not_depend_on_their_batch(self, rng, cpus):
         ds = random_dataset(rng, 250, 10)
+        cpus(1)
         three = train_forest(ds, AlgoDescriptor("rf", trees=3, k=3, seed=4))
         six = train_forest(ds, AlgoDescriptor("rf", trees=6, k=3, seed=4))
-        six_threaded = train_forest(ds, AlgoDescriptor("rf", trees=6, k=3, seed=4), workers=4)
+        cpus(4)
+        six_in_batches = train_forest(ds, AlgoDescriptor("rf", trees=6, k=3, seed=4))
         assert [_nested(t) for t in six.trees[:3]] == [_nested(t) for t in three.trees]
-        assert [_nested(t) for t in six_threaded.trees] == [_nested(t) for t in six.trees]
+        assert [_nested(t) for t in six_in_batches.trees] == [_nested(t) for t in six.trees]
 
     def test_bootstrap_fraction_changes_sample(self, rng):
         ds = random_dataset(rng, 100, 5)

@@ -4,6 +4,7 @@ writes nothing to stdout and exactly one error line to stderr."""
 
 import contextlib
 import io
+import os
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droidtriage import evaluation
 from droidtriage.algo import KINDS, MAX_ITER, MAX_TREES
 from droidtriage.catalog import FeatureCatalog, FeatureDef
 from droidtriage.cli import main
@@ -62,7 +62,7 @@ KIND = st.sampled_from([*KINDS, "svm", ""])
 
 @st.composite
 def argvs(draw):
-    """(catalog name, argv without the file flags, fold workers) for train,
+    """(catalog name, argv without the file flags, CPUs) for train,
     crossval or compare."""
     command = draw(st.sampled_from(["train", "crossval", "compare"]))
     if command == "compare":
@@ -90,7 +90,7 @@ def test_every_flag_value_exits_0_1_or_2_with_one_line(corpora, case):
     argv = argv + ["--catalog", str(paths[catalog][0]), "--data", str(paths[catalog][1]), out_flag, str(root / "out")]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-            mock.patch.object(evaluation, "_default_workers", lambda: workers):
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(workers))):
         rc = main(argv)
     assert rc in (0, 1, 2)
     if rc != 0:

@@ -24,6 +24,8 @@ BAD_SPECS = {
     "bad-probability": (_SPEC_HEAD + "SEND_SMS,low,0.2\n", "line 4: bad probability"),
     "rate-above-1": (_SPEC_HEAD + "SEND_SMS,1.5,0.2\n", r"p_benign entries must lie in \[0, 1\]"),
     "rate-below-0": (_SPEC_HEAD + "SEND_SMS,0.1,-0.2\n", r"p_malware entries must lie in \[0, 1\]"),
+    "rate-nan-benign": (_SPEC_HEAD + "SEND_SMS,nan,0.5\n", r"p_benign entries must lie in \[0, 1\]"),
+    "rate-nan-malware": (_SPEC_HEAD + "SEND_SMS,0.5,nan\n", r"p_malware entries must lie in \[0, 1\]"),
 }
 
 # catalog file text -> expected message

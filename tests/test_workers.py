@@ -1,10 +1,13 @@
 """crossval and compare fit their folds in worker processes: the outcome is
 the same for any worker count, a fault crosses the process boundary as it
-would surface in one process, and no worker outlives the call. The count is
-set by patching `evaluation._default_workers`. A forest grows its batches of
-trees on the same pool, and importing the command line loads no pool."""
+would surface in one process, and no worker outlives the call. A forest
+grows its batches of trees on the same pool, except inside a fold's worker,
+and importing the command line loads no pool. The count is set by patching
+`os.sched_getaffinity`, the input of `pool.workers`, so that the rule stays
+whole in forked workers."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from droidtriage import bayes, ensemble, evaluation
+from droidtriage import bayes, ensemble, evaluation, pool
 from droidtriage.algo import KINDS, AlgoDescriptor
 from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet
 from droidtriage.cli import main
@@ -42,12 +45,6 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 def no_worker_left():
     yield
     assert multiprocessing.active_children() == []
-
-
-@pytest.fixture
-def workers(monkeypatch):
-    """A function that sets how many processes fit folds."""
-    return lambda n: monkeypatch.setattr(evaluation, "_default_workers", lambda: n)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +79,8 @@ def _fold_scores(dataset, algos, k: int, seed: int) -> list[bytes]:
     on `dataset` alone."""
     folds = stratified_fold_indices(dataset.y, k, seed)
     jobs = list(itertools.product([0], range(len(algos)), range(k)))
-    return [s.tobytes() for s, _, _ in evaluation._run_jobs(([dataset], algos, folds, seed), jobs)]
+    job = functools.partial(evaluation._fold_job, [dataset], algos, folds, seed)
+    return [s.tobytes() for s, _, _ in pool.run(job, jobs)]
 
 
 def test_fold_error_pickles_with_its_fold_and_cause():
@@ -92,13 +90,13 @@ def test_fold_error_pickles_with_its_fold_and_cause():
 
 
 @pytest.mark.parametrize("n", [2, 11])
-def test_compare_is_the_same_for_any_worker_count(corpus, workers, n):
+def test_compare_is_the_same_for_any_worker_count(corpus, cpus, n):
     """All five kinds, two folds: 10 jobs, fitted by 2 workers or by more
     workers than jobs, as in this process. Rows compare their fold
     matrices, rates and ROC."""
-    workers(1)
+    cpus(1)
     one, scores = compare(corpus, ALGOS, k=2, seed=5), _fold_scores(corpus, ALGOS, 2, 5)
-    workers(n)
+    cpus(n)
     assert compare(corpus, ALGOS, k=2, seed=5) == one
     assert _fold_scores(corpus, ALGOS, 2, 5) == scores
 
@@ -108,39 +106,39 @@ def test_compare_is_the_same_for_any_worker_count(corpus, workers, n):
      "--folds", "2", "--seed", "1"],
     ["crossval", "--algo", "sl", "--max-iter", "5", "--cv-folds", "2", "--folds", "10", "--seed", "2"],
 ], ids=["compare", "crossval-sl"])
-def test_reports_are_the_same_for_any_worker_count(files, workers, argv):
+def test_reports_are_the_same_for_any_worker_count(files, cpus, argv):
     """10 jobs each, fitted in this process, by 2 workers, and by more
     workers than jobs."""
     reports = {}
     for n in (1, 2, 11):
-        workers(n)
+        cpus(n)
         reports[n] = _run(files, *argv)
     assert reports[1][0] == 0 and reports[1][3].count(b"\n") > 1
     assert reports[2] == reports[1] and reports[11] == reports[1]
 
 
-def test_ten_folds_of_sl_are_the_same_for_any_worker_count(corpus, workers):
-    workers(1)
+def test_ten_folds_of_sl_are_the_same_for_any_worker_count(corpus, cpus):
+    cpus(1)
     one, scores = cross_validate(corpus, ALGOS[-1], k=10, seed=2), _fold_scores(corpus, ALGOS[-1:], 10, 2)
     for n in (2, 11):
-        workers(n)
+        cpus(n)
         assert cross_validate(corpus, ALGOS[-1], k=10, seed=2) == one
         assert _fold_scores(corpus, ALGOS[-1:], 10, 2) == scores
 
 
 UNPINNED = """
-import hashlib, itertools
-from droidtriage import evaluation
+import functools, hashlib, itertools, os
+from droidtriage import evaluation, pool
 from droidtriage.algo import AlgoDescriptor
 from droidtriage.calibration import reference_spec
 from droidtriage.dataset import synthesize
 
 ds = synthesize(reference_spec(), 1)
 folds = evaluation.stratified_fold_indices(ds.y, 2, 1)
-work = ([ds], [AlgoDescriptor("sl", max_iter=8, cv_folds=2)], folds, 1)
+job = functools.partial(evaluation._fold_job, [ds], [AlgoDescriptor("sl", max_iter=8, cv_folds=2)], folds, 1)
 for n in (1, 2):
-    evaluation._default_workers = lambda: n
-    results = evaluation._run_jobs(work, list(itertools.product([0], [0], range(2))))
+    os.sched_getaffinity = lambda pid: set(range(n))
+    results = pool.run(job, list(itertools.product([0], [0], range(2))))
     print(hashlib.sha256(b"".join(s.tobytes() for s, _, _ in results)).hexdigest())
 """
 
@@ -158,16 +156,19 @@ def test_workers_train_sl_with_the_parents_blas_threads():
 
 
 @pytest.mark.parametrize("threads", [None, "1", "2", "8"])
-def test_default_workers_are_the_cpus_whatever_the_blas_threads(monkeypatch, threads):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+def test_default_workers_are_the_cpus_whatever_the_blas_threads(monkeypatch, cpus, threads):
+    cpus(4)
     for name in BLAS_THREADS:
         if threads is None:
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, threads)
-    assert evaluation._default_workers() == 4
+    assert pool.workers() == 4
+    in_workers = pool.run(lambda _: (os.getpid(), pool.workers()), [0, 1])
+    assert [n for _, n in in_workers] == [1, 1]  # a job fans out no further
+    assert all(pid != os.getpid() for pid, _ in in_workers)
     monkeypatch.setattr(sys, "platform", "darwin")  # a fork is not known to be safe there
-    assert evaluation._default_workers() == 1
+    assert pool.workers() == 1
 
 
 def _fit_pid(corpus, monkeypatch) -> int:
@@ -181,15 +182,20 @@ def _fit_pid(corpus, monkeypatch) -> int:
     return int(str(caught.value.cause).split()[-1])
 
 
-def _grow_pid(corpus, monkeypatch) -> int:
-    """The process a batch of a two-worker forest was grown in."""
+def _refuse_to_grow(monkeypatch) -> None:
+    """Make every batch of trees fail, naming its process and that process's parent."""
     def refuse(*args):
-        raise DatasetError(f"pid {os.getpid()}")
+        raise DatasetError(f"pid {os.getpid()} ppid {os.getppid()}")
 
     monkeypatch.setattr(ensemble, "_grow", refuse)
+
+
+def _grow_pid(corpus, monkeypatch) -> int:
+    """The process a batch of a forest was grown in."""
+    _refuse_to_grow(monkeypatch)
     with pytest.raises(DatasetError) as caught:
-        train_forest(corpus, AlgoDescriptor("rf", trees=4, seed=1), workers=2)
-    return int(str(caught.value).split()[-1])
+        train_forest(corpus, AlgoDescriptor("rf", trees=4, seed=1))
+    return int(str(caught.value).split()[1])
 
 
 @contextlib.contextmanager
@@ -205,25 +211,43 @@ def _another_thread():
     assert not waiter.is_alive()
 
 
-def test_folds_are_fitted_in_workers(corpus, workers, monkeypatch):
-    workers(2)
+def test_folds_are_fitted_in_workers(corpus, cpus, monkeypatch):
+    cpus(2)
     assert _fit_pid(corpus, monkeypatch) != os.getpid()
 
 
-def test_folds_are_fitted_here_while_another_thread_runs(corpus, workers, monkeypatch):
+def test_folds_are_fitted_here_while_another_thread_runs(corpus, cpus, monkeypatch):
     """A fork is only safe with no other thread: the jobs run in this process."""
-    workers(2)
+    cpus(2)
     with _another_thread():
         assert _fit_pid(corpus, monkeypatch) == os.getpid()
 
 
-def test_forest_batches_are_grown_in_workers(corpus, monkeypatch):
+def test_forest_batches_are_grown_in_workers(corpus, cpus, monkeypatch):
+    cpus(2)
     assert _grow_pid(corpus, monkeypatch) != os.getpid()
 
 
-def test_forest_batches_are_grown_here_while_another_thread_runs(corpus, monkeypatch):
+def test_forest_batches_are_grown_here_on_one_cpu(corpus, cpus, monkeypatch):
+    cpus(1)
+    assert _grow_pid(corpus, monkeypatch) == os.getpid()
+
+
+def test_forest_batches_are_grown_here_while_another_thread_runs(corpus, cpus, monkeypatch):
+    cpus(2)
     with _another_thread():
         assert _grow_pid(corpus, monkeypatch) == os.getpid()
+
+
+def test_forest_in_a_fold_grows_in_the_folds_worker(corpus, cpus, monkeypatch):
+    """A forked worker runs one thread, so only the in-worker rule keeps a
+    fold's forest from forking workers of its own on top of the fold's."""
+    cpus(2)
+    _refuse_to_grow(monkeypatch)
+    with pytest.raises(FoldError) as caught:
+        compare(corpus, [AlgoDescriptor("rf", trees=4, seed=1)], k=2, seed=5)
+    pid, ppid = map(int, str(caught.value.cause).split()[1::2])
+    assert pid != os.getpid() and ppid == os.getpid()
 
 
 POOL_MODULES = """
@@ -242,24 +266,24 @@ def test_command_line_import_loads_no_pool():
     assert proc.stdout == "\n"
 
 
-def test_fold_timings_are_measured_per_fold(corpus, workers):
+def test_fold_timings_are_measured_per_fold(corpus, cpus):
     cv = cross_validate(corpus, ALGOS[0], k=4, seed=1)
     assert len(cv.fold_train_s) == len(cv.fold_score_s) == 4
-    workers(2)
+    cpus(2)
     for row in compare(corpus, ALGOS, k=3, seed=1):
         assert len(row.cv.fold_train_s) == len(row.cv.fold_score_s) == 3
         assert all(s > 0 for s in row.cv.fold_train_s + row.cv.fold_score_s)
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_data_fault_in_a_worker_exits_2_as_in_one_process(files, workers, monkeypatch, n):
+def test_data_fault_in_a_worker_exits_2_as_in_one_process(files, cpus, monkeypatch, n):
     """Every fold fails; the first in plan order is the one named, whichever
     worker finished first."""
     def refuse(dataset, algo, rows=None):
         raise DatasetError(f"refused {int(rows.sum())} rows")
 
     monkeypatch.setattr(bayes, "train_nb", refuse)
-    workers(n)
+    cpus(n)
     rc, out, err, _ = _run(files, "compare", "--algo", "dt,nb", "--folds", "3")
     assert (rc, out) == (2, "")
     assert err == "droidtriage: error: fold 0: refused 80 rows\n"
@@ -267,11 +291,11 @@ def test_data_fault_in_a_worker_exits_2_as_in_one_process(files, workers, monkey
 
 DYING = """
 import contextlib, io, json, multiprocessing, os, sys
-from droidtriage import bayes, evaluation
+from droidtriage import bayes, ensemble
 from droidtriage.cli import main
 
-bayes.train_nb = lambda *args: os._exit(1)
-evaluation._default_workers = lambda: 2
+bayes.train_nb = ensemble._grow = lambda *args: os._exit(1)
+os.sched_getaffinity = lambda pid: {0, 1}
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     rc = main(sys.argv[1:])
@@ -279,21 +303,27 @@ print(json.dumps([rc, out.getvalue(), err.getvalue(), len(multiprocessing.active
 """
 
 
-def test_worker_that_dies_ends_in_one_line_and_exit_3(files):
-    argv = ["compare", "--algo", "dt,nb", "--folds", "2", "--catalog", str(files / "cat.csv"),
-            "--data", str(files / "corpus.csv"), "--out", str(files / "dead.csv")]
+@pytest.mark.parametrize("argv", [
+    ["compare", "--algo", "dt,nb", "--folds", "2", "--out"],
+    ["train", "--algo", "rf", "--model"],
+], ids=["compare", "train-rf"])
+def test_worker_that_dies_ends_in_one_line_and_exit_3(files, argv):
+    """A fold of nb, or a batch of trees, kills its worker process."""
+    output = files / f"dead-{argv[0]}"
+    argv = [*argv, str(output), "--catalog", str(files / "cat.csv"), "--data", str(files / "corpus.csv")]
     proc = subprocess.run([sys.executable, "-c", DYING, *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
     rc, out, err, children = json.loads(proc.stdout)
     assert (rc, out, children) == (3, "", 0)
     assert len(err.splitlines()) == 1 and err.startswith("droidtriage: error: ")
+    assert not output.exists()
 
 
-def test_feature_sets_share_one_plan(corpus, workers):
+def test_feature_sets_share_one_plan(corpus, cpus):
     sets = [FeatureSet.PF, FeatureSet.AF]
-    workers(2)
+    cpus(2)
     rows = compare(corpus, ALGOS[:1], k=2, seed=0, feature_sets=sets)
     assert [(r.feature_set, r.features) for r in rows] == [("pf", 4), ("af", 4)]
-    workers(1)
+    cpus(1)
     assert compare(corpus, ALGOS[:1], k=2, seed=0, feature_sets=sets) == rows
