@@ -2,8 +2,8 @@
 
 Subcommands: synth, extract, rank, train, predict, compare (also named
 crossval), roc. Exit codes: 0 success, 1 a flag fault (a value argparse or
-`AlgoDescriptor` rejects), 2 a fault in the data, catalog or model, 3 a
-worker process died (killed, or out of memory). `main` alone maps
+`AlgoDescriptor` rejects), 2 a fault in the data, catalog or model, 3 out
+of memory (here or in a worker) or a worker killed. `main` alone maps
 faults to codes and handles every command's outputs; diagnostics go to stderr.
 """
 
@@ -347,8 +347,9 @@ def main(argv=None) -> int:
         try:
             sys.stdout.write(_run(parser.parse_args(argv)))
             return 0
-        except (*_DATA_ERRORS, ValueError, BrokenExecutor) as exc:  # a data fault, a flag fault, a worker's death
-            print(f"droidtriage: error: {exc}", file=sys.stderr)
+        except (*_DATA_ERRORS, ValueError, BrokenExecutor, MemoryError) as exc:  # a data fault, a flag fault, a dead worker, no memory
+            message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+            print(f"droidtriage: error: {message}", file=sys.stderr)
             return 2 if isinstance(exc, _DATA_ERRORS) else 1 if isinstance(exc, ValueError) else 3
 
 

@@ -14,10 +14,11 @@ every platform. Each synthesis call owns a single fresh stream.
 item's width in bytes into items per block, and `_blocks` cuts a range into
 such blocks. `_read_blocks` checks a file's rows and `_synthesized_blocks`
 draws a corpus's rows a block at a time. A command holds what it keeps of
-the blocks: `read_vectors` (train, compare) the bit matrix plus one block;
-`read_class_counts` (rank) and `write_synthesized` (synth) one block;
-`read_packed` (predict, roc) the rows at 1 bit per cell, as `PackedRows`,
-and the labels, plus one block. No reader holds the whole file.
+the blocks: `read_class_counts` (rank) and `write_synthesized` (synth) one
+block; `read_packed` (predict, roc) the rows at 1 bit per cell, as
+`PackedRows`, and the labels, plus one block; `read_vectors` (train,
+compare) those and the bit matrix it unpacks them into a block at a time.
+No reader holds the whole file.
 
 A row's cells are little-endian uint16 pairs, each a cell byte and the
 separator after it (see `_row_layout`). The writer renders a block of rows
@@ -35,7 +36,6 @@ import errno
 import itertools
 import math
 import os
-import stat
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -244,7 +244,7 @@ def read_csv(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = Non
     of ``0``/``1`` cells and a lowercase ``benign``/``malware`` label, with
     LF, CRLF or lone-CR line ends. Errors name the offending data row and
     column; a file that is not UTF-8 is a :class:`DatasetError` too, so the
-    command line exits 2. `columns` is as in :func:`read_vectors`.
+    command line exits 2. `columns` is as in :func:`read_packed`.
     """
     X, y = read_vectors(path, catalog, columns)
     if y is None:
@@ -255,40 +255,14 @@ def read_csv(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = Non
 def read_vectors(
     path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Read a dataset CSV, tolerating a missing ``class`` column.
-
-    Returns the bit matrix and the label array, or ``None`` for the labels
-    when the file carries no ``class`` column (e.g. scanner output). Only the
-    header is decoded, as UTF-8; rows are checked as ASCII bytes, and only
-    the first bad row is decoded, to name the fault. With `columns`, a
-    sub-catalog of `catalog`, the header may name `columns`' features or
-    `catalog`'s, and the matrix holds `columns`' features either way.
-
-    The rows come from `_read_blocks`, so memory holds the matrix and a few
-    blocks, never the whole file nor a line longer than any valid one. The
-    matrix is sized from the file's size; a size whose matrix memory cannot
-    hold is a :class:`DatasetError`.
-    """
-    blocks = _read_blocks(path, catalog, columns)
-    header = next(blocks)
-    try:
-        X = np.empty((header.most_rows, header.width), dtype=np.uint8)
-        y = np.empty(header.most_rows, dtype=np.uint8)
-    except MemoryError:
-        raise DatasetError(
-            f"{path}: its size allows {header.most_rows} rows, too many to hold in memory"
-        ) from None
-    n = 0  # rows read
-    for bits, labels in blocks:
-        m = len(bits)
-        if n + m > len(X):  # np.resize copies X's rows into the longer array
-            grown = max(n + m, 2 * len(X))
-            X, y = np.resize(X, (grown, X.shape[1])), np.resize(y, grown)
-        X[n : n + m] = bits
-        if header.labeled:
-            y[n : n + m] = labels
-        n += m
-    return X[:n], y[:n] if header.labeled else None
+    """`read_packed`, faults and all, with the rows as a bit matrix: each
+    block of rows is unpacked into it, so memory holds the matrix, the rows
+    at 1 bit per cell and a few blocks, from a file or a pipe alike."""
+    rows, y = read_packed(path, catalog, columns)
+    X = np.empty(rows.shape, dtype=np.uint8)
+    for s in _blocks(*rows.shape):
+        X[s] = rows[s]
+    return X, y
 
 
 def read_class_counts(
@@ -310,8 +284,19 @@ def read_class_counts(
 def read_packed(
     path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None
 ) -> tuple[PackedRows, np.ndarray | None]:
-    """`read_vectors`, faults and all, with the rows as `PackedRows`: each block is
-    packed as it is checked, so memory holds 1 bit a cell, the labels and a few blocks."""
+    """Read a dataset CSV, tolerating a missing ``class`` column.
+
+    Returns the rows as `PackedRows` and the label array, or ``None`` for the
+    labels when the file carries no ``class`` column (e.g. scanner output).
+    Only the header is decoded, as UTF-8; rows are checked as ASCII bytes,
+    and only the first bad row is decoded, to name the fault. With
+    `columns`, a sub-catalog of `catalog`, the header may name `columns`'
+    features or `catalog`'s, and the rows hold `columns`' features either way.
+
+    The rows come from `_read_blocks`, and each block is packed as it is
+    checked, so memory holds 1 bit a cell, the labels and a few blocks,
+    never the whole file nor a line longer than any valid one.
+    """
     blocks = _read_blocks(path, catalog, columns)
     header = next(blocks)
     labels = [np.empty(0, dtype=np.uint8)]  # each block's, kept as its bits are packed
@@ -324,11 +309,10 @@ class _Header(NamedTuple):
 
     width: int  # bits in each row of the blocks
     labeled: bool
-    most_rows: int  # the rows a regular file of its size can hold; 0 for a pipe
 
 
 def _read_blocks(path, catalog: FeatureCatalog, columns: FeatureCatalog | None = None):
-    """Check the rows of a dataset CSV a block at a time, as `read_vectors`
+    """Check the rows of a dataset CSV a block at a time, as `read_packed`
     reads them: a generator whose first item is the file's `_Header`, and
     each later item a block of good rows as (bits, labels). The bits are an
     (m, width) matrix of 0/1 integers, valid only until the next block, and
@@ -340,7 +324,6 @@ def _read_blocks(path, catalog: FeatureCatalog, columns: FeatureCatalog | None =
     The file is read in blocks of `_CHUNK_BYTES` (see `_whole_lines`).
     """
     with open(path, "rb") as f:
-        info = os.fstat(f.fileno())
         longest_header = len(",".join([*catalog.names, "class"]).encode("utf-8"))
         longest_row = 2 * len(catalog) - 1 + len(",malware")  # a malware row of the widest columns
         blocks = _whole_lines(f, max(_LONG_ROW, longest_header), max(_LONG_ROW, longest_row))
@@ -364,16 +347,12 @@ def _read_blocks(path, catalog: FeatureCatalog, columns: FeatureCatalog | None =
         # A good row is what the writer makes of the bits read from it (see
         # `_row_layout`): F cell pairs, each reading its bit above its
         # pair's word, then its tag, which ends at the newline of a benign
-        # row; a malware row is one byte longer. It takes at least L bytes
-        # of the file (the last L - 1 if it has no line end), so the file's
-        # size bounds n.
+        # row; a malware row is one byte longer.
         pairs, tails = _row_layout(F, labeled)
         tags = tails[:, : len("malware")]  # a malware row's newline is past L
         L = 2 * F + tags.shape[1]
         cols = None if columns is None else [catalog.index_of(name) for name in columns.names]
-        # A FIFO reports size 0: it bounds nothing.
-        most_rows = max(0, info.st_size - cut) // L if stat.S_ISREG(info.st_mode) else 0
-        yield _Header(F if cols is None else len(cols), labeled, most_rows)
+        yield _Header(F if cols is None else len(cols), labeled)
         n = 0  # rows read
         try:
             for block in itertools.chain((block[cut + 1 :],), blocks):

@@ -7,7 +7,8 @@ fixed tracemalloc peak, and a forest grows within one. The streaming
 commands, synth, rank, predict and roc, and the train of sl, dt, rt and rf run
 through `main` on that corpus within a fixed peak each, and every kind's model file and
 predictions are the same on one BLAS thread and on two. A forest's model
-file loads within a fixed peak.
+file loads within a fixed peak. A command that runs out of memory exits 3
+with one error line and leaves no output.
 """
 
 import contextlib
@@ -198,3 +199,46 @@ def test_every_kind_does_not_depend_on_blas_threads(deploy, tmp_path):
     assert len(outputs[0]) == 2 * len(KINDS)
     for name, data in outputs[0].items():
         assert outputs[1][name] == data, name
+
+
+# Caps this process's address space at argv[1] MiB above its size once
+# imported, on one CPU so that no worker is forked, then runs the command in
+# argv[2:]. Under the cap an OpenBLAS buffer that cannot be mapped aborts the
+# process, and a shared object that cannot be mapped is no MemoryError, so
+# neither is left to happen under it: one BLAS thread, and numpy.random
+# mapped before the cap.
+CAPPED = """
+import os, resource, sys
+import numpy.random
+from droidtriage.cli import main
+
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+with open("/proc/self/status") as f:
+    size = next(int(line.split()[1]) for line in f if line.startswith("VmSize:")) << 10
+cap = size + (int(sys.argv[1]) << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the address space of a Linux process")
+@pytest.mark.parametrize("mib, command", [
+    (2, ["predict", "--model", "rf.model", "--out"]),
+    (8, ["train", "--algo", "dt", "--model"]),
+    (20, ["train", "--algo", "sl", "--model"]),
+])
+def test_out_of_memory_exits_3_with_one_line(deploy, mib, command):
+    """Out of memory, predict and sl's training ended in a numpy traceback
+    and exit 1, the flag-fault code, and dt's training, whose matrix was
+    sized from the file's size, in exit 2. Each now exits 3 with one error
+    line and removes the output it created."""
+    out = deploy / "oom.out"
+    argv = [sys.executable, "-c", CAPPED, str(mib), *command, str(out), "--data", "c10.csv"]
+    run = subprocess.run(
+        argv, cwd=deploy, env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 3, run.stderr
+    assert run.stdout == "" and not out.exists()
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("droidtriage: error: Unable to allocate "), run.stderr

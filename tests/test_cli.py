@@ -753,3 +753,17 @@ def test_unknown_kind_names_the_kinds(small_corpus, tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err == "droidtriage: error: unknown algorithm kind 'svm'; choose from nb, dt, rt, rf, sl\n"
+
+
+def test_bare_memory_error_exits_3_as_out_of_memory(small_corpus, tmp_path, capsys, monkeypatch):
+    """A MemoryError without a message, as Python's own allocator raises it,
+    is named on the one error line; the model file is removed."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "train_model", no_memory)
+    model = tmp_path / "m.model"
+    rc = main(["train", "--algo", "nb", "--data", str(small_corpus), "--model", str(model)])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == "" and not model.exists()
+    assert captured.err == "droidtriage: error: out of memory\n"

@@ -137,8 +137,8 @@ def test_bad_row_in_a_later_block_is_numbered_across_the_file(tmp_path, rng):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_fifo_grows_the_matrix(tmp_path, rng):
-    """A pipe reports no size, so the matrix grows as its rows arrive."""
+def test_fifo_reads_as_the_file_reads(tmp_path, rng):
+    """A pipe reports no size, and needs none: its rows read as the file's."""
     ds = make_dataset(rng.integers(0, 2, (3000, F)), rng.integers(0, 2, 3000), toy_catalog(F))
     path, fifo = tmp_path / "d.csv", tmp_path / "pipe"
     write_csv(ds, path)
@@ -181,7 +181,7 @@ def test_abandoned_reader_closes_its_file(tmp_path, rng):
         blocks = dataset._read_blocks(path, toy_catalog(F))
         header = next(blocks)
         bits, labels = next(blocks)
-    assert header == (F, True, (path.stat().st_size - len(HEADER) + 1) // L)
+    assert header == (F, True)
     assert bits.shape[1] == F and len(bits) == len(labels) < 3000
     f = blocks.gi_frame.f_locals["f"]
     assert not f.closed
@@ -274,17 +274,17 @@ def test_long_row_with_the_right_cell_count_is_named_by_its_length(tmp_path):
         assert _read_in_blocks(path, block, default_catalog()) == message
 
 
-def test_sixteen_mib_row_peaks_within_a_few_blocks_of_the_matrix(tmp_path):
+def test_sixteen_mib_row_peaks_within_a_few_blocks(tmp_path):
     """A row of 8,388,608 ``0,`` cells used to peak at 139 MiB, carried whole
-    and split into cells before its fault was named."""
+    and split into cells before its fault was named; then at 9.4 MiB, with
+    a matrix sized from the file's size before its first row was read. Now
+    no matrix exists before every row is checked: it peaks at 2.2 MiB."""
     catalog = default_catalog()
     path = tmp_path / "d.csv"
     path.write_bytes((",".join(catalog.names) + ",class\n").encode() + b"0," * (8 << 20) + b"\n")
     _, peak = traced_peak(lambda: _outcome(read_vectors, path, catalog))
     assert _outcome(read_vectors, path, catalog) == f"{path}: row 1: expected 180 cells, got 8388609"
-    # read_vectors sizes its matrix from the file: a row takes at least L bytes.
-    matrix = (path.stat().st_size // (2 * len(catalog) - 1 + len(",benign\n"))) * (len(catalog) + 1)
-    assert peak < matrix + 8 * dataset._CHUNK_BYTES, f"{(peak - matrix) / (1 << 20):.1f} MiB over the matrix"
+    assert peak < 12 * dataset._CHUNK_BYTES, f"peaked at {peak / (1 << 20):.2f} MiB"
 
 
 def _rows_file(path, F: int, labeled: bool) -> list[tuple[int, int]]:

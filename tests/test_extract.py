@@ -245,7 +245,7 @@ def _app_trees(draw):
     return catalog, files
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(_app_trees())
 def test_scanner_matches_whole_file_reference(case):
     catalog, files = case

@@ -101,8 +101,8 @@ def tebibyte_csv(tmp_path):
 
 @pytest.mark.parametrize("command", ["rank", "predict", "train"])
 def test_tebibyte_file_exits_2(tmp_path, capsys, tebibyte_csv, command):
-    """rank and predict allocate nothing from the size, and skip the hole to
-    name the first row; train's matrix, sized from the file, cannot be held."""
+    """No command allocates from the size: each skips the hole to name the
+    first row. train sized its matrix from the file, and failed on that."""
     out = tmp_path / "out"
     argv = {
         "rank": ["rank", "--data", str(tebibyte_csv), "--out", str(out)],

@@ -686,7 +686,7 @@ def _trees_and_matrix(draw):
     return trees, gen.integers(0, 3, size=(n, n_features)).astype(dtype)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(_trees_and_matrix())
 def test_descent_matches_walk(case):
     from droidtriage.ensemble import forest_scores
