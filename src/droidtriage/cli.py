@@ -3,8 +3,9 @@
 Subcommands: synth, extract, rank, train, predict, compare (also named
 crossval), roc. Exit codes: 0 success, 1 a flag fault (a value argparse or
 `AlgoDescriptor` rejects), 2 a fault in the data, catalog or model, 3 out
-of memory (here or in a worker) or a worker killed. `main` alone maps
-faults to codes and handles every command's outputs; diagnostics go to stderr.
+of memory (here or in a worker) or a worker that dies, which `pool.run`
+raises as `pool.BrokenPool`. `main` alone maps faults to codes and handles
+every command's outputs; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import itertools
 import os
 import sys
 import warnings
-from concurrent.futures import BrokenExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -46,6 +46,7 @@ from .dataset import (
 from .evaluation import FoldError, RocCurve, compare, roc_auc, write_report, write_roc
 from .extract import scan_app
 from .modelio import ModelFormatError, load_model, save_model
+from .pool import BrokenPool
 from .ranking import format_ranking, rank_by_counts, write_ranking
 from .trees import CRITERIA
 
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
         try:
             sys.stdout.write(_run(parser.parse_args(argv)))
             return 0
-        except (*_DATA_ERRORS, ValueError, BrokenExecutor, MemoryError) as exc:  # a data fault, a flag fault, a dead worker, no memory
+        except (*_DATA_ERRORS, ValueError, BrokenPool, MemoryError) as exc:  # a data fault, a flag fault, a dead worker, no memory
             message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
             print(f"droidtriage: error: {message}", file=sys.stderr)
             return 2 if isinstance(exc, _DATA_ERRORS) else 1 if isinstance(exc, ValueError) else 3

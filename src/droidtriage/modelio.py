@@ -76,7 +76,7 @@ class _Lines:
 
     def check_width(self, count, n_features: int) -> None:
         if int(count) != n_features:
-            raise self.error(f"model has {count} features, catalog has {n_features}")
+            raise self.error(f"model has {int(count)} features, catalog has {n_features}")
 
     def number(self, text: str) -> float:
         value = float(text)
@@ -314,8 +314,8 @@ def load_model(path, catalog: FeatureCatalog) -> Model:
     actual = catalog.fingerprint()
     if stored != actual:
         raise lines.error(
-            f"catalog fingerprint mismatch: model built for {stored}, "
-            f"current catalog is {actual}"
+            f"catalog fingerprint mismatch: model built for {stored!r}, "
+            f"current catalog is {actual!r}"
         )
     if kind not in _BODIES:
         raise lines.error(f"unknown model kind {kind!r}")

@@ -9,6 +9,10 @@ import threading
 _JOB = None  # a worker process's job, set once by `_start`; the parent never sets it
 
 
+class BrokenPool(RuntimeError):
+    """A worker process died, killed or out of memory, before its job ended."""
+
+
 def _start(job) -> None:
     global _JOB
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
@@ -32,15 +36,18 @@ def workers() -> int:
 def run(job, items: list) -> list:
     """``job(item)`` for each of `items`, in order, on a pool of at most
     `workers()` forked processes made for the call, which inherit `job`, so
-    only items and results are pickled; or in this process for one worker or item."""
+    only items and results are pickled; or in this process for one worker or
+    item. A worker that dies raises `BrokenPool`."""
     n = min(workers(), len(items))
     if n <= 1:
         return list(map(job, items))
     import multiprocessing  # here: it and the pool take about 18 ms and 1 MiB to import
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     executor = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), initializer=_start, initargs=(job,))
     try:
         return list(executor.map(_call, items))
+    except BrokenExecutor as exc:
+        raise BrokenPool(str(exc)) from exc
     finally:
         executor.shutdown(cancel_futures=True)

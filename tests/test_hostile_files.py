@@ -1,11 +1,13 @@
-"""Hostile spec and catalog files: a valid pair of them, a few bytes edited,
-runs `synth` and then `rank` on its output through `main`. Each case exits
-0, 1 or 2; a failed command prints nothing on stdout, exactly one error line
-on stderr, and leaves no output behind."""
+"""Hostile spec, catalog and model files: a valid pair of spec and catalog,
+a few bytes edited, runs `synth` and then `rank` on its output through
+`main`; a valid model of each kind, a few bytes edited, runs `predict`. Each
+case exits 0, 1 or 2; a failed command prints nothing on stdout, exactly one
+error line on stderr, and leaves no output behind."""
 
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,10 @@ p0,0.1,0.8
 a1,0.5,0.25
 c0,0,1
 """
+
+# Enough rows for sl's iteration selection, which splits them into folds.
+MODEL_SPEC = SPEC.replace(b"#n_benign=4\n#n_malware=3", b"#n_benign=24\n#n_malware=16")
+MODEL_KINDS = {"nb": [], "dt": [], "sl": [], "rf": ["--trees", "3"]}
 
 # Bytes that the formats give a meaning, and any other byte.
 EDIT_BYTE = st.sampled_from(list(b",#=\n\r.-0123456789e \xc3\xff")) | st.integers(0, 255)
@@ -83,3 +89,32 @@ def test_unedited_spec_and_catalog_synth_and_rank(tmp_path):
     assert _run(["synth", *common, "--spec", str(tmp_path / "spec"), "--out", str(data)], data) == 0
     assert _run(["rank", *common, "--data", str(data), "--out", str(ranking)], ranking) == 0
     assert len(ranking.read_text().splitlines()) == 6
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A corpus of `MODEL_SPEC` and the bytes of a model of each kind trained on it."""
+    root = tmp_path_factory.mktemp("models")
+    (root / "catalog.csv").write_bytes(CATALOG)
+    (root / "spec").write_bytes(MODEL_SPEC)
+    common = ["--catalog", str(root / "catalog.csv")]
+    data = root / "data.csv"
+    assert _run(["synth", *common, "--spec", str(root / "spec"), "--out", str(data)], data) == 0
+    models = {}
+    for kind, flags in MODEL_KINDS.items():
+        model = root / f"{kind}.model"
+        assert _run(["train", *common, "--data", str(data), "--algo", kind, *flags, "--model", str(model)], model) == 0
+        models[kind] = model.read_bytes()
+    return common, data, models
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_edited_model_exits_0_1_or_2_with_one_line(tmp_path_factory, trained, data):
+    common, corpus, models = trained
+    model = data.draw(st.sampled_from(sorted(models)).flatmap(lambda kind: edited(models[kind])))
+    root = tmp_path_factory.mktemp("hostile-model")
+    (root / "model").write_bytes(model)
+    out = root / "predictions.csv"
+    if _run(["predict", *common, "--data", str(corpus), "--model", str(root / "model"), "--out", str(out)], out) == 0:
+        assert len(out.read_text().splitlines()) == len(corpus.read_text().splitlines())  # a header, then a line a row

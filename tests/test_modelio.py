@@ -50,6 +50,17 @@ def test_fingerprint_mismatch_names_both(tmp_path, rng):
     assert other.fingerprint() in str(err.value)
 
 
+def test_fingerprint_mismatch_is_one_line(tmp_path):
+    """The file's fingerprint is quoted, so a line break in it (a vertical
+    tab here) cannot split the error line."""
+    cat = toy_catalog(4)
+    path = tmp_path / "m.dt"
+    path.write_text("\n".join(["droidtriage-model v1 dt", "catalog \v" + cat.fingerprint()[1:], *_tree_body()]) + "\n")
+    with pytest.raises(ModelFormatError, match=r"model built for '\\x0b") as err:
+        load_model(path, cat)
+    assert len(str(err.value).splitlines()) == 1
+
+
 def test_not_a_model_file(tmp_path):
     path = tmp_path / "junk"
     path.write_text("hello world\n")
@@ -159,6 +170,7 @@ CRAFTED = {
     "split-feature": ("dt", _TREE_HEAD + ["n_features 4", "S 999", "L 1 0", "L 0 1"], "999"),
     "regressor-feature": ("sl", _SL_HEAD + ["n_features 4", "R 500 -1.0 1.0"], "500"),
     "tree-width": ("dt", _TREE_HEAD + ["n_features 3", "L 1 0"], "has 3 features"),
+    "tree-width-vertical-tab": ("dt", _TREE_HEAD + ["n_features \v3", "L 1 0"], "has 3 features"),
     "sl-width": ("sl", _SL_HEAD + ["n_features 5", "R 0 -1.0 1.0"], "has 5 features"),
     "negative-leaf": ("dt", _TREE_HEAD + ["n_features 4", "L -5 2"], "negative"),
     "theta-length": (
