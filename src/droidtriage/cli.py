@@ -53,6 +53,9 @@ from .trees import CRITERIA
 _DATA_ERRORS = (CatalogError, DatasetError, ModelFormatError, FoldError, OSError)
 _DEFAULTS = {f.name: f.default for f in fields(AlgoDescriptor)}
 _FEATURE_SETS = [fs.value for fs in FeatureSet]
+# Each character `str.splitlines` ends a line at, as its escape: an error or a warning is one line whatever a
+# path in it holds.
+_LINE_ENDS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 class _UsageError(ValueError):
@@ -344,13 +347,14 @@ def _run(args) -> str:
 def main(argv=None) -> int:
     parser = _build_parser()
     with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(f"droidtriage: warning: {message}", file=sys.stderr)
+        warnings.showwarning = lambda message, *_: print(
+            f"droidtriage: warning: {str(message).translate(_LINE_ENDS)}", file=sys.stderr)
         try:
             sys.stdout.write(_run(parser.parse_args(argv)))
             return 0
         except (*_DATA_ERRORS, ValueError, BrokenPool, MemoryError) as exc:  # a data fault, a flag fault, a dead worker, no memory
-            message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
-            print(f"droidtriage: error: {message}", file=sys.stderr)
+            message = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else str(exc)
+            print(f"droidtriage: error: {message.translate(_LINE_ENDS)}", file=sys.stderr)
             return 2 if isinstance(exc, _DATA_ERRORS) else 1 if isinstance(exc, ValueError) else 3
 
 

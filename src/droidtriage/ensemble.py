@@ -6,7 +6,7 @@ the smallest unsigned dtype that holds it, not a copy of the data, and the
 trees grow together, one depth level at a time.
 Every tree derives its own seed from the master seed with a fixed 64-bit
 mixing function, so the model is a pure function of (dataset, descriptor) no
-matter how many worker processes grow its batches of trees in parallel.
+matter how its trees are cut into batches or how many worker processes grow them.
 
 Simple logistic is stagewise additive logistic regression: each boosting
 iteration computes Newton-step working responses z with weights w = p(1-p),
@@ -22,12 +22,12 @@ and the model keeps the all-data model's regressors up to the chosen count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import pool
 from .dataset import (
     Dataset,
     DatasetError,
@@ -37,7 +37,7 @@ from .dataset import (
     bootstrap_sample_size,
     stratified_fold_indices,
 )
-from .trees import ENTROPY, TreeModel, _descend, _grow, _narrow, _row_weights, derive_seed
+from .trees import ENTROPY, TreeModel, Trees, _descend, _grown, _narrow, _row_weights, derive_seed
 
 if TYPE_CHECKING:
     from .algo import AlgoDescriptor
@@ -95,10 +95,34 @@ def _stack(parts, params: AlgoDescriptor, n_features: int) -> ForestModel:
     return ForestModel(*nodes, offsets, params, n_features)
 
 
+def _forest(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> Trees:
+    """The forest's trees: tree i's key is its seed ``derive_seed(algo.seed, i)``,
+    and its weights are its resample of the selected rows, as a count per row,
+    drawn when its batch grows."""
+    params = replace(algo, k=algo.split_count(dataset.feature_count))
+    seeds = [derive_seed(params.seed, i) for i in range(params.trees)]
+    mask = _row_weights(dataset, rows)
+    n = np.count_nonzero(mask)
+    size = bootstrap_sample_size(n, params.bootstrap_fraction)
+
+    def resample(i: int) -> np.ndarray:
+        selected = np.flatnonzero(mask)
+        draw = np.random.default_rng(derive_seed(seeds[i], 1)).integers(0, n, size)
+        return _narrow(np.bincount(selected[draw], minlength=len(dataset)))
+
+    def model(grown):
+        return _stack(grown, params, dataset.feature_count)
+
+    if not params.bootstrap:
+        return Trees(lambda i: mask, [n] * params.trees, seeds, params.k, ENTROPY, model)
+    distinct = round(-n * math.expm1(size * math.log1p(-1 / n))) if n > 1 else 1  # a draw's rows, on average
+    return Trees(resample, [distinct] * params.trees, seeds, params.k, ENTROPY, model)
+
+
 def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> ForestModel:
     """Train a bagged forest of ``algo.trees`` random trees, each examining
     ``k = algo.split_count(F)`` candidates per split, on the rows the bool
-    mask `rows` selects (every row when None).
+    mask `rows` selects (every row when None), in this process.
 
     Tree i has seed ``derive_seed(algo.seed, i)``: it is the root key of
     the tree's per-node candidate keys (see `trees.train_random_tree`), and
@@ -106,29 +130,13 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> ForestMod
     ``algo.bootstrap_fraction`` of the selected rows; with ``algo.bootstrap``
     off, every tree sees all of them. The draw becomes a count per row, so
     tree i equals ``train_random_tree`` on the resampled copy without the
-    copy being made. All trees of a batch grow in one loop over depth levels;
-    `pool.run` grows a contiguous batch in each of `pool.workers()` processes
-    (one batch, here, inside a `compare` fold's worker), and the forest is the
-    same for any count. With one tree and bootstrap off, it is exactly
-    `train_random_tree` with seed ``derive_seed(seed, 0)``.
+    copy being made. The trees grow together, one depth level at a time, in
+    batches of at most `trees.BATCH_ENTRIES` entries; `algo.train_model`
+    grows the same batches on `pool.run`, and the forest is the same either
+    way. With one tree and bootstrap off, it is exactly `train_random_tree`
+    with seed ``derive_seed(seed, 0)``.
     """
-    params = replace(algo, k=algo.split_count(dataset.feature_count))
-    seeds = [derive_seed(params.seed, i) for i in range(params.trees)]
-    weights = _row_weights(dataset, rows)
-    if params.bootstrap:  # each tree's resample, as a count per row
-        selected = np.flatnonzero(weights)
-        size = bootstrap_sample_size(selected.size, params.bootstrap_fraction)
-        draws = (np.random.default_rng(derive_seed(s, 1)).integers(0, selected.size, size) for s in seeds)
-        weights = [_narrow(np.bincount(selected[draw], minlength=len(dataset))) for draw in draws]
-    else:
-        weights = [weights] * params.trees
-
-    def grow(batch: slice) -> tuple[np.ndarray, ...]:
-        return _grow(dataset.X, dataset.y, weights[batch], params.k, seeds[batch], ENTROPY)
-
-    n = min(pool.workers(), params.trees)
-    batches = [slice(i * params.trees // n, (i + 1) * params.trees // n) for i in range(n)]
-    return _stack(pool.run(grow, batches), params, dataset.feature_count)
+    return _grown(dataset, _forest(dataset, algo, rows))
 
 
 def forest_scores(model: ForestModel, X) -> np.ndarray:

@@ -6,11 +6,14 @@ confusion matrices are summed into a single matrix and held-out scores are
 concatenated into a single ROC, so each configuration yields one row of
 rates, micro-averaged over the whole dataset.
 
-`compare` plans every (feature set, algorithm, fold) fit up front and runs
-them on `pool.run`, one fold per job, on as many processes as `pool.workers`
-gives; a forest in a fold grows whole in that fold's process. Every fit has
-its own derived seed, no fit's bits depend on the BLAS thread count, and each
-result is assembled in fold order, so the outcome is the same for any worker count.
+`compare` trains every (feature set, algorithm, fold) fit on one plan,
+`algo.train_models`: the trees of every dt, rt and rf fold grow in batches
+shared by the folds of a (feature set, algorithm), and each fold of nb, sl
+and a pruned dt trains on its own; the items run on `pool.run`, on as many
+processes as `pool.workers` gives, and a fold is scored where its model is
+completed. Every fit has its own derived seed, no fit's bits depend on the
+BLAS thread count or on how the trees are batched, and each result is
+assembled in fold order, so the outcome is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import pool
-from .algo import AlgoDescriptor, is_malware, model_scores, train_model
+from .algo import AlgoDescriptor, Fit, FoldError, is_malware, model_scores, train_models
 from .catalog import FeatureSet, select_feature_set
 from .dataset import Dataset, stratified_fold_indices
 from .ensemble import derive_seed
@@ -175,23 +177,13 @@ def write_roc(curve: RocCurve, path) -> None:
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
 
-class FoldError(RuntimeError):
-    """A training failure inside cross-validation, tagged with its fold."""
-
-    def __init__(self, fold: int, cause: Exception):
-        super().__init__(f"fold {fold}: {cause}")
-        self.fold = fold
-        self.cause = cause
-
-    def __reduce__(self):
-        return FoldError, (self.fold, self.cause)
-
-
 @dataclass(frozen=True)
 class CvResult:
     """Pooled k-fold cross-validation outcome for one configuration, with
-    the seconds each fold's training and scoring took (measured where the
-    fold ran; neither takes part in equality)."""
+    the seconds each fold's training and scoring took, measured where each
+    ran; neither takes part in equality. A fold whose trees grew in a batch
+    with other folds' trees is given the batch's seconds times its share of
+    the batch's entries (weighted rows of a tree)."""
 
     algo: AlgoDescriptor
     k: int
@@ -204,27 +196,31 @@ class CvResult:
     fold_score_s: tuple[float, ...] = field(compare=False)
 
 
-def _fold_job(datasets, algos, folds, seed: int, job) -> tuple[np.ndarray, float, float]:
-    """Fit the job ``(dataset index, algorithm index, fold index)``: train on
-    a bool mask of the fold's complement with the fold's derived seed, score
-    the fold, and return its scores and the seconds each step took."""
-    dataset, algo, fi = datasets[job[0]], algos[job[1]], job[2]
-    train_rows = np.ones(len(dataset), dtype=bool)
-    train_rows[folds[fi]] = False
-    fold_seed = derive_seed(derive_seed(seed, fi), algo.seed)
+def _fold_fits(datasets, algos, folds, seed: int) -> list[Fit]:
+    """Every (dataset, algorithm, fold) fit, in that order: on a bool mask of
+    the fold's complement, with the fold's derived seed."""
+    masks = [np.ones(len(datasets[0]), dtype=bool) for _ in folds]
+    for mask, idx in zip(masks, folds):
+        mask[idx] = False
+    return [
+        Fit(replace(algo, seed=derive_seed(derive_seed(seed, fi), algo.seed)), dataset, masks[fi], fi)
+        for dataset in datasets
+        for algo in algos
+        for fi in range(len(folds))
+    ]
+
+
+def _score_fold(fits, folds, i: int, model) -> tuple[np.ndarray, float]:
+    """Fit i's model's scores of its fold, and the seconds they took."""
     start = perf_counter()
-    try:
-        model = train_model(replace(algo, seed=fold_seed), dataset, train_rows)
-    except ValueError as exc:
-        raise FoldError(fi, exc) from exc
-    trained = perf_counter()
-    scores = model_scores(model, dataset.X[folds[fi]])
-    return scores, trained - start, perf_counter() - trained
+    scores = model_scores(model, fits[i].dataset.X[folds[fits[i].fold]])
+    return scores, perf_counter() - start
 
 
-def _cv_result(algo: AlgoDescriptor, seed: int, y: np.ndarray, folds, fold_jobs) -> CvResult:
-    """Pool the `_fold_job` results of `algo`'s folds, in fold order."""
-    scores, train_s, score_s = zip(*fold_jobs)
+def _cv_result(algo: AlgoDescriptor, seed: int, y: np.ndarray, folds, fold_fits) -> CvResult:
+    """Pool the `train_models` results of `algo`'s folds, scored by `_score_fold`, in fold order."""
+    scored, train_s = zip(*fold_fits)
+    scores, score_s = zip(*scored)
     truth = [y[idx] for idx in folds]
     fold_matrices = [confusion(t, is_malware(s)) for t, s in zip(truth, scores)]
     pooled = fold_matrices[0]
@@ -287,9 +283,11 @@ def compare(
     """Cross-validate every (feature set, algorithm) pair on `dataset`, one
     row per pair, feature set major.
 
-    Every fold of every pair is one job, run by `pool.run`; the rows are
-    the same for any worker count. A set with every column of `dataset`
-    is fitted on `dataset` itself, not on a copy.
+    Every fold of every pair is one fit of `algo.train_models`, whose plan
+    grows the trees of a pair's folds in shared batches on `pool.run`; the
+    rows are the same for any worker count and any cut of the batches. A
+    set with every column of `dataset` is fitted on `dataset` itself, not
+    on a copy.
     """
     if not algos:
         raise ValueError("compare needs at least one algorithm")
@@ -297,8 +295,8 @@ def compare(
     projected = [dataset if len(sub) == dataset.feature_count else dataset.select_features(sub.names)
                  for sub in subs]
     folds = stratified_fold_indices(dataset.y, k, seed)
-    jobs = list(itertools.product(range(len(projected)), range(len(algos)), range(k)))
-    results = iter(pool.run(functools.partial(_fold_job, projected, algos, folds, seed), jobs))
+    fits = _fold_fits(projected, algos, folds, seed)
+    results = iter(train_models(fits, functools.partial(_score_fold, fits, folds)))
     return [
         ComparisonRow(fs.value, len(sub), _cv_result(algo, seed, dataset.y, folds, itertools.islice(results, k)))
         for fs, sub in zip(feature_sets, subs)

@@ -15,7 +15,9 @@ split (then its low and its high subtree) and ``L n_benign n_malware`` for a
 leaf; the parser numbers them in preorder and gives each split the sum of
 its children's counts. Both use an explicit stack, so a deep chain loads.
 The loader rejects a non-finite float, a feature index outside the catalog,
-a negative count, a width other than the catalog's and a truncated tree.
+a negative count, a width other than the catalog's, a truncated tree and a
+split testing a feature its path already tests, so a tree is never deeper
+than the catalog is wide.
 Header hyperparameters pass through `AlgoDescriptor`, flags read 0 or 1,
 and ``k`` may not exceed the catalog's width. The header's kind is the only
 source of a model's kind: a dt tree must have ``k 0``, an rt tree ``k`` of at
@@ -150,24 +152,32 @@ def _tree_body(model: TreeModel) -> Iterator[list[str]]:
     yield out
 
 
-def _parse_nodes(lines: _Lines, n_features: int) -> tuple[np.ndarray, ...]:
-    """One preorder tree as `TreeModel` arrays, numbered in preorder.
+def _parse_nodes(lines: _Lines, n_features: int, tree: int) -> tuple[np.ndarray, ...]:
+    """Tree number `tree`, in preorder, as `TreeModel` arrays, numbered in preorder.
 
     A split's low child is the node after it. The node after a leaf is the
     high child of the innermost split still waiting for one; with none
-    waiting, the tree is complete.
+    waiting, the tree is complete. A split may not test a feature already
+    tested on its path, as no trained tree does, so a tree is at most
+    `n_features` deep and scoring a row takes work bounded by the catalog.
     """
     feature: list[int] = []
     high: list[int] = []
     n_benign: list[int] = []
     n_malware: list[int] = []
     waiting: list[int] = []  # splits whose high child is still to come
+    path: list[int] = []  # the features tested on the path to the next node
+    on_path = [False] * n_features
     while True:
         line = lines.next()
         parts = line.split(" ")
         i = len(feature)
         if parts[0] == "S" and len(parts) == 2:
             f, b, m = lines.feature(parts[1], n_features), 0, 0  # a split's counts are summed below
+            if on_path[f]:
+                raise lines.error(f"tree {tree} node {i}: feature {f} is already tested on its path")
+            on_path[f] = True
+            path.append(f)
             waiting.append(i)
         elif parts[0] == "L" and len(parts) == 3:
             f, b, m = -1, int(parts[1]), int(parts[2])
@@ -182,7 +192,10 @@ def _parse_nodes(lines: _Lines, n_features: int) -> tuple[np.ndarray, ...]:
         if f < 0:
             if not waiting:
                 break
-            high[waiting.pop()] = i + 1
+            split = waiting.pop()
+            high[split] = i + 1
+            while path[-1] != feature[split]:  # the high child's path ends at its parent's test
+                on_path[path.pop()] = False
     for i in range(len(feature) - 1, -1, -1):  # a split counts its children's rows
         if feature[i] >= 0:
             n_benign[i] = n_benign[i + 1] + n_benign[high[i]]
@@ -197,8 +210,8 @@ def _parse_nodes(lines: _Lines, n_features: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _parse_tree_body(lines: _Lines, n_features: int, kind: str) -> TreeModel:
-    """A `kind` tree: dt requires k 0, rt k >= 1."""
+def _parse_tree_body(lines: _Lines, n_features: int, kind: str, tree: int = 0) -> TreeModel:
+    """A `kind` tree, number `tree` of its file: dt requires k 0, rt k >= 1."""
     criterion, pruned, k, seed, width = lines.fields(
         "criterion", "pruned", "k", "seed", "n_features"
     )
@@ -209,7 +222,7 @@ def _parse_tree_body(lines: _Lines, n_features: int, kind: str) -> TreeModel:
     )
     if (kind == "rt") != (k > 0):
         raise lines.error(f"{kind} tree has k {k}; dt requires k 0, rt k >= 1")
-    arrays = _parse_nodes(lines, n_features)
+    arrays = _parse_nodes(lines, n_features, tree)
     return TreeModel(*arrays, algo.criterion, algo.prune, k, algo.seed, n_features)
 
 
@@ -239,7 +252,7 @@ def _parse_forest_body(lines: _Lines, n_features: int) -> ForestModel:
     for i in range(params.trees):
         if lines.next() != "tree":
             raise lines.error("expected 'tree' marker")
-        tree = _parse_tree_body(lines, n_features, "rt")
+        tree = _parse_tree_body(lines, n_features, "rt", i)
         nodes = (tree.feature, tree.low, tree.high, tree.n_benign, tree.n_malware)
         for got, want in zip(_tree_head(tree), _tree_head(_member(nodes, params, i, n_features))):
             if got != want:

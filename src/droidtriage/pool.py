@@ -1,5 +1,6 @@
-"""One worker pool, and one rule for its size, for every fan-out: `compare`'s
-folds and `train_forest`'s batches of trees. Results come in item order."""
+"""One worker pool, and one rule for its size, for every fan-out: the items
+of the training plan `algo.train_models`, batches of trees and single fits,
+for `train`, `compare` and `crossval`. Results come in item order."""
 
 import os
 import signal

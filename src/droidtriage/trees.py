@@ -59,7 +59,7 @@ reachable, so a tree's node count is always ``len(model.feature)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -74,6 +74,12 @@ CRITERIA = (ENTROPY, GINI)
 
 # Internal stratified holdout used by reduced-error pruning: one fold in five.
 _PRUNE_FOLDS = 5
+
+# The most entries, weighted rows of a tree, that one `_grow` call holds, but for a lone tree above it.
+# An entry and its routing to the next level take about 70 bytes at a level's peak. Growing 100
+# trees of the calibrated corpus's ten fold complements, about 3,900 entries each, on one CPU took
+# 1.14 s in batches of 39,000 entries, 0.83 s in batches of 78,000 and 0.78 s in one of 392,000.
+BATCH_ENTRIES = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -380,11 +386,74 @@ def _narrow(counts: np.ndarray) -> np.ndarray:
 
 
 def _row_weights(dataset: Dataset, rows) -> np.ndarray:
-    """The bool row mask `rows` (every row when None) as 0/1 int64 weights."""
-    weights = np.ones(len(dataset), dtype=np.int64) if rows is None else rows.astype(np.int64)
+    """The bool row mask `rows` (every row when None) as 0/1 weights, not copied."""
+    weights = np.ones(len(dataset), dtype=bool) if rows is None else np.asarray(rows, dtype=bool)
     if not weights.any():
         raise DatasetError("cannot train on an empty dataset")
     return weights
+
+
+class Trees(NamedTuple):
+    """A model's trees before they grow. Tree i's row weights are made by
+    ``weights(i)`` when its batch grows; ``entries[i]`` counts its weighted
+    rows (for a resample, as many as a draw of its size has on average),
+    and ``keys[i]`` is its root key. The trees share the candidates per
+    split `k` (0: every unused feature) and the criterion, and `model`
+    makes their model from their `_grow` results, one a tree, in order."""
+
+    weights: Callable[[int], np.ndarray]
+    entries: list[int]
+    keys: list[int]
+    k: int
+    criterion: str
+    model: Callable[[list[tuple]], object]
+
+
+def _cut(sizes, cap: int) -> list[slice]:
+    """`sizes` cut into contiguous runs, each summing to at most `cap` but
+    for a run of one size above it."""
+    cuts, total = [0], 0
+    for i, size in enumerate(sizes):
+        if total + size > cap and i > cuts[-1]:
+            cuts.append(i)
+            total = 0
+        total += size
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [len(sizes)])]
+
+
+def _grow_trees(X, y, units) -> list[tuple]:
+    """The trees of `units`, pairs ``(trees, i)`` of one `k` and criterion,
+    each as a `_grow` result of that tree alone, from calls of at most
+    `BATCH_ENTRIES` entries; a call makes its trees' weights as it starts."""
+    first, grown = units[0][0], []
+    for s in _cut([trees.entries[i] for trees, i in units], BATCH_ENTRIES):
+        weights = [trees.weights(i) for trees, i in units[s]]
+        keys = [trees.keys[i] for trees, i in units[s]]
+        *arrays, offsets = _grow(X, y, weights, first.k, keys, first.criterion)
+        grown += [(*tree, (0,)) for tree in zip(*(np.split(a, offsets[1:]) for a in arrays))]
+    return grown
+
+
+def _grown(dataset: Dataset, trees: Trees):
+    """The model of `trees`, grown in this process."""
+    return trees.model(_grow_trees(dataset.X, dataset.y, [(trees, i) for i in range(len(trees.keys))]))
+
+
+def _one_tree(dataset: Dataset, weights, k: int, criterion: str, seed: int) -> Trees:
+    n_features = dataset.feature_count
+    return Trees(lambda i: weights, [np.count_nonzero(weights)], [seed], k, criterion,
+                 lambda grown: TreeModel(*grown[0][:5], criterion, False, k, seed, n_features))
+
+
+def _plain_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> Trees:
+    """The unpruned decision tree's one tree."""
+    return _one_tree(dataset, _row_weights(dataset, rows), 0, algo.criterion, algo.seed)
+
+
+def _random_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> Trees:
+    """The random tree's one tree."""
+    k = algo.split_count(dataset.feature_count)
+    return _one_tree(dataset, _row_weights(dataset, rows), k, ENTROPY, algo.seed)
 
 
 def train_decision_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> TreeModel:
@@ -401,14 +470,14 @@ def train_decision_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> Tr
     collapses to a leaf whenever the leaf makes no more mistakes on the
     holdout than the subtree did.
     """
-    weights = _row_weights(dataset, rows)
-    if algo.prune:
-        selected = np.flatnonzero(weights)
-        holdout = selected[stratified_fold_indices(dataset.y[selected], _PRUNE_FOLDS, algo.seed)[0]]
-        weights[holdout] = 0
-    *arrays, _ = _grow(dataset.X, dataset.y, [weights], 0, [algo.seed], algo.criterion)
-    tree = TreeModel(*arrays, algo.criterion, False, 0, algo.seed, dataset.feature_count)
-    return _reduced_error_prune(tree, dataset.X, dataset.y, holdout) if algo.prune else tree
+    if not algo.prune:
+        return _grown(dataset, _plain_tree(dataset, algo, rows))
+    weights = _row_weights(dataset, rows).copy()
+    selected = np.flatnonzero(weights)
+    holdout = selected[stratified_fold_indices(dataset.y[selected], _PRUNE_FOLDS, algo.seed)[0]]
+    weights[holdout] = False
+    tree = _grown(dataset, _one_tree(dataset, weights, 0, algo.criterion, algo.seed))
+    return _reduced_error_prune(tree, dataset.X, dataset.y, holdout)
 
 
 def train_random_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> TreeModel:
@@ -424,9 +493,7 @@ def train_random_tree(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> Tree
     ``k`` equal to the feature count every node examines every unused
     feature, so the structure coincides with the unpruned decision tree.
     """
-    k = algo.split_count(dataset.feature_count)
-    *arrays, _ = _grow(dataset.X, dataset.y, [_row_weights(dataset, rows)], k, [algo.seed], ENTROPY)
-    return TreeModel(*arrays, ENTROPY, False, k, algo.seed, dataset.feature_count)
+    return _grown(dataset, _random_tree(dataset, algo, rows))
 
 
 def _descend(model: TreeModel, rows: PackedRows, value: np.ndarray) -> np.ndarray:

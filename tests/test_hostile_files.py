@@ -118,3 +118,35 @@ def test_edited_model_exits_0_1_or_2_with_one_line(tmp_path_factory, trained, da
     out = root / "predictions.csv"
     if _run(["predict", *common, "--data", str(corpus), "--model", str(root / "model"), "--out", str(out)], out) == 0:
         assert len(out.read_text().splitlines()) == len(corpus.read_text().splitlines())  # a header, then a line a row
+
+
+# File names of an "f", so that none is "." or "..", then a few letters and characters that end a line for
+# `str.splitlines`, or other controls.
+NAME_CHARS = "ab.\n\r\v\f\t\x1b\x1c\x1d\x1e\x85\u2028\u2029"
+CONTROL_NAME = st.text(st.sampled_from(NAME_CHARS), min_size=1, max_size=6).map("f".__add__)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=CONTROL_NAME, empty=st.booleans(), command=st.sampled_from(
+    ["synth", "extract", "rank", "train", "predict", "compare", "roc", "catalog"]))
+def test_path_with_control_characters_fails_in_one_line(tmp_path_factory, trained, name, empty, command):
+    """Each command given a path that names no file, or an empty one, whose
+    name holds line breaks, fails on one stderr line, as a data fault names
+    its path as it is."""
+    common, corpus, models = trained
+    root = tmp_path_factory.mktemp("control")
+    path, out = str(root / name), root / "out"
+    if empty:
+        (root / name).write_bytes(b"")
+    (root / "rf.model").write_bytes(models["rf"])
+    argv = {
+        "synth": ["synth", "--spec", path, "--out", str(out)],
+        "extract": ["extract", path, "--out", str(out)],
+        "rank": ["rank", "--data", path, "--out", str(out)],
+        "train": ["train", "--algo", "nb", "--data", path, "--model", str(out)],
+        "predict": ["predict", *common, "--data", str(corpus), "--model", path, "--out", str(out)],
+        "compare": ["compare", "--algo", "nb", "--data", path, "--out", str(out)],
+        "roc": ["roc", *common, "--data", path, "--model", str(root / "rf.model"), "--out", str(out)],
+        "catalog": ["rank", "--catalog", path, "--data", str(corpus), "--out", str(out)],
+    }[command]
+    assert _run(argv, out) != 0

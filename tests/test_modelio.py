@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -166,7 +167,16 @@ def _sl_body(iterations="1", max_iterations="5", cv_folds="2"):
 
 # Hostile model files for a 4-feature catalog: (kind, body, expected error).
 CRAFTED = {
-    "truncated-deep-chain": ("dt", _TREE_HEAD + ["n_features 4"] + ["S 0"] * 5000, "end of file"),
+    "truncated-deep-chain": ("dt", _TREE_HEAD + ["n_features 4", "S 0", "S 1", "S 2", "S 3"], "end of file"),
+    "split-feature-repeated-below": (
+        "dt", _TREE_HEAD + ["n_features 4", "S 1", "S 2", "S 1"], "tree 0 node 2: feature 1 is already tested on its path"
+    ),
+    "split-feature-repeated-high": (
+        "rt", _tree_body(k="2")[:-1] + ["S 3", "L 1 0", "S 0", "L 0 1", "S 3"], "tree 0 node 4: feature 3 is already"
+    ),
+    "rf-member-split-feature-repeated": (
+        "rf", _rf_body(member=_tree_body(k="1", seed=_MEMBER_SEED)[:-1] + ["S 2", "S 2"]), "tree 0 node 1: feature 2"
+    ),
     "split-feature": ("dt", _TREE_HEAD + ["n_features 4", "S 999", "L 1 0", "L 0 1"], "999"),
     "regressor-feature": ("sl", _SL_HEAD + ["n_features 4", "R 500 -1.0 1.0"], "500"),
     "tree-width": ("dt", _TREE_HEAD + ["n_features 3", "L 1 0"], "has 3 features"),
@@ -263,20 +273,26 @@ def test_crafted_rf_control_loads(tmp_path):
 
 @pytest.mark.parametrize(
     "kind, body",
-    [("nb", _nb_body()), ("dt", _tree_body()), ("rt", _tree_body(k="4")), ("sl", _sl_body(iterations="5"))],
+    [("nb", _nb_body()), ("dt", _tree_body()), ("rt", _tree_body(k="4")), ("sl", _sl_body(iterations="5")),
+     ("dt", _tree_body()[:-1] + ["S 0", "S 1", "L 1 0", "L 0 1", "S 1", "L 1 0", "S 2", "L 0 1", "L 1 0"])],
 )
 def test_crafted_controls_load(tmp_path, kind, body):
-    """The other cases above differ from these loadable files in one field each."""
+    """The other cases above differ from these loadable files in one field
+    each; the last tests feature 1 on both sides of the root, and feature 2
+    below the second."""
     cat = toy_catalog(4)
     assert load_model(_crafted(tmp_path, cat, kind, body), cat).kind == kind
 
 
 def test_deep_chain_loads_without_recursion(tmp_path):
-    cat = toy_catalog(4)
-    body = _TREE_HEAD + ["n_features 4"] + ["S 0"] * 5000 + ["L 0 1"] + ["L 3 0"] * 5000
+    """A chain testing each of 5,000 features once, deeper than Python's recursion limit."""
+    cat = toy_catalog(5000)
+    body = _TREE_HEAD + ["n_features 5000"] + [f"S {f}" for f in range(5000)] + ["L 0 1"] + ["L 3 0"] * 5000
     path = _crafted(tmp_path, cat, "dt", body)
     model = load_model(path, cat)
-    assert model_scores(model, np.array([[0, 0, 0, 0], [1, 0, 0, 0]])).tolist() == [1.0, 0.0]
+    rows = np.zeros((2, 5000), dtype=np.uint8)
+    rows[1, 0] = 1
+    assert model_scores(model, rows).tolist() == [1.0, 0.0]
     again = tmp_path / "again.dt"
     save_model(model, again, cat)
     assert again.read_bytes() == path.read_bytes()
@@ -296,3 +312,22 @@ def test_predict_crafted_file_exits_2(tmp_path, capsys, name):
     err = capsys.readouterr().err.splitlines()
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("droidtriage: error:")
+
+
+def test_predict_rejects_a_long_chain_quickly(tmp_path, capsys):
+    """A 2.3 MB dt file whose one chain cycles 200,000 splits over the 179
+    features took 22.5 s to predict one row, and exited 0; the loader stops
+    at the first repeat, node 179."""
+    cat = toy_catalog(179)
+    cat_path, data, model = tmp_path / "cat.csv", tmp_path / "data.csv", tmp_path / "chain.dt"
+    write_catalog(cat, cat_path)
+    write_csv(make_dataset(np.zeros((1, 179), dtype=np.uint8), [0], cat), data)
+    body = _TREE_HEAD + ["n_features 179"] + [f"S {i % 179}" for i in range(200_000)] + ["L 0 1"] * 200_001
+    model.write_text("\n".join([f"droidtriage-model v1 dt", f"catalog {cat.fingerprint()}"] + body) + "\n")
+    start = time.perf_counter()
+    rc = main(["predict", "--catalog", str(cat_path), "--data", str(data), "--model", str(model),
+               "--out", str(tmp_path / "p.csv")])
+    seconds = time.perf_counter() - start
+    assert (rc, capsys.readouterr().err) == (
+        2, f"droidtriage: error: {model}: tree 0 node 179: feature 0 is already tested on its path\n")
+    assert seconds < 0.5

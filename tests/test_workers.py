@@ -1,15 +1,13 @@
-"""crossval and compare fit their folds in worker processes: the outcome is
-the same for any worker count, a fault crosses the process boundary as it
-would surface in one process, and no worker outlives the call. A forest
-grows its batches of trees on the same pool, except inside a fold's worker,
-and importing the command line loads no pool. The count is set by patching
-`os.sched_getaffinity`, the input of `pool.workers`, so that the rule stays
-whole in forked workers."""
+"""crossval, compare and train fit their plan's items in worker processes:
+the outcome is the same for any worker count and any cut of the trees into
+batches, a fault crosses the process boundary as it would surface in one
+process, and no worker outlives the call. Importing the command line loads
+no pool. The count is set by patching `os.sched_getaffinity`, the input of
+`pool.workers`, so that the rule stays whole in forked workers."""
 
 import contextlib
 import functools
 import io
-import itertools
 import json
 import multiprocessing
 import os
@@ -22,13 +20,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from droidtriage import bayes, ensemble, evaluation, pool
-from droidtriage.algo import KINDS, AlgoDescriptor
+from droidtriage import bayes, evaluation, pool, trees
+from droidtriage.algo import KINDS, AlgoDescriptor, train_model, train_models
 from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet
 from droidtriage.cli import main
 from droidtriage.dataset import DatasetError, write_csv
-from droidtriage.ensemble import train_forest
 from droidtriage.evaluation import FoldError, compare, cross_validate, stratified_fold_indices
+from droidtriage.modelio import save_model
 
 from conftest import make_dataset, write_catalog
 
@@ -78,9 +76,9 @@ def _fold_scores(dataset, algos, k: int, seed: int) -> list[bytes]:
     """The bytes of every fold's held-out scores, as `compare` computes them
     on `dataset` alone."""
     folds = stratified_fold_indices(dataset.y, k, seed)
-    jobs = list(itertools.product([0], range(len(algos)), range(k)))
-    job = functools.partial(evaluation._fold_job, [dataset], algos, folds, seed)
-    return [s.tobytes() for s, _, _ in pool.run(job, jobs)]
+    fits = evaluation._fold_fits([dataset], algos, folds, seed)
+    results = train_models(fits, functools.partial(evaluation._score_fold, fits, folds))
+    return [scores.tobytes() for (scores, _), _ in results]
 
 
 def test_fold_error_pickles_with_its_fold_and_cause():
@@ -127,19 +125,19 @@ def test_ten_folds_of_sl_are_the_same_for_any_worker_count(corpus, cpus):
 
 
 UNPINNED = """
-import functools, hashlib, itertools, os
-from droidtriage import evaluation, pool
-from droidtriage.algo import AlgoDescriptor
+import functools, hashlib, os
+from droidtriage import evaluation
+from droidtriage.algo import AlgoDescriptor, train_models
 from droidtriage.calibration import reference_spec
 from droidtriage.dataset import synthesize
 
 ds = synthesize(reference_spec(), 1)
 folds = evaluation.stratified_fold_indices(ds.y, 2, 1)
-job = functools.partial(evaluation._fold_job, [ds], [AlgoDescriptor("sl", max_iter=8, cv_folds=2)], folds, 1)
+fits = evaluation._fold_fits([ds], [AlgoDescriptor("sl", max_iter=8, cv_folds=2)], folds, 1)
 for n in (1, 2):
     os.sched_getaffinity = lambda pid: set(range(n))
-    results = pool.run(job, list(itertools.product([0], [0], range(2))))
-    print(hashlib.sha256(b"".join(s.tobytes() for s, _, _ in results)).hexdigest())
+    results = train_models(fits, functools.partial(evaluation._score_fold, fits, folds))
+    print(hashlib.sha256(b"".join(s.tobytes() for (s, _), _ in results)).hexdigest())
 """
 
 
@@ -187,14 +185,14 @@ def _refuse_to_grow(monkeypatch) -> None:
     def refuse(*args):
         raise DatasetError(f"pid {os.getpid()} ppid {os.getppid()}")
 
-    monkeypatch.setattr(ensemble, "_grow", refuse)
+    monkeypatch.setattr(trees, "_grow", refuse)
 
 
 def _grow_pid(corpus, monkeypatch) -> int:
-    """The process a batch of a forest was grown in."""
+    """The process a batch of a forest's trees was grown in."""
     _refuse_to_grow(monkeypatch)
     with pytest.raises(DatasetError) as caught:
-        train_forest(corpus, AlgoDescriptor("rf", trees=4, seed=1))
+        train_model(AlgoDescriptor("rf", trees=4, seed=1), corpus)
     return int(str(caught.value).split()[1])
 
 
@@ -239,15 +237,28 @@ def test_forest_batches_are_grown_here_while_another_thread_runs(corpus, cpus, m
         assert _grow_pid(corpus, monkeypatch) == os.getpid()
 
 
-def test_forest_in_a_fold_grows_in_the_folds_worker(corpus, cpus, monkeypatch):
-    """A forked worker runs one thread, so only the in-worker rule keeps a
-    fold's forest from forking workers of its own on top of the fold's."""
+@pytest.mark.parametrize("kind", ["dt", "rf"])
+def test_folds_trees_grow_in_a_worker_of_the_command(corpus, cpus, monkeypatch, kind):
+    """The folds' trees grow in one batch, halved at a fold boundary for two
+    workers, each forked by the command itself; the fault names fold 0."""
     cpus(2)
     _refuse_to_grow(monkeypatch)
     with pytest.raises(FoldError) as caught:
-        compare(corpus, [AlgoDescriptor("rf", trees=4, seed=1)], k=2, seed=5)
+        compare(corpus, [AlgoDescriptor(kind, trees=4, seed=1)], k=2, seed=5)
     pid, ppid = map(int, str(caught.value.cause).split()[1::2])
+    assert caught.value.fold == 0
     assert pid != os.getpid() and ppid == os.getpid()
+
+
+def test_single_kind_crossval_fits_in_workers(files, cpus, monkeypatch):
+    """A crossval of one tree kind is one batch of its folds' trees: the plan
+    halves it so that two CPUs both work."""
+    cpus(2)
+    _refuse_to_grow(monkeypatch)
+    rc, out, err, _ = _run(files, "crossval", "--algo", "rt", "--folds", "2")
+    assert (rc, out) == (2, "")
+    pid, ppid = map(int, err.split()[-3::2])
+    assert err.startswith("droidtriage: error: fold 0: pid ") and pid != os.getpid() and ppid == os.getpid()
 
 
 POOL_MODULES = """
@@ -292,10 +303,10 @@ def test_data_fault_in_a_worker_exits_2_as_in_one_process(files, cpus, monkeypat
 
 DYING = """
 import contextlib, io, json, multiprocessing, os, sys
-from droidtriage import bayes, ensemble
+from droidtriage import bayes, trees
 from droidtriage.cli import main
 
-bayes.train_nb = ensemble._grow = lambda *args: os._exit(1)
+bayes.train_nb = trees._grow = lambda *args: os._exit(1)
 os.sched_getaffinity = lambda pid: {0, 1}
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -328,3 +339,57 @@ def test_feature_sets_share_one_plan(corpus, cpus):
     assert [(r.feature_set, r.features) for r in rows] == [("pf", 4), ("af", 4)]
     cpus(1)
     assert compare(corpus, ALGOS[:1], k=2, seed=0, feature_sets=sets) == rows
+
+
+PLAN_KINDS = [
+    AlgoDescriptor("nb", seed=3),
+    AlgoDescriptor("dt", seed=3),
+    AlgoDescriptor("dt", prune=True, seed=3),
+    AlgoDescriptor("rt", k=3, seed=3),
+    AlgoDescriptor("rf", trees=5, k=3, seed=3, bootstrap_fraction=0.8),
+    AlgoDescriptor("sl", max_iter=5, cv_folds=2, seed=3),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("k", [2, 10])
+@pytest.mark.parametrize("algo_", PLAN_KINDS, ids=lambda a: f"{a.kind}{'-pruned' * a.prune}")
+def test_plan_trains_each_fold_as_it_trains_alone(corpus, cpus, tmp_path, algo_, k, n):
+    """Each fold's model from one plan of every fold, with its trees grown
+    in batches shared by the folds, saves byte-identically to `train_model`
+    on that fold's mask alone in this process."""
+    folds = stratified_fold_indices(corpus.y, k, 4)
+    fits = evaluation._fold_fits([corpus], [algo_], folds, 4)
+    cpus(n)
+    planned = [model for model, _ in train_models(fits)]
+    cpus(1)
+    for fit, model in zip(fits, planned):
+        save_model(model, tmp_path / "planned", CATALOG)
+        save_model(train_model(fit.algo, fit.dataset, fit.rows), tmp_path / "alone", CATALOG)
+        assert (tmp_path / "planned").read_bytes() == (tmp_path / "alone").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_report_is_the_same_for_any_cut_of_the_batches(files, cpus, monkeypatch, n):
+    """A cap below one tree's entries grows every tree in a batch of its
+    own; on one CPU the batches are seen here."""
+    argv = ["compare", "--algo", "nb,dt,rt,rf,sl", "--trees", "3", "--max-iter", "5", "--cv-folds", "2",
+            "--folds", "3", "--seed", "1"]
+    cpus(n)
+    whole = _run(files, *argv)
+    batches = []
+    grow = trees._grow
+    monkeypatch.setattr(trees, "_grow", lambda X, y, w, *args: batches.append(len(w)) or grow(X, y, w, *args))
+    monkeypatch.setattr(trees, "BATCH_ENTRIES", 10)
+    assert _run(files, *argv) == whole and whole[0] == 0
+    assert batches == ([1] * 3 * (1 + 1 + 3) if n == 1 else [])  # dt, rt and rf trees of three folds
+
+
+def test_train_halves_a_forest_for_two_workers(corpus, cpus, monkeypatch):
+    """train grows its ten trees as two batches of five, as many as CPUs."""
+    cpus(2)
+    items = []
+    run = pool.run
+    monkeypatch.setattr(pool, "run", lambda job, items_: items.extend(items_) or run(job, items_))
+    train_model(AlgoDescriptor("rf", seed=1), corpus)
+    assert sorted(items) == [[(0, 0, 5)], [(0, 5, 10)]]
