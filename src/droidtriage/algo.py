@@ -9,8 +9,8 @@ carries its ``kind`` tag and scores a matrix with ``model.scores(X)``.
 Every model trains on one plan, `train_models`: the trees of every dt, rt
 and rf fit are units, each its row weights and its seed, which grow in
 `_grow` batches shared by consecutive fits of one dataset and descriptor;
-the items, batches and fits trained whole, run on `pool.run`. `train_model`
-is the plan of one fit.
+the items, near-equal runs of those trees and fits trained whole, run on
+`pool.run`. `train_model` is the plan of one fit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from time import perf_counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -129,33 +128,28 @@ def _plan_fit(fit: Fit):
 
 def _train_item(fits, plans, finish, item) -> list[tuple]:
     """Train `item`, runs ``(fit, first tree, end tree)`` of one group, and
-    give each run its share of the seconds, by entries, and either
-    ``finish(fit, model)`` or, where the run holds part of the fit's trees,
-    their `_grow` results."""
-    start = perf_counter()
+    give per run whether it holds its whole fit, and either ``finish(fit,
+    model)`` or, where it holds part of the fit's trees, their `_grow`
+    results."""
     first, plan = item[0][0], plans[item[0][0]]
     try:
         if isinstance(plan, Exception):
             raise plan
         if isinstance(plan, trees.Trees):
             units = [(plans[i], t) for i, lo, hi in item for t in range(lo, hi)]
-            grown = trees._grow_trees(fits[first].dataset.X, fits[first].dataset.y, units)
+            grown = iter(trees._grow_trees(fits[first].dataset.X, fits[first].dataset.y, units))
         else:
             model = plan()
     except ValueError as exc:
         if fits[first].fold is None:
             raise
         raise FoldError(fits[first].fold, exc) from exc
-    seconds = perf_counter() - start
     if not isinstance(plan, trees.Trees):
-        return [(True, finish(first, model), seconds)]
-    entries = np.array([p.entries[t] for p, t in units])
-    shares = seconds * entries / entries.sum()
-    results, at = [], 0
+        return [(True, finish(first, model))]
+    results = []
     for i, lo, hi in item:
-        part, share, at = grown[at : at + hi - lo], float(shares[at : at + hi - lo].sum()), at + hi - lo
-        whole = hi - lo == len(plans[i].keys)
-        results.append((whole, finish(i, plans[i].model(part)) if whole else part, share))
+        part, whole = [next(grown) for _ in range(lo, hi)], hi - lo == len(plans[i].keys)
+        results.append((whole, finish(i, plans[i].model(part)) if whole else part))
     return results
 
 
@@ -163,75 +157,62 @@ def _items(fits, plans) -> list[list[tuple[int, int, int]]]:
     """The plan's items for `pool.run`, each a list of runs ``(fit, first
     tree, end tree)``, in the order they run.
 
-    A fit trained whole is one item. The fits of a group, consecutive fits
-    of one dataset and descriptor (seeds aside) whose trees grow, are cut at
-    fit boundaries into items of at most `trees.BATCH_ENTRIES` entries.
-    While there are fewer items than `pool.workers()`, the item of more than
-    one tree with the most entries is halved, between its fits where it
-    holds more than one. Items that grow trees run first, the most entries
-    first, and the fits trained whole after them, in fit order: a pool that
-    starts its longest batches last leaves its other workers idle.
+    A fit trained whole is one item. A group, consecutive fits of one
+    dataset and descriptor (seeds aside) whose trees grow, holding E_g of
+    the plan's E tree entries, is cut by `trees._split` into n = max(E_g /
+    `trees.BATCH_ENTRIES`, `pool.workers()` * E_g / E), rounded up: into
+    runs of whole fits where it has at least n fits, else of one tree each.
+    Items that grow trees run first, the most entries first, and the fits
+    trained whole after them, in fit order: a pool that starts its longest
+    batches last leaves its other workers idle.
     """
-    entries = [p.entries if isinstance(p, trees.Trees) else [0] for p in plans]
+    entries = [p.entries if isinstance(p, trees.Trees) else [] for p in plans]
+    total = sum(map(sum, entries))
 
     def group(i):
         return id(fits[i].dataset), replace(fits[i].algo, seed=0), isinstance(plans[i], trees.Trees)
 
     items = []
     for (*_, grows), members in itertools.groupby(range(len(fits)), group):
-        runs = [(i, 0, len(entries[i])) for i in members]
-        if grows:
-            items += [runs[s] for s in trees._cut([sum(entries[i]) for i, _, _ in runs], trees.BATCH_ENTRIES)]
-        else:
-            items += [[run] for run in runs]
-
-    def weight(item) -> int:  # the item's entries; 0 for a fit trained whole
-        return sum(sum(entries[i][lo:hi]) for i, lo, hi in item)
-
-    def halvable(item) -> int:
-        return weight(item) if sum(hi - lo for _, lo, hi in item) > 1 else 0
-
-    workers = pool.workers()
-    while len(items) < workers and max(map(halvable, items), default=0) > 0:
-        j = max(range(len(items)), key=lambda j: halvable(items[j]))
-        item = items[j]
-        if len(item) == 1:
-            (i, lo, hi), = item
-            item = [(i, lo, (lo + hi) // 2), (i, (lo + hi) // 2, hi)]
-        items[j : j + 1] = [item[: len(item) // 2], item[len(item) // 2 :]]
-    return sorted(items, key=weight, reverse=True)
+        members = list(members)
+        if not grows:
+            items += [[(i, 0, 0)] for i in members]
+            continue
+        size = sum(sum(entries[i]) for i in members)
+        n = max(-(-size // trees.BATCH_ENTRIES), -(-pool.workers() * size // total))
+        pieces = ([(i, 0, len(entries[i])) for i in members] if len(members) >= n
+                  else [(i, t, t + 1) for i in members for t in range(len(entries[i]))])
+        items += [pieces[s] for s in trees._split([sum(entries[i][lo:hi]) for i, lo, hi in pieces], n)]
+    return sorted(items, key=lambda item: sum(sum(entries[i][lo:hi]) for i, lo, hi in item), reverse=True)
 
 
-def train_models(fits: Sequence[Fit], finish=None) -> list[tuple]:
+def train_models(fits: Sequence[Fit], finish=None) -> list:
     """Train every fit on one plan (see `_items`), whose items run on
     `pool.run`, and give, per fit, its model, or ``finish(fit index,
     model)`` where given, which runs where the fit's model is completed,
-    and the seconds its training took: its share, by entries, of its
-    batches' seconds. The models are the same for any cut of the batches
-    and any worker count.
+    here for a fit cut into trees. The models are the same for any cut of
+    the trees and any worker count.
     """
     finish = finish or (lambda i, model: model)
     plans = [_plan_fit(fit) for fit in fits]
     items = _items(fits, plans)
-    results = pool.run(functools.partial(_train_item, fits, plans, finish), items)
-    done, seconds, parts = [None] * len(fits), [0.0] * len(fits), {}
-    for item, result in zip(items, results):
-        for (i, lo, _), (whole, value, share) in zip(item, result):
-            seconds[i] += share
+    done, parts = [None] * len(fits), {}
+    for item, result in zip(items, pool.run(functools.partial(_train_item, fits, plans, finish), items)):
+        for (i, lo, _), (whole, value) in zip(item, result):
             if whole:
                 done[i] = value
             else:
-                parts.setdefault(i, []).append((lo, value))
+                parts.setdefault(i, {})[lo] = value
     for i, runs in parts.items():
-        done[i] = finish(i, plans[i].model([tree for _, run in sorted(runs, key=lambda r: r[0]) for tree in run]))
-    return list(zip(done, seconds))
+        done[i] = finish(i, plans[i].model([tree for lo in sorted(runs) for tree in runs[lo]]))
+    return done
 
 
 def train_model(algo: AlgoDescriptor, dataset: Dataset, rows=None) -> Model:
     """Train the classifier `algo` describes on the rows of `dataset` that
     the bool mask `rows` selects (every row when None), on the plan of
     `train_models`: a forest's trees grow on `pool.run`."""
-    return train_models([Fit(algo, dataset, rows)])[0][0]
+    return train_models([Fit(algo, dataset, rows)])[0]
 
 
 def model_scores(model: Model, X) -> np.ndarray:

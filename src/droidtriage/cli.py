@@ -262,7 +262,7 @@ def _write_predictions(path, scores: np.ndarray) -> None:
 
 
 def _cmd_compare(args) -> None:
-    names = [s.strip() for s in (args.feature_set or "capf").split(",")]
+    names = [s.strip() for s in ("capf" if args.feature_set is None else args.feature_set).split(",")]
     if not set(names) <= set(_FEATURE_SETS):
         raise _UsageError(f"--feature-set must list values from {', '.join(_FEATURE_SETS)}; got {args.feature_set!r}")
     _, dataset = _read_data(args, names[0] if len(names) == 1 else None)

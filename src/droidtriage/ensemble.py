@@ -131,10 +131,10 @@ def train_forest(dataset: Dataset, algo: AlgoDescriptor, rows=None) -> ForestMod
     off, every tree sees all of them. The draw becomes a count per row, so
     tree i equals ``train_random_tree`` on the resampled copy without the
     copy being made. The trees grow together, one depth level at a time, in
-    batches of at most `trees.BATCH_ENTRIES` entries; `algo.train_model`
-    grows the same batches on `pool.run`, and the forest is the same either
-    way. With one tree and bootstrap off, it is exactly `train_random_tree`
-    with seed ``derive_seed(seed, 0)``.
+    batches of about `trees.BATCH_ENTRIES` entries; `algo.train_model`
+    grows the same forest, its trees cut between items on `pool.run`. With
+    one tree and bootstrap off, it is exactly `train_random_tree` with seed
+    ``derive_seed(seed, 0)``.
     """
     return _grown(dataset, _forest(dataset, algo, rows))
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from time import perf_counter
 from typing import Sequence
 
 import numpy as np
@@ -179,11 +178,7 @@ def write_roc(curve: RocCurve, path) -> None:
 
 @dataclass(frozen=True)
 class CvResult:
-    """Pooled k-fold cross-validation outcome for one configuration, with
-    the seconds each fold's training and scoring took, measured where each
-    ran; neither takes part in equality. A fold whose trees grew in a batch
-    with other folds' trees is given the batch's seconds times its share of
-    the batch's entries (weighted rows of a tree)."""
+    """Pooled k-fold cross-validation outcome for one configuration."""
 
     algo: AlgoDescriptor
     k: int
@@ -192,8 +187,6 @@ class CvResult:
     pooled_matrix: ConfusionMatrix
     pooled_metrics: MetricsReport
     roc: RocCurve
-    fold_train_s: tuple[float, ...] = field(compare=False)
-    fold_score_s: tuple[float, ...] = field(compare=False)
 
 
 def _fold_fits(datasets, algos, folds, seed: int) -> list[Fit]:
@@ -210,17 +203,14 @@ def _fold_fits(datasets, algos, folds, seed: int) -> list[Fit]:
     ]
 
 
-def _score_fold(fits, folds, i: int, model) -> tuple[np.ndarray, float]:
-    """Fit i's model's scores of its fold, and the seconds they took."""
-    start = perf_counter()
-    scores = model_scores(model, fits[i].dataset.X[folds[fits[i].fold]])
-    return scores, perf_counter() - start
+def _score_fold(fits, folds, i: int, model) -> np.ndarray:
+    """Fit i's model's scores of its fold."""
+    return model_scores(model, fits[i].dataset.X[folds[fits[i].fold]])
 
 
-def _cv_result(algo: AlgoDescriptor, seed: int, y: np.ndarray, folds, fold_fits) -> CvResult:
-    """Pool the `train_models` results of `algo`'s folds, scored by `_score_fold`, in fold order."""
-    scored, train_s = zip(*fold_fits)
-    scores, score_s = zip(*scored)
+def _cv_result(algo: AlgoDescriptor, seed: int, y: np.ndarray, folds, scores) -> CvResult:
+    """Pool the scores of `algo`'s folds, by `_score_fold`, in fold order."""
+    scores = list(scores)
     truth = [y[idx] for idx in folds]
     fold_matrices = [confusion(t, is_malware(s)) for t, s in zip(truth, scores)]
     pooled = fold_matrices[0]
@@ -234,8 +224,6 @@ def _cv_result(algo: AlgoDescriptor, seed: int, y: np.ndarray, folds, fold_fits)
         pooled_matrix=pooled,
         pooled_metrics=metrics(pooled),
         roc=roc_auc(np.concatenate(scores), np.concatenate(truth)),
-        fold_train_s=train_s,
-        fold_score_s=score_s,
     )
 
 

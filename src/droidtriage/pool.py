@@ -1,5 +1,5 @@
 """One worker pool, and one rule for its size, for every fan-out: the items
-of the training plan `algo.train_models`, batches of trees and single fits,
+of the training plan `algo.train_models`, runs of trees and single fits,
 for `train`, `compare` and `crossval`. Results come in item order."""
 
 import os

@@ -75,7 +75,7 @@ CRITERIA = (ENTROPY, GINI)
 # Internal stratified holdout used by reduced-error pruning: one fold in five.
 _PRUNE_FOLDS = 5
 
-# The most entries, weighted rows of a tree, that one `_grow` call holds, but for a lone tree above it.
+# The entries, weighted rows of a tree, that one `_grow` call holds: at most this many, plus up to one tree.
 # An entry and its routing to the next level take about 70 bytes at a level's peak. Growing 100
 # trees of the calibrated corpus's ten fold complements, about 3,900 entries each, on one CPU took
 # 1.14 s in batches of 39,000 entries, 0.83 s in batches of 78,000 and 0.78 s in one of 392,000.
@@ -409,24 +409,24 @@ class Trees(NamedTuple):
     model: Callable[[list[tuple]], object]
 
 
-def _cut(sizes, cap: int) -> list[slice]:
-    """`sizes` cut into contiguous runs, each summing to at most `cap` but
-    for a run of one size above it."""
-    cuts, total = [0], 0
-    for i, size in enumerate(sizes):
-        if total + size > cap and i > cuts[-1]:
-            cuts.append(i)
-            total = 0
-        total += size
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [len(sizes)])]
+def _split(sizes, n: int) -> list[slice]:
+    """`sizes` cut into at most `n` nonempty contiguous runs of near-equal
+    sums: cut j falls after every size whose middle lies at or below j/n of
+    the whole, the boundary nearest it, so a run sums to at most 1/n of the
+    whole plus one size."""
+    totals = np.cumsum([0, *sizes])
+    inner = np.searchsorted(n * (totals[:-1] + totals[1:]), 2 * totals[-1] * np.arange(1, n), "right")
+    cuts = [0, *inner.tolist(), len(sizes)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 def _grow_trees(X, y, units) -> list[tuple]:
     """The trees of `units`, pairs ``(trees, i)`` of one `k` and criterion,
-    each as a `_grow` result of that tree alone, from calls of at most
-    `BATCH_ENTRIES` entries; a call makes its trees' weights as it starts."""
+    each as a `_grow` result of that tree alone, from near-equal calls of
+    about `BATCH_ENTRIES` entries; a call makes its trees' weights as it starts."""
     first, grown = units[0][0], []
-    for s in _cut([trees.entries[i] for trees, i in units], BATCH_ENTRIES):
+    sizes = [trees.entries[i] for trees, i in units]
+    for s in _split(sizes, -(-sum(sizes) // BATCH_ENTRIES)):
         weights = [trees.weights(i) for trees, i in units[s]]
         keys = [trees.keys[i] for trees, i in units[s]]
         *arrays, offsets = _grow(X, y, weights, first.k, keys, first.criterion)

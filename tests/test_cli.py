@@ -189,6 +189,20 @@ def test_crossval_bad_folds_is_usage_error(small_corpus, tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("sets", ["", " ", "pf,", "zz"])
+@pytest.mark.parametrize("command", ["compare", "train"])
+def test_empty_or_unknown_feature_set_is_usage_error(tmp_path, small_corpus, capsys, command, sets):
+    """An empty, blank or unknown set name exits 1 with one line and no
+    output: an empty list does not stand for the default set."""
+    out = tmp_path / "out"
+    rc = main([command, "--algo", "nb", "--feature-set", sets, "--data", str(small_corpus),
+               "--model" if command == "train" else "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--feature-set" in captured.err
+    assert not out.exists()
+
+
 def test_compare_feature_set_rows(tmp_path, small_corpus):
     out = tmp_path / "cmp.csv"
     assert main([

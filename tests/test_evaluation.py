@@ -319,7 +319,7 @@ class TestCompare:
 
     def test_report_csv_format(self, tmp_path):
         cm = ConfusionMatrix(10, 0, 5, 0)
-        cv = CvResult(AlgoDescriptor("nb"), 1, 0, (cm,), cm, metrics(cm), RocCurve((), 0.5), (), ())
+        cv = CvResult(AlgoDescriptor("nb"), 1, 0, (cm,), cm, metrics(cm), RocCurve((), 0.5))
         row = ComparisonRow("capf", 5, cv)
         write_report([row], tmp_path / "r.csv")
         lines = (tmp_path / "r.csv").read_text().splitlines()

@@ -8,6 +8,7 @@ no pool. The count is set by patching `os.sched_getaffinity`, the input of
 import contextlib
 import functools
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -15,16 +16,21 @@ import pickle
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from droidtriage import bayes, evaluation, pool, trees
-from droidtriage.algo import KINDS, AlgoDescriptor, train_model, train_models
+from droidtriage import algo, bayes, evaluation, pool, trees
+from droidtriage.algo import KINDS, AlgoDescriptor, Fit, train_model, train_models
+from droidtriage.calibration import reference_spec
 from droidtriage.catalog import FeatureCatalog, FeatureDef, FeatureSet
 from droidtriage.cli import main
-from droidtriage.dataset import DatasetError, write_csv
+from droidtriage.dataset import DatasetError, synthesize, write_csv
 from droidtriage.evaluation import FoldError, compare, cross_validate, stratified_fold_indices
 from droidtriage.modelio import save_model
 
@@ -78,7 +84,7 @@ def _fold_scores(dataset, algos, k: int, seed: int) -> list[bytes]:
     folds = stratified_fold_indices(dataset.y, k, seed)
     fits = evaluation._fold_fits([dataset], algos, folds, seed)
     results = train_models(fits, functools.partial(evaluation._score_fold, fits, folds))
-    return [scores.tobytes() for (scores, _), _ in results]
+    return [scores.tobytes() for scores in results]
 
 
 def test_fold_error_pickles_with_its_fold_and_cause():
@@ -137,7 +143,7 @@ fits = evaluation._fold_fits([ds], [AlgoDescriptor("sl", max_iter=8, cv_folds=2)
 for n in (1, 2):
     os.sched_getaffinity = lambda pid: set(range(n))
     results = train_models(fits, functools.partial(evaluation._score_fold, fits, folds))
-    print(hashlib.sha256(b"".join(s.tobytes() for (s, _), _ in results)).hexdigest())
+    print(hashlib.sha256(b"".join(s.tobytes() for s in results)).hexdigest())
 """
 
 
@@ -239,8 +245,8 @@ def test_forest_batches_are_grown_here_while_another_thread_runs(corpus, cpus, m
 
 @pytest.mark.parametrize("kind", ["dt", "rf"])
 def test_folds_trees_grow_in_a_worker_of_the_command(corpus, cpus, monkeypatch, kind):
-    """The folds' trees grow in one batch, halved at a fold boundary for two
-    workers, each forked by the command itself; the fault names fold 0."""
+    """The folds' trees grow in one item per fold for two workers, each
+    forked by the command itself; the fault names fold 0."""
     cpus(2)
     _refuse_to_grow(monkeypatch)
     with pytest.raises(FoldError) as caught:
@@ -251,8 +257,8 @@ def test_folds_trees_grow_in_a_worker_of_the_command(corpus, cpus, monkeypatch, 
 
 
 def test_single_kind_crossval_fits_in_workers(files, cpus, monkeypatch):
-    """A crossval of one tree kind is one batch of its folds' trees: the plan
-    halves it so that two CPUs both work."""
+    """A crossval of one tree kind is one group of its folds' trees: the
+    plan cuts it in two so that two CPUs both work."""
     cpus(2)
     _refuse_to_grow(monkeypatch)
     rc, out, err, _ = _run(files, "crossval", "--algo", "rt", "--folds", "2")
@@ -278,13 +284,29 @@ def test_command_line_import_loads_no_pool():
     assert proc.stdout == "\n"
 
 
-def test_fold_timings_are_measured_per_fold(corpus, cpus):
-    cv = cross_validate(corpus, ALGOS[0], k=4, seed=1)
-    assert len(cv.fold_train_s) == len(cv.fold_score_s) == 4
-    cpus(2)
-    for row in compare(corpus, ALGOS, k=3, seed=1):
-        assert len(row.cv.fold_train_s) == len(row.cv.fold_score_s) == 3
-        assert all(s > 0 for s in row.cv.fold_train_s + row.cv.fold_score_s)
+NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+from droidtriage.cli import main
+
+root = sys.argv[1]
+files = ["--catalog", f"{root}/cat.csv", "--data", f"{root}/corpus.csv"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([*argv, *files]) for argv in (
+        ["compare", "--algo", "nb,dt,rt,rf,sl", "--folds", "2", "--out", f"{root}/ma.csv"],
+        ["train", "--algo", "rf", "--model", f"{root}/ma.rf"],
+        ["predict", "--model", f"{root}/ma.rf", "--out", f"{root}/ma.pred"],
+    )]
+print(*codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_load_no_masked_arrays(files):
+    """`numpy.ma`, which `np.unique` imports, raises peak memory by about
+    1 MiB: compare, train and predict never load it."""
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(files)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 0 False\n"
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -361,7 +383,7 @@ def test_plan_trains_each_fold_as_it_trains_alone(corpus, cpus, tmp_path, algo_,
     folds = stratified_fold_indices(corpus.y, k, 4)
     fits = evaluation._fold_fits([corpus], [algo_], folds, 4)
     cpus(n)
-    planned = [model for model, _ in train_models(fits)]
+    planned = train_models(fits)
     cpus(1)
     for fit, model in zip(fits, planned):
         save_model(model, tmp_path / "planned", CATALOG)
@@ -385,11 +407,109 @@ def test_report_is_the_same_for_any_cut_of_the_batches(files, cpus, monkeypatch,
     assert batches == ([1] * 3 * (1 + 1 + 3) if n == 1 else [])  # dt, rt and rf trees of three folds
 
 
-def test_train_halves_a_forest_for_two_workers(corpus, cpus, monkeypatch):
-    """train grows its ten trees as two batches of five, as many as CPUs."""
-    cpus(2)
+def _items_of(monkeypatch, call) -> list:
+    """The items `call` hands to `pool.run`, which trains none of them."""
+    class Planned(Exception):
+        pass
+
     items = []
-    run = pool.run
-    monkeypatch.setattr(pool, "run", lambda job, items_: items.extend(items_) or run(job, items_))
-    train_model(AlgoDescriptor("rf", seed=1), corpus)
-    assert sorted(items) == [[(0, 0, 5)], [(0, 5, 10)]]
+
+    def record(job, items_):
+        items.extend(items_)
+        raise Planned
+
+    monkeypatch.setattr(pool, "run", record)
+    with pytest.raises(Planned):
+        call()
+    return items
+
+
+def _forest_items(corpus, monkeypatch) -> list[list[int]]:
+    """The trees each item of `train --algo rf` (ten trees) holds."""
+    items = _items_of(monkeypatch, lambda: train_model(AlgoDescriptor("rf", seed=1), corpus))
+    assert all(i == 0 for item in items for i, _, _ in item)
+    return [[t for _, lo, hi in item for t in range(lo, hi)] for item in items]
+
+
+@pytest.mark.parametrize("n, items", [
+    (1, [list(range(10))]),
+    (2, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]),
+    (3, [[3, 4, 5, 6], [0, 1, 2], [7, 8, 9]]),
+])
+def test_train_cuts_a_forest_into_one_item_per_cpu(corpus, cpus, monkeypatch, n, items):
+    cpus(n)
+    assert _forest_items(corpus, monkeypatch) == items
+
+
+def test_a_forest_above_the_cap_is_cut_into_near_equal_items(corpus, cpus, monkeypatch):
+    """Ten trees of 76 entries each, against a cap of 300: three items of
+    three, four and three trees, the most entries first, each at most the
+    cap plus one tree, on any CPU count up to three."""
+    monkeypatch.setattr(trees, "BATCH_ENTRIES", 300)
+    for n in (1, 2, 3):
+        cpus(n)
+        assert _forest_items(corpus, monkeypatch) == [[3, 4, 5, 6], [0, 1, 2], [7, 8, 9]]
+
+
+def test_benchmark_workloads_keep_their_items_at_two_cpus(cpus, monkeypatch):
+    """On the calibrated corpus at 2 CPUs: compare's two folds of nb, dt,
+    rt, rf and sl on pf, af and capf give each (set, tree kind) pair one
+    item of its two whole folds, forests first, then the twelve nb and sl
+    folds in fit order; train's forest of ten trees is two items of five."""
+    cpus(2)
+    ds = synthesize(reference_spec(), 1)
+    sets = [FeatureSet.PF, FeatureSet.AF, FeatureSet.CAPF]
+    algos = [AlgoDescriptor(kind) for kind in KINDS]
+    items = _items_of(monkeypatch, lambda: compare(ds, algos, 2, 1, feature_sets=sets))
+
+    def fit(s, kind, fold):  # fits are (set, kind, fold) major to minor
+        return 10 * s + 2 * KINDS.index(kind) + fold
+
+    forests = [[(fit(s, "rf", f), 0, 10) for f in (0, 1)] for s in range(3)]
+    single = [[(fit(s, kind, f), 0, 1) for f in (0, 1)] for s in range(3) for kind in ("dt", "rt")]
+    whole = [[(fit(s, kind, f), 0, 0)] for s in range(3) for kind in ("nb", "sl") for f in (0, 1)]
+    assert items == forests + single + whole
+    assert _forest_items(ds, monkeypatch) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(20, 400), st.lists(st.tuples(
+    st.sampled_from(["a", "b"]), st.sampled_from(["nb", "dt", "rf"]),
+    st.lists(st.integers(1, 100), min_size=1, max_size=8)), min_size=1, max_size=12))
+def test_items_hold_every_tree_once_in_near_equal_runs(workers, cap, specs):
+    """Every tree of a group is in exactly one item, the items of a group
+    hold contiguous runs of its trees in order, a group of E_g of the plan's
+    E tree entries is cut into at most n = max(E_g / cap, workers * E_g / E)
+    items, rounded up, of whole fits where it has at least n fits, else of
+    single trees, each at most E_g / n plus one fit or tree; items that grow
+    trees come first, by entries, then the whole fits in fit order."""
+    datasets = {"a": object(), "b": object()}
+    fits = [Fit(AlgoDescriptor(kind, trees=len(sizes)), datasets[name]) for name, kind, sizes in specs]
+    plans = [trees.Trees(None, sizes, list(range(len(sizes))), 0, trees.ENTROPY, None) if kind != "nb" else None
+             for _, kind, sizes in specs]
+    with mock.patch.object(pool, "workers", lambda: workers), mock.patch.object(trees, "BATCH_ENTRIES", cap):
+        items = algo._items(fits, plans)
+    entries = [p.entries if p else [] for p in plans]
+    weights = [sum(sum(entries[i][lo:hi]) for i, lo, hi in item) for item in items]
+    assert weights == sorted(weights, reverse=True)
+    untreed = [item for item in items if plans[item[0][0]] is None]
+    assert untreed == [[(i, 0, 0)] for i in range(len(fits)) if plans[i] is None]
+    total = sum(map(sum, entries))
+
+    def group(i):
+        return id(fits[i].dataset), replace(fits[i].algo, seed=0), plans[i] is None
+
+    groups = [list(members) for _, members in itertools.groupby(range(len(fits)), group)]
+    for members in groups:
+        if plans[members[0]] is None:
+            continue
+        mine = sorted(item for item in items if item[0][0] in members)
+        held = [(i, t) for item in mine for i, lo, hi in item for t in range(lo, hi)]
+        assert held == [(i, t) for i in members for t in range(len(entries[i]))]
+        size = sum(sum(entries[i]) for i in members)
+        n = max(-(-size // cap), -(-workers * size // total))
+        assert len(mine) <= n
+        by_fit = len(members) >= n
+        assert all((lo, hi) == ((0, len(entries[i])) if by_fit else (lo, lo + 1)) for item in mine for i, lo, hi in item)
+        piece = max(sum(entries[i]) if by_fit else max(entries[i]) for i in members)
+        assert all(n * sum(sum(entries[i][lo:hi]) for i, lo, hi in item) <= size + n * piece for item in mine)
